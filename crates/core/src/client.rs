@@ -19,17 +19,19 @@
 //! worker queue full) are retried after a metadata refresh (or, for
 //! [`KvsError::Busy`] backpressure, just a pause), so a batch racing a
 //! reconfiguration still produces a correct per-op [`Reply`].  The per-key
-//! methods ([`KvsClient::insert`] & co.) share the same routing/retry core
-//! as a single-op batch, without allocating an owned [`Op`].
+//! methods ([`KvsClient::insert`] & co.) and singleton batches are one
+//! routine (`KvsClient::execute_one`): a batch of one, run inline on this
+//! thread through the same node-side envelope, without allocating an owned
+//! [`Op`] or the batch's shared slots and latch.
 
 use crate::error::KvsError;
 use crate::executor::{BatchShared, WaitGroup};
 use crate::kn::KnNode;
 use crate::kvs::KvsInner;
-use crate::op::{Op, Reply};
+use crate::op::{Op, OpRef, Reply};
 use crate::trace::{Action, RecorderHandle};
 use crate::Result;
-use dinomo_partition::{KnId, OwnershipTable};
+use dinomo_partition::{key_hash, KnId, OwnershipTable};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -86,19 +88,19 @@ impl KvsClient {
 
     /// Record one completed op (no-op without a recorder). `invoked_at`
     /// must be a stamp drawn before the op was submitted.
-    fn record_op(&self, op: &Op, reply: &Reply, invoked_at: u64) {
+    fn record_op(&self, op: OpRef<'_>, reply: &Reply, invoked_at: u64) {
         let Some(handle) = &self.recorder else {
             return;
         };
         let action = match op {
-            Op::Insert { value, .. } | Op::Update { value, .. } => Action::Write(value.clone()),
-            Op::Delete { .. } => Action::Delete,
-            Op::Lookup { .. } => Action::Read(match reply {
+            OpRef::Put(_, value) => Action::Write(value.to_vec()),
+            OpRef::Delete(_) => Action::Delete,
+            OpRef::Lookup(_) => Action::Read(match reply {
                 Reply::Value(v) => v.clone(),
                 _ => None,
             }),
-            Op::Scan { n, .. } => Action::Scan {
-                n: *n,
+            OpRef::Scan(_, n) => Action::Scan {
+                n,
                 pairs: match reply {
                     Reply::Scan(pairs) => pairs.clone(),
                     _ => Vec::new(),
@@ -118,18 +120,6 @@ impl KvsClient {
         *self.cached.lock() = self.kvs.ownership.read().clone();
     }
 
-    /// Pick the owner to contact for `key` from an already-locked cached
-    /// table (round-robin across owners so replicated hot keys spread their
-    /// load).
-    fn pick_owner_in(&self, cached: &OwnershipTable, key: &[u8]) -> Option<KnId> {
-        if cached.is_replicated(key) {
-            self.pick_replica(cached, key)
-        } else {
-            // The common case allocates nothing.
-            cached.primary_owner(key)
-        }
-    }
-
     /// Round-robin pick among a replicated key's owner set.
     fn pick_replica(&self, cached: &OwnershipTable, key: &[u8]) -> Option<KnId> {
         let owners = cached.owners(key);
@@ -138,11 +128,6 @@ impl KvsClient {
         }
         let idx = self.replica_rr.fetch_add(1, Ordering::Relaxed) % owners.len();
         Some(owners[idx])
-    }
-
-    fn pick_owner(&self, key: &[u8]) -> Result<KnId> {
-        self.pick_owner_in(&self.cached.lock(), key)
-            .ok_or(KvsError::NoNodes)
     }
 
     fn node(&self, id: KnId) -> Option<Arc<KnNode>> {
@@ -158,7 +143,17 @@ impl KvsClient {
         )
     }
 
-    fn backoff(attempt: usize) {
+    /// What a request does between a round that left work to retry and
+    /// the next one: refresh the routing metadata if a node rejected the
+    /// routing, give the shard workers a beat to drain if one pushed back
+    /// (`Busy` needs no refresh), and sleep once retries pile up.
+    fn before_retry(&self, attempt: usize, saw_routing_error: bool, saw_busy: bool) {
+        if saw_routing_error {
+            self.refresh_routing();
+        }
+        if saw_busy {
+            std::thread::yield_now();
+        }
         if attempt > 10 {
             std::thread::sleep(Duration::from_millis(2));
         }
@@ -206,18 +201,11 @@ impl KvsClient {
     pub fn execute(&self, ops: Vec<Op>) -> Vec<Reply> {
         match ops.as_slice() {
             [] => Vec::new(),
-            // A singleton batch skips the grouping machinery entirely, so
-            // the per-key wrappers cost the same as a direct call. Scans
-            // are the exception: even alone they need the batched path's
-            // every-node fan-out.
-            [op] if !op.is_scan() => {
-                let invoked_at = self.recorder.as_ref().map(|h| h.invoke());
-                let reply = self.execute_single(op);
-                if let Some(inv) = invoked_at {
-                    self.record_op(op, &reply, inv);
-                }
-                vec![reply]
-            }
+            // A singleton batch is dispatched like a per-key call: same
+            // node-side envelope, but inline on this thread with no groups,
+            // shared slots or latch. Scans are the exception: even alone
+            // they need the batched dispatch's every-node fan-out.
+            [op] if !op.is_scan() => vec![self.execute_one(op.view())],
             _ => self.execute_batch(ops),
         }
     }
@@ -410,7 +398,7 @@ impl KvsClient {
                 // SAFETY: every sub-batch of this round counted the latch
                 // down, so no writer is concurrent with these reads.
                 match unsafe { batch.slots.take(i) } {
-                    Some(Ok(read)) => replies[i] = Some(batch.ops[i].reply_from(read)),
+                    Some(Ok(read)) => replies[i] = Some(batch.ops[i].view().reply_from(read)),
                     Some(Err(KvsError::Busy)) => {
                         saw_busy = true;
                         last_was_busy[i] = true;
@@ -433,15 +421,7 @@ impl KvsClient {
             dinomo_obs::record_since(&self.stage_reply, reply_clock);
             pending = retry;
             if !pending.is_empty() {
-                if saw_routing_error {
-                    self.refresh_routing();
-                }
-                if saw_busy {
-                    // Backpressure: give the shard workers a beat to drain
-                    // before re-enqueueing (no metadata refresh needed).
-                    std::thread::yield_now();
-                }
-                Self::backoff(attempt);
+                self.before_retry(attempt, saw_routing_error, saw_busy);
             }
         }
 
@@ -461,48 +441,56 @@ impl KvsClient {
             .collect();
         if let Some(inv) = invoked_at {
             for (op, reply) in batch.ops.iter().zip(&replies) {
-                self.record_op(op, reply, inv);
+                self.record_op(op.view(), reply, inv);
             }
         }
         replies
     }
 
-    /// The allocation-free core of the per-key methods and singleton
-    /// batches: route `key`, run `f` against the owner node, and retry on
-    /// routing errors after a metadata refresh — identical routing/retry
-    /// behaviour to a batch of one, without building groups or owned `Op`s.
-    fn run<T>(&self, key: &[u8], f: impl Fn(&KnNode) -> Result<T>) -> Result<T> {
+    /// One non-scan op, start to finish: the per-key methods and singleton
+    /// batches. A batch of one — routed against the cached table, served by
+    /// the owner's envelope with the cached version attached, retried
+    /// after a metadata refresh on routing errors, recorded — minus what
+    /// only a fan-out needs: it runs inline on this thread (so it can never
+    /// be `Busy`) and builds no groups, owned `Op`, reply slots or latch.
+    fn execute_one(&self, op: OpRef<'_>) -> Reply {
+        let invoked_at = self.recorder.as_ref().map(|h| h.invoke());
+        let key = op.key();
+        let hash = key_hash(key);
+        let mut result = Err(KvsError::RoutingRetriesExhausted);
         for attempt in 0..MAX_RETRIES {
-            let owner = self.pick_owner(key)?;
-            let result = match self.node(owner) {
-                Some(node) => f(&node),
-                None => Err(KvsError::NodeFailed),
+            let (owner, routed_version) = {
+                let cached = self.cached.lock();
+                let owner = if cached.is_replicated(key) {
+                    self.pick_replica(&cached, key)
+                } else {
+                    cached.global_ring().owner(hash)
+                };
+                (owner, cached.version())
             };
-            match result {
-                Err(e) if Self::is_routing_error(&e) => {
-                    self.refresh_routing();
-                    Self::backoff(attempt);
+            let served = match owner.map(|id| self.node(id)) {
+                None => Err(KvsError::NoNodes),
+                // Present in the routing table but gone from the registry:
+                // membership moved — refresh and retry.
+                Some(None) => Err(KvsError::NodeFailed),
+                Some(Some(node)) => node.serve_one(op, hash, routed_version),
+            };
+            match served {
+                Err(e) if Self::is_routing_error(&e) => self.before_retry(attempt, true, false),
+                other => {
+                    result = other;
+                    break;
                 }
-                other => return other,
             }
         }
-        Err(KvsError::RoutingRetriesExhausted)
-    }
-
-    /// The singleton-batch path, in terms of [`KvsClient::run`].
-    fn execute_single(&self, op: &Op) -> Reply {
-        let result = match op {
-            Op::Lookup { key } => self.run(key, |kn| kn.get(key)),
-            Op::Insert { key, value } | Op::Update { key, value } => {
-                self.run(key, |kn| kn.put(key, value).map(|()| None))
-            }
-            Op::Delete { key } => self.run(key, |kn| kn.delete(key).map(|()| None)),
-            Op::Scan { .. } => unreachable!("scans take the batched fan-out path"),
-        };
-        match result {
+        let reply = match result {
             Ok(read) => op.reply_from(read),
             Err(e) => Reply::Error(e),
+        };
+        if let Some(inv) = invoked_at {
+            self.record_op(op, &reply, inv);
         }
+        reply
     }
 
     /// Batched lookup: one reply per key, in key order.
@@ -541,36 +529,19 @@ impl KvsClient {
     /// identically. If you need insert-if-absent, [`KvsClient::lookup`]
     /// first; the store never errors with "already exists".
     pub fn insert(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.write_recorded(key, value)
+        self.execute_one(OpRef::Put(key, value)).into_ack()
     }
 
     /// `update(key, value)`. Overwrites `key`'s value; like
     /// [`KvsClient::insert`] it is an upsert, so updating a missing key
     /// writes it.
     pub fn update(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.write_recorded(key, value)
-    }
-
-    /// The shared insert/update path (both are upserts), with the history
-    /// hook applied around the routing/retry core.
-    fn write_recorded(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        let invoked_at = self.recorder.as_ref().map(|h| h.invoke());
-        let result = self.run(key, |kn| kn.put(key, value));
-        if let (Some(handle), Some(inv)) = (&self.recorder, invoked_at) {
-            handle.record(key, Action::Write(value.to_vec()), result.is_ok(), inv);
-        }
-        result
+        self.execute_one(OpRef::Put(key, value)).into_ack()
     }
 
     /// `lookup(key)`.
     pub fn lookup(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let invoked_at = self.recorder.as_ref().map(|h| h.invoke());
-        let result = self.run(key, |kn| kn.get(key));
-        if let (Some(handle), Some(inv)) = (&self.recorder, invoked_at) {
-            let observed = result.as_ref().ok().cloned().flatten();
-            handle.record(key, Action::Read(observed), result.is_ok(), inv);
-        }
-        result
+        self.execute_one(OpRef::Lookup(key)).into_value()
     }
 
     /// `scan(start, n)`: up to `n` key/value pairs in key order, starting
@@ -610,11 +581,6 @@ impl KvsClient {
 
     /// `delete(key)`.
     pub fn delete(&self, key: &[u8]) -> Result<()> {
-        let invoked_at = self.recorder.as_ref().map(|h| h.invoke());
-        let result = self.run(key, |kn| kn.delete(key));
-        if let (Some(handle), Some(inv)) = (&self.recorder, invoked_at) {
-            handle.record(key, Action::Delete, result.is_ok(), inv);
-        }
-        result
+        self.execute_one(OpRef::Delete(key)).into_ack()
     }
 }

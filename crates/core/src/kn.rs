@@ -4,7 +4,7 @@
 use crate::config::{KvsConfig, Variant};
 use crate::error::KvsError;
 use crate::executor::{BatchShared, BoundedQueue, DoneGuard, OpResult, PushError, WaitGroup};
-use crate::op::Op;
+use crate::op::{Op, OpRef};
 use crate::stats::KnStats;
 use crate::Result;
 use dinomo_cache::{build_cache, CacheLookup, CacheStats, KnCache, ValueLoc};
@@ -81,8 +81,8 @@ pub(crate) struct SubBatch {
     /// [`KnNode::run_queued_sub_batch`]).
     resolved_version: u64,
     /// When the dispatching client pushed this task (None with
-    /// observability disabled); the worker bills the gap to
-    /// `stage_queue_wait_ns` at dequeue.
+    /// observability disabled); the worker bills the time from here until
+    /// it holds the shard to `stage_queue_wait_ns`.
     enqueued_at: Option<Instant>,
 }
 
@@ -107,15 +107,15 @@ impl SubBatch {
             resolved_version,
             enqueued_at,
         } = self;
-        dinomo_obs::record_since(&node.metrics.queue_wait, enqueued_at);
         // Count down even if execution panics, so the dispatching client
         // never deadlocks on the latch.
         let _done = DoneGuard(&latch);
         node.run_queued_sub_batch(
             shard,
-            &batch.ops,
+            |pos| batch.ops[pos].view(),
             &positions,
             resolved_version,
+            enqueued_at,
             &mut |pos, r| {
                 // SAFETY: this round's routing assigned `positions` exclusively
                 // to this sub-batch (see ReplySlots' safety discipline).
@@ -132,6 +132,11 @@ struct NodeExecutor {
     queues: Vec<Arc<BoundedQueue<SubBatch>>>,
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
+
+/// What [`KnNode::serve`] needs to hand a shard's slice of a client batch to
+/// that shard's worker: the node handle and batch the task keeps alive, and
+/// the latch it counts down.
+type Handoff<'a> = (&'a Arc<KnNode>, &'a Arc<BatchShared>, &'a Arc<WaitGroup>);
 
 /// Decrements an in-flight counter when dropped (panic-safe).
 struct DecrementOnDrop<'a>(&'a AtomicUsize);
@@ -158,9 +163,12 @@ struct KnMetrics {
     /// `kn_busy_rejections` — cluster-wide aggregate of bounded-queue
     /// rejections (the per-node count stays in [`KnNode::stats`]).
     busy_rejections: dinomo_obs::Counter,
-    /// `stage_queue_wait_ns` — sub-batch time in an executor queue.
+    /// `stage_queue_wait_ns` — what a shard's slice of a request waited
+    /// before the shard was its own: worker-queue time when it was
+    /// enqueued, the shard-mutex wait when it ran inline.
     queue_wait: dinomo_obs::Histogram,
-    /// `stage_shard_execute_ns` — sub-batch execution on a shard.
+    /// `stage_shard_execute_ns` — execution against the locked shard (or
+    /// of one op run on the caller: shared keys, in-group scans).
     shard_execute: dinomo_obs::Histogram,
 }
 
@@ -193,10 +201,10 @@ pub struct KnNode {
     /// Sub-batches below this size run inline on the dispatching thread
     /// (`KvsConfig::executor_min_sub_batch`).
     min_sub_batch: usize,
-    /// Sub-batches currently executing on any thread (workers or inline
-    /// callers); reconfiguration drains this to zero after turning the
-    /// node unavailable, so no straggler can buffer a write behind the
-    /// pre-handoff flush.
+    /// Requests (per-key calls, batches, scans) and queued sub-batches
+    /// currently executing on any thread; reconfiguration drains this to
+    /// zero after turning the node unavailable, so no straggler can
+    /// buffer a write behind the pre-handoff flush.
     in_flight: AtomicUsize,
     failed: AtomicBool,
     reconfiguring: AtomicBool,
@@ -319,24 +327,32 @@ impl KnNode {
         self.reconfiguring.store(on, Ordering::SeqCst);
     }
 
-    fn check_available(&self) -> Result<()> {
+    /// Admission, the first step of every request and of every dequeued
+    /// sub-batch: count it in flight, *then* check availability. The
+    /// increment must precede the check (both `SeqCst`) so
+    /// [`KnNode::drain_in_flight`] cannot observe zero while work that
+    /// passed the check is still executing. The returned guard keeps the
+    /// work counted until it drops.
+    fn admit(&self) -> Result<DecrementOnDrop<'_>> {
+        self.in_flight.fetch_add(1, Ordering::SeqCst);
+        let in_flight = DecrementOnDrop(&self.in_flight);
         if self.failed.load(Ordering::SeqCst) {
             return Err(KvsError::NodeFailed);
         }
         if self.reconfiguring.load(Ordering::SeqCst) {
             return Err(KvsError::Reconfiguring);
         }
-        Ok(())
+        Ok(in_flight)
     }
 
-    /// Wait until no sub-batch is executing on this node.
+    /// Wait until nothing is executing on this node.
     ///
     /// Callers first turn the node unavailable ([`KnNode::fail`] or
-    /// [`KnNode::set_reconfiguring`]); every sub-batch increments
-    /// `in_flight` *before* its availability check (both with `SeqCst`),
-    /// so once this observes zero, any later sub-batch is guaranteed to
-    /// see the unavailability flag and reject — no straggler can still
-    /// buffer a write behind the reconfiguration's flush-and-merge.
+    /// [`KnNode::set_reconfiguring`]); everything that executes here went
+    /// through [`KnNode::admit`], so once this observes zero, any later
+    /// arrival is guaranteed to see the unavailability flag and reject —
+    /// no straggler can still buffer a write behind the reconfiguration's
+    /// flush-and-merge.
     pub(crate) fn drain_in_flight(&self) {
         while self.in_flight.load(Ordering::SeqCst) > 0 {
             std::thread::yield_now();
@@ -378,64 +394,16 @@ impl KnNode {
         }
     }
 
-    fn check_ownership(&self, key: &[u8]) -> Result<u32> {
-        let table = self.ownership.read();
-        if !table.is_owner(self.id, key) {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(KvsError::NotOwner {
-                current_version: table.version(),
-            });
-        }
-        Ok(table.thread_of(self.id, key).unwrap_or(0))
-    }
-
-    fn shard_for(&self, thread: u32) -> &Mutex<Shard> {
-        &self.shards[thread as usize % self.shards.len()]
-    }
-
-    /// Lock a shard for a per-op request, billing the wait to the
-    /// queue-wait stage — on the per-op path the shard mutex *is* the
-    /// queue: client threads that route to the same shard serialize
-    /// here, exactly as the executor path's sub-batches wait in the
-    /// shard worker's queue.
-    fn lock_shard_for_op(&self, thread: u32) -> parking_lot::MutexGuard<'_, Shard> {
-        self.metrics
-            .queue_wait
-            .time(|| self.shard_for(thread).lock())
-    }
-
-    fn is_replicated(&self, key: &[u8]) -> bool {
-        self.variant.supports_selective_replication() && self.ownership.read().is_replicated(key)
-    }
-
     // ------------------------------------------------------------- reads
 
-    /// `lookup(key)`.
+    /// `lookup(key)`: a batch of one through the serving envelope (`serve`).
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.check_available()?;
-        let thread = self.check_ownership(key)?;
-        let start = Instant::now();
-        let result = if self.is_replicated(key) {
-            self.get_shared(key)
-        } else {
-            self.get_owned(key, thread)
-        };
-        self.ops.fetch_add(1, Ordering::Relaxed);
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        self.busy_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        result
+        self.serve_one(OpRef::Lookup(key), key_hash(key), NO_VERSION)
     }
 
-    fn get_owned(&self, key: &[u8], thread: u32) -> Result<Option<Vec<u8>>> {
-        let mut shard = self.lock_shard_for_op(thread);
-        self.get_in_shard(&mut shard, key, &dinomo_dpm::pin())
-    }
-
-    /// The owned-key read path against an already-locked shard (shared by
-    /// the per-op path and [`KnNode::run_batch`]). `guard` covers the
-    /// index traversal of the miss path; the batch path pins it once for
-    /// the whole batch.
+    /// The owned-key read path against an already-locked shard. `guard`
+    /// covers the index traversal of the miss path; the caller pins it
+    /// once for its whole slice.
     fn get_in_shard(
         &self,
         shard: &mut Shard,
@@ -506,11 +474,13 @@ impl KnNode {
     /// Read of a selectively-replicated key: indirection cell then value, as
     /// in §3.4 ("A KN reading a shared key has to first read the indirect
     /// pointer and then read the value").
-    fn get_shared(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+    fn get_shared(&self, key: &[u8], shard: u32) -> Result<Option<Vec<u8>>> {
         let Some(cell) = self.dpm.indirect_cell_of(key) else {
-            // Replication was requested but the cell is not installed yet;
-            // fall back to the ordinary path on shard 0.
-            return self.get_owned(key, 0);
+            // Replication was requested but the cell is not installed yet:
+            // the key's writes still live in its own shard's overlay and
+            // cache, so that is where the ordinary path must read.
+            let mut shard = self.shards[shard as usize].lock();
+            return self.get_in_shard(&mut shard, key, &dinomo_dpm::pin());
         };
         let Some(entry_loc) = self.dpm.remote_read_indirect(&self.nic, cell) else {
             return Ok(None);
@@ -554,13 +524,10 @@ impl KnNode {
         n: usize,
         client_version: u64,
     ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.check_available()?;
+        let _in_flight = self.admit()?;
         let begin = Instant::now();
         let result = self.scan_owned(start, n, client_version);
-        self.ops.fetch_add(1, Ordering::Relaxed);
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        self.busy_ns
-            .fetch_add(begin.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.record_work(1, 0, begin);
         result
     }
 
@@ -704,32 +671,22 @@ impl KnNode {
 
     // ------------------------------------------------------------ writes
 
-    /// `insert(key, value)` / `update(key, value)`.
+    /// `insert(key, value)` / `update(key, value)`: a batch of one through
+    /// the serving envelope (`serve`).
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.check_available()?;
-        let thread = self.check_ownership(key)?;
-        let start = Instant::now();
-        let result = if self.is_replicated(key) {
-            self.put_shared(key, value, thread)
-        } else {
-            self.put_owned(key, value, thread)
-        };
-        self.ops.fetch_add(1, Ordering::Relaxed);
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        self.busy_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        result
+        self.serve_one(OpRef::Put(key, value), key_hash(key), NO_VERSION)
+            .map(drop)
     }
 
-    fn put_owned(&self, key: &[u8], value: &[u8], thread: u32) -> Result<()> {
-        let mut shard = self.lock_shard_for_op(thread);
-        Self::put_in_shard(&mut shard, key, value);
-        self.flush_if_due(&mut shard)
+    /// `delete(key)`: a batch of one through the serving envelope (`serve`).
+    pub fn delete(&self, key: &[u8]) -> Result<()> {
+        self.serve_one(OpRef::Delete(key), key_hash(key), NO_VERSION)
+            .map(drop)
     }
 
     /// The owned-key write path against an already-locked shard: buffer the
     /// log record and track the pending write. The caller decides when to
-    /// flush (per op for the singleton path, once per group for batches).
+    /// flush (once per shard slice).
     fn put_in_shard(shard: &mut Shard, key: &[u8], value: &[u8]) {
         shard.writer.append_put(key, value);
         shard.cache.invalidate(key);
@@ -759,8 +716,8 @@ impl KnNode {
 
     /// Update of a selectively-replicated key: log the value, then CAS the
     /// indirection cell to the new entry.
-    fn put_shared(&self, key: &[u8], value: &[u8], thread: u32) -> Result<()> {
-        let mut shard = self.lock_shard_for_op(thread);
+    fn put_shared(&self, key: &[u8], value: &[u8], shard: u32) -> Result<()> {
+        let mut shard = self.shards[shard as usize].lock();
         shard.cache.invalidate(key);
         let seq = shard.writer.append_put(key, value);
         let commits = shard.writer.flush()?;
@@ -791,8 +748,8 @@ impl KnNode {
     /// delete must not keep serving the old value until its log tombstone is
     /// flushed and merged. The merge engine later removes the index entry
     /// and releases the cell.
-    fn delete_shared(&self, key: &[u8], thread: u32) -> Result<()> {
-        let mut shard = self.lock_shard_for_op(thread);
+    fn delete_shared(&self, key: &[u8], shard: u32) -> Result<()> {
+        let mut shard = self.shards[shard as usize].lock();
         let seq = Self::delete_in_shard(&mut shard, key);
         let flushed = self.flush_if_due(&mut shard);
         drop(shard);
@@ -803,26 +760,7 @@ impl KnNode {
         Ok(())
     }
 
-    /// `delete(key)`.
-    pub fn delete(&self, key: &[u8]) -> Result<()> {
-        self.check_available()?;
-        let thread = self.check_ownership(key)?;
-        let start = Instant::now();
-        let result = if self.is_replicated(key) {
-            self.delete_shared(key, thread)
-        } else {
-            let mut shard = self.lock_shard_for_op(thread);
-            Self::delete_in_shard(&mut shard, key);
-            self.flush_if_due(&mut shard)
-        };
-        self.ops.fetch_add(1, Ordering::Relaxed);
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        self.busy_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        result
-    }
-
-    // ------------------------------------------------------------ batches
+    // ------------------------------------------------------- the envelope
 
     /// Serve a group of operations that a client routed to this node in one
     /// request (§3.6's per-request overheads paid once per *group*):
@@ -843,101 +781,39 @@ impl KnNode {
     /// Within the group, operations on the same key apply in group order
     /// (same key → same shard, and each shard applies its sub-group in
     /// order). No ordering is guaranteed across different keys, exactly as
-    /// with concurrent per-op calls.
+    /// with concurrent per-key calls.
     pub fn run_batch(&self, ops: &[Op]) -> Vec<Result<Option<Vec<u8>>>> {
         let positions: Vec<usize> = (0..ops.len()).collect();
         let hashes: Vec<u64> = ops.iter().map(|op| key_hash(op.key())).collect();
-        let mut out: Vec<Option<Result<Option<Vec<u8>>>>> = vec![None; ops.len()];
+        let mut out: Vec<Option<OpResult>> = vec![None; ops.len()];
         // `NO_VERSION` forces the full per-key ownership verification.
-        self.run_batch_into(ops, &positions, &hashes, NO_VERSION, &mut out);
+        self.serve(
+            |pos| ops[pos].view(),
+            &positions,
+            &hashes,
+            NO_VERSION,
+            None,
+            &mut |pos, r| out[pos] = Some(r),
+        );
         out.into_iter()
             .map(|r| r.expect("every op in the batch got a result"))
             .collect()
     }
 
-    /// Allocation-lean core of [`KnNode::run_batch`], shaped for the
-    /// client's owner-grouped dispatch: serve `ops[positions[..]]` and write
-    /// each result to `out[position]` (left `None` only if this node is
-    /// unavailable — the caller treats unanswered positions as retryable).
-    ///
-    /// `hashes[pos]` must be `key_hash(ops[pos].key())` — the client hashed
-    /// each key to route it, so the node reuses the hash for its own ring
-    /// lookups. `client_version` is the ownership-table version the caller
-    /// routed against (§3.1's staleness detection, applied batch-wide): when
-    /// it equals the node's current version the tables are identical, the
-    /// client's routing is known-correct, and the per-key ownership
-    /// re-verification is skipped for the whole group.
-    pub(crate) fn run_batch_into(
-        &self,
-        ops: &[Op],
-        positions: &[usize],
-        hashes: &[u64],
-        client_version: u64,
-        out: &mut [Option<Result<Option<Vec<u8>>>>],
-    ) {
-        // The increment must precede the availability check (both SeqCst)
-        // so `drain_in_flight` cannot observe zero while a group that
-        // passed the check is still executing; see its doc comment.
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-        let _in_flight = DecrementOnDrop(&self.in_flight);
-        if let Err(e) = self.check_available() {
-            for &pos in positions {
-                out[pos] = Some(Err(e.clone()));
-            }
-            return;
-        }
-        let (routes, _) =
-            self.resolve_routes(ops, positions, hashes, client_version, &mut |pos, e| {
-                out[pos] = Some(Err(e))
-            });
-        let start = Instant::now();
-        let mut reads = 0u64;
-        let mut writes = 0u64;
-        for shard_idx in 0..self.shards.len() as u32 {
-            if !routes.contains(&shard_idx) {
-                continue;
-            }
-            let (r, w) = self.run_shard_sub_batch_core(
-                shard_idx,
-                ops,
-                Self::shard_positions(positions, &routes, shard_idx),
-                &mut |pos, r| out[pos] = Some(r),
-            );
-            reads += r;
-            writes += w;
-        }
-        let (r, w) =
-            self.run_shared_core(ops, positions, &routes, &mut |pos, r| out[pos] = Some(r));
-        // Scans on the direct path are served against this node alone and
-        // reduced to their first pair's value to fit the positional result
-        // shape; full fanned-out scans go through the client.
-        for (&pos, &route) in positions.iter().zip(&routes) {
-            if route != Self::ROUTE_SCAN {
-                continue;
-            }
-            let Op::Scan { start, n } = &ops[pos] else {
-                unreachable!("ROUTE_SCAN is only assigned to scans");
-            };
-            out[pos] = Some(
-                self.scan_owned(start, *n, client_version)
-                    .map(|pairs| pairs.into_iter().next().map(|(_, v)| v)),
-            );
-        }
-        self.record_batch_work(reads + r, writes + w, start);
+    /// A batch of one through [`KnNode::serve`], always inline on the
+    /// caller: the per-key entry points above and the client's one-op
+    /// dispatch. `hash` must be `key_hash(op.key())`.
+    pub(crate) fn serve_one(&self, op: OpRef<'_>, hash: u64, client_version: u64) -> OpResult {
+        let mut out = None;
+        self.serve(|_| op, &[0], &[hash], client_version, None, &mut |_, r| {
+            out = Some(r)
+        });
+        out.expect("the envelope answers every position")
     }
 
-    /// The executor's dispatch path, shaped like [`KnNode::run_batch_into`]
-    /// but writing into the batch's shared reply slots: resolve ownership
-    /// for the owner group once, split it by shard, and enqueue one
-    /// [`SubBatch`] per involved shard onto that shard's worker queue.
-    /// Replicated keys run in order on the calling thread (they linearize
-    /// through their DPM indirection cell and never share a key with the
-    /// owned sub-batches of the same round, so the two can overlap).
-    ///
-    /// Backpressure: a full shard queue fails that shard's positions with
-    /// [`KvsError::Busy`] — the client retries them after a pause. With
-    /// the executor disabled (`executor_queue_depth == 0`) every sub-batch
-    /// runs inline on the caller, the pre-executor behaviour.
+    /// The client's batch dispatch: [`KnNode::serve`] with results landing
+    /// in the batch's shared reply slots and big-enough shard slices handed
+    /// to the shard workers.
     ///
     /// Every enqueued sub-batch `add`s one count to `latch` before the
     /// push, and counts down when it has written its positions' slots (or
@@ -950,151 +826,152 @@ impl KnNode {
         client_version: u64,
         latch: &Arc<WaitGroup>,
     ) {
-        // SAFETY (for every `slots.set` below): `positions` is this
-        // round's exclusive assignment to this node, and the per-shard /
-        // shared / rejected splits below are disjoint by construction.
-        let slots = &batch.slots;
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-        let _in_flight = DecrementOnDrop(&self.in_flight);
-        if let Err(e) = self.check_available() {
-            for &pos in positions {
-                unsafe { slots.set(pos, Err(e.clone())) };
-            }
-            return;
-        }
-        let ops = &batch.ops;
-        let (routes, resolved_version) = self.resolve_routes(
-            ops,
+        self.serve(
+            |pos| batch.ops[pos].view(),
             positions,
             &batch.hashes,
             client_version,
-            &mut |pos, e| unsafe { slots.set(pos, Err(e)) },
+            Some((self, batch, latch)),
+            // SAFETY: `positions` is this round's exclusive assignment to
+            // this node, and the envelope's per-shard / shared / rejected
+            // splits of it are disjoint by construction.
+            &mut |pos, r| unsafe { batch.slots.set(pos, r) },
         );
+    }
+
+    /// The one serving envelope. Everything this node executes for a
+    /// client — a per-key call, a direct batch, a client batch — passes
+    /// through here exactly once:
+    ///
+    /// 1. **admission** ([`KnNode::admit`]): in-flight guard, then the
+    ///    availability check, so §3.5's drain covers every request;
+    /// 2. **routes** ([`KnNode::resolve_routes`]): one ownership-table
+    ///    read for the whole group — §3.1's stale-client rejection happens
+    ///    there and nowhere else;
+    /// 3. **execution**: each involved shard's slice under one lock, one
+    ///    epoch pin and one flush decision ([`KnNode::run_shard`]) — on the
+    ///    shard's worker when `workers` is given and the slice is big
+    ///    enough to amortize the hand-off, inline otherwise — then the
+    ///    shared-key and scan positions in order on the caller. Replicated
+    ///    keys linearize through their DPM indirection cell and never share
+    ///    a key with the owned slices of the same round, so the two can
+    ///    overlap;
+    /// 4. **accounting**: one [`KnNode::record_work`] call for what ran on
+    ///    the caller (a worker accounts its own sub-batch).
+    ///
+    /// Serves `ops(pos)` for every `pos` in `positions` and answers through
+    /// `set(pos, _)`; positions handed to a worker are answered through the
+    /// batch's reply slots instead. `hashes[pos]` must be
+    /// `key_hash(ops(pos).key())` — the client hashed each key to route it,
+    /// so the node reuses the hash for its own ring lookups.
+    /// `client_version` is the ownership-table version the caller routed
+    /// against ([`NO_VERSION`] if none).
+    fn serve<'a>(
+        &self,
+        ops: impl Fn(usize) -> OpRef<'a> + Copy,
+        positions: &[usize],
+        hashes: &[u64],
+        client_version: u64,
+        workers: Option<Handoff<'_>>,
+        set: &mut impl FnMut(usize, OpResult),
+    ) {
+        let _in_flight = match self.admit() {
+            Ok(guard) => guard,
+            Err(e) => return Self::fail_all(positions, e, set),
+        };
+        // A batch of one keeps its route on the stack.
+        let (mut one, mut many) = ([0u32; 1], Vec::new());
+        let routes: &mut [u32] = if positions.len() == 1 {
+            &mut one
+        } else {
+            many.resize(positions.len(), 0);
+            &mut many
+        };
+        let resolved_version =
+            self.resolve_routes(ops, positions, hashes, client_version, routes, set);
+        let routes = &*routes;
         let start = Instant::now();
-        let mut reads = 0u64;
-        let mut writes = 0u64;
+        let (mut reads, mut writes) = (0u64, 0u64);
         for shard_idx in 0..self.shards.len() as u32 {
             let count = routes.iter().filter(|&&route| route == shard_idx).count();
             if count == 0 {
                 continue;
             }
-            // A worker handoff (queue push + wakeup) only amortizes over
-            // enough per-shard work; small sub-batches execute in place,
-            // exactly as before the executor existed.
-            let enqueue = match &self.executor {
-                Some(executor) if count >= self.min_sub_batch.max(1) => Some(executor),
-                _ => None,
-            };
-            match enqueue {
-                None => {
-                    let (r, w) = self.run_shard_sub_batch_core(
+            let slice = Self::shard_positions(positions, routes, shard_idx);
+            match (workers, &self.executor) {
+                // A worker hand-off (queue push + wakeup) only amortizes
+                // over enough per-shard work; smaller slices, and every
+                // slice of a request that brought no `workers`, execute in
+                // place.
+                (Some(handoff), Some(executor)) if count >= self.min_sub_batch.max(1) => self
+                    .enqueue(
+                        &executor.queues[shard_idx as usize],
+                        handoff,
                         shard_idx,
-                        ops,
-                        Self::shard_positions(positions, &routes, shard_idx),
-                        &mut |pos, r| unsafe { slots.set(pos, r) },
-                    );
+                        slice.collect(),
+                        resolved_version,
+                        set,
+                    ),
+                _ => {
+                    let (r, w) =
+                        self.run_shard(shard_idx, ops, slice, dinomo_obs::stage_clock(), set);
                     reads += r;
                     writes += w;
                 }
-                Some(executor) => {
-                    let list: Vec<usize> =
-                        Self::shard_positions(positions, &routes, shard_idx).collect();
-                    latch.add(1);
-                    let task = SubBatch {
-                        node: Arc::clone(self),
-                        shard: shard_idx,
-                        batch: Arc::clone(batch),
-                        positions: list,
-                        latch: Arc::clone(latch),
-                        resolved_version,
-                        enqueued_at: dinomo_obs::stage_clock(),
-                    };
-                    match executor.queues[shard_idx as usize].try_push(task) {
-                        Ok(()) => {
-                            self.sub_batches.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(PushError::Full(task)) => {
-                            // Bounded-queue backpressure: hand the shard's
-                            // positions back to the client as Busy.
-                            self.busy_rejections.fetch_add(1, Ordering::Relaxed);
-                            self.metrics.busy_rejections.inc();
-                            for &pos in &task.positions {
-                                unsafe { slots.set(pos, Err(KvsError::Busy)) };
-                            }
-                            latch.done();
-                        }
-                        Err(PushError::Closed(task)) => {
-                            // The node shut down (removed/failed) after the
-                            // client resolved its handle; retry elsewhere.
-                            for &pos in &task.positions {
-                                unsafe { slots.set(pos, Err(KvsError::NodeFailed)) };
-                            }
-                            latch.done();
-                        }
-                    }
-                }
             }
         }
-        let (r, w) = self.run_shared_core(ops, positions, &routes, &mut |pos, r| unsafe {
-            slots.set(pos, r)
-        });
-        // Scan positions (if a caller routed any through this path) run
-        // inline on the dispatching thread and report through the batch's
-        // multi-writer partial accumulators — several nodes answer the
-        // same scan position per round, so scans cannot use the single-
-        // writer reply slots.
-        for (&pos, &route) in positions.iter().zip(&routes) {
-            if route != Self::ROUTE_SCAN {
-                continue;
-            }
-            let Op::Scan { start, n } = &ops[pos] else {
-                unreachable!("ROUTE_SCAN is only assigned to scans");
-            };
-            batch.push_scan_partial(pos, self.scan_owned(start, *n, client_version));
-        }
-        self.record_batch_work(reads + r, writes + w, start);
+        let (r, w) = self.run_on_caller(ops, positions, routes, client_version, set);
+        self.record_work(reads + r, writes + w, start);
     }
 
-    /// Resolve ownership for a whole owner group under one read lock. The
-    /// global and local rings are hoisted out of the loop, the client's
-    /// key hashes feed the ring lookups, and the replicated-key check
+    fn fail_all(positions: &[usize], e: KvsError, set: &mut impl FnMut(usize, OpResult)) {
+        for &pos in positions {
+            set(pos, Err(e.clone()));
+        }
+    }
+
+    /// Resolve ownership for a whole group under one read lock. The global
+    /// and local rings are hoisted out of the loop, the client's key
+    /// hashes feed the ring lookups, and the replicated-key check
     /// short-circuits on an empty replica table.
     ///
-    /// Returns one route per position (parallel to `positions`): the shard
-    /// index for owned keys, [`Self::ROUTE_SHARED`]`| thread` for keys that
-    /// take the in-order shared pass, or [`Self::ROUTE_REJECTED`] for keys
-    /// this node does not own (reported through `reject`).
+    /// Writes one route per position into `routes` (parallel to
+    /// `positions`): the shard index for owned keys,
+    /// [`Self::ROUTE_SHARED`]`| shard` for keys that take the in-order
+    /// shared pass, [`Self::ROUTE_SCAN`] for scans, or
+    /// [`Self::ROUTE_REJECTED`] for keys this node does not own (answered
+    /// `NotOwner` through `set`).
     ///
     /// `client_version` is the ownership-table version the caller routed
-    /// against (§3.1's staleness detection, applied batch-wide): when it
+    /// against (§3.1's staleness detection, applied group-wide): when it
     /// equals the node's current version the tables are identical, the
     /// client's routing is known-correct, and the per-key ownership
     /// re-verification is skipped for the whole group.
     ///
-    /// Also returns the table version the routes were resolved against,
-    /// so queued sub-batches can detect that the table moved on while
-    /// they waited (see [`KnNode::run_queued_sub_batch`]).
-    fn resolve_routes(
+    /// Returns the table version the routes were resolved against, so
+    /// queued sub-batches can detect that the table moved on while they
+    /// waited (see [`KnNode::run_queued_sub_batch`]).
+    fn resolve_routes<'a>(
         &self,
-        ops: &[Op],
+        ops: impl Fn(usize) -> OpRef<'a>,
         positions: &[usize],
         hashes: &[u64],
         client_version: u64,
-        reject: &mut dyn FnMut(usize, KvsError),
-    ) -> (Vec<u32>, u64) {
-        let mut routes: Vec<u32> = Vec::with_capacity(positions.len());
+        routes: &mut [u32],
+        set: &mut impl FnMut(usize, OpResult),
+    ) -> u64 {
         let table = self.ownership.read();
         let replication = self.variant.supports_selective_replication();
         let global = table.global_ring();
         let local = table.local_ring(self.id);
         let verified = table.version() == client_version;
-        for &pos in positions {
-            let op = &ops[pos];
-            if op.is_scan() {
+        for (route, &pos) in routes.iter_mut().zip(positions) {
+            let op = ops(pos);
+            if let OpRef::Scan(..) = op {
                 // Scans never route to a shard: they read every shard's
-                // overlay at once and are served by the dedicated scan
-                // pass after the point-op dispatch.
-                routes.push(Self::ROUTE_SCAN);
+                // overlay at once and are served on the caller after the
+                // point-op dispatch.
+                *route = Self::ROUTE_SCAN;
                 continue;
             }
             let key = op.key();
@@ -1108,38 +985,35 @@ impl KnNode {
                 };
             if !owned {
                 self.rejected.fetch_add(1, Ordering::Relaxed);
-                reject(
-                    pos,
-                    KvsError::NotOwner {
-                        current_version: table.version(),
-                    },
-                );
-                routes.push(Self::ROUTE_REJECTED);
+                let current_version = table.version();
+                set(pos, Err(KvsError::NotOwner { current_version }));
+                *route = Self::ROUTE_REJECTED;
                 continue;
             }
-            let thread = local.and_then(|ring| ring.owner(hash)).unwrap_or(0);
+            let shard =
+                local.and_then(|ring| ring.owner(hash)).unwrap_or(0) % self.shards.len() as u32;
             // Every op on a replicated key is deferred to the in-order
             // shared pass — including deletes, which must keep their
             // batch order relative to the key's shared-path writes.
-            if replication && replicated {
-                routes.push(Self::ROUTE_SHARED | thread);
+            *route = if replication && replicated {
+                Self::ROUTE_SHARED | shard
             } else {
-                routes.push(thread % self.shards.len() as u32);
-            }
+                shard
+            };
         }
-        (routes, table.version())
+        table.version()
     }
 
     /// Route tag for positions rejected with `NotOwner`.
     const ROUTE_REJECTED: u32 = u32::MAX;
     /// Route-tag bit for positions deferred to the in-order shared pass.
     const ROUTE_SHARED: u32 = 1 << 31;
-    /// Route tag for scan positions, served by the scan pass (all shards
-    /// at once) instead of any single shard.
+    /// Route tag for scan positions, served on the caller (all shards at
+    /// once) instead of by any single shard.
     const ROUTE_SCAN: u32 = 1 << 30;
 
     /// The positions routed to `shard_idx`, in group order, with no
-    /// allocation (the inline paths iterate this directly; the enqueue
+    /// allocation (inline execution iterates this directly; the enqueue
     /// path collects it into the task).
     fn shard_positions<'a>(
         positions: &'a [usize],
@@ -1153,111 +1027,146 @@ impl KnNode {
             .map(|(&pos, _)| pos)
     }
 
-    /// Execute one shard's slice of an owner group, in group order: the
-    /// work a shard worker (or the inline fallback) performs. Locks the
-    /// shard **once**, pins **one** epoch guard covering every index
-    /// lookup of the sub-batch, and flushes buffered log writes at most
-    /// once at the end. Results are reported per position through `set`;
-    /// returns the `(reads, writes)` served so the caller can account the
-    /// node-level counters (workers per task, inline paths once per
-    /// group).
-    fn run_shard_sub_batch_core(
+    /// Hand one shard's slice of a client batch to that shard's worker.
+    ///
+    /// Backpressure: a full queue fails the slice's positions with
+    /// [`KvsError::Busy`] — the client retries them after a pause. A closed
+    /// queue means the node shut down (removed/failed) after the client
+    /// resolved its handle: [`KvsError::NodeFailed`], retried elsewhere.
+    fn enqueue(
         &self,
-        shard_idx: u32,
-        ops: &[Op],
-        positions: impl Iterator<Item = usize> + Clone,
+        queue: &BoundedQueue<SubBatch>,
+        (node, batch, latch): Handoff<'_>,
+        shard: u32,
+        positions: Vec<usize>,
+        resolved_version: u64,
         set: &mut impl FnMut(usize, OpResult),
-    ) -> (u64, u64) {
-        self.metrics
-            .shard_execute
-            .time(|| self.run_shard_sub_batch_untimed(shard_idx, ops, positions, set))
+    ) {
+        latch.add(1);
+        let task = SubBatch {
+            node: Arc::clone(node),
+            shard,
+            batch: Arc::clone(batch),
+            positions,
+            latch: Arc::clone(latch),
+            resolved_version,
+            enqueued_at: dinomo_obs::stage_clock(),
+        };
+        let (task, e) = match queue.try_push(task) {
+            Ok(()) => {
+                self.sub_batches.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+            Err(PushError::Full(task)) => {
+                self.busy_rejections.fetch_add(1, Ordering::Relaxed);
+                self.metrics.busy_rejections.inc();
+                (task, KvsError::Busy)
+            }
+            Err(PushError::Closed(task)) => (task, KvsError::NodeFailed),
+        };
+        Self::fail_all(&task.positions, e, set);
+        latch.done();
     }
 
-    /// [`KnNode::run_shard_sub_batch_core`] without the
-    /// `stage_shard_execute_ns` accounting.
-    fn run_shard_sub_batch_untimed(
+    /// Execute one shard's slice of a group, in group order: the work a
+    /// shard worker, or the caller when the slice runs inline, performs.
+    /// Locks the shard **once**, pins **one** epoch guard covering every
+    /// index lookup of the slice, and flushes buffered log writes at most
+    /// once at the end. Results are reported per position through `set`;
+    /// returns the `(reads, writes)` served.
+    ///
+    /// `waiting_since` is when the slice started waiting for the shard —
+    /// its enqueue time, or just now for an inline execution, where the
+    /// shard mutex *is* the queue: clients that route to the same shard
+    /// serialize on it exactly as sub-batches wait in the worker's queue.
+    /// The time from there until the lock is held is the slice's one
+    /// `stage_queue_wait_ns` sample; from there on it is
+    /// `stage_shard_execute_ns`.
+    fn run_shard<'a>(
         &self,
         shard_idx: u32,
-        ops: &[Op],
+        ops: impl Fn(usize) -> OpRef<'a>,
         positions: impl Iterator<Item = usize> + Clone,
+        waiting_since: Option<Instant>,
         set: &mut impl FnMut(usize, OpResult),
     ) -> (u64, u64) {
         let mut reads = 0u64;
         let mut writes = 0u64;
-        // One epoch pin covers every index lookup this sub-batch performs
-        // (the lock-free read side of the P-CLHT; see dinomo_pclht::pin).
-        let guard = dinomo_dpm::pin();
+        // One epoch pin covers every index lookup this slice performs (the
+        // lock-free read side of the P-CLHT; see dinomo_pclht::pin), taken
+        // at the first lookup: a write-only slice needs none.
+        let mut guard = None;
         let mut shard = self.shards[shard_idx as usize].lock();
-        let mut buffered_writes = false;
+        let locked_at = dinomo_obs::stage_clock();
+        if let (Some(since), Some(at)) = (waiting_since, locked_at) {
+            self.metrics
+                .queue_wait
+                .record(at.duration_since(since).as_nanos() as u64);
+        }
         for pos in positions.clone() {
-            let result = match &ops[pos] {
-                Op::Lookup { key } => {
+            let result = match ops(pos) {
+                OpRef::Lookup(key) => {
                     reads += 1;
-                    self.get_in_shard(&mut shard, key, &guard)
+                    let guard = guard.get_or_insert_with(dinomo_dpm::pin);
+                    self.get_in_shard(&mut shard, key, guard)
                 }
-                Op::Insert { key, value } | Op::Update { key, value } => {
+                OpRef::Put(key, value) => {
                     writes += 1;
-                    buffered_writes = true;
                     Self::put_in_shard(&mut shard, key, value);
                     Ok(None)
                 }
-                Op::Delete { key } => {
+                OpRef::Delete(key) => {
                     writes += 1;
-                    buffered_writes = true;
                     Self::delete_in_shard(&mut shard, key);
                     Ok(None)
                 }
-                Op::Scan { .. } => {
+                OpRef::Scan(..) => {
                     unreachable!("scans route to ROUTE_SCAN, never to a shard")
                 }
             };
             set(pos, result);
         }
-        // One flush for the whole sub-batch. A flush failure is a
-        // durability failure of every write buffered by this sub-batch, so
-        // it is reported on each of them.
-        if buffered_writes {
+        // One flush decision for the whole slice. A flush failure is a
+        // durability failure of every write the slice buffered, so it is
+        // reported on each of them.
+        if writes > 0 {
             if let Err(e) = self.flush_if_due(&mut shard) {
                 for pos in positions {
-                    if ops[pos].is_write() {
+                    if ops(pos).is_write() {
                         set(pos, Err(e.clone()));
                     }
                 }
             }
         }
+        drop(shard);
+        dinomo_obs::record_since(&self.metrics.shard_execute, locked_at);
         (reads, writes)
     }
 
-    /// A queued sub-batch, as executed by a shard worker: re-check
-    /// availability **and** the ownership-table version (the task may have
+    /// A queued sub-batch, as executed by a shard worker: re-admit it
+    /// **and** re-check the ownership-table version (the task may have
     /// sat in the queue across a failure or a *completed* reconfiguration
     /// — a stale task must reject, not buffer writes for keys the node
     /// just handed off behind the hand-off flush, nor repopulate caches
-    /// the protocol cleared), then run the shard core and account its
+    /// the protocol cleared), then run the shard slice and account its
     /// work.
-    fn run_queued_sub_batch(
+    fn run_queued_sub_batch<'a>(
         &self,
         shard_idx: u32,
-        ops: &[Op],
+        ops: impl Fn(usize) -> OpRef<'a>,
         positions: &[usize],
         resolved_version: u64,
+        enqueued_at: Option<Instant>,
         set: &mut impl FnMut(usize, OpResult),
     ) {
-        // The increment must precede the availability check (both SeqCst)
-        // so `drain_in_flight` cannot observe zero while a sub-batch that
-        // passed the check is still running; see its doc comment.
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-        let _in_flight = DecrementOnDrop(&self.in_flight);
-        if let Err(e) = self.check_available() {
-            for &pos in positions {
-                set(pos, Err(e.clone()));
-            }
-            return;
-        }
+        let _in_flight = match self.admit() {
+            Ok(guard) => guard,
+            Err(e) => return Self::fail_all(positions, e, set),
+        };
         // Routes were resolved against `resolved_version`. The drain in
-        // the reconfiguration path only covers *executing* sub-batches;
-        // one still queued when the table was swapped would execute with
-        // stale routes (e.g. write a key whose range just moved away,
+        // the reconfiguration path only covers what is *executing*; a
+        // sub-batch still queued when the table was swapped would execute
+        // with stale routes (e.g. write a key whose range just moved away,
         // acked but buffered behind the pre-handoff flush-and-merge). If
         // the table moved on, reject the whole sub-batch as NotOwner —
         // the client refreshes its metadata and re-routes.
@@ -1265,66 +1174,66 @@ impl KnNode {
         if current_version != resolved_version {
             self.rejected
                 .fetch_add(positions.len() as u64, Ordering::Relaxed);
-            for &pos in positions {
-                set(pos, Err(KvsError::NotOwner { current_version }));
-            }
-            return;
+            return Self::fail_all(positions, KvsError::NotOwner { current_version }, set);
         }
         let start = Instant::now();
         let (reads, writes) =
-            self.run_shard_sub_batch_core(shard_idx, ops, positions.iter().copied(), set);
-        self.record_batch_work(reads, writes, start);
+            self.run_shard(shard_idx, ops, positions.iter().copied(), enqueued_at, set);
+        self.record_work(reads, writes, start);
     }
 
-    /// Execute the shared (replicated-key) pass of an owner group, one op
-    /// at a time in group order. Replicated keys linearize through their
-    /// indirection cell and lock shards internally; within a routing round
-    /// they never share a key with the owned sub-batches (a key's
-    /// replicated-ness is decided once per round under one table read), so
-    /// this pass may overlap with the shard workers. Returns the
+    /// The positions of a group that execute on the caller, one op at a
+    /// time in group order: shared (replicated-key) ops, which lock their
+    /// shard internally and linearize through their indirection cell, and
+    /// scans. Each op is one `stage_shard_execute_ns` sample. Returns the
     /// `(reads, writes)` served.
-    fn run_shared_core(
+    fn run_on_caller<'a>(
         &self,
-        ops: &[Op],
+        ops: impl Fn(usize) -> OpRef<'a>,
         positions: &[usize],
         routes: &[u32],
+        client_version: u64,
         set: &mut impl FnMut(usize, OpResult),
     ) -> (u64, u64) {
         let mut reads = 0u64;
         let mut writes = 0u64;
         for (&pos, &route) in positions.iter().zip(routes) {
-            if route == Self::ROUTE_REJECTED || route & Self::ROUTE_SHARED == 0 {
+            if route == Self::ROUTE_REJECTED || route & (Self::ROUTE_SHARED | Self::ROUTE_SCAN) == 0
+            {
                 continue;
             }
-            let thread = route & !Self::ROUTE_SHARED;
-            let result = match &ops[pos] {
-                Op::Lookup { key } => {
+            let shard = route & !Self::ROUTE_SHARED;
+            let result = self.metrics.shard_execute.time(|| match ops(pos) {
+                OpRef::Lookup(key) => {
                     reads += 1;
-                    self.get_shared(key)
+                    self.get_shared(key, shard)
                 }
-                Op::Insert { key, value } | Op::Update { key, value } => {
+                OpRef::Put(key, value) => {
                     writes += 1;
-                    self.put_shared(key, value, thread).map(|()| None)
+                    self.put_shared(key, value, shard).map(|()| None)
                 }
-                Op::Delete { key } => {
-                    // As in `delete`: log the tombstone, then empty the
-                    // indirection cell so the delete is visible on every
-                    // replica at once.
+                OpRef::Delete(key) => {
                     writes += 1;
-                    self.delete_shared(key, thread).map(|()| None)
+                    self.delete_shared(key, shard).map(|()| None)
                 }
-                Op::Scan { .. } => {
-                    unreachable!("scans route to ROUTE_SCAN, never to the shared pass")
+                // A scan inside a group is served against this node alone
+                // and reduced to its first pair's value to fit the
+                // positional result shape; full fanned-out scans go
+                // through the client and [`KnNode::scan`].
+                OpRef::Scan(start, n) => {
+                    reads += 1;
+                    self.scan_owned(start, n, client_version)
+                        .map(|pairs| pairs.into_iter().next().map(|(_, v)| v))
                 }
-            };
+            });
             set(pos, result);
         }
         (reads, writes)
     }
 
-    /// Fold one batch execution's served operations into the node-level
-    /// counters (ops, reads, writes, busy time since `start`).
-    fn record_batch_work(&self, reads: u64, writes: u64, start: Instant) {
+    /// Fold served operations into the node-level counters (ops, reads,
+    /// writes, busy time since `start`).
+    fn record_work(&self, reads: u64, writes: u64, start: Instant) {
         self.ops.fetch_add(reads + writes, Ordering::Relaxed);
         self.reads.fetch_add(reads, Ordering::Relaxed);
         self.writes.fetch_add(writes, Ordering::Relaxed);
@@ -1585,6 +1494,104 @@ mod tests {
             "fresh sub-batch must execute (or reject only if shard 0 \
              does not own k0): {result:?}"
         );
+    }
+
+    /// §3.5's drain covers per-key requests: one that passed admission and
+    /// is parked on its shard's mutex holds the drain open until it is
+    /// done, and one arriving after the node closed is rejected before it
+    /// touches the shard — so no per-key write can be buffered and acked
+    /// behind the hand-off's flush.
+    #[test]
+    fn drain_covers_per_key_requests() {
+        let kvs = crate::KvsBuilder::new()
+            .small_for_tests()
+            .initial_kns(1)
+            .threads_per_kn(1)
+            .build()
+            .unwrap();
+        let node = kvs.kn(kvs.kn_ids()[0]).unwrap();
+        // Admission counts a request in flight *before* it checks
+        // availability, so a counted put can still lose the race against
+        // the close below and be rejected. Such a round proves nothing and
+        // is run again; one whose put was admitted must have held the
+        // drain open.
+        loop {
+            let shard_guard = node.shards[0].lock();
+            let drained = AtomicBool::new(false);
+            let (put, held_open) = std::thread::scope(|s| {
+                let put = s.spawn(|| node.put(b"k", b"v"));
+                // The deadline only bounds how long a broken envelope takes
+                // to fail; until the node closes, a counted put stays
+                // counted while this thread holds the mutex it needs.
+                let deadline = Instant::now() + std::time::Duration::from_secs(10);
+                while node.in_flight.load(Ordering::SeqCst) == 0 && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                assert_eq!(
+                    node.in_flight.load(Ordering::SeqCst),
+                    1,
+                    "a per-key put must be in flight while it waits for its shard"
+                );
+
+                // The hand-off closes the node, then drains.
+                node.set_reconfiguring(true);
+                let drain = s.spawn(|| {
+                    node.drain_in_flight();
+                    drained.store(true, Ordering::SeqCst);
+                });
+                // A put arriving now is rejected at admission; reaching the
+                // shard would deadlock on the mutex this thread holds.
+                assert_eq!(node.put(b"late", b"v"), Err(KvsError::Reconfiguring));
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                let held_open = !drained.load(Ordering::SeqCst);
+
+                drop(shard_guard);
+                let put = put.join().unwrap();
+                drain.join().unwrap();
+                (put, held_open)
+            });
+            assert!(drained.load(Ordering::SeqCst));
+            assert_eq!(node.in_flight.load(Ordering::SeqCst), 0);
+            if put == Err(KvsError::Reconfiguring) {
+                node.set_reconfiguring(false);
+                continue;
+            }
+            assert_eq!(put, Ok(()));
+            assert!(
+                held_open,
+                "the drain returned while an admitted put was still executing"
+            );
+            break;
+        }
+        // The admitted put landed ahead of the hand-off's flush.
+        node.flush_pending_writes().unwrap();
+        node.set_reconfiguring(false);
+        assert_eq!(node.get(b"k").unwrap(), Some(b"v".to_vec()));
+        assert_eq!(node.get(b"late").unwrap(), None);
+    }
+
+    /// A key the table already calls replicated, but whose indirection cell
+    /// is not installed, is read through the ordinary path of the key's
+    /// *own* shard — where its acked-but-unflushed writes live.
+    #[test]
+    fn shared_read_without_a_cell_reads_the_keys_own_shard() {
+        let kvs = crate::KvsBuilder::new()
+            .small_for_tests()
+            .initial_kns(1)
+            .build()
+            .unwrap();
+        let node = kvs.kn(kvs.kn_ids()[0]).unwrap();
+        // Not a shard-0 key: a read of the wrong shard must show.
+        let key = (0..)
+            .map(|i| format!("k{i}").into_bytes())
+            .find(|k| node.ownership.read().thread_of(node.id, k) == Some(1))
+            .unwrap();
+        // Buffered, not flushed (`write_batch_ops` is 4): only the shard's
+        // overlay can serve it.
+        node.put(&key, b"pending").unwrap();
+        node.ownership.write().replicate(&key, 2);
+        assert!(node.dpm.indirect_cell_of(&key).is_none());
+        assert_eq!(node.get(&key).unwrap(), Some(b"pending".to_vec()));
     }
 
     /// Sustained backpressure must surface as `Busy`, not as a routing

@@ -2,10 +2,12 @@
 //!
 //! Every client request is an [`Op`]; every response is a [`Reply`]. The
 //! per-key convenience methods on [`crate::KvsClient`] are thin wrappers
-//! that submit a single `Op` through [`crate::KvsClient::execute`], and the
-//! batched path submits many at once so the client can group them by owner
-//! KVS node and amortize routing, node lookup and shard locking — the same
-//! request-batching idea the paper uses to amortize log writes (§3.6).
+//! that submit a batch of one (as a borrowed `OpRef`, the form the request
+//! path executes) exactly as [`crate::KvsClient::execute`] does a singleton,
+//! and the batched path submits many at once so the client can group them
+//! by owner KVS node and amortize routing, node lookup and shard locking —
+//! the same request-batching idea the paper uses to amortize log writes
+//! (§3.6).
 
 use crate::error::KvsError;
 use crate::Result;
@@ -125,13 +127,51 @@ impl Op {
         matches!(self, Op::Scan { .. })
     }
 
+    /// The borrowed form the request path executes.
+    pub(crate) fn view(&self) -> OpRef<'_> {
+        match self {
+            Op::Insert { key, value } | Op::Update { key, value } => OpRef::Put(key, value),
+            Op::Lookup { key } => OpRef::Lookup(key),
+            Op::Delete { key } => OpRef::Delete(key),
+            Op::Scan { start, n } => OpRef::Scan(start, *n),
+        }
+    }
+}
+
+/// A borrowed [`Op`]: what the request path routes and executes, so a
+/// per-key call (which only borrows its key and value) travels the same
+/// path as a batch without building an owned `Op`. Inserts and updates are
+/// the same upsert, hence one `Put`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum OpRef<'a> {
+    Lookup(&'a [u8]),
+    Put(&'a [u8], &'a [u8]),
+    Delete(&'a [u8]),
+    Scan(&'a [u8], usize),
+}
+
+impl<'a> OpRef<'a> {
+    /// The key this operation targets (the start key, for scans).
+    pub(crate) fn key(self) -> &'a [u8] {
+        match self {
+            OpRef::Lookup(key) | OpRef::Put(key, _) | OpRef::Delete(key) | OpRef::Scan(key, _) => {
+                key
+            }
+        }
+    }
+
+    /// `true` for puts and deletes.
+    pub(crate) fn is_write(self) -> bool {
+        matches!(self, OpRef::Put(..) | OpRef::Delete(_))
+    }
+
     /// The reply for this op when the node returned `read` (lookups carry
     /// the read value, writes acknowledge). Scans never take this path —
     /// the client merges fanned-out partial results into [`Reply::Scan`]
     /// itself.
-    pub(crate) fn reply_from(&self, read: Option<Vec<u8>>) -> Reply {
+    pub(crate) fn reply_from(self, read: Option<Vec<u8>>) -> Reply {
         match self {
-            Op::Lookup { .. } => Reply::Value(read),
+            OpRef::Lookup(_) => Reply::Value(read),
             _ => Reply::Done,
         }
     }
@@ -297,11 +337,11 @@ mod tests {
     #[test]
     fn replies_are_shaped_by_the_op_kind() {
         assert_eq!(
-            Op::lookup("k").reply_from(Some(b"v".to_vec())),
+            Op::lookup("k").view().reply_from(Some(b"v".to_vec())),
             Reply::Value(Some(b"v".to_vec()))
         );
-        assert_eq!(Op::lookup("k").reply_from(None), Reply::Value(None));
-        assert_eq!(Op::insert("k", "v").reply_from(None), Reply::Done);
-        assert_eq!(Op::delete("k").reply_from(None), Reply::Done);
+        assert_eq!(Op::lookup("k").view().reply_from(None), Reply::Value(None));
+        assert_eq!(Op::insert("k", "v").view().reply_from(None), Reply::Done);
+        assert_eq!(Op::delete("k").view().reply_from(None), Reply::Done);
     }
 }
