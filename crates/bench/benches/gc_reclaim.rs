@@ -7,12 +7,12 @@
 //! bytes under the gate bound.
 //!
 //! Like the other acceptance benches, the assertion is soft on the
-//! merge-gating CI job (`GC_BENCH_SOFT=1`) and hard on the nightly perf
+//! merge-gating CI job (`BENCH_SOFT=1`) and hard on the nightly perf
 //! job; medians land in `target/bench-results/gc_reclaim.json` for the
 //! perf-trajectory artifact.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dinomo_bench::harness::write_bench_record;
+use dinomo_bench::harness::{gate, write_bench_record};
 use dinomo_core::{GcConfig, Kvs, Op, Reply};
 use dinomo_dpm::DpmConfig;
 use dinomo_pclht::PclhtConfig;
@@ -136,14 +136,6 @@ fn bench_gc_reclaim(c: &mut Criterion) {
         ],
     );
 
-    let soft = std::env::var_os("GC_BENCH_SOFT").is_some_and(|v| v != "0");
-    let gate = |ok: bool, message: String| {
-        if !ok && soft {
-            eprintln!("warning: {message}; not failing because GC_BENCH_SOFT is set");
-        } else {
-            assert!(ok, "{message}");
-        }
-    };
     gate(
         run_gc_freed == 0,
         format!(

@@ -11,11 +11,11 @@
 //! artifact.
 //!
 //! Like the other acceptance benches, the assertion is soft on the
-//! merge-gating CI job (`RECOVERY_BENCH_SOFT=1`) and hard on the nightly
+//! merge-gating CI job (`BENCH_SOFT=1`) and hard on the nightly
 //! perf job.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dinomo_bench::harness::{median, write_bench_record};
+use dinomo_bench::harness::{gate, median, write_bench_record};
 use dinomo_core::{Kvs, Op, Reply};
 use dinomo_dpm::DpmConfig;
 use dinomo_pclht::PclhtConfig;
@@ -125,16 +125,13 @@ fn bench_recovery(c: &mut Criterion) {
     let pairs: Vec<(&str, f64)> = record.iter().map(|(k, v)| (k.as_str(), *v)).collect();
     write_bench_record("recovery_bench", &pairs);
 
-    let soft = std::env::var_os("RECOVERY_BENCH_SOFT").is_some_and(|v| v != "0");
-    let message = format!(
-        "median crash-to-SLO-met at the largest scale must stay under \
-         {SLO_BOUND_MS} ms (got {largest_median:.2} ms)"
+    gate(
+        largest_median <= SLO_BOUND_MS,
+        format!(
+            "median crash-to-SLO-met at the largest scale must stay under \
+             {SLO_BOUND_MS} ms (got {largest_median:.2} ms)"
+        ),
     );
-    if largest_median > SLO_BOUND_MS && soft {
-        eprintln!("warning: {message}; not failing because RECOVERY_BENCH_SOFT is set");
-    } else {
-        assert!(largest_median <= SLO_BOUND_MS, "{message}");
-    }
 
     // Steady-state crash/recover cycle at the smallest scale, for the
     // perf trajectory.

@@ -29,7 +29,8 @@ use dinomo_bench::breakdown::{
     print_profile_rows, profile_baseline, profile_since, write_metrics_snapshot,
 };
 use dinomo_bench::harness::{
-    measure_saturation_throughput, median, saturation_cluster, write_bench_record,
+    gate, measure_saturation_throughput, median, retake_until, saturation_cluster,
+    write_bench_record,
 };
 
 const KEYS: u64 = 2_000;
@@ -130,19 +131,12 @@ fn bench_saturation(c: &mut Criterion) {
     });
     group.finish();
 
-    // The gated sweep. A failing measurement is re-taken a couple of
-    // times (shared CI runners are noisy); with `SAT_BENCH_SOFT=1` (the
-    // merge-gating CI job) a persistent miss only warns, while the
-    // nightly perf job keeps the hard assertion.
-    let mut sweep = measure_sweep(&kvs, 3);
-    let mut speedup = speedup_at(&sweep, GATE_THREADS);
-    for _ in 0..2 {
-        if speedup >= GATE_SPEEDUP {
-            break;
-        }
-        sweep = measure_sweep(&kvs, 3);
-        speedup = speedup_at(&sweep, GATE_THREADS);
-    }
+    // The gated sweep.
+    let sweep = retake_until(
+        || measure_sweep(&kvs, 3),
+        |sweep| speedup_at(sweep, GATE_THREADS) >= GATE_SPEEDUP,
+    );
+    let speedup = speedup_at(&sweep, GATE_THREADS);
     for (threads, tput) in &sweep {
         println!(
             "saturation, {threads:>2} client threads: {tput:>9.0} ops/s aggregate \
@@ -175,21 +169,14 @@ fn bench_saturation(c: &mut Criterion) {
     let named: Vec<(&str, f64)> = metrics.iter().map(|(n, v)| (n.as_str(), *v)).collect();
     write_bench_record("saturation_bench", &named);
 
-    let soft = std::env::var_os("SAT_BENCH_SOFT").is_some_and(|v| v != "0");
-    if speedup < GATE_SPEEDUP && soft {
-        eprintln!(
-            "warning: saturation throughput at {GATE_THREADS} threads reached only \
-             {speedup:.2}x the 1-thread median (gate {GATE_SPEEDUP}x); not failing \
-             because SAT_BENCH_SOFT is set"
-        );
-    } else {
-        assert!(
-            speedup >= GATE_SPEEDUP,
+    gate(
+        speedup >= GATE_SPEEDUP,
+        format!(
             "with GC and replication live, {GATE_THREADS} client threads must \
              deliver at least {GATE_SPEEDUP}x the 1-thread throughput \
              (near-linear scaling), got {speedup:.2}x"
-        );
-    }
+        ),
+    );
 }
 
 criterion_group!(benches, bench_saturation);

@@ -4,12 +4,12 @@
 //! overlay merge, cluster-wide fan-out, sorted-partial merge and
 //! truncation. Correctness (sorted, bounded, non-empty results) is always
 //! a hard assertion; the latency gate is soft on the merge-gating CI job
-//! (`SCAN_BENCH_SOFT=1`) and hard on the nightly perf job. Medians land in
+//! (`BENCH_SOFT=1`) and hard on the nightly perf job. Medians land in
 //! `target/bench-results/scan_bench.json` for the perf-trajectory
 //! artifact.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dinomo_bench::harness::{median, scale, write_bench_record};
+use dinomo_bench::harness::{gate, median, scale, write_bench_record};
 use dinomo_core::Kvs;
 use dinomo_workload::{KeyDistribution, Operation, WorkloadConfig, WorkloadGenerator, WorkloadMix};
 use std::time::Instant;
@@ -127,14 +127,6 @@ fn bench_scan(c: &mut Criterion) {
     // a scan that comes back empty skipped its own start key.
     assert_eq!(empty_scans, 0, "no YCSB-E scan may come back empty");
 
-    let soft = std::env::var_os("SCAN_BENCH_SOFT").is_some_and(|v| v != "0");
-    let gate = |ok: bool, message: String| {
-        if !ok && soft {
-            eprintln!("warning: {message}; not failing because SCAN_BENCH_SOFT is set");
-        } else {
-            assert!(ok, "{message}");
-        }
-    };
     gate(
         med_ms <= GATE_MEDIAN_SCAN_MS,
         format!("median scan latency {med_ms:.3} ms exceeds the {GATE_MEDIAN_SCAN_MS} ms gate"),

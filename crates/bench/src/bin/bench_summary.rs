@@ -6,7 +6,7 @@
 //! cargo run -p dinomo-bench --release --bin bench_summary
 //! ```
 //!
-//! Each bench (and figure binary) writes its medians to
+//! Each bench writes its medians to
 //! `target/bench-results/<name>.json`; this merges them textually — every
 //! input is already valid JSON, so the output is
 //! `{"<name>": <contents>, ...}` plus a small provenance header — without

@@ -1,13 +1,13 @@
-//! Shared harness utilities: scaled parameters, the calibrated cost model,
-//! and the measurement routine behind Figure 5 / Table 6.
+//! Shared harness utilities for the gated benches: the `DINOMO_SCALE`
+//! parser, the `target/bench-results/` record writers, the one gate
+//! policy (`BENCH_SOFT`), and the cluster builders and measurement rounds
+//! the benches share.
 
-use dinomo_clover::{CloverConfig, CloverKvs};
-use dinomo_core::{Kvs, KvsConfig, Variant};
+use dinomo_core::Kvs;
 use dinomo_dpm::DpmConfig;
 use dinomo_pclht::PclhtConfig;
 use dinomo_pmem::PmemConfig;
-use dinomo_simnet::{ClusterCostInputs, CostModel, FabricConfig, ThroughputModel};
-use dinomo_workload::{KeyDistribution, Operation, WorkloadConfig, WorkloadGenerator, WorkloadMix};
+use dinomo_simnet::FabricConfig;
 use serde::Serialize;
 use std::path::PathBuf;
 
@@ -55,9 +55,9 @@ pub fn parse_scale(raw: &str) -> Result<f64, String> {
 }
 
 /// The shared artifact directory, `<workspace>/target/bench-results`,
-/// anchored at the workspace root so figure binaries (run from the repo
-/// root) and Criterion benches (run with the package directory as their
-/// working directory) agree on one location.
+/// anchored at the workspace root so `bench_summary` (run from the repo
+/// root) and the benches (run with the package directory as their working
+/// directory) agree on one location.
 pub fn bench_results_dir() -> PathBuf {
     PathBuf::from(concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -82,390 +82,13 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
     }
 }
 
-/// Which system a measurement point describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum SystemKind {
-    /// Full Dinomo.
-    Dinomo,
-    /// Dinomo with a shortcut-only cache.
-    DinomoS,
-    /// Shared-nothing Dinomo (AsymNVM stand-in).
-    DinomoN,
-    /// The Clover baseline.
-    Clover,
-}
-
-impl SystemKind {
-    /// All four systems, in the paper's plotting order.
-    pub const ALL: [SystemKind; 4] = [
-        SystemKind::Dinomo,
-        SystemKind::DinomoN,
-        SystemKind::DinomoS,
-        SystemKind::Clover,
-    ];
-
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SystemKind::Dinomo => "dinomo",
-            SystemKind::DinomoS => "dinomo-s",
-            SystemKind::DinomoN => "dinomo-n",
-            SystemKind::Clover => "clover",
-        }
-    }
-}
-
-/// The calibrated cost model used to convert measured per-operation round
-/// trips and bytes into the paper-scale throughput curves.
-///
-/// Calibration (documented in EXPERIMENTS.md): 25 µs of KN CPU per request at
-/// saturation (which reproduces the paper's ~0.3 Mops/s single-KN Dinomo
-/// throughput with 8 worker threads), 1 µs of CPU per issued verb, and an
-/// effective DPM-side port bandwidth of 3.5 GB/s (the paper's FDR link
-/// delivers 56 Gbit/s raw, but small-message RDMA reads from one server
-/// saturate well below line rate).
-pub fn calibrated_cost_model() -> CostModel {
-    CostModel {
-        fabric: FabricConfig {
-            dpm_bandwidth_bytes_per_sec: 3_500_000_000,
-            ..FabricConfig::default()
-        },
-        kn_base_cpu_ns: 25_000,
-        kn_verb_cpu_ns: 1_000,
-        miss_extra_cpu_ns: 3_000,
-    }
-}
-
-/// Everything measured (and modeled) for one (system, workload, KN-count)
-/// configuration — one cell of Figure 5 plus the matching Table 6 columns.
-#[derive(Debug, Clone, Serialize)]
-pub struct MeasuredPoint {
-    /// System under test.
-    pub system: SystemKind,
-    /// Workload mix name.
-    pub mix: &'static str,
-    /// Number of KVS nodes.
-    pub num_kns: usize,
-    /// Measured cache hit ratio (value + shortcut hits).
-    pub cache_hit_ratio: f64,
-    /// Measured fraction of lookups served from cached values.
-    pub value_hit_ratio: f64,
-    /// Measured network round trips per operation.
-    pub rts_per_op: f64,
-    /// Measured bytes moved over the network per operation.
-    pub bytes_per_op: f64,
-    /// Measured metadata-server RPCs per operation (Clover only, else 0).
-    pub metadata_rpcs_per_op: f64,
-    /// Modeled cluster throughput in operations/second.
-    pub modeled_throughput: f64,
-}
-
-/// Parameters of a Figure 5 style measurement, already scaled.
-#[derive(Debug, Clone, Copy)]
-pub struct MeasureParams {
-    /// Number of keys loaded before measurement.
-    pub num_keys: u64,
-    /// Value size in bytes.
-    pub value_len: usize,
-    /// Operations executed in the measurement phase.
-    pub ops: u64,
-    /// Worker threads per KVS node.
-    pub threads_per_kn: usize,
-    /// Cache bytes per KVS node.
-    pub cache_bytes_per_kn: usize,
-    /// Key-popularity skew.
-    pub distribution: KeyDistribution,
-}
-
-impl MeasureParams {
-    /// The scaled-down default mirroring the paper's §5.2 setup shape: the
-    /// aggregate cache at 16 KNs covers ~50 % of the loaded dataset.
-    pub fn scaled(scale: f64) -> Self {
-        let num_keys = ((12_000.0 * scale) as u64).max(2_000);
-        let value_len = 1024;
-        let dataset_bytes = num_keys as usize * value_len;
-        MeasureParams {
-            num_keys,
-            value_len,
-            ops: ((20_000.0 * scale) as u64).max(4_000),
-            threads_per_kn: 8,
-            cache_bytes_per_kn: (dataset_bytes / 24).max(96 << 10),
-            distribution: KeyDistribution::MODERATE_SKEW,
-        }
-    }
-}
-
-fn dpm_config_for(params: &MeasureParams, num_kns: usize) -> DpmConfig {
-    let entry = (params.value_len as u64 + 64).next_multiple_of(8);
-    let segment_bytes: u64 = 256 << 10;
-    // Leave room for the load phase, the update/insert churn, and one open
-    // log segment per KN shard (plus slack for partially-filled segments).
-    let capacity = (params.num_keys + params.ops) * entry * 3
-        + num_kns as u64 * params.threads_per_kn as u64 * segment_bytes * 4
-        + (64 << 20);
-    DpmConfig {
-        pool: PmemConfig::with_capacity(capacity),
-        segment_bytes,
-        flush_batch_bytes: 32 << 10,
-        merge_threads: 4,
-        unmerged_segment_threshold: 2,
-        index: PclhtConfig::for_capacity((params.num_keys + params.ops) as usize),
-        inject_media_delay: false,
-        gc: dinomo_dpm::GcConfig::default(),
-    }
-}
-
-/// Run one (system, workload, KN-count) configuration on the real data
-/// structures and return its measured/modeled point.
-pub fn measure_point(
-    system: SystemKind,
-    num_kns: usize,
-    mix: WorkloadMix,
-    params: &MeasureParams,
-) -> MeasuredPoint {
-    let workload = WorkloadConfig {
-        num_keys: params.num_keys,
-        key_len: 8,
-        value_len: params.value_len,
-        mix,
-        distribution: params.distribution,
-        seed: 0xD1_40,
-        max_scan_len: 16,
-    };
-    match system {
-        SystemKind::Clover => measure_clover(num_kns, mix, params, workload),
-        _ => measure_dinomo(system, num_kns, mix, params, workload),
-    }
-}
-
-fn run_ops<E>(mut execute: E, workload: WorkloadConfig, ops: u64)
-where
-    E: FnMut(&Operation),
-{
-    let mut generator = WorkloadGenerator::new(workload);
-    for _ in 0..ops {
-        let op = generator.next_op();
-        execute(&op);
-    }
-}
-
-fn load<E>(mut execute: E, workload: WorkloadConfig)
-where
-    E: FnMut(&[u8], &[u8]),
-{
-    let generator = WorkloadGenerator::new(workload);
-    for (k, v) in generator.load_phase() {
-        execute(&k, &v);
-    }
-}
-
-fn measure_dinomo(
-    system: SystemKind,
-    num_kns: usize,
-    mix: WorkloadMix,
-    params: &MeasureParams,
-    workload: WorkloadConfig,
-) -> MeasuredPoint {
-    let variant = match system {
-        SystemKind::Dinomo => Variant::Dinomo,
-        SystemKind::DinomoS => Variant::DinomoS,
-        SystemKind::DinomoN => Variant::DinomoN,
-        SystemKind::Clover => unreachable!(),
-    };
-    let config = KvsConfig {
-        variant,
-        initial_kns: num_kns,
-        threads_per_kn: params.threads_per_kn,
-        cache_bytes_per_kn: params.cache_bytes_per_kn,
-        cache_kind: None,
-        write_batch_ops: 8,
-        dpm: dpm_config_for(params, num_kns),
-        fabric: FabricConfig::default(),
-        ring_vnodes: 64,
-        executor_queue_depth: 64,
-        executor_min_sub_batch: 8,
-    };
-    let kvs = Kvs::new(config).expect("building the Dinomo cluster failed");
-    let client = kvs.client();
-    load(
-        |k, v| client.insert(k, v).expect("load insert failed"),
-        workload,
-    );
-    let _ = kvs.quiesce();
-    let baseline = kvs.stats();
-
-    run_ops(
-        |op| {
-            let _ = match op {
-                Operation::Read(k) => client.lookup(k).map(|_| ()),
-                Operation::Update(k, v) | Operation::Insert(k, v) => client.update(k, v),
-                Operation::Delete(k) => client.delete(k),
-                Operation::Scan(start, n) => client.scan(start, *n).map(|_| ()),
-            };
-        },
-        workload,
-        params.ops,
-    );
-    let after = kvs.stats();
-    let delta = dinomo_core::KvsStats {
-        kns: after
-            .kns
-            .iter()
-            .map(|kn| {
-                let before = baseline
-                    .kns
-                    .iter()
-                    .find(|b| b.id == kn.id)
-                    .copied()
-                    .unwrap_or_default();
-                kn.since(&before)
-            })
-            .collect(),
-        ..after.clone()
-    };
-    finish_point(system, num_kns, mix, params, &delta, 0.0)
-}
-
-fn measure_clover(
-    num_kns: usize,
-    mix: WorkloadMix,
-    params: &MeasureParams,
-    workload: WorkloadConfig,
-) -> MeasuredPoint {
-    let entry = (params.value_len as u64 + 64).next_multiple_of(8);
-    let capacity = (params.num_keys + params.ops) * entry * 4 + (64 << 20);
-    let config = CloverConfig {
-        initial_kns: num_kns,
-        threads_per_kn: params.threads_per_kn,
-        cache_bytes_per_kn: params.cache_bytes_per_kn,
-        pool: PmemConfig::with_capacity(capacity),
-        fabric: FabricConfig::default(),
-        ..CloverConfig::default()
-    };
-    let kvs = CloverKvs::new(config).expect("building the Clover cluster failed");
-    let client = kvs.client();
-    load(
-        |k, v| client.insert(k, v).expect("load insert failed"),
-        workload,
-    );
-    kvs.run_gc();
-    let baseline = kvs.stats();
-    let rpcs_before = kvs.metadata_server().rpcs_served();
-
-    let mut since_gc = 0u64;
-    run_ops(
-        |op| {
-            let _ = match op {
-                Operation::Read(k) => client.lookup(k).map(|_| ()),
-                Operation::Update(k, v) | Operation::Insert(k, v) => client.update(k, v),
-                Operation::Delete(k) => client.delete(k),
-                // Clover is point-op-only; scans degrade to a read of the
-                // start key (scan benchmarks target Dinomo only).
-                Operation::Scan(start, _) => client.lookup(start).map(|_| ()),
-            };
-            since_gc += 1;
-            if since_gc.is_multiple_of(2_000) {
-                // The metadata server's GC thread compacts chains
-                // periodically, as in the real system.
-                kvs.run_gc();
-            }
-        },
-        workload,
-        params.ops,
-    );
-    let after = kvs.stats();
-    let delta = dinomo_core::KvsStats {
-        kns: after
-            .kns
-            .iter()
-            .map(|kn| {
-                let before = baseline
-                    .kns
-                    .iter()
-                    .find(|b| b.id == kn.id)
-                    .copied()
-                    .unwrap_or_default();
-                kn.since(&before)
-            })
-            .collect(),
-        ..after.clone()
-    };
-    let rpcs = kvs.metadata_server().rpcs_served() - rpcs_before;
-    let rpcs_per_op = rpcs as f64 / params.ops.max(1) as f64;
-    finish_point(
-        SystemKind::Clover,
-        num_kns,
-        mix,
-        params,
-        &delta,
-        rpcs_per_op,
-    )
-}
-
-fn finish_point(
-    system: SystemKind,
-    num_kns: usize,
-    mix: WorkloadMix,
-    params: &MeasureParams,
-    delta: &dinomo_core::KvsStats,
-    metadata_rpcs_per_op: f64,
-) -> MeasuredPoint {
-    let model = calibrated_cost_model();
-    let miss_fraction = 1.0 - delta.cache_hit_ratio();
-    let inputs = ClusterCostInputs {
-        num_kns,
-        threads_per_kn: params.threads_per_kn,
-        rts_per_op: delta.rts_per_op(),
-        remote_bytes_per_op: delta.bytes_per_op(),
-        miss_fraction,
-        write_fraction: mix.write_fraction(),
-        // Calibrated from the Figure 4 experiment: ~1.5 Mops/s of merge
-        // throughput per DPM processor thread on the DRAM profile.
-        dpm_merge_capacity_ops: 4.0 * 1_500_000.0,
-        metadata_rpcs_per_op,
-        metadata_server_capacity_rpcs: if metadata_rpcs_per_op > 0.0 {
-            CloverConfig::default().metadata_capacity_rpcs()
-        } else {
-            0.0
-        },
-    };
-    let breakdown = ThroughputModel::cluster_throughput(&model, &inputs);
-    MeasuredPoint {
-        system,
-        mix: mix.name,
-        num_kns,
-        cache_hit_ratio: delta.cache_hit_ratio(),
-        value_hit_ratio: delta.value_hit_ratio(),
-        rts_per_op: delta.rts_per_op(),
-        bytes_per_op: delta.bytes_per_op(),
-        metadata_rpcs_per_op,
-        modeled_throughput: breakdown.ops_per_sec,
-    }
-}
-
 // ------------------------------------------------------------ batched API
 
-/// One point of the batched-vs-per-key amortization measurement: how much
-/// cheaper an operation gets when submitted through `KvsClient::execute` in
-/// batches of `batch_size` instead of as individual per-key calls.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct BatchPoint {
-    /// Operations per `execute` call.
-    pub batch_size: usize,
-    /// Measured nanoseconds per op for the per-key loop.
-    pub per_key_ns_per_op: f64,
-    /// Measured nanoseconds per op for the batched path.
-    pub batched_ns_per_op: f64,
-    /// `per_key / batched` — how much the owner-grouped batch amortizes
-    /// routing and shard-lock overhead.
-    pub speedup: f64,
-}
-
-/// Build the self-contained cluster both batched-vs-per-key measurements
-/// use (`measure_batch_amortization` here and the `batch_bench` Criterion
-/// bench): 4 KNs × 2 threads, preloaded with `num_keys` 128-byte values
-/// and cache-warmed so the measurement isolates the request path (routing,
-/// node lookup, shard locking) rather than DPM misses.
+/// Build the self-contained cluster `batch_bench` measures batched
+/// versus per-key requests on: 4 KNs × 2 threads, preloaded with
+/// `num_keys` 128-byte values and cache-warmed so the measurement
+/// isolates the request path (routing, node lookup, shard locking) rather
+/// than DPM misses.
 pub fn batch_measurement_cluster(num_keys: u64) -> Kvs {
     use dinomo_workload::key_for;
 
@@ -552,24 +175,6 @@ pub fn measure_batch_round(
     (per_key_ns, batched_ns)
 }
 
-/// Measure per-key vs batched read throughput on a self-contained, warmed
-/// cluster — the harness-level (one-shot, own-cluster) counterpart of the
-/// `batch_bench` Criterion bench, for figure binaries and tests. `ops` is
-/// the total operation count per side. For noise-robust comparisons on
-/// shared hosts, prefer several calls and compare medians, as
-/// `batch_bench` does with its interleaved rounds.
-pub fn measure_batch_amortization(batch_size: usize, num_keys: u64, ops: u64) -> BatchPoint {
-    let kvs = batch_measurement_cluster(num_keys);
-    let client = kvs.client();
-    let (per_key_ns, batched_ns) = measure_batch_round(&client, num_keys, batch_size, ops);
-    BatchPoint {
-        batch_size,
-        per_key_ns_per_op: per_key_ns,
-        batched_ns_per_op: batched_ns,
-        speedup: per_key_ns / batched_ns.max(1.0),
-    }
-}
-
 // ------------------------------------------------------ bench summaries
 
 /// One named measurement of a bench run (e.g. a median throughput).
@@ -608,6 +213,40 @@ pub fn write_bench_record(bench: &str, metrics: &[(&str, f64)]) {
             .collect(),
     };
     write_json(bench, &record);
+}
+
+// ------------------------------------------------------------ gate policy
+
+/// Take a gated measurement, re-taking it up to twice while `passes`
+/// rejects it: one bad median on a shared, noisy runner should not fail a
+/// correct build. Returns the last measurement taken, for the bench to
+/// record and then hand to [`gate`].
+pub fn retake_until<T>(mut measure: impl FnMut() -> T, passes: impl Fn(&T) -> bool) -> T {
+    let mut measured = measure();
+    for _ in 0..2 {
+        if passes(&measured) {
+            break;
+        }
+        measured = measure();
+    }
+    measured
+}
+
+/// The one acceptance-gate policy: a miss panics with `message`, unless
+/// `BENCH_SOFT` is set (to anything but `0`), in which case it only
+/// warns. The merge-gating CI job sets it — its shared runners are too
+/// noisy for a hard perf assertion — and the nightly perf job does not.
+/// Call it after the bench wrote its record, so a failing run still
+/// leaves its numbers behind.
+pub fn gate(ok: bool, message: String) {
+    if ok {
+        return;
+    }
+    if std::env::var_os("BENCH_SOFT").is_some_and(|v| v != "0") {
+        eprintln!("warning: {message}; not failing because BENCH_SOFT is set");
+    } else {
+        panic!("{message}");
+    }
 }
 
 // ------------------------------------------------------- executor scaling
@@ -828,72 +467,6 @@ pub fn measure_saturation_throughput(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn batch_amortization_point_is_sane() {
-        let point = measure_batch_amortization(32, 2_000, 4_000);
-        assert_eq!(point.batch_size, 32);
-        assert!(point.per_key_ns_per_op > 0.0);
-        assert!(point.batched_ns_per_op > 0.0);
-        assert!(point.speedup > 0.0);
-    }
-
-    #[test]
-    fn scaled_params_shrink_with_scale() {
-        let small = MeasureParams::scaled(0.1);
-        let big = MeasureParams::scaled(1.0);
-        assert!(small.num_keys <= big.num_keys);
-        assert!(small.cache_bytes_per_kn <= big.cache_bytes_per_kn);
-    }
-
-    #[test]
-    fn measure_point_produces_sane_numbers_for_each_system() {
-        let params = MeasureParams {
-            num_keys: 400,
-            value_len: 256,
-            ops: 600,
-            threads_per_kn: 2,
-            cache_bytes_per_kn: 32 << 10,
-            distribution: KeyDistribution::MODERATE_SKEW,
-        };
-        for system in SystemKind::ALL {
-            let p = measure_point(system, 2, WorkloadMix::READ_MOSTLY_UPDATE, &params);
-            assert!(p.modeled_throughput > 0.0, "{:?}", p);
-            assert!(p.rts_per_op >= 0.0 && p.rts_per_op < 50.0, "{:?}", p);
-            assert!(p.cache_hit_ratio >= 0.0 && p.cache_hit_ratio <= 1.0);
-        }
-    }
-
-    #[test]
-    fn dinomo_beats_clover_at_scale_in_the_model() {
-        let params = MeasureParams {
-            num_keys: 600,
-            value_len: 512,
-            ops: 1_200,
-            threads_per_kn: 4,
-            cache_bytes_per_kn: 24 << 10,
-            distribution: KeyDistribution::MODERATE_SKEW,
-        };
-        let dinomo = measure_point(
-            SystemKind::Dinomo,
-            8,
-            WorkloadMix::WRITE_HEAVY_UPDATE,
-            &params,
-        );
-        let clover = measure_point(
-            SystemKind::Clover,
-            8,
-            WorkloadMix::WRITE_HEAVY_UPDATE,
-            &params,
-        );
-        assert!(
-            dinomo.modeled_throughput > clover.modeled_throughput,
-            "dinomo {:?} vs clover {:?}",
-            dinomo,
-            clover
-        );
-        assert!(dinomo.rts_per_op < clover.rts_per_op);
-    }
 
     #[test]
     fn median_is_total_over_empty_nan_and_even_inputs() {

@@ -428,10 +428,18 @@ pub fn run_scenario(config: &CheckConfig) -> ScenarioRun {
     let churn_log = churn_thread.join().unwrap();
 
     // Whatever the scenario did to it, the ordered index must satisfy its
-    // structural invariants once the cluster quiesces (the walker needs a
-    // quiescent point; clients and churn have joined).
-    let _ = kvs.flush_all();
-    if let Err(e) = kvs.dpm().check_ordered() {
+    // structural invariants once the cluster quiesces. The walker needs a
+    // quiescent point: clients and churn have joined, `quiesce` waits out
+    // the merge workers, and collector passes are excluded across the
+    // walk — merge and relocation both swing the hash index before the
+    // ordered index, and a walk landing between the two steps reports a
+    // phantom mismatch (as `Kvs::crash_dpm_and_recover` documents).
+    let _ = kvs.quiesce();
+    let checked = {
+        let _gc_pause = kvs.dpm().pause_collectors();
+        kvs.dpm().check_ordered()
+    };
+    if let Err(e) = checked {
         panic!("ordered-index invariants violated after scenario: {e}");
     }
 

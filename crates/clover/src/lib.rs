@@ -17,7 +17,8 @@
 //!   becomes the scalability bottleneck beyond a few KNs.
 //!
 //! The implementation runs on the same simulated fabric and PM pool as
-//! Dinomo, so Figure 5 / Table 6 / Figures 7–8 compare the two systems on
+//! Dinomo, so the round-trip comparison in `tests/end_to_end.rs` (the
+//! mechanism behind the paper's Figure 5 / Table 6) puts the two systems on
 //! equal footing.
 
 #![warn(missing_docs)]

@@ -1,15 +1,16 @@
-//! Closed-loop experiment driver for the timeline experiments (Figures 6–8).
+//! Closed-loop experiment driver for timeline experiments (the shape of the
+//! paper's Figures 6–8).
 //!
 //! The driver plays the role of the paper's client nodes *and* of the M-node:
-//! client threads issue a closed-loop workload against the store, and once
+//! client threads issue a closed-loop workload against a [`Kvs`], and once
 //! per monitoring epoch the driver collects latency/occupancy/key-frequency
 //! statistics, lets the [`PolicyEngine`] decide on reconfigurations, applies
 //! them, and appends a [`TimelineRow`] to the experiment's output.
 
 use crate::policy::{EpochObservation, PolicyAction, PolicyEngine};
-use crate::store::ElasticKvs;
-use dinomo_core::LogHistogram;
-use dinomo_workload::{KeyDistribution, WorkloadConfig, WorkloadGenerator, WorkloadMix};
+use dinomo_core::{Kvs, KvsClient, Op};
+use dinomo_obs::LogHistogram;
+use dinomo_workload::{KeyDistribution, Operation, WorkloadConfig, WorkloadGenerator, WorkloadMix};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -35,8 +36,8 @@ pub struct DriverConfig {
     /// Sample one in this many operations for key-frequency tracking.
     pub key_sample_every: usize,
     /// Operations each client submits per request. `1` issues classic
-    /// per-op requests; larger values drive the store's batched path
-    /// ([`crate::KvSession::execute_batch`]), amortizing per-request
+    /// per-op requests; larger values submit owner-grouped batches
+    /// ([`dinomo_core::KvsClient::execute`]), amortizing per-request
     /// overhead as the paper's KNs amortize per-write overhead.
     pub batch_size: usize,
     /// Per-op latency objective, milliseconds: each epoch reports the
@@ -138,40 +139,6 @@ pub struct ScriptedEvent {
     pub event: EventKind,
 }
 
-/// Deterministically generate a membership-churn script from a seed: at
-/// most one event per epoch, drawn from add/fail/remove/load-shift with a
-/// bias toward growth (so random scripts don't starve the cluster down to
-/// its one-node floor and stall there).
-///
-/// The script is a **pure function of `(seed, epochs, max_clients)`** —
-/// the property the checker's determinism guarantee rests on: a failing
-/// run's churn schedule is reproducible from the seed alone. Combine with
-/// a seeded [`crate::DriverConfig::workload`] for a fully seed-determined
-/// experiment (thread timing aside).
-pub fn random_churn_script(seed: u64, epochs: usize, max_clients: usize) -> Vec<ScriptedEvent> {
-    use rand::{rngs::StdRng, Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xc1u64.rotate_left(33));
-    let mut events = Vec::new();
-    for at_epoch in 0..epochs {
-        // Churn roughly every other epoch, leaving quiet epochs in which
-        // the cluster serves from a steady configuration.
-        if !rng.gen_bool(0.5) {
-            continue;
-        }
-        let event = match rng.gen_range(0u32..6) {
-            0 | 1 => EventKind::AddNode,
-            2 => EventKind::FailRandomNode,
-            3 => EventKind::RemoveRandomNode,
-            // Inclusive upper bound: a load-shift event must be able to
-            // restore the full `max_clients` concurrency.
-            4 => EventKind::SetClients(rng.gen_range(1..max_clients.max(1) + 1)),
-            _ => EventKind::AddNode,
-        };
-        events.push(ScriptedEvent { at_epoch, event });
-    }
-    events
-}
-
 /// One epoch of the timeline (one point on the x-axis of Figures 6–8).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TimelineRow {
@@ -223,9 +190,9 @@ pub struct TimelineRow {
     /// rising values mean hot shared keys are serializing on their cells.
     pub cell_registry_waits: u64,
     /// Epoch-shim garbage bags sealed into the global buckets during the
-    /// epoch (`crossbeam::epoch::stats`). Each seal is one short global
-    /// lock acquisition — the only cross-thread serialization left in the
-    /// reclamation scheme — so this is the future-cliff counter for
+    /// epoch (the registry's `epoch_bag_flushes`). Each seal is one short
+    /// global lock acquisition — the only cross-thread serialization left
+    /// in the reclamation scheme — so this is the future-cliff counter for
     /// memory reclamation.
     pub epoch_bag_flushes: u64,
     /// Human-readable record of events and policy actions this epoch.
@@ -255,14 +222,15 @@ struct SharedState {
 
 /// The experiment driver. See the module docs.
 pub struct SimulationDriver {
-    store: Arc<dyn ElasticKvs>,
+    store: Kvs,
     config: DriverConfig,
     policy: Option<PolicyEngine>,
 }
 
 impl SimulationDriver {
-    /// Create a driver for `store`.
-    pub fn new(store: Arc<dyn ElasticKvs>, config: DriverConfig) -> Self {
+    /// Create a driver for `store` (a `Kvs` is a cheap handle; clone it to
+    /// keep one for inspection after the run).
+    pub fn new(store: Kvs, config: DriverConfig) -> Self {
         SimulationDriver {
             store,
             config,
@@ -279,12 +247,19 @@ impl SimulationDriver {
 
     /// Load the key space (the paper's load phase).
     pub fn preload(&self) {
-        let session = self.store.session();
+        let client = self.store.client();
         let generator = WorkloadGenerator::new(self.config.workload);
         for (key, value) in generator.load_phase() {
-            let _ = session.execute(&dinomo_workload::Operation::Insert(key, value));
+            let _ = client.insert(&key, &value);
         }
-        self.store.maintenance();
+        self.maintenance();
+    }
+
+    /// Flush buffered writes and reclaim fully-dead segments (between
+    /// epochs, and after the load phase).
+    fn maintenance(&self) {
+        let _ = self.store.flush_all();
+        self.store.dpm().run_gc();
     }
 
     /// Run the experiment and return one row per epoch.
@@ -308,9 +283,9 @@ impl SimulationDriver {
         let mut handles = Vec::new();
         for client_idx in 0..self.config.max_clients {
             let shared = Arc::clone(&shared);
-            let store = Arc::clone(&self.store);
+            let client = self.store.client();
             handles.push(std::thread::spawn(move || {
-                client_loop(client_idx, &store, &shared)
+                client_loop(client_idx, &client, &shared)
             }));
         }
 
@@ -320,11 +295,9 @@ impl SimulationDriver {
         let mut prev_stats = self.store.stats();
         // Counters migrated onto the metrics registry (busy rejections,
         // cell-registry waits, epoch bag flushes) read as generic
-        // per-epoch snapshot deltas; stores without a registry (Clover)
-        // fall back to per-node stats and the process-global epoch shim.
+        // per-epoch snapshot deltas.
         let metrics = self.store.metrics();
-        let mut prev_snap = metrics.as_ref().map(|r| r.snapshot());
-        let mut prev_bag_flushes = crossbeam::epoch::stats().bag_flushes;
+        let mut prev_snap = metrics.snapshot();
         let epoch = Duration::from_millis(self.config.epoch_ms);
         let start = Instant::now();
 
@@ -351,7 +324,7 @@ impl SimulationDriver {
             };
             let ops = ops_after - ops_before;
             let elapsed_epoch = epoch.as_secs_f64();
-            let node_ids = self.store.node_ids();
+            let node_ids = self.store.kn_ids();
             let occupancy: Vec<(u32, f64)> = stats
                 .kns
                 .iter()
@@ -373,48 +346,13 @@ impl SimulationDriver {
                 .dpm
                 .bytes_relocated
                 .saturating_sub(prev_stats.dpm.bytes_relocated);
-            let (busy_rejections, cell_registry_waits, epoch_bag_flushes) =
-                match (&metrics, &mut prev_snap) {
-                    (Some(registry), Some(prev)) => {
-                        // One snapshot serves every migrated counter; the
-                        // row fields keep their names.
-                        let snap = registry.snapshot();
-                        let deltas = (
-                            snap.counter_delta(prev, "kn_busy_rejections"),
-                            snap.counter_delta(prev, "dpm_cell_registry_waits"),
-                            snap.counter_delta(prev, "epoch_bag_flushes"),
-                        );
-                        *prev = snap;
-                        deltas
-                    }
-                    _ => {
-                        let busy = stats
-                            .kns
-                            .iter()
-                            .map(|kn| {
-                                let before = prev_stats
-                                    .kns
-                                    .iter()
-                                    .find(|p| p.id == kn.id)
-                                    .map(|p| p.busy_rejections)
-                                    .unwrap_or(0);
-                                kn.busy_rejections.saturating_sub(before)
-                            })
-                            .sum();
-                        let cell = stats
-                            .dpm
-                            .cell_registry_waits
-                            .saturating_sub(prev_stats.dpm.cell_registry_waits);
-                        // Process-global (the epoch shim is shared by every
-                        // store in this process), but experiments run one
-                        // store at a time, so the per-epoch delta is
-                        // attributable to this run.
-                        let epoch_stats = crossbeam::epoch::stats();
-                        let flushes = epoch_stats.bag_flushes.saturating_sub(prev_bag_flushes);
-                        prev_bag_flushes = epoch_stats.bag_flushes;
-                        (busy, cell, flushes)
-                    }
-                };
+            // One snapshot serves every migrated counter; the row fields
+            // keep their names.
+            let snap = metrics.snapshot();
+            let busy_rejections = snap.counter_delta(&prev_snap, "kn_busy_rejections");
+            let cell_registry_waits = snap.counter_delta(&prev_snap, "dpm_cell_registry_waits");
+            let epoch_bag_flushes = snap.counter_delta(&prev_snap, "epoch_bag_flushes");
+            prev_snap = snap;
             let space_amplification = if stats.dpm.live_bytes == 0 {
                 0.0
             } else {
@@ -449,7 +387,11 @@ impl SimulationDriver {
                     occupancy: occupancy.clone(),
                     key_frequencies: samples.key_counts,
                     replicated_keys: replicated.iter().map(|(k, f)| (k.clone(), *f)).collect(),
-                    supports_replication: self.store.supports_selective_replication(),
+                    supports_replication: self
+                        .store
+                        .config()
+                        .variant
+                        .supports_selective_replication(),
                     epochs_since_last_action: epochs_since_action,
                 };
                 let decisions = engine.decide(&obs);
@@ -463,7 +405,7 @@ impl SimulationDriver {
                 }
             }
 
-            self.store.maintenance();
+            self.maintenance();
             rows.push(TimelineRow {
                 epoch: epoch_idx,
                 seconds: start.elapsed().as_secs_f64(),
@@ -530,30 +472,30 @@ impl SimulationDriver {
                 format!("workload: mix -> {}", mix.name)
             }
             EventKind::FailNode(id) => {
-                let _ = self.store.fail_node(*id);
+                let _ = self.store.fail_kn(*id);
                 format!("failure injected: node {id}")
             }
             EventKind::FailRandomNode => {
-                let id = self.store.node_ids().into_iter().next();
+                let id = self.store.kn_ids().into_iter().next();
                 if let Some(id) = id {
-                    let _ = self.store.fail_node(id);
+                    let _ = self.store.fail_kn(id);
                     format!("failure injected: node {id}")
                 } else {
                     "failure skipped: no nodes".to_string()
                 }
             }
-            EventKind::AddNode => match self.store.add_node() {
+            EventKind::AddNode => match self.store.add_kn() {
                 Ok(id) => format!("scripted add: node {id}"),
                 Err(e) => format!("scripted add failed: {e}"),
             },
-            EventKind::RemoveNode(id) => match self.store.remove_node(*id) {
+            EventKind::RemoveNode(id) => match self.store.remove_kn(*id) {
                 Ok(()) => format!("scripted remove: node {id}"),
                 Err(e) => format!("scripted remove of node {id} failed: {e}"),
             },
             EventKind::RemoveRandomNode => {
-                let id = self.store.node_ids().into_iter().next_back();
+                let id = self.store.kn_ids().into_iter().next_back();
                 if let Some(id) = id {
-                    match self.store.remove_node(id) {
+                    match self.store.remove_kn(id) {
                         Ok(()) => format!("scripted remove: node {id}"),
                         Err(e) => format!("scripted remove of node {id} failed: {e}"),
                     }
@@ -570,17 +512,17 @@ impl SimulationDriver {
         replicated: &mut HashMap<Vec<u8>, usize>,
     ) -> String {
         match action {
-            PolicyAction::AddNode => match self.store.add_node() {
+            PolicyAction::AddNode => match self.store.add_kn() {
                 Ok(id) => format!("policy: add node {id}"),
                 Err(e) => format!("policy: add node failed: {e}"),
             },
-            PolicyAction::RemoveNode(id) => match self.store.remove_node(*id) {
+            PolicyAction::RemoveNode(id) => match self.store.remove_kn(*id) {
                 Ok(()) => format!("policy: remove node {id}"),
                 Err(e) => format!("policy: remove node {id} failed: {e}"),
             },
             PolicyAction::ReplicateKey(key, factor) => {
                 match self.store.replicate_key(key, *factor) {
-                    Ok(()) => {
+                    Ok(_) => {
                         replicated.insert(key.clone(), *factor);
                         format!("policy: replicate key x{factor}")
                     }
@@ -598,8 +540,18 @@ impl SimulationDriver {
     }
 }
 
-fn client_loop(client_idx: usize, store: &Arc<dyn ElasticKvs>, shared: &Arc<SharedState>) {
-    let session = store.session();
+/// Convert a workload operation into the core request model.
+fn to_op(op: &Operation) -> Op {
+    match op {
+        Operation::Read(k) => Op::lookup(k),
+        Operation::Update(k, v) => Op::update(k, v),
+        Operation::Insert(k, v) => Op::insert(k, v),
+        Operation::Delete(k) => Op::delete(k),
+        Operation::Scan(start, n) => Op::scan(start, *n),
+    }
+}
+
+fn client_loop(client_idx: usize, client: &KvsClient, shared: &SharedState) {
     let mut workload_version = shared.workload_version.load(Ordering::Acquire);
     let mut config = *shared.workload.read();
     config.seed = config.seed.wrapping_add(client_idx as u64 * 7919);
@@ -632,16 +584,16 @@ fn client_loop(client_idx: usize, store: &Arc<dyn ElasticKvs>, shared: &Arc<Shar
         // batch's ops so epoch latency statistics stay per-operation.
         let ops = generator.next_batch(shared.batch_size);
         let start = Instant::now();
-        let results = session.execute_batch(&ops);
+        let replies = client.execute(ops.iter().map(to_op).collect());
         let elapsed = start.elapsed().as_nanos() as u64;
         let per_op_latency = elapsed / ops.len().max(1) as u64;
-        for (op, result) in ops.iter().zip(&results) {
+        for (op, reply) in ops.iter().zip(&replies) {
             local_latencies.push(per_op_latency);
             op_count += 1;
             if op_count.is_multiple_of(shared.key_sample_every) {
                 local_keys.push(op.key().to_vec());
             }
-            local_errors += u64::from(result.is_err());
+            local_errors += u64::from(!reply.is_ok());
         }
         shared.ops.fetch_add(ops.len() as u64, Ordering::Relaxed);
         if local_latencies.len() >= 128 {
@@ -698,7 +650,7 @@ fn latency_stats(hist: &LogHistogram) -> (f64, f64, f64, f64) {
 mod tests {
     use super::*;
     use crate::policy::SloConfig;
-    use dinomo_core::{Kvs, KvsConfig};
+    use dinomo_core::KvsConfig;
 
     fn small_workload() -> WorkloadConfig {
         WorkloadConfig {
@@ -714,7 +666,7 @@ mod tests {
 
     #[test]
     fn timeline_runs_and_reports_throughput() {
-        let kvs = Arc::new(Kvs::new(KvsConfig::small_for_tests()).unwrap());
+        let kvs = Kvs::new(KvsConfig::small_for_tests()).unwrap();
         let driver = SimulationDriver::new(
             kvs,
             DriverConfig {
@@ -793,7 +745,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "contention limits exceeded")]
     fn zero_contention_limit_fails_a_churning_run() {
-        let kvs = Arc::new(Kvs::new(KvsConfig::small_for_tests()).unwrap());
+        let kvs = Kvs::new(KvsConfig::small_for_tests()).unwrap();
         let driver = SimulationDriver::new(
             kvs,
             DriverConfig {
@@ -816,7 +768,7 @@ mod tests {
 
     #[test]
     fn batched_clients_make_progress_and_report_per_op_latency() {
-        let kvs = Arc::new(Kvs::new(KvsConfig::small_for_tests()).unwrap());
+        let kvs = Kvs::new(KvsConfig::small_for_tests()).unwrap();
         let driver = SimulationDriver::new(
             kvs,
             DriverConfig {
@@ -840,9 +792,9 @@ mod tests {
 
     #[test]
     fn scripted_events_change_load_and_membership() {
-        let kvs = Arc::new(Kvs::new(KvsConfig::small_for_tests()).unwrap());
+        let kvs = Kvs::new(KvsConfig::small_for_tests()).unwrap();
         let driver = SimulationDriver::new(
-            Arc::clone(&kvs) as Arc<dyn ElasticKvs>,
+            kvs,
             DriverConfig {
                 epoch_ms: 30,
                 total_epochs: 5,
@@ -883,44 +835,8 @@ mod tests {
     }
 
     #[test]
-    fn random_churn_scripts_are_seed_deterministic_and_runnable() {
-        // Pure function of the seed: the checker's reproducibility story
-        // depends on this.
-        let a = random_churn_script(0xfeed, 24, 4);
-        let b = random_churn_script(0xfeed, 24, 4);
-        assert_eq!(a, b);
-        let c = random_churn_script(0xbeef, 24, 4);
-        assert_ne!(a, c, "different seeds should churn differently");
-        // Epochs are strictly increasing, at most one event each, and the
-        // script actually contains churn.
-        assert!(a.windows(2).all(|w| w[0].at_epoch < w[1].at_epoch));
-        assert!(!a.is_empty());
-
-        // And a generated script drives a real cluster without wedging it.
-        let kvs = Arc::new(Kvs::new(KvsConfig::small_for_tests()).unwrap());
-        let events = random_churn_script(7, 5, 2);
-        let driver = SimulationDriver::new(
-            Arc::clone(&kvs) as Arc<dyn ElasticKvs>,
-            DriverConfig {
-                epoch_ms: 25,
-                total_epochs: 5,
-                max_clients: 2,
-                initial_clients: 2,
-                workload: small_workload(),
-                preload: true,
-                key_sample_every: 4,
-                batch_size: 8,
-                ..DriverConfig::default()
-            },
-        );
-        let rows = driver.run(&events);
-        assert_eq!(rows.len(), 5);
-        assert!(rows.iter().map(|r| r.ops).sum::<u64>() > 0);
-    }
-
-    #[test]
     fn policy_engine_can_autoscale_under_pressure() {
-        let kvs = Arc::new(Kvs::new(KvsConfig::small_for_tests()).unwrap());
+        let kvs = Kvs::new(KvsConfig::small_for_tests()).unwrap();
         // Absurdly tight SLO so any load triggers the add-node rule.
         let slo = SloConfig {
             avg_latency_ms: 0.000001,
@@ -931,7 +847,7 @@ mod tests {
             ..SloConfig::default()
         };
         let driver = SimulationDriver::new(
-            Arc::clone(&kvs) as Arc<dyn ElasticKvs>,
+            kvs,
             DriverConfig {
                 epoch_ms: 30,
                 total_epochs: 6,

@@ -5,12 +5,8 @@
 //! are violated or nodes sit idle, selectively replicating hot keys when a
 //! skewed workload overloads a single owner, and recovering from KVS-node
 //! failures (§3.5, Table 4).  This crate implements that control plane plus
-//! the closed-loop experiment driver used for the timeline figures
-//! (Figures 6–8):
+//! a closed-loop timeline driver over a [`dinomo_core::Kvs`]:
 //!
-//! * [`ElasticKvs`] / [`KvSession`] — a uniform interface over the Dinomo
-//!   variants and the Clover baseline so the same driver and policy engine
-//!   can exercise all of them;
 //! * [`SloConfig`] / [`PolicyEngine`] — the Table 4 policy rules (latency
 //!   SLOs, over/under-utilization occupancy bounds, key hotness/coldness
 //!   bounds, grace periods);
@@ -23,11 +19,9 @@
 
 pub mod driver;
 pub mod policy;
-pub mod store;
 
 pub use driver::{
-    check_contention, random_churn_script, ContentionLimits, DriverConfig, EventKind,
-    ScriptedEvent, SimulationDriver, TimelineRow,
+    check_contention, ContentionLimits, DriverConfig, EventKind, ScriptedEvent, SimulationDriver,
+    TimelineRow,
 };
 pub use policy::{EpochObservation, PolicyAction, PolicyEngine, SloConfig};
-pub use store::{ElasticKvs, KvSession};

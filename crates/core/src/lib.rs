@@ -62,7 +62,6 @@ pub mod client;
 pub mod config;
 pub mod error;
 pub mod executor;
-pub mod hist;
 pub mod kn;
 pub mod kvs;
 pub mod op;
@@ -76,7 +75,6 @@ pub use config::{KvsConfig, Variant};
 // without depending on the dpm crate directly.
 pub use dinomo_dpm::GcConfig;
 pub use error::KvsError;
-pub use hist::LogHistogram;
 pub use kvs::{DpmCrashReport, Kvs};
 pub use op::{Op, Reply};
 pub use stats::{KnStats, KvsStats};

@@ -91,7 +91,7 @@ pub struct DpmConfig {
     /// Metadata-index configuration.
     pub index: PclhtConfig,
     /// When `true`, merge workers busy-wait for the modeled media cost of
-    /// each merge (used by the Figure 4 harness to contrast DRAM and PM).
+    /// each merge, to contrast DRAM and PM (the paper's Figure 4).
     pub inject_media_delay: bool,
     /// Log-cleaning segment compactor knobs (victim threshold, byte-rate
     /// throttle, background thread).

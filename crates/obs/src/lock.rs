@@ -3,7 +3,7 @@
 //! Each surviving global lock records its acquisition wait time into a
 //! `lock_wait_<name>_ns` histogram, so a breakdown can say which lock a
 //! thread count actually queues on. The instrumented sites wrap their
-//! `lock()` calls with [`Histogram::time`] via handles resolved at
+//! `lock()` calls with [`crate::Histogram::time`] via handles resolved at
 //! construction; this module only owns the naming.
 
 /// The named locks from the `docs/CONCURRENCY.md` inventory.

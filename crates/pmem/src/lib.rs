@@ -18,8 +18,8 @@
 //!   commit-marker protocol can be tested ([`PmemPool::persist`],
 //!   [`PmemPool::drain`], [`PmemPool::simulate_crash`]).
 //! * **Media timing profiles** — DRAM vs Optane latency/bandwidth numbers
-//!   ([`MediaProfile`]) used by the Figure 4 harness to model the gap between
-//!   DRAM and PM merge throughput.
+//!   ([`MediaProfile`]) that model the gap between DRAM and PM merge
+//!   throughput (the paper's Figure 4).
 //! * **Failure injection** — allocation failures for exercising error paths.
 
 #![warn(missing_docs)]

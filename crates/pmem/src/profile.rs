@@ -8,8 +8,8 @@ use std::time::Duration;
 /// Numbers follow the measurements the paper cites (§2.1, §5.1): PM read
 /// latency in the low hundreds of nanoseconds, ~3× DRAM write latency,
 /// 32 GB/s read and 11.2 GB/s write bandwidth for a fully-populated Optane
-/// socket versus substantially higher DRAM bandwidth.  The Figure 4 harness
-/// uses these profiles to model the DRAM-vs-PM merge-throughput gap.
+/// socket versus substantially higher DRAM bandwidth.  The profiles model
+/// the DRAM-vs-PM merge-throughput gap of the paper's Figure 4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MediaProfile {
     /// Which medium this profile models.

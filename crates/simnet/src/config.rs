@@ -7,10 +7,9 @@ use serde::{Deserialize, Serialize};
 ///
 /// Cost accounting (round-trip counters and modeled nanoseconds) always
 /// happens; delay injection only controls whether the calling thread actually
-/// waits.  Timeline experiments (Figures 6–8) inject scaled-down delays so the
-/// relative cost of cache misses, chain walks and reconfiguration shows up in
-/// wall-clock measurements; throughput sweeps (Figure 5) run with
-/// [`DelayMode::None`] and use the analytic [`crate::ThroughputModel`].
+/// waits.  Wall-clock experiments inject delays so the relative cost of cache
+/// misses, chain walks and reconfiguration shows up in what they measure;
+/// CPU-cost measurements run with [`DelayMode::None`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DelayMode {
     /// Account costs only; never block the caller.

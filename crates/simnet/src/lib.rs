@@ -6,15 +6,15 @@
 //! crate replaces the RDMA NIC with a software model that
 //!
 //! * counts every one-sided READ / WRITE / CAS and every two-sided RPC issued
-//!   by a node ([`Nic`]),
+//!   by a node ([`Nic`], [`NicStats`]),
 //! * converts those operations into modeled time using a configurable
-//!   latency/bandwidth profile ([`FabricConfig`], [`CostModel`]),
-//! * can optionally inject real (busy-wait) delay per operation so that
-//!   wall-clock experiments reproduce the relative costs
-//!   ([`DelayMode`]), and
-//! * provides a cluster-level throughput model used by the benchmark harness
-//!   to turn measured RTs/op and cache hit ratios into end-to-end throughput
-//!   curves ([`ThroughputModel`]).
+//!   latency/bandwidth profile ([`FabricConfig`]), and
+//! * can optionally inject real (busy-wait or sleeping) delay per operation
+//!   so that wall-clock experiments reproduce the relative costs
+//!   ([`DelayMode`]).
+//!
+//! Throughput is always *measured* on top of this fabric (by `e2e/` and the
+//! gated benches), never modeled from the counters.
 //!
 //! The public API is intentionally small: higher layers (the DPM pool, the
 //! KVS nodes, the Clover baseline) call [`Nic::one_sided_read`],
@@ -24,12 +24,10 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod cost;
 pub mod nic;
 pub mod stats;
 
 pub use config::{DelayMode, FabricConfig};
-pub use cost::{ClusterCostInputs, CostModel, ThroughputModel};
 pub use nic::Nic;
 pub use stats::NicStats;
 

@@ -9,8 +9,7 @@
 use dinomo::cluster::{
     DriverConfig, EventKind, PolicyEngine, ScriptedEvent, SimulationDriver, SloConfig,
 };
-use dinomo::{ElasticKvs, KeyDistribution, Kvs, KvsConfig, Variant, WorkloadConfig, WorkloadMix};
-use std::sync::Arc;
+use dinomo::{KeyDistribution, Kvs, KvsConfig, Variant, WorkloadConfig, WorkloadMix};
 
 fn main() {
     let config = KvsConfig {
@@ -20,7 +19,7 @@ fn main() {
         cache_bytes_per_kn: 2 << 20,
         ..KvsConfig::small_for_tests()
     };
-    let kvs: Arc<dyn ElasticKvs> = Arc::new(Kvs::new(config).expect("cluster"));
+    let kvs = Kvs::new(config).expect("cluster");
 
     let workload = WorkloadConfig {
         num_keys: 2_000,

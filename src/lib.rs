@@ -6,9 +6,10 @@
 //!
 //! * [`core`] — the Dinomo key-value store (and its Dinomo-S /
 //!   Dinomo-N variants),
-//! * [`clover`] — the Clover baseline,
-//! * [`cluster`] — routing/monitoring control plane and the
-//!   timeline experiment driver,
+//! * [`clover`] — the Clover baseline (a leaf crate: the comparison with
+//!   it is measured by `tests/end_to_end.rs`),
+//! * [`cluster`] — the M-node policy engine and the closed-loop timeline
+//!   driver over a [`Kvs`],
 //! * [`cache`], [`partition`], [`dpm`], [`pclht`], [`pmem`],
 //!   [`simnet`] — the substrates,
 //! * [`workload`] — YCSB-style workload generation,
@@ -60,8 +61,8 @@ pub use dinomo_workload as workload;
 
 pub use dinomo_clover::{CloverConfig, CloverKvs};
 pub use dinomo_cluster::{
-    ContentionLimits, DriverConfig, ElasticKvs, EventKind, PolicyEngine, ScriptedEvent,
-    SimulationDriver, SloConfig,
+    ContentionLimits, DriverConfig, EventKind, PolicyEngine, ScriptedEvent, SimulationDriver,
+    SloConfig,
 };
 pub use dinomo_core::{
     Kvs, KvsBuilder, KvsClient, KvsConfig, KvsError, KvsStats, Op, Reply, Variant,

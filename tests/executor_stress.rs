@@ -16,9 +16,7 @@
 //!   actually exercised (visible in the node stats) and yet every batch
 //!   still completes with correct replies through the client's retry loop.
 
-use dinomo::cluster::{
-    ContentionLimits, DriverConfig, ElasticKvs, EventKind, ScriptedEvent, SimulationDriver,
-};
+use dinomo::cluster::{ContentionLimits, DriverConfig, EventKind, ScriptedEvent, SimulationDriver};
 use dinomo::workload::{KeyDistribution, WorkloadConfig, WorkloadMix};
 use dinomo::{Kvs, KvsConfig, Op, Reply, Variant};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,15 +28,13 @@ use std::sync::Arc;
 /// leave every surviving node's worker queues empty.
 #[test]
 fn driver_churn_keeps_queues_draining() {
-    let kvs = Arc::new(
-        Kvs::new(KvsConfig {
-            initial_kns: 3,
-            ..KvsConfig::small_for_tests()
-        })
-        .unwrap(),
-    );
+    let kvs = Kvs::new(KvsConfig {
+        initial_kns: 3,
+        ..KvsConfig::small_for_tests()
+    })
+    .unwrap();
     let driver = SimulationDriver::new(
-        Arc::clone(&kvs) as Arc<dyn ElasticKvs>,
+        kvs.clone(),
         DriverConfig {
             epoch_ms: 40,
             total_epochs: 8,

@@ -289,18 +289,16 @@ fn concurrent_controllers_serialize_cleanly() {
 fn timeline_reports_compaction_columns() {
     let mut dpm = dinomo::dpm::DpmConfig::small_for_tests();
     dpm.segment_bytes = 8 << 10;
-    let kvs = Arc::new(
-        KvsBuilder::new()
-            .small_for_tests()
-            .initial_kns(2)
-            .dpm(dpm)
-            .gc(GcConfig {
-                dead_fraction: 0.25,
-                ..GcConfig::aggressive()
-            })
-            .build()
-            .unwrap(),
-    );
+    let kvs = KvsBuilder::new()
+        .small_for_tests()
+        .initial_kns(2)
+        .dpm(dpm)
+        .gc(GcConfig {
+            dead_fraction: 0.25,
+            ..GcConfig::aggressive()
+        })
+        .build()
+        .unwrap();
     let driver = SimulationDriver::new(
         kvs,
         DriverConfig {
