@@ -25,6 +25,7 @@
 //! The repo's benchmark proper — end-to-end workloads with per-layer
 //! probes — is its own package under `e2e/`; nothing here feeds it.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod breakdown;

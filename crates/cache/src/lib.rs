@@ -16,6 +16,7 @@
 //! Static-X% split policies.  All policies implement the [`KnCache`] trait so
 //! the KVS node and the benchmark harness can swap them freely.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dac;

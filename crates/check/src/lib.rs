@@ -44,6 +44,7 @@
 //! assert_eq!(stats.ops, 4);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checker;

@@ -21,6 +21,7 @@
 //! mechanism behind the paper's Figure 5 / Table 6) puts the two systems on
 //! equal footing.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

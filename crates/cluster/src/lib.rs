@@ -15,6 +15,7 @@
 //!   skew changes, failure injection, and application of the policy engine's
 //!   decisions.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod driver;

@@ -12,9 +12,10 @@
 //! resolves ownership once, splits the group by shard, and enqueues one
 //! sub-batch per involved shard onto
 //! that shard's worker thread — the batch fans out across every involved
-//! shard of every involved node concurrently while this thread waits on a
-//! completion latch (see [`crate::executor`]). Each sub-batch locks its
-//! shard once and flushes its buffered log writes once. Operations
+//! shard of every involved node concurrently while this thread waits for
+//! the workers to send their results back (see [`crate::executor`]). Each
+//! sub-batch locks its shard once and flushes its buffered log writes
+//! once. Operations
 //! rejected mid-flight (ownership moved, node failed or reconfiguring,
 //! worker queue full) are retried after a metadata refresh (or, for
 //! [`KvsError::Busy`] backpressure, just a pause), so a batch racing a
@@ -22,10 +23,10 @@
 //! methods ([`KvsClient::insert`] & co.) and singleton batches are one
 //! routine (`KvsClient::execute_one`): a batch of one, run inline on this
 //! thread through the same node-side envelope, without allocating an owned
-//! [`Op`] or the batch's shared slots and latch.
+//! [`Op`] or the batch's shared state and reply channel.
 
 use crate::error::KvsError;
-use crate::executor::{BatchShared, WaitGroup};
+use crate::executor::{BatchShared, OpResult};
 use crate::kn::KnNode;
 use crate::kvs::KvsInner;
 use crate::op::{Op, OpRef, Reply};
@@ -42,6 +43,10 @@ use std::time::Duration;
 /// sub-batch rejection per routing round) can state the exact budget.
 pub(crate) const MAX_RETRIES: usize = 100;
 
+/// One node's partial answer to a fanned-out scan: the sorted pairs it
+/// contributed, or the error that aborted its part.
+type ScanPartial = Result<Vec<(Vec<u8>, Vec<u8>)>>;
+
 /// A client handle. Create one per application thread with
 /// [`crate::Kvs::client`]; handles are independent and each caches its own
 /// routing metadata.
@@ -54,9 +59,10 @@ pub struct KvsClient {
     /// (the default) costs one branch per request and nothing else.
     recorder: Option<RecorderHandle>,
     /// `stage_client_dispatch_ns` — per round: grouping, routing, and
-    /// sub-batch submission (including inline work) up to the latch wait.
+    /// sub-batch submission (including inline work) up to the wait for the
+    /// workers' replies.
     stage_dispatch: dinomo_obs::Histogram,
-    /// `stage_reply_ns` — per round: reply harvest after the latch.
+    /// `stage_reply_ns` — per round: reply harvest after that wait.
     stage_reply: dinomo_obs::Histogram,
 }
 
@@ -203,8 +209,8 @@ impl KvsClient {
             [] => Vec::new(),
             // A singleton batch is dispatched like a per-key call: same
             // node-side envelope, but inline on this thread with no groups,
-            // shared slots or latch. Scans are the exception: even alone
-            // they need the batched dispatch's every-node fan-out.
+            // shared state or reply channel. Scans are the exception: even
+            // alone they need the batched dispatch's every-node fan-out.
             [op] if !op.is_scan() => vec![self.execute_one(op.view())],
             _ => self.execute_batch(ops),
         }
@@ -216,10 +222,13 @@ impl KvsClient {
         // sound (the checker's windows only widen, never shrink).
         let invoked_at = self.recorder.as_ref().map(|h| h.invoke());
         let n = ops.len();
-        // The ops, their routing hashes (computed once, reused by every
-        // node's ring lookups across every retry round) and one reply slot
-        // per op, shared with every sub-batch the rounds below enqueue.
+        // The ops and their routing hashes (computed once, reused by every
+        // node's ring lookups across every retry round), shared with every
+        // sub-batch the rounds below enqueue.
         let batch = Arc::new(BatchShared::new(ops));
+        // One result per op, written by this thread alone: directly by what
+        // runs inline, and from the workers' owned reply vectors otherwise.
+        let mut results: Vec<Option<OpResult>> = vec![None; n];
         let mut replies: Vec<Option<Reply>> = vec![None; n];
         let mut pending: Vec<usize> = (0..n).collect();
         // Whether a position's most recent failure was Busy backpressure,
@@ -232,9 +241,10 @@ impl KvsClient {
                 break;
             }
             // Stage accounting for this round: grouping/routing/submission
-            // bills to `stage_client_dispatch_ns`, the post-latch harvest
-            // to `stage_reply_ns`; the latch wait in between is covered by
-            // the worker-side queue-wait and shard-execute stages.
+            // bills to `stage_client_dispatch_ns`, the harvest after the
+            // workers' replies are in to `stage_reply_ns`; the wait in
+            // between is covered by the worker-side queue-wait and
+            // shard-execute stages.
             let dispatch_clock = dinomo_obs::stage_clock();
             // Group the pending ops by owner under one routing-metadata
             // lock acquisition. Clusters are small (a handful to dozens of
@@ -312,10 +322,14 @@ impl KvsClient {
             // queues — so the batch fans out across every involved shard
             // of every involved node concurrently, while this thread only
             // runs the in-order replicated-key passes.
-            let latch = Arc::new(WaitGroup::new());
+            // Each enqueued sub-batch carries a clone of `reply_tx` and
+            // sends its results through it once.
+            let (reply_tx, reply_rx) = std::sync::mpsc::channel();
             for ((_, indexes), node) in groups.iter().zip(&nodes) {
                 if let Some(node) = node {
-                    node.submit_batch(&batch, indexes, routed_version, &latch);
+                    node.submit_batch(&batch, indexes, routed_version, &reply_tx, &mut |pos, r| {
+                        results[pos] = Some(r)
+                    });
                 }
             }
             // Fan each scan out to every ring member, inline on this
@@ -325,32 +339,42 @@ impl KvsClient {
             // moved on rejects instead of contributing a partial filtered
             // by a different ring — and the union of the sorted partials
             // is complete and duplicate-free.
-            for &pos in &scans {
-                let Op::Scan { start, n } = &batch.ops[pos] else {
-                    unreachable!("`scans` holds only scan positions");
-                };
-                if scan_members.is_empty() {
-                    batch.push_scan_partial(pos, Err(KvsError::NoNodes));
-                    continue;
-                }
-                for node in &scan_nodes {
-                    let partial = match node {
-                        Some(node) => node.scan(start, *n, routed_version),
-                        // Present in the routing table but gone from the
-                        // registry: membership moved — refresh and retry.
-                        None => Err(KvsError::NodeFailed),
+            let scan_partials: Vec<Vec<ScanPartial>> = scans
+                .iter()
+                .map(|&pos| {
+                    let Op::Scan { start, n } = &batch.ops[pos] else {
+                        unreachable!("`scans` holds only scan positions");
                     };
-                    batch.push_scan_partial(pos, partial);
+                    if scan_members.is_empty() {
+                        return vec![Err(KvsError::NoNodes)];
+                    }
+                    scan_nodes
+                        .iter()
+                        .map(|node| match node {
+                            Some(node) => node.scan(start, *n, routed_version),
+                            // Present in the routing table but gone from the
+                            // registry: membership moved — refresh and retry.
+                            None => Err(KvsError::NodeFailed),
+                        })
+                        .collect()
+                })
+                .collect();
+            dinomo_obs::record_since(&self.stage_dispatch, dispatch_clock);
+            // Disconnection is the latch: with this thread's `Sender` gone,
+            // the receiver runs dry exactly when every sub-batch of the
+            // round has been run or dropped. A later pair for a position
+            // overwrites an earlier one (a failed flush's override).
+            drop(reply_tx);
+            for slice in reply_rx {
+                for (pos, r) in slice {
+                    results[pos] = Some(r);
                 }
             }
-            dinomo_obs::record_since(&self.stage_dispatch, dispatch_clock);
-            // All sub-batches have written their reply slots once the
-            // latch releases; slots are not read before that.
-            latch.wait();
             let reply_clock = dinomo_obs::stage_clock();
 
             // Harvest results; routing rejections, backpressure and
-            // unanswered slots (node disappeared mid-route) are retried.
+            // unanswered positions (node disappeared mid-route, sub-batch
+            // panicked) are retried.
             let mut retry: Vec<usize> = Vec::new();
             let mut saw_routing_error = false;
             let mut saw_busy = false;
@@ -359,12 +383,12 @@ impl KvsClient {
             // share of the key space would be silently absent, so the scan
             // retries as a whole (after the refresh its rejection asked
             // for) instead of returning a short result.
-            for &pos in &scans {
+            for (&pos, partials) in scans.iter().zip(scan_partials) {
                 let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
                 let mut fatal: Option<KvsError> = None;
                 let mut busy = false;
                 let mut routing = false;
-                for partial in batch.take_scan_partials(pos) {
+                for partial in partials {
                     match partial {
                         Ok(part) => pairs.extend(part),
                         Err(KvsError::Busy) => busy = true,
@@ -395,9 +419,7 @@ impl KvsClient {
                 if batch.ops[i].is_scan() {
                     continue; // harvested (or queued for retry) above
                 }
-                // SAFETY: every sub-batch of this round counted the latch
-                // down, so no writer is concurrent with these reads.
-                match unsafe { batch.slots.take(i) } {
+                match results[i].take() {
                     Some(Ok(read)) => replies[i] = Some(batch.ops[i].view().reply_from(read)),
                     Some(Err(KvsError::Busy)) => {
                         saw_busy = true;
@@ -452,7 +474,7 @@ impl KvsClient {
     /// the owner's envelope with the cached version attached, retried
     /// after a metadata refresh on routing errors, recorded — minus what
     /// only a fan-out needs: it runs inline on this thread (so it can never
-    /// be `Busy`) and builds no groups, owned `Op`, reply slots or latch.
+    /// be `Busy`) and builds no groups, owned `Op` or reply channel.
     fn execute_one(&self, op: OpRef<'_>) -> Reply {
         let invoked_at = self.recorder.as_ref().map(|h| h.invoke());
         let key = op.key();

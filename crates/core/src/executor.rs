@@ -2,20 +2,28 @@
 //!
 //! Each [`crate::kn::KnNode`] owns one worker thread per shard, fed by a
 //! [`BoundedQueue`] of sub-batches. [`crate::KvsClient::execute`] splits an
-//! owner group by shard, enqueues one sub-batch per involved shard with a
-//! shared set of reply slots, and blocks on a [`WaitGroup`] until every
-//! enqueued sub-batch has run — so a single batch fans out across all of a
-//! node's shards concurrently, and independent clients stop serializing on
-//! one caller thread. A full queue surfaces [`crate::KvsError::Busy`] to
-//! the client's retry loop (backpressure instead of unbounded buffering).
+//! owner group by shard and enqueues one sub-batch per involved shard — so
+//! a single batch fans out across all of a node's shards concurrently, and
+//! independent clients stop serializing on one caller thread. A full queue
+//! surfaces [`crate::KvsError::Busy`] to the client's retry loop
+//! (backpressure instead of unbounded buffering).
 //!
-//! The primitives here are deliberately small and self-contained (the build
-//! environment has no crates.io access): a Mutex+Condvar bounded MPSC
-//! queue and a Go-style wait group.
+//! Replies travel by value. A worker collects its sub-batch's
+//! `(position, result)` pairs in a `Vec` it owns and sends that `Vec` back
+//! once, through a per-round `std::sync::mpsc` channel whose `Sender`
+//! rides in the sub-batch. The dispatching client keeps its own `Sender`
+//! only while it dispatches, then drains the receiver: the loop ends when
+//! every sub-batch of the round has been run *or dropped* — channel
+//! disconnection is the completion latch, and a sub-batch that panics or
+//! is discarded releases the client by unwinding, its positions simply
+//! unanswered (the client refreshes and retries them).
+//!
+//! The one primitive here is deliberately small and self-contained (the
+//! build environment has no crates.io access): a Mutex+Condvar bounded
+//! MPSC queue.
 
 use crate::Result;
 use parking_lot::{Condvar, Mutex};
-use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 
 /// Why [`BoundedQueue::try_push`] rejected an item. The item is handed
@@ -164,145 +172,18 @@ impl<T> BoundedQueue<T> {
     }
 }
 
-/// A Go-style wait group: the dispatching thread [`WaitGroup::add`]s one
-/// count per enqueued sub-batch, each worker calls [`WaitGroup::done`]
-/// when its sub-batch has written its replies, and the dispatcher blocks
-/// in [`WaitGroup::wait`] until the count returns to zero.
-///
-/// All `add` calls must happen before `wait` (the KVS client adds while
-/// enqueuing, then waits once) — `wait` on a never-incremented group
-/// returns immediately.
-///
-/// ```
-/// use dinomo_core::executor::WaitGroup;
-/// use std::sync::Arc;
-///
-/// let wg = Arc::new(WaitGroup::new());
-/// wg.add(2);
-/// for _ in 0..2 {
-///     let wg = Arc::clone(&wg);
-///     std::thread::spawn(move || wg.done());
-/// }
-/// wg.wait(); // returns once both workers called done()
-/// ```
-#[derive(Debug, Default)]
-pub struct WaitGroup {
-    count: Mutex<usize>,
-    zero: Condvar,
-}
-
-impl WaitGroup {
-    /// Create a wait group with a zero count.
-    pub fn new() -> Self {
-        WaitGroup::default()
-    }
-
-    /// Add `n` to the outstanding count.
-    pub fn add(&self, n: usize) {
-        *self.count.lock() += n;
-    }
-
-    /// Mark one unit of work complete. The `Mutex`/`Condvar` pair gives
-    /// `done` → `wait` the release/acquire edge that makes the worker's
-    /// reply-slot writes visible to the woken dispatcher.
-    pub fn done(&self) {
-        let mut count = self.count.lock();
-        debug_assert!(*count > 0, "WaitGroup::done without a matching add");
-        *count = count.saturating_sub(1);
-        if *count == 0 {
-            drop(count);
-            self.zero.notify_all();
-        }
-    }
-
-    /// Block until the outstanding count is zero.
-    pub fn wait(&self) {
-        let mut count = self.count.lock();
-        while *count > 0 {
-            self.zero.wait(&mut count);
-        }
-    }
-}
-
-/// A guard that calls [`WaitGroup::done`] when dropped, so a sub-batch
-/// counts down even if its execution panics (a stuck client would
-/// otherwise deadlock on [`WaitGroup::wait`]).
-pub(crate) struct DoneGuard<'a>(pub(crate) &'a WaitGroup);
-
-impl Drop for DoneGuard<'_> {
-    fn drop(&mut self) {
-        self.0.done();
-    }
-}
-
-/// Per-operation result of a batch, shared between the dispatching client
-/// thread and the shard workers serving its sub-batches.
+/// Per-operation result of a batch.
 pub(crate) type OpResult = Result<Option<Vec<u8>>>;
 
-/// One reply slot per operation of a batch, written concurrently by shard
-/// workers and read by the dispatching client after its [`WaitGroup`]
-/// wait.
-///
-/// # Safety discipline
-///
-/// The slots are `UnsafeCell`s with no per-slot lock; soundness rests on
-/// the executor's position-disjointness invariant:
-///
-/// * within a dispatch round, every pending position is routed to exactly
-///   one owner group, and within a group to exactly one shard sub-batch
-///   (or the caller-run shared/rejected path) — so no two threads ever
-///   touch the same slot;
-/// * the client reads slots only after [`WaitGroup::wait`] returned for
-///   the round, which orders every worker's writes before the reads;
-/// * rounds are sequential: a retry round re-dispatches only positions
-///   whose previous writers have already counted down.
-#[derive(Debug)]
-pub(crate) struct ReplySlots {
-    slots: Box<[UnsafeCell<Option<OpResult>>]>,
-}
+/// What a shard worker sends back for one sub-batch: the `(position,
+/// result)` pairs it produced, in production order — a later pair for a
+/// position supersedes an earlier one (a failed flush overrides the
+/// results of the writes it covered).
+pub(crate) type SliceReplies = Vec<(usize, OpResult)>;
 
-// SAFETY: see the "Safety discipline" section above — all concurrent
-// access is to disjoint slots, and reads are ordered after writes by the
-// round's WaitGroup.
-unsafe impl Sync for ReplySlots {}
-
-impl ReplySlots {
-    /// `n` empty slots.
-    pub(crate) fn new(n: usize) -> Self {
-        ReplySlots {
-            slots: (0..n).map(|_| UnsafeCell::new(None)).collect(),
-        }
-    }
-
-    /// Write the result for `pos`.
-    ///
-    /// # Safety
-    ///
-    /// The caller must be the only thread accessing `pos` (the round's
-    /// routing assigned `pos` to it), per the type-level discipline.
-    pub(crate) unsafe fn set(&self, pos: usize, result: OpResult) {
-        *self.slots[pos].get() = Some(result);
-    }
-
-    /// Take the result for `pos`, leaving the slot empty for a retry
-    /// round.
-    ///
-    /// # Safety
-    ///
-    /// No worker may be writing concurrently: call only after the round's
-    /// [`WaitGroup::wait`] returned (or before any dispatch).
-    pub(crate) unsafe fn take(&self, pos: usize) -> Option<OpResult> {
-        (*self.slots[pos].get()).take()
-    }
-}
-
-/// One node's partial answer to a fanned-out scan: the sorted pairs it
-/// contributed, or the error that aborted its part.
-pub(crate) type ScanPartial = Result<Vec<(Vec<u8>, Vec<u8>)>>;
-
-/// Everything a batch's sub-batches share: the operations, their routing
-/// hashes, and the reply slots. One per `KvsClient::execute` call,
-/// `Arc`-shared with every enqueued sub-batch.
+/// What a batch's sub-batches read: the operations and their routing
+/// hashes. One per `KvsClient::execute` call, `Arc`-shared with every
+/// enqueued sub-batch.
 #[derive(Debug)]
 pub(crate) struct BatchShared {
     /// The batch's operations, in client order.
@@ -310,16 +191,6 @@ pub(crate) struct BatchShared {
     /// `key_hash(ops[i].key())`, computed once while routing and reused by
     /// the nodes for their ring lookups.
     pub(crate) hashes: Vec<u64>,
-    /// One reply slot per op.
-    pub(crate) slots: ReplySlots,
-    /// One accumulator per **scan** position (`None` elsewhere). Scans
-    /// fan out to every live node, so — unlike every other op — several
-    /// nodes write results for the same position in the same round; they
-    /// cannot share the single-writer [`ReplySlots`] discipline and push
-    /// their partials here under a lock instead. The dispatching client
-    /// merges the partials after the round's wait and writes the final
-    /// [`crate::Reply::Scan`] itself.
-    pub(crate) scan_parts: Vec<Option<Mutex<Vec<ScanPartial>>>>,
 }
 
 impl BatchShared {
@@ -328,37 +199,7 @@ impl BatchShared {
             .iter()
             .map(|op| dinomo_partition::key_hash(op.key()))
             .collect();
-        let slots = ReplySlots::new(ops.len());
-        let scan_parts = ops
-            .iter()
-            .map(|op| op.is_scan().then(|| Mutex::new(Vec::new())))
-            .collect();
-        BatchShared {
-            ops,
-            hashes,
-            slots,
-            scan_parts,
-        }
-    }
-
-    /// Append one node's partial result for the scan at `pos`.
-    pub(crate) fn push_scan_partial(&self, pos: usize, partial: ScanPartial) {
-        self.scan_parts[pos]
-            .as_ref()
-            .expect("push_scan_partial on a non-scan position")
-            .lock()
-            .push(partial);
-    }
-
-    /// Drain the partials accumulated for the scan at `pos` (between
-    /// rounds: retried scans start from an empty accumulator).
-    pub(crate) fn take_scan_partials(&self, pos: usize) -> Vec<ScanPartial> {
-        std::mem::take(
-            &mut *self.scan_parts[pos]
-                .as_ref()
-                .expect("take_scan_partials on a non-scan position")
-                .lock(),
-        )
+        BatchShared { ops, hashes }
     }
 }
 
@@ -409,37 +250,6 @@ mod tests {
         }
         q.close();
         assert_eq!(consumer.join().unwrap(), (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn wait_group_round_trips() {
-        let wg = Arc::new(WaitGroup::new());
-        wg.wait(); // zero count: returns immediately
-        wg.add(3);
-        let workers: Vec<_> = (0..3)
-            .map(|_| {
-                let wg = Arc::clone(&wg);
-                std::thread::spawn(move || {
-                    let _guard = DoneGuard(&wg);
-                })
-            })
-            .collect();
-        wg.wait();
-        for w in workers {
-            w.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn reply_slots_set_then_take() {
-        let slots = ReplySlots::new(3);
-        // SAFETY: single-threaded test — trivially disjoint.
-        unsafe {
-            assert!(slots.take(0).is_none());
-            slots.set(1, Ok(Some(b"v".to_vec())));
-            assert_eq!(slots.take(1), Some(Ok(Some(b"v".to_vec()))));
-            assert!(slots.take(1).is_none(), "take empties the slot");
-        }
     }
 
     /// Run the queue gauntlet for one generated case: `producers` threads
@@ -525,52 +335,6 @@ mod tests {
                 proptest::prop_assert_eq!(
                     &consumed_from_p, accepted_by_p,
                     "producer {}'s items were dropped, duplicated or reordered", p
-                );
-            }
-        }
-
-        /// Position disjointness: concurrent writers that each own a
-        /// disjoint subset of the slots (the executor's per-round routing
-        /// invariant, here randomized over arbitrary sub-batch splits)
-        /// never corrupt each other's replies.
-        #[test]
-        fn reply_slots_tolerate_any_disjoint_split(
-            assignment in proptest::collection::vec(0usize..5, 1..64),
-        ) {
-            const WRITERS: usize = 5;
-            let n = assignment.len();
-            let slots = ReplySlots::new(n);
-            let latch = WaitGroup::new();
-            latch.add(WRITERS);
-            std::thread::scope(|s| {
-                for writer in 0..WRITERS {
-                    let slots = &slots;
-                    let latch = &latch;
-                    let assignment = &assignment;
-                    s.spawn(move || {
-                        let _done = DoneGuard(latch);
-                        for (pos, owner) in assignment.iter().enumerate() {
-                            if *owner == writer {
-                                // SAFETY: `assignment` routes every position
-                                // to exactly one writer, and the latch
-                                // orders these writes before the reads
-                                // below — the ReplySlots discipline.
-                                unsafe {
-                                    slots.set(pos, Ok(Some(pos.to_be_bytes().to_vec())));
-                                }
-                            }
-                        }
-                    });
-                }
-                latch.wait();
-            });
-            for pos in 0..n {
-                // SAFETY: all writers counted the latch down above.
-                let got = unsafe { slots.take(pos) };
-                proptest::prop_assert_eq!(
-                    got,
-                    Some(Ok(Some(pos.to_be_bytes().to_vec()))),
-                    "slot {} lost or corrupted its writer's reply", pos
                 );
             }
         }

@@ -3,7 +3,7 @@
 
 use crate::config::{KvsConfig, Variant};
 use crate::error::KvsError;
-use crate::executor::{BatchShared, BoundedQueue, DoneGuard, OpResult, PushError, WaitGroup};
+use crate::executor::{BatchShared, BoundedQueue, OpResult, PushError, SliceReplies};
 use crate::op::{Op, OpRef};
 use crate::stats::KnStats;
 use crate::Result;
@@ -15,6 +15,7 @@ use dinomo_simnet::Nic;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -68,14 +69,15 @@ struct ScanRing {
 }
 
 /// One sub-batch of a client batch, bound to one shard of one node: the
-/// unit of work a shard worker dequeues. Executing it writes each
-/// position's reply slot and counts the batch's latch down.
+/// unit of work a shard worker dequeues. Executing it sends the positions'
+/// results back through `replies`, once; running *or dropping* it drops
+/// that `Sender`, which is what releases the dispatching client.
 pub(crate) struct SubBatch {
     node: Arc<KnNode>,
     shard: u32,
     batch: Arc<BatchShared>,
     positions: Vec<usize>,
-    latch: Arc<WaitGroup>,
+    replies: Sender<SliceReplies>,
     /// Ownership-table version the routes in `positions` were resolved
     /// against; execution rejects if the table has moved on since (see
     /// [`KnNode::run_queued_sub_batch`]).
@@ -103,25 +105,23 @@ impl SubBatch {
             shard,
             batch,
             positions,
-            latch,
+            replies,
             resolved_version,
             enqueued_at,
         } = self;
-        // Count down even if execution panics, so the dispatching client
-        // never deadlocks on the latch.
-        let _done = DoneGuard(&latch);
+        let mut out = SliceReplies::with_capacity(positions.len());
         node.run_queued_sub_batch(
             shard,
             |pos| batch.ops[pos].view(),
             &positions,
             resolved_version,
             enqueued_at,
-            &mut |pos, r| {
-                // SAFETY: this round's routing assigned `positions` exclusively
-                // to this sub-batch (see ReplySlots' safety discipline).
-                unsafe { batch.slots.set(pos, r) }
-            },
+            &mut |pos, r| out.push((pos, r)),
         );
+        // If execution panicked instead, unwinding dropped `replies` with
+        // nothing sent: the client sees the positions unanswered. A send
+        // only fails when the client itself is gone.
+        let _ = replies.send(out);
     }
 }
 
@@ -135,8 +135,12 @@ struct NodeExecutor {
 
 /// What [`KnNode::serve`] needs to hand a shard's slice of a client batch to
 /// that shard's worker: the node handle and batch the task keeps alive, and
-/// the latch it counts down.
-type Handoff<'a> = (&'a Arc<KnNode>, &'a Arc<BatchShared>, &'a Arc<WaitGroup>);
+/// the round's reply channel.
+type Handoff<'a> = (
+    &'a Arc<KnNode>,
+    &'a Arc<BatchShared>,
+    &'a Sender<SliceReplies>,
+);
 
 /// Decrements an in-flight counter when dropped (panic-safe).
 struct DecrementOnDrop<'a>(&'a AtomicUsize);
@@ -150,8 +154,8 @@ impl Drop for DecrementOnDrop<'_> {
 fn worker_loop(queue: Arc<BoundedQueue<SubBatch>>) {
     while let Some(task) = queue.pop() {
         // A panicking sub-batch must not take the worker (and every queued
-        // batch behind it) down with it; the task's DoneGuard has already
-        // released its latch.
+        // batch behind it) down with it; unwinding has already dropped the
+        // task's reply `Sender`, releasing its client.
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task.run()));
     }
 }
@@ -811,31 +815,27 @@ impl KnNode {
         out.expect("the envelope answers every position")
     }
 
-    /// The client's batch dispatch: [`KnNode::serve`] with results landing
-    /// in the batch's shared reply slots and big-enough shard slices handed
-    /// to the shard workers.
-    ///
-    /// Every enqueued sub-batch `add`s one count to `latch` before the
-    /// push, and counts down when it has written its positions' slots (or
-    /// immediately, if the push is rejected); the caller may only read the
-    /// slots after `latch.wait()` returns.
+    /// The client's batch dispatch: [`KnNode::serve`] with big-enough shard
+    /// slices handed to the shard workers. What runs on the caller (inline
+    /// slices, shared-key ops, rejections) answers through `set`; every
+    /// enqueued sub-batch carries a clone of `replies` and answers through
+    /// it, so the caller has every result once it has dropped its own
+    /// `Sender` and drained the receiver to disconnection.
     pub(crate) fn submit_batch(
         self: &Arc<Self>,
         batch: &Arc<BatchShared>,
         positions: &[usize],
         client_version: u64,
-        latch: &Arc<WaitGroup>,
+        replies: &Sender<SliceReplies>,
+        set: &mut impl FnMut(usize, OpResult),
     ) {
         self.serve(
             |pos| batch.ops[pos].view(),
             positions,
             &batch.hashes,
             client_version,
-            Some((self, batch, latch)),
-            // SAFETY: `positions` is this round's exclusive assignment to
-            // this node, and the envelope's per-shard / shared / rejected
-            // splits of it are disjoint by construction.
-            &mut |pos, r| unsafe { batch.slots.set(pos, r) },
+            Some((self, batch, replies)),
+            set,
         );
     }
 
@@ -861,7 +861,7 @@ impl KnNode {
     ///
     /// Serves `ops(pos)` for every `pos` in `positions` and answers through
     /// `set(pos, _)`; positions handed to a worker are answered through the
-    /// batch's reply slots instead. `hashes[pos]` must be
+    /// hand-off's reply channel instead. `hashes[pos]` must be
     /// `key_hash(ops(pos).key())` — the client hashed each key to route it,
     /// so the node reuses the hash for its own ring lookups.
     /// `client_version` is the ownership-table version the caller routed
@@ -1036,19 +1036,18 @@ impl KnNode {
     fn enqueue(
         &self,
         queue: &BoundedQueue<SubBatch>,
-        (node, batch, latch): Handoff<'_>,
+        (node, batch, replies): Handoff<'_>,
         shard: u32,
         positions: Vec<usize>,
         resolved_version: u64,
         set: &mut impl FnMut(usize, OpResult),
     ) {
-        latch.add(1);
         let task = SubBatch {
             node: Arc::clone(node),
             shard,
             batch: Arc::clone(batch),
             positions,
-            latch: Arc::clone(latch),
+            replies: replies.clone(),
             resolved_version,
             enqueued_at: dinomo_obs::stage_clock(),
         };
@@ -1065,7 +1064,6 @@ impl KnNode {
             Err(PushError::Closed(task)) => (task, KvsError::NodeFailed),
         };
         Self::fail_all(&task.positions, e, set);
-        latch.done();
     }
 
     /// Execute one shard's slice of a group, in group order: the work a
@@ -1426,13 +1424,38 @@ mod tests {
     use super::*;
     use crate::kvs::Kvs;
     use crate::op::Reply;
+    use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
+
+    /// Put a crafted sub-batch for shard 0 straight onto its worker queue
+    /// (the only deterministic way to get a chosen task under a worker) and
+    /// return the receiving end of its reply channel.
+    fn push_crafted(
+        node: &Arc<KnNode>,
+        ops: Vec<Op>,
+        positions: Vec<usize>,
+        resolved_version: u64,
+    ) -> Receiver<SliceReplies> {
+        let (replies, rx) = channel();
+        let task = SubBatch {
+            node: Arc::clone(node),
+            shard: 0,
+            batch: Arc::new(BatchShared::new(ops)),
+            positions,
+            replies,
+            resolved_version,
+            enqueued_at: None,
+        };
+        node.executor.as_ref().unwrap().queues[0]
+            .try_push(task)
+            .unwrap_or_else(|_| panic!("enqueue failed"));
+        rx
+    }
 
     /// A sub-batch that waited in a worker queue across a *completed*
     /// reconfiguration must reject (NotOwner) instead of executing with
     /// routes resolved against the old ownership table — the drain only
     /// covers sub-batches already executing, so the version guard is what
-    /// protects queued ones. Crafted directly against the queue (the only
-    /// deterministic way to get a stale task under a worker).
+    /// protects queued ones.
     #[test]
     fn queued_sub_batch_rejects_after_table_version_moves() {
         let kvs = Kvs::new(KvsConfig::small_for_tests()).unwrap();
@@ -1441,59 +1464,92 @@ mod tests {
 
         let node = kvs.kn(kvs.kn_ids()[0]).unwrap();
         let current = node.ownership.read().version();
-        let batch = Arc::new(BatchShared::new(vec![
-            Op::lookup("k0"),
-            Op::insert("k1", "v1"),
-        ]));
-        let latch = Arc::new(WaitGroup::new());
-        latch.add(1);
-        let task = SubBatch {
-            node: Arc::clone(&node),
-            shard: 0,
-            batch: Arc::clone(&batch),
-            positions: vec![0, 1],
-            latch: Arc::clone(&latch),
-            // The table moved on (e.g. an add_kn completed) while this
-            // task sat in the queue.
-            resolved_version: current.wrapping_sub(1),
-            enqueued_at: None,
-        };
-        node.executor.as_ref().unwrap().queues[0]
-            .try_push(task)
-            .unwrap_or_else(|_| panic!("enqueue failed"));
-        latch.wait();
-        for pos in 0..2 {
-            // SAFETY: the latch released, so no writer is concurrent.
-            match unsafe { batch.slots.take(pos) } {
-                Some(Err(KvsError::NotOwner { current_version })) => {
+        let ops = vec![Op::lookup("k0"), Op::insert("k1", "v1")];
+        // The table moved on (e.g. an add_kn completed) while this task
+        // sat in the queue.
+        let stale = push_crafted(&node, ops, vec![0, 1], current.wrapping_sub(1));
+        let replies = stale.recv().unwrap();
+        assert_eq!(replies.len(), 2);
+        for (pos, result) in replies {
+            match result {
+                Err(KvsError::NotOwner { current_version }) => {
                     assert_eq!(current_version, current);
                 }
-                other => panic!("stale sub-batch executed: {other:?}"),
+                other => panic!("stale sub-batch executed position {pos}: {other:?}"),
             }
         }
         // And an up-to-date task on the same queue still executes.
-        let batch = Arc::new(BatchShared::new(vec![Op::lookup("k0")]));
-        let latch = Arc::new(WaitGroup::new());
-        latch.add(1);
-        let task = SubBatch {
-            node: Arc::clone(&node),
-            shard: 0,
-            batch: Arc::clone(&batch),
-            positions: vec![0],
-            latch: Arc::clone(&latch),
-            resolved_version: current,
-            enqueued_at: None,
-        };
-        node.executor.as_ref().unwrap().queues[0]
-            .try_push(task)
-            .unwrap_or_else(|_| panic!("enqueue failed"));
-        latch.wait();
-        let result = unsafe { batch.slots.take(0) };
+        let fresh = push_crafted(&node, vec![Op::lookup("k0")], vec![0], current);
+        let replies = fresh.recv().unwrap();
         assert!(
-            matches!(result, Some(Ok(_)) | Some(Err(KvsError::NotOwner { .. }))),
+            matches!(
+                replies.as_slice(),
+                [(0, Ok(_))] | [(0, Err(KvsError::NotOwner { .. }))]
+            ),
             "fresh sub-batch must execute (or reject only if shard 0 \
-             does not own k0): {result:?}"
+             does not own k0): {replies:?}"
         );
+    }
+
+    /// A sub-batch that panics mid-execution (a position past the end of
+    /// its batch) releases its client by unwinding: the reply `Sender`
+    /// drops with nothing sent, so the receiver sees disconnection and no
+    /// message. The worker survives and serves the next task.
+    #[test]
+    fn panicking_sub_batch_disconnects_its_client_and_spares_the_worker() {
+        let kvs = Kvs::new(KvsConfig::small_for_tests()).unwrap();
+        kvs.client().insert(b"k0", b"v0").unwrap();
+        let node = kvs.kn(kvs.kn_ids()[0]).unwrap();
+        let version = node.ownership.read().version();
+        // The timeout only bounds how long a leaked `Sender` takes to fail
+        // the test; disconnection itself is immediate.
+        let timeout = std::time::Duration::from_secs(10);
+
+        let panicking = push_crafted(&node, vec![Op::lookup("k0")], vec![7], version);
+        assert_eq!(
+            panicking.recv_timeout(timeout),
+            Err(RecvTimeoutError::Disconnected),
+            "a panicking sub-batch must drop its Sender without sending"
+        );
+        node.drain_in_flight();
+
+        let valid = push_crafted(&node, vec![Op::lookup("k0")], vec![0], version);
+        let replies = valid.recv_timeout(timeout).expect("the worker died");
+        assert!(matches!(replies.as_slice(), [(0, Ok(_))]), "{replies:?}");
+    }
+
+    /// One flush decision covers a whole write slice, so a failed flush is
+    /// reported on every write of the slice: the worker's error pairs come
+    /// after the `Ok` pairs the writes produced when they were buffered,
+    /// and the later pair for a position wins at the client.
+    #[test]
+    fn failed_flush_overrides_the_slices_buffered_write_results() {
+        let kvs = crate::KvsBuilder::new()
+            .small_for_tests()
+            .initial_kns(1)
+            .threads_per_kn(1)
+            .build()
+            .unwrap();
+        let node = kvs.kn(kvs.kn_ids()[0]).unwrap();
+        // `write_batch_ops` is 4: the slice's flush is due, and its first
+        // step — allocating the shard's first log segment — fails.
+        node.dpm.pool().inject_alloc_failures(1);
+        let mut ops: Vec<Op> = (0..4).map(|i| Op::insert(format!("k{i}"), "v")).collect();
+        ops.push(Op::lookup("absent"));
+        let replies = kvs.client().execute(ops);
+        assert_eq!(
+            node.stats().sub_batches,
+            1,
+            "the slice must run on the worker"
+        );
+        for reply in &replies[..4] {
+            assert_eq!(
+                reply,
+                &Reply::Error(KvsError::Pmem(dinomo_pmem::PmemError::InjectedFailure)),
+                "a write whose flush failed must not be acknowledged"
+            );
+        }
+        assert_eq!(replies[4], Reply::Value(None));
     }
 
     /// §3.5's drain covers per-key requests: one that passed admission and
@@ -1613,39 +1669,14 @@ mod tests {
         // Wedge the worker: hold shard 0's lock, then feed the worker a
         // task that needs it.
         let shard_guard = node.shards[0].lock();
-        let wedge_batch = Arc::new(BatchShared::new(vec![Op::lookup("w")]));
-        let wedge_latch = Arc::new(WaitGroup::new());
-        wedge_latch.add(1);
         let version = node.ownership.read().version();
-        node.executor.as_ref().unwrap().queues[0]
-            .try_push(SubBatch {
-                node: Arc::clone(&node),
-                shard: 0,
-                batch: Arc::clone(&wedge_batch),
-                positions: vec![0],
-                latch: Arc::clone(&wedge_latch),
-                resolved_version: version,
-                enqueued_at: None,
-            })
-            .unwrap_or_else(|_| panic!("wedge enqueue failed"));
-        // Give the worker a beat to pop the task and block on the lock,
-        // then fill the (now empty) depth-1 queue so client pushes see
-        // Full.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let filler_batch = Arc::new(BatchShared::new(vec![Op::lookup("f")]));
-        let filler_latch = Arc::new(WaitGroup::new());
-        filler_latch.add(1);
-        node.executor.as_ref().unwrap().queues[0]
-            .try_push(SubBatch {
-                node: Arc::clone(&node),
-                shard: 0,
-                batch: Arc::clone(&filler_batch),
-                positions: vec![0],
-                latch: Arc::clone(&filler_latch),
-                resolved_version: version,
-                enqueued_at: None,
-            })
-            .unwrap_or_else(|_| panic!("filler enqueue failed"));
+        let wedge = push_crafted(&node, vec![Op::lookup("w")], vec![0], version);
+        // Once the worker has popped the task (and blocked on the lock),
+        // fill the now-empty depth-1 queue so client pushes see Full.
+        while node.queued_sub_batches() > 0 {
+            std::thread::yield_now();
+        }
+        let filler = push_crafted(&node, vec![Op::lookup("f")], vec![0], version);
 
         // A real client batch now gets Busy on every attempt (the worker
         // stays wedged for the whole retry budget).
@@ -1659,8 +1690,8 @@ mod tests {
         );
         // Unwedge and let everything drain so teardown joins cleanly.
         drop(shard_guard);
-        wedge_latch.wait();
-        filler_latch.wait();
+        wedge.recv().unwrap();
+        filler.recv().unwrap();
         node.drain_in_flight();
     }
 
@@ -1685,35 +1716,11 @@ mod tests {
         let node = kvs.kn(kvs.kn_ids()[0]).unwrap();
         let shard_guard = node.shards[0].lock();
         let version = node.ownership.read().version();
-        let wedge_batch = Arc::new(BatchShared::new(vec![Op::lookup("w")]));
-        let wedge_latch = Arc::new(WaitGroup::new());
-        wedge_latch.add(1);
-        node.executor.as_ref().unwrap().queues[0]
-            .try_push(SubBatch {
-                node: Arc::clone(&node),
-                shard: 0,
-                batch: Arc::clone(&wedge_batch),
-                positions: vec![0],
-                latch: Arc::clone(&wedge_latch),
-                resolved_version: version,
-                enqueued_at: None,
-            })
-            .unwrap_or_else(|_| panic!("wedge enqueue failed"));
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let filler_batch = Arc::new(BatchShared::new(vec![Op::lookup("f")]));
-        let filler_latch = Arc::new(WaitGroup::new());
-        filler_latch.add(1);
-        node.executor.as_ref().unwrap().queues[0]
-            .try_push(SubBatch {
-                node: Arc::clone(&node),
-                shard: 0,
-                batch: Arc::clone(&filler_batch),
-                positions: vec![0],
-                latch: Arc::clone(&filler_latch),
-                resolved_version: version,
-                enqueued_at: None,
-            })
-            .unwrap_or_else(|_| panic!("filler enqueue failed"));
+        let wedge = push_crafted(&node, vec![Op::lookup("w")], vec![0], version);
+        while node.queued_sub_batches() > 0 {
+            std::thread::yield_now();
+        }
+        let filler = push_crafted(&node, vec![Op::lookup("f")], vec![0], version);
 
         // Read the counter directly: `stats()` locks every shard, and this
         // thread is holding shard 0's lock to keep the worker wedged.
@@ -1743,8 +1750,8 @@ mod tests {
         );
 
         drop(shard_guard);
-        wedge_latch.wait();
-        filler_latch.wait();
+        wedge.recv().unwrap();
+        filler.recv().unwrap();
         node.drain_in_flight();
     }
 

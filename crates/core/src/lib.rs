@@ -23,8 +23,9 @@
 //! group. Each node fans its group out across its per-shard worker
 //! threads (bounded queues with [`KvsError::Busy`] backpressure; see the
 //! [`executor`] module), so a batch executes concurrently on every
-//! involved shard of every involved node while the caller waits on a
-//! completion latch:
+//! involved shard of every involved node while the caller waits for the
+//! workers to send its replies back — owned values over a per-round
+//! channel, which is what lets this crate be `#![forbid(unsafe_code)]`:
 //!
 //! ```
 //! use dinomo_core::{Kvs, Op, Reply, Variant};
@@ -55,6 +56,7 @@
 //! [`Kvs::add_kn`], [`Kvs::remove_kn`], [`Kvs::fail_kn`],
 //! [`Kvs::replicate_key`] and [`Kvs::dereplicate_key`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod builder;

@@ -90,9 +90,6 @@ pub struct DpmConfig {
     pub unmerged_segment_threshold: usize,
     /// Metadata-index configuration.
     pub index: PclhtConfig,
-    /// When `true`, merge workers busy-wait for the modeled media cost of
-    /// each merge, to contrast DRAM and PM (the paper's Figure 4).
-    pub inject_media_delay: bool,
     /// Log-cleaning segment compactor knobs (victim threshold, byte-rate
     /// throttle, background thread).
     pub gc: GcConfig,
@@ -107,7 +104,6 @@ impl Default for DpmConfig {
             merge_threads: 4,
             unmerged_segment_threshold: 2,
             index: PclhtConfig::default(),
-            inject_media_delay: false,
             gc: GcConfig::default(),
         }
     }
@@ -121,7 +117,6 @@ impl DpmConfig {
             pool: PmemConfig {
                 capacity_bytes: 16 << 20,
                 track_persistence: false,
-                ..PmemConfig::default()
             },
             segment_bytes: 32 << 10,
             flush_batch_bytes: 4 << 10,
@@ -131,7 +126,6 @@ impl DpmConfig {
                 initial_buckets: 256,
                 ..PclhtConfig::default()
             },
-            inject_media_delay: false,
             // Tests opt into compaction explicitly (via `gc:
             // GcConfig::aggressive()` or `compact_once`), so default unit
             // tests exercise exactly the pre-compactor behaviour.
@@ -139,18 +133,6 @@ impl DpmConfig {
                 background: false,
                 ..GcConfig::default()
             },
-        }
-    }
-
-    /// Scale the pool and index for roughly `expected_keys` keys of
-    /// `value_len` bytes each (plus slack for updates).
-    pub fn sized_for(expected_keys: u64, value_len: usize, slack_factor: f64) -> Self {
-        let entry = (value_len as u64 + 64).next_multiple_of(8);
-        let bytes = ((expected_keys * entry) as f64 * slack_factor.max(1.2)) as u64 + (64 << 20);
-        DpmConfig {
-            pool: PmemConfig::with_capacity(bytes),
-            index: PclhtConfig::for_capacity(expected_keys as usize * 2),
-            ..DpmConfig::default()
         }
     }
 }
@@ -165,13 +147,5 @@ mod tests {
         assert_eq!(c.segment_bytes, 8 << 20);
         assert_eq!(c.merge_threads, 4);
         assert_eq!(c.unmerged_segment_threshold, 2);
-    }
-
-    #[test]
-    fn sized_for_scales_with_dataset() {
-        let small = DpmConfig::sized_for(1_000, 64, 1.5);
-        let big = DpmConfig::sized_for(1_000_000, 1024, 1.5);
-        assert!(big.pool.capacity_bytes > small.pool.capacity_bytes);
-        assert!(big.index.initial_buckets > small.index.initial_buckets);
     }
 }

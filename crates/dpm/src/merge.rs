@@ -13,7 +13,6 @@ use crate::segment::SegmentState;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 /// One unit of merge work: a contiguous byte range of a segment containing
 /// `entries` committed entries.
@@ -99,9 +98,6 @@ pub(crate) fn merge_task(inner: &DpmInner, task: &MergeTask) {
         if !entry.sealed {
             // Torn entry: everything after it in this batch is unusable.
             break;
-        }
-        if inner.config().inject_media_delay {
-            busy_wait(inner.media_merge_cost(&entry));
         }
         apply_entry(inner, task, &guard, addr, &entry);
         offset += entry.total_len;
@@ -262,11 +258,4 @@ fn apply_entry(
         }
     }
     let _ = task;
-}
-
-fn busy_wait(d: Duration) {
-    let start = Instant::now();
-    while start.elapsed() < d {
-        std::hint::spin_loop();
-    }
 }

@@ -2,7 +2,7 @@
 //! garbage collection, indirect pointers, recovery and the metadata store.
 
 use crate::config::DpmConfig;
-use crate::entry::{decode_entry, DecodedEntry};
+use crate::entry::decode_entry;
 use crate::failpoint::FailpointSet;
 use crate::gc::{compact_pass, CompactionReport, Compactor};
 use crate::loc::PackedLoc;
@@ -216,14 +216,6 @@ impl DpmInner {
 
     pub(crate) fn stats_entries_merged(&self, n: u64) {
         self.entries_merged.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Modeled media cost of merging one entry (index-bucket write plus
-    /// reading the entry header/key), used when `inject_media_delay` is set.
-    pub(crate) fn media_merge_cost(&self, entry: &DecodedEntry) -> Duration {
-        let profile = self.pool.profile();
-        profile.read_time(crate::entry::HEADER_BYTES + u64::from(entry.header.key_len))
-            + profile.write_time(64)
     }
 
     /// `true` if the raw index word refers to an entry (directly or through

@@ -27,6 +27,8 @@
 //! count — they are one relaxed add and the pre-registry stats structs
 //! always paid it. The flag defaults to **on**.
 
+#![forbid(unsafe_code)]
+
 pub mod hist;
 pub mod lock;
 pub mod registry;

@@ -27,7 +27,7 @@ pub enum Stage {
     FlushWait,
     /// Caller waited for the merge engine to drain a version.
     MergeWait,
-    /// Client-side reply harvest after the completion latch.
+    /// Client-side reply harvest after the round's reply channel disconnected.
     Reply,
 }
 

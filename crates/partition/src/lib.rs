@@ -18,6 +18,7 @@
 //! Routing nodes, KNs and clients all hold (cached) copies of this metadata;
 //! a version counter lets stale clients detect that they must refresh.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod hash;

@@ -1173,7 +1173,6 @@ mod tests {
         let pool = Arc::new(PmemPool::new(PmemConfig {
             capacity_bytes: 8 << 20,
             track_persistence: true,
-            ..PmemConfig::default()
         }));
         let t = Pclht::new(Arc::clone(&pool), PclhtConfig::for_capacity(100)).unwrap();
         for i in 0..50u64 {

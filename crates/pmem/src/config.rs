@@ -1,6 +1,5 @@
 //! Pool configuration.
 
-use crate::profile::MediaProfile;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of a [`crate::PmemPool`].
@@ -8,8 +7,6 @@ use serde::{Deserialize, Serialize};
 pub struct PmemConfig {
     /// Total pool capacity in bytes. Rounded up to a multiple of 8.
     pub capacity_bytes: u64,
-    /// Media timing profile (DRAM emulation vs Optane PM).
-    pub profile: MediaProfile,
     /// When `true`, every store records its cache line as dirty until
     /// [`crate::PmemPool::persist`] + [`crate::PmemPool::drain`] are called,
     /// and [`crate::PmemPool::simulate_crash`] destroys unpersisted lines.
@@ -24,7 +21,6 @@ impl Default for PmemConfig {
         PmemConfig {
             // The paper's DPM uses 110 GB; the default here is laptop-sized.
             capacity_bytes: 256 << 20,
-            profile: MediaProfile::dram(),
             track_persistence: false,
         }
     }
@@ -35,7 +31,6 @@ impl PmemConfig {
     pub fn small_for_tests() -> Self {
         PmemConfig {
             capacity_bytes: 4 << 20,
-            profile: MediaProfile::dram(),
             track_persistence: true,
         }
     }
@@ -47,12 +42,6 @@ impl PmemConfig {
             ..PmemConfig::default()
         }
     }
-
-    /// Same pool but with the Optane PM timing profile.
-    pub fn on_optane(mut self) -> Self {
-        self.profile = MediaProfile::optane();
-        self
-    }
 }
 
 #[cfg(test)]
@@ -61,9 +50,8 @@ mod tests {
 
     #[test]
     fn builders() {
-        let c = PmemConfig::with_capacity(1 << 20).on_optane();
+        let c = PmemConfig::with_capacity(1 << 20);
         assert_eq!(c.capacity_bytes, 1 << 20);
-        assert_eq!(c.profile, MediaProfile::optane());
         assert!(!c.track_persistence);
         assert!(PmemConfig::small_for_tests().track_persistence);
     }

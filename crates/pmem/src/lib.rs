@@ -17,23 +17,19 @@
 //!   emulation with dirty-cache-line tracking, so crash consistency of the
 //!   commit-marker protocol can be tested ([`PmemPool::persist`],
 //!   [`PmemPool::drain`], [`PmemPool::simulate_crash`]).
-//! * **Media timing profiles** — DRAM vs Optane latency/bandwidth numbers
-//!   ([`MediaProfile`]) that model the gap between DRAM and PM merge
-//!   throughput (the paper's Figure 4).
 //! * **Failure injection** — allocation failures for exercising error paths.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alloc;
 pub mod config;
 pub mod error;
 pub mod pool;
-pub mod profile;
 
 pub use config::PmemConfig;
 pub use error::PmemError;
 pub use pool::{PmAddr, PmemPool, PmemStats};
-pub use profile::{MediaKind, MediaProfile};
 
 #[cfg(test)]
 mod tests {

@@ -3,7 +3,6 @@
 use crate::alloc::Allocator;
 use crate::config::PmemConfig;
 use crate::error::PmemError;
-use crate::profile::MediaProfile;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -95,11 +94,6 @@ impl PmemPool {
     /// Pool capacity in bytes.
     pub fn capacity(&self) -> u64 {
         self.config.capacity_bytes
-    }
-
-    /// The media timing profile.
-    pub fn profile(&self) -> &MediaProfile {
-        &self.config.profile
     }
 
     /// Allocate `len` bytes; the returned address is 8-byte aligned.

@@ -125,18 +125,6 @@ impl Default for FabricConfig {
 }
 
 impl FabricConfig {
-    /// A config matching the paper's testbed but with delay injection enabled
-    /// at the given compression factor (`1/scale_down` of real time).
-    pub fn with_injected_delay(scale_down: u32) -> Self {
-        FabricConfig {
-            delay: DelayMode::BusySpin {
-                numerator: 1,
-                denominator: scale_down.max(1),
-            },
-            ..FabricConfig::default()
-        }
-    }
-
     /// Modeled time for a one-sided operation moving `bytes` bytes.
     pub fn one_sided_ns(&self, bytes: usize) -> u64 {
         self.one_sided_latency_ns + self.transfer_ns(bytes)

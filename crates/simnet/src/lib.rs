@@ -21,6 +21,7 @@
 //! [`Nic::one_sided_write`], [`Nic::one_sided_cas`] and [`Nic::rpc`] exactly
 //! where the real system would issue the corresponding verbs.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

@@ -152,14 +152,6 @@ impl WorkloadGenerator {
         (0..self.config.num_keys).map(move |id| (self.key(id), self.value_for(id)))
     }
 
-    /// The key ids the distribution considers hottest (for hot-key tests).
-    pub fn hottest_keys(&self, k: usize) -> Vec<Vec<u8>> {
-        match &self.zipf {
-            Some(z) => z.hottest(k).into_iter().map(|id| self.key(id)).collect(),
-            None => (0..k as u64).map(|id| self.key(id)).collect(),
-        }
-    }
-
     fn key(&self, id: u64) -> Vec<u8> {
         key_for(id, self.config.key_len)
     }
@@ -331,20 +323,6 @@ mod tests {
         for op in g.batch(2_000) {
             assert!(loaded.contains(op.key()));
             assert!(!op.is_write());
-        }
-    }
-
-    #[test]
-    fn hottest_keys_are_within_key_space() {
-        let g = WorkloadGenerator::new(WorkloadConfig {
-            distribution: KeyDistribution::HIGH_SKEW,
-            ..config(WorkloadMix::WRITE_HEAVY_UPDATE)
-        });
-        let hot = g.hottest_keys(4);
-        assert_eq!(hot.len(), 4);
-        let loaded: std::collections::HashSet<Vec<u8>> = g.load_phase().map(|(k, _)| k).collect();
-        for k in hot {
-            assert!(loaded.contains(&k));
         }
     }
 

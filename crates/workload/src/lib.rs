@@ -14,6 +14,7 @@
 //!   and insert-driven key-space growth;
 //! * [`keys::key_for`] — the canonical fixed-width key encoding.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arrival;

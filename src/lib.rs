@@ -45,6 +45,7 @@
 //! assert_eq!(client.lookup(b"a").unwrap(), Some(b"1".to_vec()));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use dinomo_cache as cache;

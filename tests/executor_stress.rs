@@ -125,7 +125,7 @@ fn churn_loses_no_acknowledged_writes() {
     let kvs = Kvs::new(KvsConfig {
         initial_kns: 3,
         // Ack ⇒ flushed: with a write-batch of one, every sub-batch
-        // flushes its buffered log writes before the reply slot is read.
+        // flushes its buffered log writes before it sends its replies.
         write_batch_ops: 1,
         ..KvsConfig::small_for_tests()
     })

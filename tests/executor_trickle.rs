@@ -1,114 +1,51 @@
-//! Wakeup-latency guard for the shard-worker executor under a trickle.
+//! The shard-worker executor under a trickle: what is deterministic.
 //!
-//! A worker that parks on every empty-queue check makes the producer pay a
-//! full condvar wakeup (syscall + scheduler latency) per handoff; under a
-//! trickle of small sub-batches that wakeup *is* the executor's latency
-//! floor, and it is what sizes the inline-vs-enqueue crossover
-//! (`executor_min_sub_batch`, see the `kn_scaling` bench). The bounded
-//! micro-spin in `BoundedQueue::pop` keeps the worker hot across short
-//! inter-arrival gaps, so trickle handoff stays within a small factor of
-//! inline execution.
-//!
-//! This test is a *regression guard*, not a microbenchmark: it asserts the
-//! pooled trickle's median per-batch latency stays within a generous
-//! factor-plus-slack of the inline baseline, a bound that survives noisy
-//! CI hosts but trips on gross wakeup regressions (sleep-based parking,
-//! lost wakeups, a dropped spin) that would shift the crossover by orders
-//! of magnitude.
+//! A trickle of small batches with a gap between them lets the worker run
+//! out its bounded spin and park, so every hand-off crosses the
+//! park/wake path of `BoundedQueue::pop`. How *long* such a hand-off takes
+//! against inline execution is a wall-clock question and is gated by the
+//! `kn_scaling` bench's self-check; this test pins the two facts that
+//! hold on any host: every batch really went through the worker queue,
+//! and a single client that awaits each batch never sees backpressure.
 
 use dinomo::{Kvs, Op, Reply};
 use std::time::{Duration, Instant};
 
-/// Build a single-node, single-shard cluster so every 2-op batch becomes
-/// exactly one sub-batch on one queue (or runs inline with the executor
-/// disabled).
-fn trickle_cluster(queue_depth: usize) -> Kvs {
+#[test]
+fn trickle_batches_all_take_the_worker_queue_without_busy() {
+    // Single node, single shard: every 2-op batch becomes exactly one
+    // sub-batch on one queue.
     let kvs = Kvs::builder()
         .small_for_tests()
         .initial_kns(1)
         .threads_per_kn(1)
-        .executor_queue_depth(queue_depth)
-        // Every sub-batch takes the worker queue, however small — the
-        // handoff itself is what this test measures.
+        .executor_queue_depth(8)
+        // Every sub-batch takes the worker queue, however small.
         .executor_min_sub_batch(1)
         .build()
         .unwrap();
     let client = kvs.client();
     let replies = client.execute(vec![Op::insert("t0", "v0"), Op::insert("t1", "v1")]);
     assert!(replies.iter().all(Reply::is_ok));
-    kvs
-}
 
-/// Busy-wait (not sleep — OS sleep jitter would swamp the measurement) so
-/// consecutive batches arrive as a trickle rather than back-to-back.
-fn trickle_gap(gap: Duration) {
-    let start = Instant::now();
-    while start.elapsed() < gap {
-        std::hint::spin_loop();
-    }
-}
-
-/// Median per-batch latency of `iters` 2-lookup batches with a trickle
-/// gap between them.
-fn median_batch_latency(client: &dinomo::core::KvsClient, iters: usize) -> Duration {
-    let mut samples = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        trickle_gap(Duration::from_micros(25));
-        let start = Instant::now();
+    let batches = 2_000;
+    for _ in 0..batches {
+        // Busy-wait, not sleep: the gap must outlast the worker's spin
+        // window only sometimes, so both the hot and the parked hand-off
+        // are exercised.
+        let gap = Instant::now();
+        while gap.elapsed() < Duration::from_micros(25) {
+            std::hint::spin_loop();
+        }
         let replies = client.execute(vec![Op::lookup("t0"), Op::lookup("t1")]);
-        samples.push(start.elapsed());
-        debug_assert!(replies.iter().all(Reply::is_ok));
+        assert!(replies.iter().all(Reply::is_ok));
     }
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
 
-#[test]
-fn trickle_handoff_latency_stays_near_inline() {
-    let pooled_kvs = trickle_cluster(8);
-    let inline_kvs = trickle_cluster(0);
-    let pooled = pooled_kvs.client();
-    let inline = inline_kvs.client();
-
-    // Warm caches and code paths.
-    median_batch_latency(&pooled, 200);
-    median_batch_latency(&inline, 200);
-
-    // Interleaved rounds so time-varying host noise hits both sides.
-    let rounds = 4;
-    let iters = 500;
-    let mut pooled_medians = Vec::with_capacity(rounds);
-    let mut inline_medians = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        inline_medians.push(median_batch_latency(&inline, iters));
-        pooled_medians.push(median_batch_latency(&pooled, iters));
-    }
-    pooled_medians.sort_unstable();
-    inline_medians.sort_unstable();
-    let pooled_med = pooled_medians[rounds / 2];
-    let inline_med = inline_medians[rounds / 2];
-
-    // The trickle really exercised the worker queue, not the inline
-    // fallback.
-    let sub_batches: u64 = pooled_kvs.stats().kns.iter().map(|k| k.sub_batches).sum();
+    let stats = kvs.stats();
+    let sub_batches: u64 = stats.kns.iter().map(|k| k.sub_batches).sum();
     assert!(
-        sub_batches as usize >= rounds * iters,
-        "pooled trickle did not go through the worker queue ({sub_batches} sub-batches)"
+        sub_batches >= batches,
+        "the trickle did not go through the worker queue ({sub_batches} sub-batches)"
     );
-    assert!(pooled_kvs
-        .stats()
-        .kns
-        .iter()
-        .all(|k| k.busy_rejections == 0));
-
-    // The guard: a 2-op handoff may cost a few multiples of inline
-    // execution (queue push + possible wakeup) but never orders of
-    // magnitude — that is what would move the `kn_scaling`
-    // inline/pooled crossover.
-    let bound = inline_med * 12 + Duration::from_micros(100);
-    assert!(
-        pooled_med <= bound,
-        "trickle handoff regressed: pooled median {pooled_med:?} vs inline \
-         median {inline_med:?} (bound {bound:?})"
-    );
+    assert!(stats.kns.iter().all(|k| k.busy_rejections == 0));
 }

@@ -16,7 +16,6 @@ fn tracked_dpm() -> Arc<DpmNode> {
             pool: PmemConfig {
                 capacity_bytes: 32 << 20,
                 track_persistence: true,
-                ..PmemConfig::default()
             },
             segment_bytes: 64 << 10,
             flush_batch_bytes: 8 << 10,
@@ -26,7 +25,6 @@ fn tracked_dpm() -> Arc<DpmNode> {
                 initial_buckets: 512,
                 ..PclhtConfig::default()
             },
-            inject_media_delay: false,
             gc: dinomo::dpm::GcConfig::default(),
         })
         .unwrap(),
