@@ -202,11 +202,12 @@ impl DacCache {
             // Spare space: promotion costs nothing.
             return true;
         }
-        // Determine the N least-frequently-used shortcuts (other than this
-        // one) that would have to be evicted, and their accumulated hits.
+        // Walk the least-frequently-used shortcuts (other than this one)
+        // that would have to be evicted, accumulating their hits, and stop
+        // at the first N that make room: the cost is O(N), not O(shortcuts).
         let mut penalty_hits: u64 = 0;
         let mut feasible = false;
-        for (candidate, freq) in self.shortcuts.least_frequent(self.shortcuts.len()) {
+        for (candidate, freq) in self.shortcuts.by_frequency() {
             if candidate == key {
                 continue;
             }
@@ -537,8 +538,73 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Equation 1 as first written: list *every* shortcut in eviction order,
+    /// then walk the list. The reference the lazy walk must agree with.
+    fn should_promote_reference(c: &DacCache, key: &[u8], value_len: usize, hits: u64) -> bool {
+        let needed = value_weight(key, value_len);
+        let mut available = c.free_space() + shortcut_weight(key);
+        if available >= needed {
+            return true;
+        }
+        let all: Vec<(&[u8], u64)> = c.shortcuts.by_frequency().collect();
+        let mut penalty_hits: u64 = 0;
+        let mut feasible = false;
+        for (candidate, freq) in all {
+            if candidate == key {
+                continue;
+            }
+            penalty_hits += freq;
+            available += shortcut_weight(candidate);
+            if available >= needed {
+                feasible = true;
+                break;
+            }
+        }
+        feasible && hits as f64 >= penalty_hits as f64 * c.avg_miss_rts
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every Equation 1 decision on a shortcut hit is the one the
+        /// eager reference makes for the same cache state.
+        #[test]
+        fn lazy_eq1_decides_as_the_eager_reference(
+            capacity in 200usize..5_000,
+            ops in proptest::collection::vec((0u8..7, 0u32..48, 1usize..300), 1..400),
+        ) {
+            let mut c = DacCache::new(capacity);
+            for (op, k, len) in ops {
+                // Squaring skews the keys toward a hot few, so shortcut
+                // frequencies spread and Eq. 1 has trades worth making.
+                let k = k * k / 48;
+                let key = format!("k{k:04}").into_bytes();
+                let loc = ValueLoc::new(u64::from(k), len as u32);
+                match op {
+                    0..=2 => {
+                        // 1-2 RT misses keep the learned miss cost low
+                        // enough that some walks end in a promotion.
+                        if let CacheLookup::Miss = c.lookup(&key) {
+                            c.record_miss_cost(1 + (len % 2) as u32);
+                        }
+                    }
+                    3 => {
+                        if !c.values.contains(&key) {
+                            if let Some(hits) = c.shortcuts.frequency(&key) {
+                                prop_assert_eq!(
+                                    c.should_promote(&key, len, hits),
+                                    should_promote_reference(&c, &key, len, hits)
+                                );
+                            }
+                        }
+                        c.admit_value(&key, &vec![0u8; len], loc);
+                    }
+                    4 => c.admit_shortcut(&key, loc),
+                    5 => c.on_local_write(&key, &vec![1u8; len], loc),
+                    _ => c.invalidate(&key),
+                }
+            }
+        }
 
         /// The byte budget is an invariant under arbitrary operation mixes.
         #[test]

@@ -115,14 +115,13 @@ impl<V> LfuMap<V> {
         Some((key, slot.value, slot.freq))
     }
 
-    /// The `n` least-frequently-used keys (ascending by frequency) together
-    /// with their frequencies, without removing them.
-    pub fn least_frequent(&self, n: usize) -> Vec<(&[u8], u64)> {
+    /// Keys with their frequencies in eviction order (ascending frequency,
+    /// ties least-recently touched first), lazily and without removing
+    /// them: a caller that needs only the first few stops early.
+    pub fn by_frequency(&self) -> impl Iterator<Item = (&[u8], u64)> {
         self.order
             .iter()
-            .take(n)
             .map(|((freq, _), key)| (key.as_slice(), *freq))
-            .collect()
     }
 
     /// Iterate over all `(key, value)` pairs in unspecified order.
@@ -170,13 +169,16 @@ mod tests {
     #[test]
     fn least_frequent_listing() {
         let mut m = LfuMap::new();
-        for (k, n) in [(b"a", 5), (b"b", 1), (b"c", 3)] {
+        for (k, n) in [(b"a", 5), (b"b", 1), (b"c", 3), (b"d", 3)] {
             m.insert_with_frequency(k, 0, n);
         }
-        let lf = m.least_frequent(2);
+        let lf: Vec<_> = m.by_frequency().take(3).collect();
         assert_eq!(lf[0], (b"b".as_slice(), 1));
+        // Equal frequencies: the earlier-inserted key comes first.
         assert_eq!(lf[1], (b"c".as_slice(), 3));
-        assert_eq!(m.least_frequent(10).len(), 3);
+        assert_eq!(lf[2], (b"d".as_slice(), 3));
+        assert_eq!(m.by_frequency().count(), 4);
+        assert_eq!(m.by_frequency().next().map(|(k, _)| k), m.lfu_key());
     }
 
     #[test]

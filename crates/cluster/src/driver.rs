@@ -178,8 +178,8 @@ pub struct TimelineRow {
     /// during the epoch.
     pub segments_compacted: u64,
     /// Live-entry bytes the compactor relocated during the epoch (its
-    /// write amplification; bounded by the configured byte-rate
-    /// throttle).
+    /// write amplification; paced by the dead-byte debt against
+    /// `GcConfig::dead_fraction`).
     pub bytes_relocated: u64,
     /// End-of-epoch DPM space amplification: allocated segment bytes
     /// divided by live bytes (0.0 while the store is empty). The

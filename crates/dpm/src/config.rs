@@ -9,28 +9,28 @@ use dinomo_pmem::PmemConfig;
 /// `run_gc` alone only frees segments whose entries are *all* dead, so a
 /// single long-lived key pins its segment's bytes forever under skewed
 /// overwrite workloads. The compactor relocates the still-live entries of
-/// mostly-dead sealed segments into fresh segments and frees the victims,
+/// partly-dead sealed segments into fresh segments and frees the victims,
 /// making the store's footprint proportional to live data instead of
-/// write history.
+/// write history. It is paced by the store's dead-byte debt, not by a
+/// timer: it works while allocated bytes exceed the target `dead_fraction`
+/// sets, and the background thread sleeps until a segment becomes
+/// eligible.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GcConfig {
     /// Run the per-DPM background compactor thread. When `false` the
     /// compactor only runs through the synchronous
     /// [`crate::DpmNode::compact_once`] hook.
     pub background: bool,
-    /// Pause between background compaction passes, in milliseconds.
-    pub interval_ms: u64,
-    /// Minimum dead-byte fraction for a sealed, fully-merged segment to be
-    /// considered a victim. `run_gc`'s all-dead policy corresponds to 1.0;
-    /// lower values trade relocation write amplification for space.
+    /// Store-wide dead-share target. The compactor keeps the bytes of
+    /// allocated segments at or under `live / (1 − dead_fraction)`; the
+    /// excess is the dead-byte debt a pass pays down. Lower values trade
+    /// relocation write amplification for space; 1.0 turns compaction off
+    /// (`run_gc`'s all-dead policy only).
     pub dead_fraction: f64,
-    /// Relocation byte budget per pass. Together with `interval_ms` this
-    /// is the background thread's byte-rate throttle
-    /// (`max_pass_bytes / interval_ms` bytes per millisecond); `u64::MAX`
-    /// disables throttling.
+    /// Relocation byte budget of one pass: the one throttle, bounding how
+    /// long a pass holds the collector lock before the background thread
+    /// re-checks the debt and runs again. `u64::MAX` disables it.
     pub max_pass_bytes: u64,
-    /// Maximum victims compacted per pass.
-    pub max_segments_per_pass: usize,
     /// Seal the pass's destination segment at the end of a pass once it is
     /// at least this full. The destination is reused across passes so
     /// small passes don't each strand a near-empty segment — but an
@@ -44,28 +44,23 @@ impl Default for GcConfig {
     fn default() -> Self {
         GcConfig {
             background: false,
-            interval_ms: 100,
-            dead_fraction: 0.5,
-            // Default byte-rate throttle: 8 MB per 100 ms pass (~80 MB/s),
-            // far below the modeled fabric bandwidth so cleaning never
-            // starves foreground flushes.
+            dead_fraction: 0.12,
+            // 8 MB per pass: a pass yields the collector lock (to
+            // `run_gc`, `pause_collectors`) at least this often.
             max_pass_bytes: 8 << 20,
-            max_segments_per_pass: 8,
             destination_seal_fraction: 0.5,
         }
     }
 }
 
 impl GcConfig {
-    /// An aggressive configuration for tests and stress runs: every pass
-    /// considers any segment with any dead bytes, with no byte budget.
+    /// An aggressive configuration for tests and stress runs: a 5 %
+    /// store-wide dead-share target with no byte budget.
     pub fn aggressive() -> Self {
         GcConfig {
             background: true,
-            interval_ms: 5,
             dead_fraction: 0.05,
             max_pass_bytes: u64::MAX,
-            max_segments_per_pass: usize::MAX,
             destination_seal_fraction: 0.5,
         }
     }
@@ -90,8 +85,8 @@ pub struct DpmConfig {
     pub unmerged_segment_threshold: usize,
     /// Metadata-index configuration.
     pub index: PclhtConfig,
-    /// Log-cleaning segment compactor knobs (victim threshold, byte-rate
-    /// throttle, background thread).
+    /// Log-cleaning segment compactor knobs (dead-share target, per-pass
+    /// byte budget, background thread).
     pub gc: GcConfig,
 }
 

@@ -6,13 +6,18 @@
 //! write history instead of live data. This module adds the LFS/RAMCloud
 //!-style cleaner that closes that gap:
 //!
-//! 1. **Victim selection** — sealed, fully-merged segments whose dead-byte
-//!    fraction exceeds `GcConfig::dead_fraction` are scored with the
-//!    cost-benefit formula `dead_bytes × age ÷ live_bytes` (age is the
-//!    segment-id distance from the newest segment, a logical clock: old,
-//!    mostly-dead segments clean first because their survivors have proven
-//!    long-lived).
-//! 2. **Pinning** — a segment any indirection cell references (live target
+//! 1. **Debt** — a pass works only while the store's dead-byte debt is
+//!    positive: allocated segment bytes beyond `live / (1 − dead_fraction)`
+//!    (`GcConfig::dead_fraction` is a store-wide target, summed over the
+//!    non-freed segments as `DpmNode::stats` sums them). It stops as soon
+//!    as the debt is paid or its byte budget runs out, so cleaning work
+//!    follows the dead bytes writers create, not a clock.
+//! 2. **Victim selection** — sealed, fully-merged segments with any dead
+//!    bytes are scored with the cost-benefit formula
+//!    `dead_bytes × age ÷ live_bytes` (age is the segment-id distance from
+//!    the newest segment, a logical clock: old, mostly-dead segments clean
+//!    first because their survivors have proven long-lived).
+//! 3. **Pinning** — a segment any indirection cell references (live target
 //!    *or* the tombstoned-over entry a cell keeps for key identity) is
 //!    skipped entirely. The reference is the segment's own pin count
 //!    (`SegmentState::cell_pins`, incremented by a swing *before* it
@@ -20,7 +25,7 @@
 //!    victim — no global registry, no lock. A cell installed over an
 //!    entry mid-relocation loses the per-entry index CAS race below and
 //!    retries against the relocated location.
-//! 3. **Relocation** — each live entry's bytes are copied *verbatim*
+//! 4. **Relocation** — each live entry's bytes are copied *verbatim*
 //!    (same key, value, op and — critically — the same global sequence
 //!    number, so merge-engine staleness arbitration is unaffected) into
 //!    the compactor's destination segment through the ordinary
@@ -29,7 +34,7 @@
 //!    ([`dinomo_pclht::Pclht::cas_value`]). A concurrent put/merge/delete
 //!    that supersedes the entry makes the CAS fail; the fresh copy is then
 //!    invalidated in place and the victim entry is left to whoever won.
-//! 4. **Reclaim** — once every entry of the victim is invalid the segment
+//! 5. **Reclaim** — once every entry of the victim is invalid the segment
 //!    is freed, with the pool free deferred through the epoch scheme so a
 //!    reader that resolved a location just before the swing can still
 //!    decode it (`DpmInner::free_segment_deferred`).
@@ -40,10 +45,14 @@
 //! fully merged and themselves become ordinary GC victims once their
 //! entries die.
 //!
-//! The background thread runs one pass per `GcConfig::interval_ms`, each
-//! relocating at most `GcConfig::max_pass_bytes` — the byte-rate throttle
-//! that keeps cleaning from competing with foreground flush bandwidth.
-//! Tests drive the same pass synchronously via `DpmNode::compact_once`.
+//! The background thread parks until a segment becomes eligible — its last
+//! merge task completes after it was sealed, or it is sealed already fully
+//! merged — and then runs passes back to back while they make progress.
+//! Each pass relocates at most `GcConfig::max_pass_bytes`, the one
+//! throttle, so the collector lock is released between passes. A pass
+//! that finds the debt paid, or nothing it can move, makes no progress and
+//! the thread parks again. Tests drive the same pass synchronously via
+//! `DpmNode::compact_once`.
 //!
 //! # Reader guard contract
 //!
@@ -114,7 +123,6 @@ use dinomo_partition::key_hash;
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Owner id under which the compactor's destination segments are
 /// registered. Never a real KVS node id, so destination segments are
@@ -126,7 +134,8 @@ pub const GC_OWNER_KN: u32 = u32::MAX;
 /// background thread aggregates the same counters into `DpmStats`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactionReport {
-    /// Victim candidates examined (above the dead-fraction threshold).
+    /// Victim candidates examined (sealed, fully merged, with dead bytes)
+    /// before the debt was paid.
     pub victims_examined: u64,
     /// Victims fully emptied and freed by this pass.
     pub segments_compacted: u64,
@@ -194,6 +203,14 @@ fn seal_filled_destination(inner: &Arc<DpmInner>, gc: &GcConfig) {
     }
 }
 
+/// The store's dead-byte debt against `gc.dead_fraction`: allocated
+/// segment bytes beyond `live / (1 − dead_fraction)`. Positive means a pass
+/// has work; a target of 1.0 or more never does.
+fn dead_byte_debt(inner: &DpmInner, gc: &GcConfig) -> f64 {
+    let (_, live, allocated) = inner.space_usage();
+    allocated as f64 - live as f64 / (1.0 - gc.dead_fraction).max(0.0)
+}
+
 /// Run one compaction pass over the DPM (see the module docs for the
 /// algorithm). Serialized against concurrent passes by
 /// `DpmInner::gc_pass_lock`.
@@ -216,13 +233,7 @@ fn compact_pass_locked(inner: &Arc<DpmInner>, gc: &GcConfig) -> CompactionReport
     let mut victims: Vec<(f64, Arc<SegmentState>)> = inner
         .segments_snapshot()
         .into_iter()
-        .filter(|s| {
-            s.is_sealed()
-                && s.is_fully_merged()
-                && !s.is_freed()
-                && s.entries_written() > 0
-                && s.dead_fraction() >= gc.dead_fraction
-        })
+        .filter(|s| s.is_sealed() && s.is_fully_merged() && !s.is_freed() && s.dead_bytes() > 0)
         .map(|s| {
             let age = now.saturating_sub(s.id).max(1) as f64;
             let score = s.dead_bytes() as f64 * age / (s.live_bytes() + 1) as f64;
@@ -231,7 +242,12 @@ fn compact_pass_locked(inner: &Arc<DpmInner>, gc: &GcConfig) -> CompactionReport
         .collect();
     victims.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
 
-    for (_, victim) in victims.into_iter().take(gc.max_segments_per_pass) {
+    for (_, victim) in victims {
+        // Re-measured per victim: each free pays part of the debt, and
+        // every destination segment the pass opens adds to it.
+        if dead_byte_debt(inner, gc) <= 0.0 {
+            break;
+        }
         report.victims_examined += 1;
         // Wholesale pinned pre-check (cheap skip for the common case —
         // the authoritative checks are per entry and at free time below).
@@ -357,48 +373,87 @@ fn compact_pass_locked(inner: &Arc<DpmInner>, gc: &GcConfig) -> CompactionReport
     report
 }
 
+/// Where the background compactor parks between bursts of passes.
+/// Eligibility events ([`GcSignal::wake`]) set `pending`, so a wake-up that
+/// arrives while a pass runs is not lost; shutdown sets `stopped`.
+#[derive(Debug, Default)]
+pub(crate) struct GcSignal {
+    state: Mutex<GcWake>,
+    cv: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct GcWake {
+    pending: bool,
+    stopped: bool,
+}
+
+impl GcSignal {
+    /// A segment became eligible: run passes until they stop progressing.
+    pub(crate) fn wake(&self) {
+        self.state.lock().pending = true;
+        self.cv.notify_one();
+    }
+
+    fn stop(&self) {
+        self.state.lock().stopped = true;
+        self.cv.notify_all();
+    }
+
+    fn is_stopped(&self) -> bool {
+        self.state.lock().stopped
+    }
+
+    /// Park until woken (consuming the wake-up); `false` once stopped.
+    fn park(&self) -> bool {
+        let mut state = self.state.lock();
+        while !state.pending && !state.stopped {
+            self.cv.wait(&mut state);
+        }
+        state.pending = false;
+        !state.stopped
+    }
+}
+
 /// Handle to the per-DPM background compactor thread.
 #[derive(Debug)]
 pub(crate) struct Compactor {
-    stop: Arc<(Mutex<bool>, Condvar)>,
+    inner: Arc<DpmInner>,
     handle: Option<JoinHandle<()>>,
 }
 
 impl Compactor {
-    /// Spawn the background thread: one throttled pass per
-    /// `GcConfig::interval_ms`.
+    /// Spawn the background thread. It parks on `DpmInner`'s [`GcSignal`]
+    /// until a segment becomes eligible, then runs passes back to back for
+    /// as long as each one relocates or frees something; a pass that finds
+    /// the debt paid (or nothing it can move) ends the burst.
     pub(crate) fn start(inner: Arc<DpmInner>) -> Self {
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let thread_stop = Arc::clone(&stop);
+        let thread_inner = Arc::clone(&inner);
         let handle = std::thread::Builder::new()
             .name("dpm-gc".to_string())
             .spawn(move || {
+                let inner = &thread_inner;
                 let gc = inner.config().gc;
-                let interval = Duration::from_millis(gc.interval_ms.max(1));
-                loop {
-                    {
-                        let mut stopped = thread_stop.0.lock();
-                        if !*stopped {
-                            thread_stop.1.wait_for(&mut stopped, interval);
-                        }
-                        if *stopped {
-                            return;
+                let signal = inner.gc_signal();
+                while signal.park() {
+                    while !signal.is_stopped() {
+                        let report = compact_pass(inner, &gc);
+                        if report.segments_compacted == 0 && report.entries_relocated == 0 {
+                            break;
                         }
                     }
-                    compact_pass(&inner, &gc);
                 }
             })
             .expect("failed to spawn the DPM compactor thread");
         Compactor {
-            stop,
+            inner,
             handle: Some(handle),
         }
     }
 
     /// Stop the thread and wait for it to exit (idempotent).
     pub(crate) fn shutdown(&mut self) {
-        *self.stop.0.lock() = true;
-        self.stop.1.notify_all();
+        self.inner.gc_signal().stop();
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -714,8 +769,9 @@ mod tests {
         config.gc.background = true;
         let dpm = Arc::new(DpmNode::new(config).unwrap());
         let keys = write_skew_pinned(&dpm, 20);
-        // The background thread (5 ms interval) must reclaim without any
-        // synchronous hook being called.
+        // The background thread, woken by the writer's seals and the merge
+        // completions, must reclaim without any synchronous hook being
+        // called.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         while dpm.stats().segments_compacted == 0 {
             assert!(
@@ -790,6 +846,108 @@ mod tests {
                 Some(vec![1u8; 512])
             );
         }
+    }
+
+    #[test]
+    fn store_at_or_under_target_is_left_alone() {
+        // Dead bytes alone are no reason to relocate: at a 99 % dead-share
+        // target this skew-pinned store has no debt, so a pass moves and
+        // frees nothing although every segment but the last is a victim
+        // candidate.
+        let mut config = gc_config();
+        config.gc.dead_fraction = 0.99;
+        let dpm = Arc::new(DpmNode::new(config).unwrap());
+        write_skew_pinned(&dpm, 6);
+        let before = dpm.stats();
+        assert!(
+            before.live_bytes < before.segment_bytes_allocated / 2,
+            "{before:?}"
+        );
+        assert!(
+            before.segment_bytes_allocated as f64 <= before.live_bytes as f64 / (1.0 - 0.99),
+            "{before:?}"
+        );
+        let report = dpm.compact_once();
+        assert_eq!(report.entries_relocated, 0, "{report:?}");
+        assert_eq!(report.segments_compacted, 0, "{report:?}");
+        assert_eq!(dpm.stats(), before);
+    }
+
+    #[test]
+    fn one_pass_pays_the_debt_and_stops() {
+        // Far over a 90 % target: one unbudgeted pass frees victims in
+        // cost-benefit order until allocated bytes are back at
+        // `live / (1 − dead_fraction)` (within one segment), and stops
+        // there instead of cleaning every segment with a dead byte.
+        const ROUNDS: u32 = 30;
+        let mut config = gc_config();
+        config.gc.dead_fraction = 0.9;
+        let segment_bytes = config.segment_bytes;
+        let dpm = Arc::new(DpmNode::new(config).unwrap());
+        let pinned_keys = write_skew_pinned(&dpm, ROUNDS);
+        let before = dpm.stats();
+        // One round per segment; the last round's filler is live, so the
+        // other `ROUNDS - 1` segments each hold dead bytes.
+        assert_eq!(before.segments_allocated, u64::from(ROUNDS), "{before:?}");
+        let target = |s: &crate::DpmStats| s.live_bytes as f64 / (1.0 - 0.9);
+        assert!(before.segment_bytes_allocated as f64 > 2.0 * target(&before));
+
+        let report = dpm.compact_once();
+        assert!(!report.budget_exhausted, "{report:?}");
+        let after = dpm.stats();
+        assert!(
+            after.segment_bytes_allocated as f64 <= target(&after) + segment_bytes as f64,
+            "debt left unpaid: {report:?} {after:?}"
+        );
+        assert!(report.segments_compacted > 0, "{report:?}");
+        assert!(
+            report.segments_compacted < u64::from(ROUNDS - 1),
+            "the pass cleaned every candidate instead of stopping at the target: {report:?}"
+        );
+        for key in &pinned_keys {
+            assert_eq!(dpm.local_read(key), Some(vec![0xA5; 64]));
+        }
+        // Paid up: the next pass has nothing to do.
+        let again = dpm.compact_once();
+        assert_eq!(
+            again.entries_relocated + again.segments_compacted,
+            0,
+            "{again:?}"
+        );
+    }
+
+    #[test]
+    fn lightly_dead_segments_are_victims_while_in_debt() {
+        // Each segment holds 8 live entries and 3 that the next round
+        // overwrites: about a quarter dead, far under the old per-segment
+        // 0.5 gate that let `write_mix` outgrow its compactor. Under a
+        // 12 % store-wide target they are still victims.
+        let mut config = gc_config();
+        config.gc.dead_fraction = 0.12;
+        let dpm = Arc::new(DpmNode::new(config).unwrap());
+        let mut w = LogWriter::new(Arc::clone(&dpm), 0, nic());
+        for round in 0..10u32 {
+            for i in 0..8u32 {
+                w.append_put(format!("live{round}.{i}").as_bytes(), &[1; 512]);
+            }
+            for i in 0..3u32 {
+                w.append_put(format!("cold{i}").as_bytes(), &[round as u8; 512]);
+            }
+            w.flush().unwrap();
+        }
+        w.seal_current();
+        dpm.wait_until_merged(0);
+        let before = dpm.stats();
+        assert!(
+            before.live_bytes > before.segment_bytes_allocated / 2,
+            "{before:?}"
+        );
+
+        let report = dpm.compact_once();
+        assert!(report.segments_compacted > 0, "{report:?}");
+        assert!(dpm.stats().segment_bytes_allocated < before.segment_bytes_allocated);
+        assert_eq!(dpm.local_read(b"live0.0"), Some(vec![1; 512]));
+        assert_eq!(dpm.local_read(b"cold2"), Some(vec![9; 512]));
     }
 
     #[test]

@@ -105,6 +105,7 @@ pub(crate) fn merge_task(inner: &DpmInner, task: &MergeTask) {
     }
     task.segment.record_merged(task.len, merged_entries);
     inner.stats_entries_merged(merged_entries);
+    inner.note_segment_settled(&task.segment);
 }
 
 /// Re-apply one sealed entry during a recovery scan: the merge worker's

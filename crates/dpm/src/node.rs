@@ -4,7 +4,7 @@
 use crate::config::DpmConfig;
 use crate::entry::decode_entry;
 use crate::failpoint::FailpointSet;
-use crate::gc::{compact_pass, CompactionReport, Compactor};
+use crate::gc::{compact_pass, CompactionReport, Compactor, GcSignal};
 use crate::loc::PackedLoc;
 use crate::merge::{apply_recovered_entry, MergeEngine, MergeTask};
 use crate::ordered::{OrderedIndex, TreeStats};
@@ -171,6 +171,9 @@ pub struct DpmInner {
     /// until full (so small passes don't each strand a near-empty
     /// segment).
     gc_destination: Mutex<Option<Arc<SegmentState>>>,
+    /// Wakes the background compactor when a segment becomes eligible
+    /// (see [`DpmInner::note_segment_settled`]).
+    gc_signal: GcSignal,
     /// Observer notified after each successful relocation (see
     /// [`RelocationObserver`]).
     relocation_observer: ObserverSlot,
@@ -430,6 +433,36 @@ impl DpmInner {
         self.gc_destination.lock()
     }
 
+    /// The background compactor's wake-up signal.
+    pub(crate) fn gc_signal(&self) -> &GcSignal {
+        &self.gc_signal
+    }
+
+    /// Wake the background compactor if `seg` is now a possible victim:
+    /// sealed and fully merged. Called after a merge task completes and
+    /// after a seal, so whichever of the two happens last fires (the
+    /// sealed flag and the merged counter are `SeqCst`, so the two
+    /// checks cannot both miss).
+    pub(crate) fn note_segment_settled(&self, seg: &SegmentState) {
+        if self.config.gc.background && seg.is_sealed() && seg.is_fully_merged() {
+            self.gc_signal.wake();
+        }
+    }
+
+    /// `(segments, live bytes, allocated bytes)` over the non-freed
+    /// segments: the sums [`DpmNode::stats`] reports and the compactor
+    /// measures its dead-byte debt from.
+    pub(crate) fn space_usage(&self) -> (u64, u64, u64) {
+        let segments = self.segments.read();
+        let mut live = 0u64;
+        let mut capacity = 0u64;
+        for seg in segments.iter().filter(|s| !s.is_freed()) {
+            live += seg.live_bytes();
+            capacity += seg.capacity;
+        }
+        (segments.len() as u64, live, capacity)
+    }
+
     /// Free a segment's pool bytes once every epoch guard pinned at call
     /// time has dropped, and drop it from the registry now. Readers
     /// resolve a location and decode the entry under one epoch pin, so
@@ -598,6 +631,7 @@ impl DpmNode {
             metrics,
             gc_pass_lock: Mutex::new(()),
             gc_destination: Mutex::new(None),
+            gc_signal: GcSignal::default(),
             relocation_observer: ObserverSlot::default(),
             ordered,
             segments_compacted: AtomicU64::new(0),
@@ -646,16 +680,7 @@ impl DpmNode {
 
     /// Aggregate statistics.
     pub fn stats(&self) -> DpmStats {
-        let (live_segments, live_bytes, segment_bytes_allocated) = {
-            let segments = self.inner.segments.read();
-            let mut live = 0u64;
-            let mut capacity = 0u64;
-            for seg in segments.iter().filter(|s| !s.is_freed()) {
-                live += seg.live_bytes();
-                capacity += seg.capacity;
-            }
-            (segments.len() as u64, live, capacity)
-        };
+        let (live_segments, live_bytes, segment_bytes_allocated) = self.inner.space_usage();
         DpmStats {
             segments_allocated: live_segments,
             segments_freed: self.inner.segments_freed.load(Ordering::Relaxed),
@@ -681,6 +706,13 @@ impl DpmNode {
     /// Allocate a fresh log segment owned by `kn`.
     pub fn allocate_segment(&self, kn: u32) -> Result<Arc<SegmentState>, PmemError> {
         self.inner.allocate_segment_inner(kn)
+    }
+
+    /// Seal a log segment its owner is done with, waking the background
+    /// compactor if the segment is already fully merged.
+    pub(crate) fn seal_segment(&self, seg: &SegmentState) {
+        seg.seal();
+        self.inner.note_segment_settled(seg);
     }
 
     /// `true` while `addr` lies inside a live (non-freed) segment. The
@@ -1333,8 +1365,9 @@ impl DpmNode {
     }
 
     /// Run one synchronous log-cleaning compaction pass (the test hook of
-    /// the background compactor; see [`crate::gc`]). Victim selection and
-    /// throttling follow `config.gc`; the pass is serialized against the
+    /// the background compactor; see [`crate::gc`]). The pass pays down the
+    /// dead-byte debt against `config.gc.dead_fraction` within
+    /// `config.gc.max_pass_bytes`, and is serialized against the
     /// background thread.
     pub fn compact_once(&self) -> CompactionReport {
         compact_pass(&self.inner, &self.inner.config.gc)

@@ -108,7 +108,7 @@ impl SegmentState {
 
     /// Bytes merged so far.
     pub fn merged(&self) -> u64 {
-        self.merged.load(Ordering::Acquire)
+        self.merged.load(Ordering::SeqCst)
     }
 
     /// Entries written so far.
@@ -136,16 +136,6 @@ impl SegmentState {
         self.written().saturating_sub(self.dead_bytes())
     }
 
-    /// Fraction of written bytes that are dead (0.0 for an empty segment).
-    pub fn dead_fraction(&self) -> f64 {
-        let written = self.written();
-        if written == 0 {
-            0.0
-        } else {
-            self.dead_bytes() as f64 / written as f64
-        }
-    }
-
     /// `true` if the entry at `offset` has been recorded invalid.
     pub fn is_offset_invalid(&self, offset: u64) -> bool {
         self.invalid_offsets.lock().contains(&offset)
@@ -165,8 +155,13 @@ impl SegmentState {
     }
 
     /// Record that a merge task covering `bytes`/`entries` completed.
+    ///
+    /// `merged` and `sealed` are `SeqCst`: the merge worker (add, then read
+    /// `sealed`) and the sealing owner (seal, then read `merged`) each check
+    /// whether the segment just became a compaction victim, and sequential
+    /// consistency guarantees at least one of them sees both writes.
     pub fn record_merged(&self, bytes: u64, entries: u64) {
-        self.merged.fetch_add(bytes, Ordering::AcqRel);
+        self.merged.fetch_add(bytes, Ordering::SeqCst);
         self.entries_merged.fetch_add(entries, Ordering::AcqRel);
     }
 
@@ -194,12 +189,12 @@ impl SegmentState {
 
     /// Seal the segment (the owner moves to a new one).
     pub fn seal(&self) {
-        self.sealed.store(true, Ordering::Release);
+        self.sealed.store(true, Ordering::SeqCst);
     }
 
     /// `true` once sealed.
     pub fn is_sealed(&self) -> bool {
-        self.sealed.load(Ordering::Acquire)
+        self.sealed.load(Ordering::SeqCst)
     }
 
     /// `true` if every written byte has been merged.
@@ -308,7 +303,6 @@ mod tests {
         s.record_invalidated(0, 900);
         assert_eq!(s.dead_bytes(), 900);
         assert_eq!(s.live_bytes(), 100);
-        assert!((s.dead_fraction() - 0.9).abs() < 1e-9);
         // Idempotent in bytes too.
         s.record_invalidated(0, 900);
         assert_eq!(s.dead_bytes(), 900);

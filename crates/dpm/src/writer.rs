@@ -167,7 +167,7 @@ impl LogWriter {
             if seg.remaining() >= needed {
                 return Ok(Arc::clone(seg));
             }
-            seg.seal();
+            self.dpm.seal_segment(seg);
         }
         // Allocating a new segment may have to wait for the merge engine to
         // drain (the paper's un-merged segment threshold, default 2).
@@ -184,7 +184,7 @@ impl LogWriter {
     /// partition away).
     pub fn seal_current(&mut self) {
         if let Some(seg) = self.current.take() {
-            seg.seal();
+            self.dpm.seal_segment(&seg);
         }
     }
 
