@@ -30,11 +30,14 @@
 //! bench gate rather than in `cargo test`; what is deterministic about the
 //! trickle stays in `tests/executor_trickle.rs`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use dinomo_bench::harness::{
-    gate, kn_scaling_cluster, measure_kn_batch_throughput, median, retake_until, write_bench_record,
-};
+use dinomo_bench::harness::{gate, median, retake_until, write_bench_record};
+use dinomo_cache::CacheKind;
 use dinomo_core::{Kvs, KvsClient, Op, Reply};
+use dinomo_dpm::DpmConfig;
+use dinomo_pclht::PclhtConfig;
+use dinomo_pmem::PmemConfig;
+use dinomo_simnet::{DelayMode, FabricConfig};
+use dinomo_workload::key_for;
 use std::time::{Duration, Instant};
 
 const KEYS: u64 = 2_000;
@@ -42,6 +45,65 @@ const BATCH: usize = 128;
 const BATCHES_PER_ROUND: u64 = 6;
 const GATE_WORKERS: usize = 4;
 const GATE_SPEEDUP: f64 = 1.5;
+
+/// Build the single-KN cluster the sweep and the gate measure: `KEYS`
+/// keys over `workers` shards, a cache-less read path (every lookup walks the remote index),
+/// and a **sleeping** fabric-delay mode, so each one-sided read parks the
+/// executing thread instead of burning CPU — concurrent shard workers
+/// overlap their fabric waits (as real KN threads overlap RDMA
+/// completions), which is exactly the parallelism the executor exists to
+/// harvest. `executor = false` disables the worker pool
+/// (`executor_queue_depth = 0`): the inline, caller-thread baseline.
+fn kn_scaling_cluster(workers: usize, executor: bool) -> Kvs {
+    let kvs = Kvs::builder()
+        .initial_kns(1)
+        .threads_per_kn(workers)
+        .cache_kind(CacheKind::None)
+        .cache_bytes_per_kn(1 << 20)
+        .write_batch_ops(8)
+        .executor_queue_depth(if executor { 64 } else { 0 })
+        .fabric(FabricConfig {
+            delay: DelayMode::sleeping(),
+            ..FabricConfig::default()
+        })
+        .dpm(DpmConfig {
+            pool: PmemConfig::with_capacity(256 << 20),
+            segment_bytes: 1 << 20,
+            merge_threads: 2,
+            index: PclhtConfig::for_capacity(KEYS as usize * 2),
+            ..DpmConfig::default()
+        })
+        .build()
+        .expect("building the kn_scaling cluster failed");
+    let client = kvs.client();
+    let pairs: Vec<_> = (0..KEYS).map(|i| (key_for(i, 8), vec![1u8; 128])).collect();
+    for chunk in pairs.chunks(256) {
+        client.multi_put(chunk.iter().map(|(k, v)| (k.clone(), v.clone())));
+    }
+    kvs.quiesce().unwrap();
+    kvs
+}
+
+/// One timed round of the executor-scaling measurement: issue `batches`
+/// batched lookups of `BATCH` strided keys each from a single client
+/// thread and return the aggregate throughput in ops/second. Replies are
+/// asserted `Ok` so a failing batch cannot masquerade as a fast one.
+fn measure_kn_batch_throughput(client: &KvsClient, batches: u64) -> f64 {
+    let mut key = 0u64;
+    let start = Instant::now();
+    for _ in 0..batches {
+        let ops: Vec<Op> = (0..BATCH)
+            .map(|_| {
+                key = (key + 31) % KEYS;
+                Op::lookup(key_for(key, 8))
+            })
+            .collect();
+        let replies = client.execute(ops);
+        assert!(replies.iter().all(Reply::is_ok));
+        std::hint::black_box(replies);
+    }
+    (batches * BATCH as u64) as f64 / start.elapsed().as_secs_f64()
+}
 
 /// A single-node, single-shard cluster so every 2-op batch becomes exactly
 /// one sub-batch on one queue (or runs inline with the executor disabled).
@@ -78,7 +140,7 @@ fn median_batch_latency(client: &KvsClient, iters: usize) -> Duration {
         let start = Instant::now();
         let replies = client.execute(vec![Op::lookup("t0"), Op::lookup("t1")]);
         samples.push(start.elapsed());
-        debug_assert!(replies.iter().all(Reply::is_ok));
+        assert!(replies.iter().all(Reply::is_ok));
     }
     samples.sort_unstable();
     samples[samples.len() / 2]
@@ -124,26 +186,13 @@ fn trickle_self_check() -> (Duration, Duration, Duration) {
 /// Median executor / median inline throughput at `GATE_WORKERS` shard
 /// workers, over interleaved rounds so time-varying host noise cancels
 /// out. Returns `(speedup, executor_ops_per_sec, inline_ops_per_sec)`.
-fn measure_scaling(
-    executor: &dinomo_core::KvsClient,
-    inline: &dinomo_core::KvsClient,
-) -> (f64, f64, f64) {
+fn measure_scaling(executor: &KvsClient, inline: &KvsClient) -> (f64, f64, f64) {
     let rounds = 5;
     let mut exec = Vec::with_capacity(rounds);
     let mut base = Vec::with_capacity(rounds);
     for _ in 0..rounds {
-        base.push(measure_kn_batch_throughput(
-            inline,
-            KEYS,
-            BATCH,
-            BATCHES_PER_ROUND,
-        ));
-        exec.push(measure_kn_batch_throughput(
-            executor,
-            KEYS,
-            BATCH,
-            BATCHES_PER_ROUND,
-        ));
+        base.push(measure_kn_batch_throughput(inline, BATCHES_PER_ROUND));
+        exec.push(measure_kn_batch_throughput(executor, BATCHES_PER_ROUND));
     }
     let exec_med = median(&exec);
     let base_med = median(&base);
@@ -156,41 +205,30 @@ fn measure_scaling(
     (speedup, exec_med, base_med)
 }
 
-fn bench_kn_scaling(c: &mut Criterion) {
+fn main() {
     let (trickle_pooled, trickle_inline, trickle_bound) =
         retake_until(trickle_self_check, |(pooled, _, bound)| pooled <= bound);
     let trickle_ok = trickle_pooled <= trickle_bound;
-
-    let mut group = c.benchmark_group("kn_scaling");
-    group.sample_size(10);
 
     // Worker-count sweep (informational): aggregate batch throughput with
     // the executor on, 1 → 4 shard workers.
     let mut sweep: Vec<(usize, f64)> = Vec::new();
     for workers in [1usize, 2, GATE_WORKERS] {
-        let kvs = kn_scaling_cluster(workers, true, KEYS);
+        let kvs = kn_scaling_cluster(workers, true);
         let client = kvs.client();
         // Warm-up round, then one measured round for the sweep table.
-        measure_kn_batch_throughput(&client, KEYS, BATCH, 2);
-        let tput = measure_kn_batch_throughput(&client, KEYS, BATCH, BATCHES_PER_ROUND);
+        measure_kn_batch_throughput(&client, 2);
+        let tput = measure_kn_batch_throughput(&client, BATCHES_PER_ROUND);
         println!("executor, {workers} shard workers: {tput:.0} ops/s aggregate");
         sweep.push((workers, tput));
     }
 
     // The gated comparison: executor vs inline at GATE_WORKERS shards,
     // both clusters alive for the whole interleaved measurement.
-    let executor_kvs = kn_scaling_cluster(GATE_WORKERS, true, KEYS);
-    let inline_kvs = kn_scaling_cluster(GATE_WORKERS, false, KEYS);
+    let executor_kvs = kn_scaling_cluster(GATE_WORKERS, true);
+    let inline_kvs = kn_scaling_cluster(GATE_WORKERS, false);
     let executor_client = executor_kvs.client();
     let inline_client = inline_kvs.client();
-
-    group.bench_function(format!("execute_x{BATCH}_workers_{GATE_WORKERS}"), |b| {
-        b.iter(|| measure_kn_batch_throughput(&executor_client, KEYS, BATCH, 1))
-    });
-    group.bench_function(format!("execute_x{BATCH}_inline"), |b| {
-        b.iter(|| measure_kn_batch_throughput(&inline_client, KEYS, BATCH, 1))
-    });
-    group.finish();
 
     // The acceptance gate: fanning a batch across 4 shard workers must
     // beat the inline single-thread path by ≥1.5x.
@@ -239,6 +277,3 @@ fn bench_kn_scaling(c: &mut Criterion) {
         ),
     );
 }
-
-criterion_group!(benches, bench_kn_scaling);
-criterion_main!(benches);

@@ -14,7 +14,6 @@
 //! merge-gating CI job (`BENCH_SOFT=1`) and hard on the nightly
 //! perf job.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use dinomo_bench::harness::{gate, median, write_bench_record};
 use dinomo_core::{Kvs, Op, Reply};
 use dinomo_dpm::DpmConfig;
@@ -96,7 +95,7 @@ fn timed_crash(kvs: &Kvs, keys: u64) -> (f64, u64) {
     (elapsed_ms, report.recovery.entries_recovered)
 }
 
-fn bench_recovery(c: &mut Criterion) {
+fn main() {
     let mut record: Vec<(String, f64)> = Vec::new();
     let mut largest_median = 0.0f64;
     for keys in SCALES {
@@ -132,18 +131,4 @@ fn bench_recovery(c: &mut Criterion) {
              {SLO_BOUND_MS} ms (got {largest_median:.2} ms)"
         ),
     );
-
-    // Steady-state crash/recover cycle at the smallest scale, for the
-    // perf trajectory.
-    let kvs = recovery_cluster();
-    load(&kvs, SCALES[0]);
-    let mut group = c.benchmark_group("recovery_bench");
-    group.sample_size(10);
-    group.bench_function("crash_recover_1k", |b| {
-        b.iter(|| std::hint::black_box(kvs.crash_dpm_and_recover().unwrap()))
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench_recovery);
-criterion_main!(benches);

@@ -8,12 +8,15 @@
 //! `target/bench-results/scan_bench.json` for the perf-trajectory
 //! artifact.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use dinomo_bench::harness::{gate, median, scale, write_bench_record};
+use dinomo_bench::harness::{gate, median, write_bench_record};
 use dinomo_core::Kvs;
 use dinomo_workload::{KeyDistribution, Operation, WorkloadConfig, WorkloadGenerator, WorkloadMix};
 use std::time::Instant;
 
+/// Keys loaded before the run.
+const NUM_KEYS: u64 = 2_000;
+/// YCSB-E operations in the timed run.
+const TOTAL_OPS: usize = 12_000;
 const MAX_SCAN_LEN: usize = 16;
 /// Upper bound on the median scan latency (milliseconds) over the
 /// simulated fabric. Generous on purpose: the gate exists to catch
@@ -30,15 +33,11 @@ fn scan_cluster() -> Kvs {
         .unwrap()
 }
 
-fn bench_scan(c: &mut Criterion) {
-    let s = scale();
-    let num_keys = ((2_000.0 * s) as u64).max(500);
-    let total_ops = ((12_000.0 * s) as usize).max(1_500);
-
+fn main() {
     let kvs = scan_cluster();
     let client = kvs.client();
     let config = WorkloadConfig {
-        num_keys,
+        num_keys: NUM_KEYS,
         key_len: 8,
         value_len: 128,
         mix: WorkloadMix::YCSB_E,
@@ -55,12 +54,12 @@ fn bench_scan(c: &mut Criterion) {
     // refilling.
     kvs.flush_all().unwrap();
 
-    let mut scan_ms: Vec<f64> = Vec::with_capacity(total_ops);
+    let mut scan_ms: Vec<f64> = Vec::with_capacity(TOTAL_OPS);
     let mut pairs_returned = 0usize;
     let mut empty_scans = 0usize;
     let mut inserts = 0usize;
     let run_start = Instant::now();
-    for op in (0..total_ops).map(|_| generator.next_op()) {
+    for op in (0..TOTAL_OPS).map(|_| generator.next_op()) {
         match op {
             Operation::Scan(start, n) => {
                 let begin = Instant::now();
@@ -99,12 +98,12 @@ fn bench_scan(c: &mut Criterion) {
     let elapsed = run_start.elapsed().as_secs_f64();
 
     let scans = scan_ms.len();
-    let ops_per_sec = total_ops as f64 / elapsed;
+    let ops_per_sec = TOTAL_OPS as f64 / elapsed;
     let scans_per_sec = scans as f64 / elapsed;
     let med_ms = median(&scan_ms);
     let avg_pairs = pairs_returned as f64 / scans.max(1) as f64;
     println!(
-        "scan_bench: YCSB-E {total_ops} ops ({scans} scans, {inserts} inserts) in \
+        "scan_bench: YCSB-E {TOTAL_OPS} ops ({scans} scans, {inserts} inserts) in \
          {elapsed:.2}s — {ops_per_sec:.0} ops/s, {scans_per_sec:.0} scans/s, \
          median {med_ms:.3} ms/scan, {avg_pairs:.1} pairs/scan, {empty_scans} empty \
          (gate ≤ {GATE_MEDIAN_SCAN_MS} ms)"
@@ -118,7 +117,7 @@ fn bench_scan(c: &mut Criterion) {
             ("median_scan_ms", med_ms),
             ("avg_pairs_per_scan", avg_pairs),
             ("max_scan_len", MAX_SCAN_LEN as f64),
-            ("num_keys", num_keys as f64),
+            ("num_keys", NUM_KEYS as f64),
             ("gate_median_scan_ms", GATE_MEDIAN_SCAN_MS),
         ],
     );
@@ -131,17 +130,4 @@ fn bench_scan(c: &mut Criterion) {
         med_ms <= GATE_MEDIAN_SCAN_MS,
         format!("median scan latency {med_ms:.3} ms exceeds the {GATE_MEDIAN_SCAN_MS} ms gate"),
     );
-
-    // Steady-state per-scan cost for the perf trajectory: a warm fixed
-    // start over the loaded key space.
-    let start = dinomo_workload::key_for(num_keys / 2, 8);
-    let mut group = c.benchmark_group("scan_bench");
-    group.sample_size(20);
-    group.bench_function("scan16_warm", |b| {
-        b.iter(|| std::hint::black_box(client.scan(&start, MAX_SCAN_LEN).unwrap()))
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench_scan);
-criterion_main!(benches);

@@ -10,10 +10,10 @@
 //! in the experiment drivers aggregate without sharing a lock on the hot
 //! path.
 //!
-//! The open-loop bench harness (`dinomo-bench`) and the cluster
-//! experiment driver (`dinomo-cluster`) both report percentiles through
-//! this type; it lives here, at the bottom of the crate graph, so that
-//! both see identical bucket boundaries. There are deliberately no
+//! The `e2e` benchmark and the cluster experiment driver
+//! (`dinomo-cluster`) both report percentiles through this type; it lives
+//! here, at the bottom of the crate graph, so that both see identical
+//! bucket boundaries. There are deliberately no
 //! external dependencies.
 //!
 //! ```

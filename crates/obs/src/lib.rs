@@ -14,9 +14,7 @@
 //!    `docs/CONCURRENCY.md` records its acquisition wait into
 //!    `lock_wait_<name>_ns`.
 //!
-//! Snapshots export as Prometheus text ([`Snapshot::prometheus_text`])
-//! or JSON ([`Snapshot::to_json`]); the bench harness writes the latter
-//! next to `BENCH_RESULTS.json`.
+//! Snapshots export as JSON ([`Snapshot::to_json`]).
 //!
 //! ## The `obs_off` baseline
 //!

@@ -319,12 +319,6 @@ impl HistogramSummary {
             max_ns: h.max(),
         }
     }
-
-    /// Approximate total time spent in this histogram — the dominance
-    /// metric for "where did the time go" breakdowns.
-    pub fn total_ns(&self) -> f64 {
-        self.mean_ns * self.count as f64
-    }
 }
 
 /// Point-in-time merge of a registry. Name lists are sorted; external
@@ -363,35 +357,8 @@ impl Snapshot {
         now.saturating_sub(then)
     }
 
-    /// Prometheus text exposition format (counters and gauges as-is,
-    /// histograms as summary quantiles plus `_count`/`_sum`).
-    pub fn prometheus_text(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            let _ = writeln!(out, "# TYPE {name} counter\n{name} {v}");
-        }
-        for (name, v) in &self.gauges {
-            let _ = writeln!(out, "# TYPE {name} gauge\n{name} {v}");
-        }
-        for (name, s) in &self.histograms {
-            let _ = writeln!(out, "# TYPE {name} summary");
-            for (q, v) in [
-                ("0.5", s.p50_ns),
-                ("0.9", s.p90_ns),
-                ("0.99", s.p99_ns),
-                ("0.999", s.p999_ns),
-            ] {
-                let _ = writeln!(out, "{name}{{quantile=\"{q}\"}} {v}");
-            }
-            let _ = writeln!(out, "{name}_count {}", s.count);
-            let _ = writeln!(out, "{name}_sum {:.0}", s.total_ns());
-        }
-        out
-    }
-
-    /// JSON export — the shape `bench_summary` merges into
-    /// `BENCH_RESULTS.json` when written as `metrics_snapshot.json`.
+    /// JSON export: counters and gauges by name, histograms as their
+    /// [`HistogramSummary`] fields.
     pub fn to_json(&self) -> String {
         use std::fmt::Write;
         let mut out = String::from("{\n  \"counters\": {");
@@ -547,10 +514,6 @@ mod tests {
         reg.gauge("depth").set(3);
         reg.histogram("lat_ns").record(1_000);
         let snap = reg.snapshot();
-        let prom = snap.prometheus_text();
-        assert!(prom.contains("ops 7"));
-        assert!(prom.contains("depth 3"));
-        assert!(prom.contains("lat_ns_count 1"));
         let json = snap.to_json();
         assert!(json.contains("\"ops\": 7"));
         assert!(json.contains("\"depth\": 3"));

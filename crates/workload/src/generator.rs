@@ -74,26 +74,6 @@ impl Default for WorkloadConfig {
     }
 }
 
-impl WorkloadConfig {
-    /// The GC-pressure preset: [`WorkloadMix::SKEWED_OVERWRITE`] (no
-    /// inserts — the hot set is fixed) over a small key space with a
-    /// high-skew Zipfian chooser. Under it, sealed log segments fill with
-    /// superseded hot-key versions but stay pinned by the occasional
-    /// long-lived cold entry — the workload the `gc_reclaim` bench and
-    /// the compactor's churn scenarios reproduce from one constructor.
-    pub fn skewed_overwrite(num_keys: u64, value_len: usize, seed: u64) -> Self {
-        WorkloadConfig {
-            num_keys: num_keys.max(1),
-            key_len: 8,
-            value_len,
-            mix: WorkloadMix::SKEWED_OVERWRITE,
-            distribution: KeyDistribution::HIGH_SKEW,
-            seed,
-            max_scan_len: 16,
-        }
-    }
-}
-
 /// A deterministic stream of [`Operation`]s following a [`WorkloadConfig`].
 ///
 /// Inserts target fresh key ids beyond the loaded key space (and extend the
@@ -224,12 +204,6 @@ impl WorkloadGenerator {
         (0..n).map(|_| self.next_op()).collect()
     }
 
-    /// Alias for [`WorkloadGenerator::next_batch`] kept for existing call
-    /// sites.
-    pub fn batch(&mut self, n: usize) -> Vec<Operation> {
-        self.next_batch(n)
-    }
-
     /// Expected value bytes for key id `id` as produced by the load phase.
     pub fn expected_loaded_value(&self, id: u64) -> Vec<u8> {
         self.value_for(id)
@@ -272,7 +246,7 @@ mod tests {
     #[test]
     fn mix_fractions_are_respected() {
         let mut g = WorkloadGenerator::new(config(WorkloadMix::READ_MOSTLY_UPDATE));
-        let ops = g.batch(20_000);
+        let ops = g.next_batch(20_000);
         let reads = ops
             .iter()
             .filter(|o| matches!(o, Operation::Read(_)))
@@ -291,7 +265,7 @@ mod tests {
     fn inserts_extend_the_key_space_with_fresh_keys() {
         let mut g = WorkloadGenerator::new(config(WorkloadMix::WRITE_HEAVY_INSERT));
         let before = g.key_space();
-        let ops = g.batch(1_000);
+        let ops = g.next_batch(1_000);
         let inserts: Vec<_> = ops
             .iter()
             .filter(|o| matches!(o, Operation::Insert(..)))
@@ -320,7 +294,7 @@ mod tests {
     fn reads_target_loaded_keys() {
         let mut g = WorkloadGenerator::new(config(WorkloadMix::READ_ONLY));
         let loaded: std::collections::HashSet<Vec<u8>> = g.load_phase().map(|(k, _)| k).collect();
-        for op in g.batch(2_000) {
+        for op in g.next_batch(2_000) {
             assert!(loaded.contains(op.key()));
             assert!(!op.is_write());
         }
@@ -329,7 +303,7 @@ mod tests {
     #[test]
     fn crud_mix_generates_deletes_of_existing_keys() {
         let mut g = WorkloadGenerator::new(config(WorkloadMix::CRUD));
-        let ops = g.batch(20_000);
+        let ops = g.next_batch(20_000);
         let deletes: Vec<_> = ops
             .iter()
             .filter(|o| matches!(o, Operation::Delete(_)))
@@ -357,7 +331,7 @@ mod tests {
         // pre-delete generator produced (same RNG draws, same branches),
         // so existing seeds stay reproducible.
         let mut g = WorkloadGenerator::new(config(WorkloadMix::WRITE_HEAVY_UPDATE));
-        for op in g.batch(5_000) {
+        for op in g.next_batch(5_000) {
             assert!(!matches!(op, Operation::Delete(_)));
         }
     }
@@ -369,7 +343,7 @@ mod tests {
         // (same RNG draws, same branches — the scan length is drawn inside
         // the scan branch), so existing seeds stay reproducible.
         let mut g = WorkloadGenerator::new(config(WorkloadMix::CRUD));
-        let ops = g.batch(5_000);
+        let ops = g.next_batch(5_000);
         assert!(ops.iter().all(|op| !matches!(op, Operation::Scan(..))));
         // Byte-identical to a generator whose config differs only in
         // max_scan_len — the knob must be inert for scan-free mixes.
@@ -377,7 +351,7 @@ mod tests {
             max_scan_len: 999,
             ..config(WorkloadMix::CRUD)
         });
-        assert_eq!(ops, other.batch(5_000));
+        assert_eq!(ops, other.next_batch(5_000));
     }
 
     #[test]
@@ -385,7 +359,7 @@ mod tests {
         let mut g = WorkloadGenerator::new(config(WorkloadMix::YCSB_E));
         let loaded: std::collections::HashSet<Vec<u8>> = g.load_phase().map(|(k, _)| k).collect();
         let max_scan_len = g.config().max_scan_len;
-        let ops = g.batch(20_000);
+        let ops = g.next_batch(20_000);
         let scans: Vec<_> = ops
             .iter()
             .filter_map(|o| match o {
@@ -411,9 +385,17 @@ mod tests {
 
     #[test]
     fn skewed_overwrite_preset_keeps_the_key_space_fixed_and_hot() {
-        let mut g = WorkloadGenerator::new(WorkloadConfig::skewed_overwrite(64, 256, 7));
+        let mut g = WorkloadGenerator::new(WorkloadConfig {
+            num_keys: 64,
+            key_len: 8,
+            value_len: 256,
+            mix: WorkloadMix::SKEWED_OVERWRITE,
+            distribution: KeyDistribution::HIGH_SKEW,
+            seed: 7,
+            max_scan_len: 16,
+        });
         let before = g.key_space();
-        let ops = g.batch(10_000);
+        let ops = g.next_batch(10_000);
         assert_eq!(g.key_space(), before, "no inserts: the hot set is fixed");
         let updates = ops
             .iter()
@@ -444,7 +426,7 @@ mod tests {
             distribution: KeyDistribution::Uniform,
             ..config(WorkloadMix::READ_ONLY)
         });
-        let ops = g.batch(5_000);
+        let ops = g.next_batch(5_000);
         let distinct: std::collections::HashSet<_> = ops.iter().map(|o| o.key().to_vec()).collect();
         assert!(
             distinct.len() > 900,

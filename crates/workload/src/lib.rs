@@ -17,13 +17,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arrival;
 pub mod generator;
 pub mod keys;
 pub mod mix;
 pub mod zipf;
 
-pub use arrival::{arrival_schedule, session_seed, ArrivalProcess};
 pub use generator::{Operation, WorkloadConfig, WorkloadGenerator};
 pub use keys::{key_for, DEFAULT_KEY_LEN};
 pub use mix::WorkloadMix;

@@ -101,7 +101,7 @@ impl WorkloadMix {
     /// keys written once per pass of the chooser, so sealed segments end
     /// up mostly dead but pinned by a few long-lived entries — the shape
     /// the log-cleaning compactor exists to reclaim (pair it with
-    /// [`crate::WorkloadConfig::skewed_overwrite`]).
+    /// [`crate::KeyDistribution::HIGH_SKEW`] over a small key space).
     pub const SKEWED_OVERWRITE: WorkloadMix = WorkloadMix {
         name: "5r95u",
         read_fraction: 0.05,
