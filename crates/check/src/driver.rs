@@ -23,6 +23,9 @@
 //! * replays a deterministic churn script concurrently:
 //!   `add_kn`/`remove_kn`/`fail_kn` plus selective-replication flips on
 //!   the hottest keys;
+//! * once clients and churn have joined, asserts that the cluster
+//!   quiesces, that no surviving node has a sub-batch left in a worker
+//!   queue, and that the ordered index satisfies its invariants;
 //! * drains the merged history and hands it to the checker.
 //!
 //! Shrinking is built into replay: rerun the same seed with a reduced
@@ -116,8 +119,24 @@ impl CheckConfig {
 
     /// The seed override from `DINOMO_CHECK_SEED`, if set — the reproduce
     /// knob printed by failing sweeps.
+    ///
+    /// # Panics
+    ///
+    /// If the variable is set but is not a decimal `u64`: a mistyped seed
+    /// must not silently run the test's built-in one instead.
     pub fn env_seed() -> Option<u64> {
-        std::env::var("DINOMO_CHECK_SEED").ok()?.parse().ok()
+        let raw = std::env::var_os("DINOMO_CHECK_SEED");
+        parse_seed(raw.as_ref().map(|v| v.to_string_lossy()).as_deref())
+    }
+}
+
+/// `DINOMO_CHECK_SEED`'s value, as [`CheckConfig::env_seed`] reads it:
+/// unset is `None`, anything set must parse.
+fn parse_seed(raw: Option<&str>) -> Option<u64> {
+    let raw = raw?;
+    match raw.parse() {
+        Ok(seed) => Some(seed),
+        Err(e) => panic!("DINOMO_CHECK_SEED={raw:?} is not a decimal u64 seed: {e}"),
     }
 }
 
@@ -434,7 +453,16 @@ pub fn run_scenario(config: &CheckConfig) -> ScenarioRun {
     // walk — merge and relocation both swing the hash index before the
     // ordered index, and a walk landing between the two steps reports a
     // phantom mismatch (as `Kvs::crash_dpm_and_recover` documents).
-    let _ = kvs.quiesce();
+    // The same quiescent point checks the executor: every client's
+    // `execute` has returned, so no sub-batch may be left in a surviving
+    // node's worker queue, and flush + merge must still complete.
+    if let Err(e) = kvs.quiesce() {
+        panic!("cluster failed to quiesce after scenario: {e}");
+    }
+    for id in kvs.kn_ids() {
+        let queued = kvs.kn(id).map_or(0, |kn| kn.queued_sub_batches());
+        assert_eq!(queued, 0, "kn {id} still has queued sub-batches");
+    }
     let checked = {
         let _gc_pause = kvs.dpm().pause_collectors();
         kvs.dpm().check_ordered()
@@ -583,7 +611,10 @@ fn apply_churn(kvs: &Kvs, action: ChurnAction) -> String {
                     let result = kvs.add_kn();
                     fp.disarm("handoff.before-flip");
                     if fp.fired("handoff.before-flip") > before {
-                        debug_assert!(matches!(result, Err(KvsError::Pmem(_))));
+                        assert!(
+                            matches!(result, Err(KvsError::Pmem(_))),
+                            "mid-handoff crash: add_kn returned {result:?}"
+                        );
                         "mid-handoff".to_string()
                     } else {
                         "mid-handoff missed, quiescent".to_string()
@@ -602,7 +633,10 @@ fn apply_churn(kvs: &Kvs, action: ChurnAction) -> String {
                     let result = kvs.replicate_key(&key, 2);
                     fp.disarm("cell.before-swing");
                     if fp.fired("cell.before-swing") > before {
-                        debug_assert!(matches!(result, Err(KvsError::Pmem(_))));
+                        assert!(
+                            matches!(result, Err(KvsError::Pmem(_))),
+                            "mid-cell-swing crash: replicate_key returned {result:?}"
+                        );
                         format!("mid-cell-swing key {key_id}")
                     } else {
                         format!("mid-cell-swing key {key_id} missed, quiescent")
@@ -694,6 +728,19 @@ pub fn render_history(history: &[OpRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn seed_parse_is_none_when_unset_and_panics_on_a_mistyped_value() {
+        assert_eq!(parse_seed(None), None);
+        assert_eq!(parse_seed(Some("42")), Some(42));
+        assert_eq!(parse_seed(Some("18446744073709551615")), Some(u64::MAX));
+        for raw in ["0x2a", "42 ", "", "-1", "not-a-number"] {
+            let err = std::panic::catch_unwind(|| parse_seed(Some(raw)))
+                .expect_err(&format!("{raw:?} must not parse"));
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(msg.contains(&format!("{raw:?}")), "{msg}");
+        }
+    }
 
     #[test]
     fn schedules_are_pure_functions_of_the_seed() {

@@ -14,10 +14,11 @@
 //!   (P-compositionality) and each key is checked with a Wing–Gong style
 //!   search, memoized on `(linearized-set, register-value)` and bounded by
 //!   a state budget, so nightly-scale histories check in seconds.
-//! * [`driver`] — a seeded generative stress driver: concurrent clients
-//!   run a deterministic CRUD op stream (skewed keys, unique write
-//!   values) against a real cluster while a churn thread replays a
-//!   deterministic script of `add_kn`/`remove_kn`/`fail_kn` and
+//! * [`driver`] — the seeded generative stress driver, and the library's
+//!   only load driver ([`ChurnAction`] its only event vocabulary):
+//!   concurrent clients run a deterministic CRUD op stream (skewed keys,
+//!   unique write values) against a real cluster while a churn thread
+//!   replays a deterministic script of `add_kn`/`remove_kn`/`fail_kn` and
 //!   replicate/dereplicate actions, with tiny executor queues forcing
 //!   `Busy` retries. Every client records through the
 //!   [`dinomo_core::trace`] hook; the merged history is checked at the

@@ -1,6 +1,5 @@
 //! The M-node policy engine (§3.5, Table 4).
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Service-level objectives and thresholds driving reconfiguration.
@@ -11,7 +10,7 @@ use std::collections::HashMap;
 /// and a key-coldness bound of mean − 1σ, with a 90 s grace period.  The
 /// simulation compresses time, so the defaults here are expressed in the same
 /// units but calibrated by the harness.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloConfig {
     /// Average-latency SLO in milliseconds.
     pub avg_latency_ms: f64,

@@ -10,11 +10,10 @@
 //! in the experiment drivers aggregate without sharing a lock on the hot
 //! path.
 //!
-//! The `e2e` benchmark and the cluster experiment driver
-//! (`dinomo-cluster`) both report percentiles through this type; it lives
-//! here, at the bottom of the crate graph, so that both see identical
-//! bucket boundaries. There are deliberately no
-//! external dependencies.
+//! The `e2e` benchmark and the metrics registry's histograms both report
+//! percentiles through this type; it lives here, at the bottom of the
+//! crate graph, so that both see identical bucket boundaries. There are
+//! deliberately no external dependencies.
 //!
 //! ```
 //! use dinomo_obs::hist::LogHistogram;
@@ -229,14 +228,6 @@ impl LogHistogram {
         out.sum = self.sum.saturating_sub(earlier.sum);
         out
     }
-
-    /// Number of recorded values `<= value`, to bucket resolution: values
-    /// sharing `value`'s bucket are all counted, so this overcounts by at
-    /// most one bucket's population (fine for SLO-attainment fractions,
-    /// where the threshold is orders of magnitude above the bucket width).
-    pub fn count_at_or_below(&self, value: u64) -> u64 {
-        self.counts[..=index_of(value)].iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -390,19 +381,6 @@ mod tests {
         }
         // Diff of identical snapshots is empty.
         assert!(cumulative.diff(&cumulative).is_empty());
-    }
-
-    #[test]
-    fn count_at_or_below_brackets_the_exact_count() {
-        let mut h = LogHistogram::new();
-        for v in 1..=100_000u64 {
-            h.record(v);
-        }
-        let within = h.count_at_or_below(10_000);
-        // Overcounts by at most one bucket (~1.6 %), never undercounts.
-        assert!(within >= 10_000);
-        assert!(within as f64 <= 10_000.0 * (1.0 + 1.0 / 32.0));
-        assert_eq!(h.count_at_or_below(u64::MAX), h.count());
     }
 
     #[test]

@@ -349,14 +349,6 @@ impl Snapshot {
             .map(|(_, s)| s)
     }
 
-    /// Counter increase since `earlier` (saturating: a counter absent
-    /// earlier counts from zero).
-    pub fn counter_delta(&self, earlier: &Snapshot, name: &str) -> u64 {
-        let now = self.counter(name).unwrap_or(0);
-        let then = earlier.counter(name).unwrap_or(0);
-        now.saturating_sub(then)
-    }
-
     /// JSON export: counters and gauges by name, histograms as their
     /// [`HistogramSummary`] fields.
     pub fn to_json(&self) -> String {
@@ -500,11 +492,9 @@ mod tests {
         let s2 = source.clone();
         reg.register_external("ext_events", move || s2.load(Ordering::Relaxed));
         assert_eq!(reg.snapshot().counter("ext_events"), Some(41));
-        source.store(50, Ordering::Relaxed);
-        let earlier = reg.snapshot();
+        // Polled at every snapshot, not captured at registration.
         source.store(62, Ordering::Relaxed);
-        let later = reg.snapshot();
-        assert_eq!(later.counter_delta(&earlier, "ext_events"), 12);
+        assert_eq!(reg.snapshot().counter("ext_events"), Some(62));
     }
 
     #[test]

@@ -8,13 +8,14 @@
 //!   Dinomo-N variants),
 //! * [`clover`] — the Clover baseline (a leaf crate: the comparison with
 //!   it is measured by `tests/end_to_end.rs`),
-//! * [`cluster`] — the M-node policy engine and the closed-loop timeline
-//!   driver over a [`Kvs`],
+//! * [`cluster`] — the M-node policy engine (Table 4): epoch observations
+//!   in, reconfiguration decisions out,
 //! * [`cache`], [`partition`], [`dpm`], [`pclht`], [`pmem`],
 //!   [`simnet`] — the substrates,
 //! * [`workload`] — YCSB-style workload generation,
 //! * [`check`] — history recording + per-key linearizability checking
-//!   and the seeded generative stress driver (see `docs/TESTING.md`).
+//!   and the seeded generative stress driver, the one library load
+//!   driver (see `docs/TESTING.md`).
 //!
 //! ## Quickstart
 //!
@@ -61,10 +62,7 @@ pub use dinomo_simnet as simnet;
 pub use dinomo_workload as workload;
 
 pub use dinomo_clover::{CloverConfig, CloverKvs};
-pub use dinomo_cluster::{
-    ContentionLimits, DriverConfig, EventKind, PolicyEngine, ScriptedEvent, SimulationDriver,
-    SloConfig,
-};
+pub use dinomo_cluster::{PolicyEngine, SloConfig};
 pub use dinomo_core::{
     Kvs, KvsBuilder, KvsClient, KvsConfig, KvsError, KvsStats, Op, Reply, Variant,
 };

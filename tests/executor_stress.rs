@@ -9,107 +9,43 @@
 //!   `add_node`/`remove_node`/`fail_node` — a sub-batch racing a
 //!   reconfiguration either completes before the drain or rejects and is
 //!   retried against the new owners.
-//! * **Queues drain.** After every membership change (and after the run),
-//!   no sub-batch is stranded in a worker queue and no worker is deadlocked
-//!   — `execute` returns for every client and `queued_sub_batches` is zero.
+//! * **Queues drain.** After a churned run, no sub-batch is stranded in a
+//!   worker queue and no worker is deadlocked — `execute` returns for every
+//!   client and `queued_sub_batches` is zero.
 //! * **Backpressure completes.** With absurdly shallow queues, `Busy` is
 //!   actually exercised (visible in the node stats) and yet every batch
 //!   still completes with correct replies through the client's retry loop.
 
-use dinomo::cluster::{ContentionLimits, DriverConfig, EventKind, ScriptedEvent, SimulationDriver};
-use dinomo::workload::{KeyDistribution, WorkloadConfig, WorkloadMix};
+use dinomo::check::{run_and_check, CheckConfig};
 use dinomo::{Kvs, KvsConfig, Op, Reply, Variant};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Many client threads drive batched traffic through the
-/// `SimulationDriver` while scripted membership events (add, fail, remove)
-/// fire between epochs. The run must make progress in every epoch and
-/// leave every surviving node's worker queues empty.
+/// Four clients drive batched CRUD traffic through the seeded scenario
+/// while its churn script adds, removes and fail-stops nodes. The recorded
+/// history must linearize (every client's `execute` returned, with replies
+/// a serial order explains), and membership must really have churned.
+/// `run_scenario` itself asserts, once clients and churn have joined, that
+/// every surviving node's worker queues drained and that the cluster
+/// quiesces (no wedged merge or flush state).
 #[test]
 fn driver_churn_keeps_queues_draining() {
-    let kvs = Kvs::new(KvsConfig {
+    let config = CheckConfig {
+        clients: 4,
+        batch_size: 16,
+        keys: 400,
         initial_kns: 3,
-        ..KvsConfig::small_for_tests()
-    })
-    .unwrap();
-    let driver = SimulationDriver::new(
-        kvs.clone(),
-        DriverConfig {
-            epoch_ms: 40,
-            total_epochs: 8,
-            max_clients: 4,
-            initial_clients: 4,
-            workload: WorkloadConfig {
-                num_keys: 400,
-                value_len: 64,
-                mix: WorkloadMix::WRITE_HEAVY_UPDATE,
-                distribution: KeyDistribution::MODERATE_SKEW,
-                seed: 7,
-                key_len: 8,
-                max_scan_len: 16,
-            },
-            preload: true,
-            key_sample_every: 8,
-            batch_size: 16,
-            // Contention ceilings on the churn scenario: generous enough
-            // for healthy runs (these counters sit orders of magnitude
-            // lower today), tight enough that a global-lock regression on
-            // the cell-swing or reclamation paths fails the test instead
-            // of scrolling past as a column.
-            contention: ContentionLimits {
-                max_cell_registry_waits_per_epoch: Some(100_000),
-                max_epoch_bag_flushes_per_epoch: Some(100_000),
-            },
-            ..DriverConfig::default()
-        },
-    );
-    let events = vec![
-        ScriptedEvent {
-            at_epoch: 1,
-            event: EventKind::AddNode,
-        },
-        ScriptedEvent {
-            at_epoch: 2,
-            event: EventKind::FailRandomNode,
-        },
-        ScriptedEvent {
-            at_epoch: 4,
-            event: EventKind::RemoveRandomNode,
-        },
-        ScriptedEvent {
-            at_epoch: 5,
-            event: EventKind::AddNode,
-        },
-        ScriptedEvent {
-            at_epoch: 6,
-            event: EventKind::FailRandomNode,
-        },
-    ];
-    let rows = driver.run(&events);
-    assert_eq!(rows.len(), 8);
-    // Clients made progress in every epoch, membership changes included
-    // (a deadlocked worker pool would starve the closed-loop clients).
-    for row in &rows {
-        assert!(
-            row.ops > 0,
-            "no progress in epoch {} (actions: {:?})",
-            row.epoch,
-            row.actions
-        );
+        replication_churn: false,
+        ..CheckConfig::from_seed(7)
+    };
+    let report = run_and_check(&config).unwrap_or_else(|f| panic!("{f}"));
+    let log = &report.run.churn_log;
+    for kind in ["add: kn", "remove: kn", "fail: kn"] {
+        let applied = log
+            .iter()
+            .any(|l| l.contains(kind) && !l.contains("failed"));
+        assert!(applied, "no successful `{kind}` in the churn log: {log:?}");
     }
-    // Membership actually churned.
-    assert!(rows.iter().any(|r| !r.actions.is_empty()));
-    // Every surviving node's worker queues drained once the run stopped.
-    for id in kvs.kn_ids() {
-        assert_eq!(
-            kvs.kn(id).unwrap().queued_sub_batches(),
-            0,
-            "node {id} still has queued sub-batches"
-        );
-    }
-    // And the cluster still quiesces (no wedged merge or flush state).
-    kvs.quiesce().unwrap();
 }
 
 /// Writers on several threads record every acknowledged insert while the

@@ -1,13 +1,10 @@
 //! End-to-end log-cleaning compaction: the skewed-overwrite acceptance
 //! scenario (segments pinned by one live key reclaim only through the
 //! compactor, space amplification stays bounded, reads stay correct
-//! throughout — including through KN shortcut caches), the cell-pin rule
-//! under the full replication protocol, and the timeline driver's GC
-//! columns.
+//! throughout — including through KN shortcut caches), and the cell-pin
+//! rule under the full replication protocol.
 
-use dinomo::cluster::{DriverConfig, EventKind, ScriptedEvent, SimulationDriver};
 use dinomo::dpm::GcConfig;
-use dinomo::workload::{KeyDistribution, WorkloadConfig, WorkloadMix};
 use dinomo::{Kvs, KvsBuilder};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -280,64 +277,4 @@ fn concurrent_controllers_serialize_cleanly() {
             Some(vec![i as u8; 64])
         );
     }
-}
-
-/// The timeline driver surfaces compaction: with the background compactor
-/// on and a skewed-overwrite workload, epochs report reclaimed segments,
-/// relocated bytes and a sane space-amplification figure.
-#[test]
-fn timeline_reports_compaction_columns() {
-    let mut dpm = dinomo::dpm::DpmConfig::small_for_tests();
-    dpm.segment_bytes = 8 << 10;
-    let kvs = KvsBuilder::new()
-        .small_for_tests()
-        .initial_kns(2)
-        .dpm(dpm)
-        .gc(GcConfig {
-            dead_fraction: 0.25,
-            ..GcConfig::aggressive()
-        })
-        .build()
-        .unwrap();
-    let driver = SimulationDriver::new(
-        kvs,
-        DriverConfig {
-            epoch_ms: 40,
-            total_epochs: 6,
-            max_clients: 2,
-            initial_clients: 2,
-            workload: WorkloadConfig {
-                num_keys: 64,
-                value_len: 256,
-                mix: WorkloadMix::SKEWED_OVERWRITE,
-                distribution: KeyDistribution::HIGH_SKEW,
-                seed: 9,
-                key_len: 8,
-                max_scan_len: 16,
-            },
-            preload: true,
-            key_sample_every: 8,
-            batch_size: 8,
-            ..DriverConfig::default()
-        },
-    );
-    let rows = driver.run(&[ScriptedEvent {
-        at_epoch: 2,
-        event: EventKind::AddNode,
-    }]);
-    assert_eq!(rows.len(), 6);
-    assert!(rows.iter().map(|r| r.ops).sum::<u64>() > 0);
-    let compacted: u64 = rows.iter().map(|r| r.segments_compacted).sum();
-    let relocated: u64 = rows.iter().map(|r| r.bytes_relocated).sum();
-    assert!(
-        compacted > 0 && relocated > 0,
-        "background compactor must show up in the timeline: {rows:?}"
-    );
-    assert!(rows.iter().all(|r| r.space_amplification >= 0.0));
-    // Under continuous compaction the footprint stays bounded.
-    let last = rows.last().unwrap();
-    assert!(
-        last.space_amplification < 20.0,
-        "space amplification ran away: {rows:?}"
-    );
 }
