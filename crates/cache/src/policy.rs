@@ -44,7 +44,7 @@ impl CacheLookup {
 pub enum CacheKind {
     /// No caching at all (every access traverses the remote index).
     None,
-    /// Cache only shortcuts (Clover-style, and the Dinomo-S variant).
+    /// Cache only shortcuts (the paper's Dinomo-S).
     ShortcutOnly,
     /// Cache only full values.
     ValueOnly,

@@ -52,8 +52,8 @@ struct ValueEntry {
 /// A cache that statically reserves `value_fraction` of its byte budget for
 /// values and the remainder for shortcuts.
 ///
-/// * `value_fraction = 0.0` is the **shortcut-only** policy (Clover's cache
-///   and the Dinomo-S variant);
+/// * `value_fraction = 0.0` is the **shortcut-only** policy (the paper's
+///   Dinomo-S);
 /// * `value_fraction = 1.0` is the **value-only** policy;
 /// * intermediate fractions are the paper's Static-20/40/80 policies.
 #[derive(Debug)]

@@ -71,7 +71,7 @@ impl KvsBuilder {
         self
     }
 
-    /// Cache policy override (the default follows the variant).
+    /// Cache policy override (the default is DAC).
     pub fn cache_kind(mut self, kind: CacheKind) -> Self {
         self.config.cache_kind = Some(kind);
         self
@@ -166,7 +166,7 @@ mod tests {
     fn knobs_compose_and_later_calls_win() {
         let b = Kvs::builder()
             .small_for_tests()
-            .variant(Variant::DinomoS)
+            .variant(Variant::DinomoN)
             .initial_kns(3)
             .threads_per_kn(1)
             .cache_bytes_per_kn(128 << 10)
@@ -176,7 +176,7 @@ mod tests {
             .executor_queue_depth(32)
             .executor_min_sub_batch(4);
         let c = b.config();
-        assert_eq!(c.variant, Variant::DinomoS);
+        assert_eq!(c.variant, Variant::DinomoN);
         assert_eq!(c.initial_kns, 3);
         assert_eq!(c.threads_per_kn, 1);
         assert_eq!(c.cache_bytes_per_kn, 128 << 10);

@@ -9,8 +9,6 @@ use dinomo_simnet::FabricConfig;
 pub enum Variant {
     /// Full Dinomo: ownership partitioning, DAC, selective replication.
     Dinomo,
-    /// Dinomo with a shortcut-only cache (the paper's Dinomo-S).
-    DinomoS,
     /// Shared-nothing Dinomo (the paper's Dinomo-N, standing in for
     /// AsymNVM): data/metadata are partitioned per KN, so reconfiguration
     /// physically copies data and selective replication is unavailable.
@@ -18,26 +16,9 @@ pub enum Variant {
 }
 
 impl Variant {
-    /// Short name used in benchmark output.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Variant::Dinomo => "dinomo",
-            Variant::DinomoS => "dinomo-s",
-            Variant::DinomoN => "dinomo-n",
-        }
-    }
-
-    /// The cache policy this variant uses unless overridden.
-    pub fn default_cache(&self) -> CacheKind {
-        match self {
-            Variant::Dinomo | Variant::DinomoN => CacheKind::Dac,
-            Variant::DinomoS => CacheKind::ShortcutOnly,
-        }
-    }
-
     /// `true` if this variant supports selective replication of hot keys.
     pub fn supports_selective_replication(&self) -> bool {
-        matches!(self, Variant::Dinomo | Variant::DinomoS)
+        matches!(self, Variant::Dinomo)
     }
 
     /// `true` if membership changes require physically copying data
@@ -59,7 +40,8 @@ pub struct KvsConfig {
     /// DRAM cache budget per KVS node, in bytes (the paper uses 1 GB,
     /// ≈1 % of the DPM pool).
     pub cache_bytes_per_kn: usize,
-    /// Cache policy; `None` uses the variant's default.
+    /// Cache policy; `None` means DAC. The paper's Dinomo-S is
+    /// `Some(CacheKind::ShortcutOnly)`.
     pub cache_kind: Option<CacheKind>,
     /// Number of writes a KN thread batches into one one-sided log write.
     pub write_batch_ops: usize,
@@ -135,8 +117,7 @@ impl KvsConfig {
 
     /// Effective cache policy.
     pub fn effective_cache_kind(&self) -> CacheKind {
-        self.cache_kind
-            .unwrap_or_else(|| self.variant.default_cache())
+        self.cache_kind.unwrap_or(CacheKind::Dac)
     }
 
     /// Cache budget per shard (thread) in bytes.
@@ -151,13 +132,10 @@ mod tests {
 
     #[test]
     fn variant_properties() {
-        assert_eq!(Variant::Dinomo.default_cache(), CacheKind::Dac);
-        assert_eq!(Variant::DinomoS.default_cache(), CacheKind::ShortcutOnly);
         assert!(Variant::Dinomo.supports_selective_replication());
         assert!(!Variant::DinomoN.supports_selective_replication());
         assert!(Variant::DinomoN.requires_data_reshuffle());
         assert!(!Variant::Dinomo.requires_data_reshuffle());
-        assert_eq!(Variant::DinomoN.name(), "dinomo-n");
     }
 
     #[test]

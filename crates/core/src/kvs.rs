@@ -683,10 +683,24 @@ pub struct DpmCrashReport {
 mod tests {
     use super::*;
     use crate::op::{Op, Reply};
+    use dinomo_cache::CacheKind;
     use dinomo_workload::key_for;
 
     fn cluster(variant: Variant) -> Kvs {
         Kvs::new(KvsConfig::small_for_tests().with_variant(variant)).unwrap()
+    }
+
+    /// Dinomo, Dinomo-S (its shortcut-only cache) and Dinomo-N.
+    fn variant_configs() -> [KvsConfig; 3] {
+        let base = KvsConfig::small_for_tests();
+        [
+            base,
+            KvsConfig {
+                cache_kind: Some(CacheKind::ShortcutOnly),
+                ..base
+            },
+            base.with_variant(Variant::DinomoN),
+        ]
     }
 
     #[test]
@@ -730,8 +744,9 @@ mod tests {
 
     #[test]
     fn batched_writes_are_visible_to_per_key_reads_and_vice_versa() {
-        for variant in [Variant::Dinomo, Variant::DinomoS, Variant::DinomoN] {
-            let kvs = cluster(variant);
+        for config in variant_configs() {
+            let name = format!("{:?} {:?}", config.variant, config.cache_kind);
+            let kvs = Kvs::new(config).unwrap();
             let client = kvs.client();
             let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..300u64)
                 .map(|i| (key_for(i, 8), format!("v{i}").into_bytes()))
@@ -741,12 +756,7 @@ mod tests {
             kvs.quiesce().unwrap();
             // Per-key reads see the batched writes.
             for (k, v) in &pairs {
-                assert_eq!(
-                    client.lookup(k).unwrap().as_ref(),
-                    Some(v),
-                    "{}",
-                    variant.name()
-                );
+                assert_eq!(client.lookup(k).unwrap().as_ref(), Some(v), "{name}");
             }
             // Batched reads see them too, in key order.
             let replies = client.multi_get(pairs.iter().map(|(k, _)| k.clone()));
@@ -757,13 +767,7 @@ mod tests {
             // sub-batches to each owner, not everything to one node).
             let stats = kvs.stats();
             for kn in &stats.kns {
-                assert!(
-                    kn.ops > 50,
-                    "{} kn {} served {} ops",
-                    variant.name(),
-                    kn.id,
-                    kn.ops
-                );
+                assert!(kn.ops > 50, "{name} kn {} served {} ops", kn.id, kn.ops);
             }
         }
     }
@@ -1018,8 +1022,8 @@ mod tests {
 
     #[test]
     fn all_variants_serve_reads_and_writes() {
-        for variant in [Variant::Dinomo, Variant::DinomoS, Variant::DinomoN] {
-            let kvs = cluster(variant);
+        for config in variant_configs() {
+            let kvs = Kvs::new(config).unwrap();
             let client = kvs.client();
             for i in 0..100u64 {
                 client.insert(&key_for(i, 8), &[i as u8; 64]).unwrap();
@@ -1028,8 +1032,9 @@ mod tests {
                 assert_eq!(
                     client.lookup(&key_for(i, 8)).unwrap(),
                     Some(vec![i as u8; 64]),
-                    "{} key {i}",
-                    variant.name()
+                    "{:?} {:?} key {i}",
+                    config.variant,
+                    config.cache_kind
                 );
             }
         }

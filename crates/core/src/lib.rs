@@ -2,12 +2,11 @@
 //!
 //! This crate assembles the substrates (simulated fabric, PM pool, P-CLHT
 //! index, DPM log/merge engine, DAC cache, ownership partitioning) into the
-//! key-value store the paper describes, together with its two ablation
-//! variants:
+//! key-value store the paper describes, together with its ablations:
 //!
 //! * **Dinomo** — ownership partitioning + DAC + selective replication;
 //! * **Dinomo-S** — identical but with a shortcut-only cache (isolates the
-//!   benefit of DAC);
+//!   benefit of DAC): `cache_kind: Some(CacheKind::ShortcutOnly)`;
 //! * **Dinomo-N** — shared-nothing: data and metadata are partitioned, so
 //!   membership changes physically reshuffle data (isolates the benefit of
 //!   sharing data in DPM while partitioning only ownership).

@@ -152,21 +152,6 @@ impl KvsStats {
             bytes as f64 / ops as f64
         }
     }
-
-    /// Normalised standard deviation of per-node load (operations), the
-    /// paper's Figure 7 "Load Dist. (Norm. STD)" metric.
-    pub fn load_imbalance(&self) -> f64 {
-        if self.kns.is_empty() {
-            return 0.0;
-        }
-        let loads: Vec<f64> = self.kns.iter().map(|k| k.ops as f64).collect();
-        let mean = loads.iter().sum::<f64>() / loads.len() as f64;
-        if mean == 0.0 {
-            return 0.0;
-        }
-        let var = loads.iter().map(|l| (l - mean).powi(2)).sum::<f64>() / loads.len() as f64;
-        var.sqrt() / mean
-    }
 }
 
 #[cfg(test)]
@@ -201,21 +186,6 @@ mod tests {
         assert!((stats.cache_hit_ratio() - 0.7).abs() < 1e-9);
         assert!((stats.value_hit_ratio() - 0.7).abs() < 1e-9);
         assert!((stats.rts_per_op() - 0.9).abs() < 1e-9);
-        assert_eq!(stats.load_imbalance(), 0.0);
-    }
-
-    #[test]
-    fn imbalance_detects_skew() {
-        let balanced = KvsStats {
-            kns: vec![kn(0, 100, 0, 0), kn(1, 100, 0, 0)],
-            ..Default::default()
-        };
-        let skewed = KvsStats {
-            kns: vec![kn(0, 190, 0, 0), kn(1, 10, 0, 0)],
-            ..Default::default()
-        };
-        assert!(skewed.load_imbalance() > balanced.load_imbalance());
-        assert!(skewed.load_imbalance() > 0.5);
     }
 
     #[test]
@@ -243,7 +213,6 @@ mod tests {
         assert_eq!(s.total_ops(), 0);
         assert_eq!(s.cache_hit_ratio(), 0.0);
         assert_eq!(s.rts_per_op(), 0.0);
-        assert_eq!(s.load_imbalance(), 0.0);
         assert_eq!(s.bytes_per_op(), 0.0);
     }
 }

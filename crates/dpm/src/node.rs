@@ -590,8 +590,8 @@ impl DpmInner {
 /// The DPM node (shared persistent-memory pool plus its limited processors).
 ///
 /// One `DpmNode` instance represents the entire disaggregated PM tier of the
-/// cluster.  It is shared (behind an `Arc`) by every KVS node, the Clover
-/// baseline's metadata server, and the control plane.
+/// cluster.  It is shared (behind an `Arc`) by every KVS node and the
+/// control plane.
 #[derive(Debug)]
 pub struct DpmNode {
     inner: Arc<DpmInner>,

@@ -39,8 +39,9 @@ struct PendingEntry {
 ///
 /// Writes are appended to a local buffer; [`LogWriter::flush`] copies the
 /// whole batch into the KN's current exclusive log segment with **one**
-/// one-sided RDMA write, persists it, and hands the batch to the DPM merge
-/// engine.  The writer automatically allocates a fresh segment (a two-sided
+/// one-sided RDMA write (one per segment, for a batch larger than a
+/// segment), persists it, and hands the batch to the DPM merge engine.
+/// The writer automatically allocates a fresh segment (a two-sided
 /// operation, off the hot path) when the current one fills up, blocking only
 /// if the KN already has `unmerged_segment_threshold` sealed-but-unmerged
 /// segments.
@@ -122,44 +123,64 @@ impl LogWriter {
     }
 
     /// Flush the buffered batch to DPM. Returns one [`CommittedWrite`] per
-    /// buffered entry, in order.  On return the batch is durable in the log
-    /// (commit markers written and persisted) and queued for merging.
+    /// buffered entry, in order.  On `Ok` every buffered entry is durable in
+    /// the log (commit markers written and persisted) and queued for
+    /// merging.
+    ///
+    /// A batch larger than one segment is cut at entry boundaries into
+    /// chunks that each fit a fresh segment; each chunk is one one-sided
+    /// write and one merge submission. On an error partway through, the
+    /// chunks already written have left the buffer, so a retry logs
+    /// nothing twice.
     pub fn flush(&mut self) -> Result<Vec<CommittedWrite>, PmemError> {
-        if self.buffer.is_empty() {
-            return Ok(Vec::new());
-        }
-        let batch_len = self.buffer.len() as u64;
-        let segment = self.segment_with_space(batch_len)?;
-        let offset = segment.record_append(batch_len, self.pending.len() as u64);
-        let base = segment.base.offset(offset);
+        let mut commits = Vec::with_capacity(self.pending.len());
+        while !self.pending.is_empty() {
+            let (entries, chunk_len) = self.next_chunk();
+            let segment = self.segment_with_space(chunk_len)?;
+            let offset = segment.record_append(chunk_len, entries as u64);
+            let base = segment.base.offset(offset);
 
-        // The entire batch is one one-sided RDMA write, then persisted.
-        self.nic.one_sided_write(self.buffer.len());
-        let pool = self.dpm.pool();
-        pool.write_bytes(base, &self.buffer);
-        pool.persist(base, batch_len);
-        pool.drain();
+            // The entire chunk is one one-sided RDMA write, then persisted.
+            let bytes = &self.buffer[..chunk_len as usize];
+            self.nic.one_sided_write(bytes.len());
+            let pool = self.dpm.pool();
+            pool.write_bytes(base, bytes);
+            pool.persist(base, chunk_len);
+            pool.drain();
 
-        let commits: Vec<CommittedWrite> = self
-            .pending
-            .iter()
-            .map(|p| {
+            commits.extend(self.pending.drain(..entries).map(|p| {
                 let entry_addr = base.offset(p.entry_offset);
                 let entry_len = entry_size(p.key.len(), p.value_len as usize);
                 CommittedWrite {
-                    key: p.key.clone(),
+                    key: p.key,
                     op: p.op,
                     value_addr: base.offset(p.value_offset),
                     value_len: p.value_len,
                     entry_loc: PackedLoc::direct(entry_addr, entry_len),
                 }
-            })
-            .collect();
+            }));
 
-        self.dpm.submit_merge_batch(&segment, offset, batch_len);
-        self.buffer.clear();
-        self.pending.clear();
+            self.dpm.submit_merge_batch(&segment, offset, chunk_len);
+            self.buffer.drain(..chunk_len as usize);
+            for p in &mut self.pending {
+                p.entry_offset -= chunk_len;
+                p.value_offset -= chunk_len;
+            }
+        }
         Ok(commits)
+    }
+
+    /// The longest prefix of the buffer, cut at an entry boundary, that
+    /// fits a fresh segment: `(entries, bytes)`. `append` keeps every entry
+    /// within a segment, so the prefix is never empty.
+    fn next_chunk(&self) -> (usize, u64) {
+        let capacity = self.dpm.config().segment_bytes;
+        if self.buffer.len() as u64 <= capacity {
+            return (self.pending.len(), self.buffer.len() as u64);
+        }
+        // Entry `i` ends where entry `i + 1` starts.
+        let entries = self.pending.partition_point(|p| p.entry_offset <= capacity) - 1;
+        (entries, self.pending[entries].entry_offset)
     }
 
     fn segment_with_space(&mut self, needed: u64) -> Result<Arc<SegmentState>, PmemError> {
@@ -198,5 +219,41 @@ impl LogWriter {
         self.buffer.clear();
         self.pending.clear();
         discarded
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::DpmConfig;
+    use dinomo_simnet::FabricConfig;
+
+    #[test]
+    fn a_batch_larger_than_a_segment_spans_segments() {
+        let dpm = Arc::new(DpmNode::new(DpmConfig::small_for_tests()).unwrap());
+        let nic = Nic::new(FabricConfig::default());
+        let mut w = LogWriter::new(Arc::clone(&dpm), 0, nic.clone());
+        let segment = dpm.config().segment_bytes as usize;
+        let value = |i: usize| vec![i as u8; 100];
+        let keys: Vec<Vec<u8>> = (0..3 * segment / 128)
+            .map(|i| format!("key{i:06}").into_bytes())
+            .collect();
+        for (i, key) in keys.iter().enumerate() {
+            w.append_put(key, &value(i));
+        }
+        assert!(w.buffered_bytes() > 2 * segment);
+
+        let commits = w.flush().unwrap();
+        assert_eq!(commits.len(), keys.len());
+        assert_eq!((w.buffered_entries(), w.buffered_bytes()), (0, 0));
+        assert!(dpm.stats().segments_allocated >= 3);
+        for (i, (key, c)) in keys.iter().zip(&commits).enumerate() {
+            assert_eq!(&c.key, key);
+            assert_eq!(dpm.read_value_at(&nic, c.value_addr, c.value_len), value(i));
+        }
+        dpm.wait_until_merged(0);
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(dpm.local_read(key), Some(value(i)), "key {i}");
+        }
     }
 }

@@ -16,8 +16,8 @@
 //! Throughput is always *measured* on top of this fabric (by `e2e/` and the
 //! gated benches), never modeled from the counters.
 //!
-//! The public API is intentionally small: higher layers (the DPM pool, the
-//! KVS nodes, the Clover baseline) call [`Nic::one_sided_read`],
+//! The public API is intentionally small: higher layers (the DPM pool and
+//! the KVS nodes) call [`Nic::one_sided_read`],
 //! [`Nic::one_sided_write`], [`Nic::one_sided_cas`] and [`Nic::rpc`] exactly
 //! where the real system would issue the corresponding verbs.
 

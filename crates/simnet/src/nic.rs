@@ -101,12 +101,6 @@ impl Nic {
         self.account_and_delay(ns)
     }
 
-    /// Account an arbitrary amount of additional modeled network time (used
-    /// for things like remote service queueing) without counting a round trip.
-    pub fn account_extra_ns(&self, ns: u64) -> Duration {
-        self.account_and_delay(ns)
-    }
-
     /// Snapshot the counters.
     pub fn snapshot(&self) -> NicStats {
         self.inner.counters.snapshot()

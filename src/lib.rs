@@ -4,10 +4,9 @@
 //! examples, integration tests and downstream users can depend on a single
 //! crate:
 //!
-//! * [`core`] — the Dinomo key-value store (and its Dinomo-S /
-//!   Dinomo-N variants),
-//! * [`clover`] — the Clover baseline (a leaf crate: the comparison with
-//!   it is measured by `tests/end_to_end.rs`),
+//! * [`core`] — the Dinomo key-value store (and its shared-nothing
+//!   Dinomo-N variant; the paper's claims about both are checked by
+//!   `tests/paper_claims.rs`),
 //! * [`cluster`] — the M-node policy engine (Table 4): epoch observations
 //!   in, reconfiguration decisions out,
 //! * [`cache`], [`partition`], [`dpm`], [`pclht`], [`pmem`],
@@ -51,7 +50,6 @@
 
 pub use dinomo_cache as cache;
 pub use dinomo_check as check;
-pub use dinomo_clover as clover;
 pub use dinomo_cluster as cluster;
 pub use dinomo_core as core;
 pub use dinomo_dpm as dpm;
@@ -61,7 +59,6 @@ pub use dinomo_pmem as pmem;
 pub use dinomo_simnet as simnet;
 pub use dinomo_workload as workload;
 
-pub use dinomo_clover::{CloverConfig, CloverKvs};
 pub use dinomo_cluster::{PolicyEngine, SloConfig};
 pub use dinomo_core::{
     Kvs, KvsBuilder, KvsClient, KvsConfig, KvsError, KvsStats, Op, Reply, Variant,

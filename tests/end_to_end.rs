@@ -1,8 +1,10 @@
 //! Cross-crate integration tests: full workloads driven through the public
-//! API of the umbrella crate, comparing Dinomo, its variants and Clover.
+//! API of the umbrella crate, against Dinomo and its variants. The paper's
+//! quantitative claims are in `paper_claims.rs`.
 
+use dinomo::cache::CacheKind;
 use dinomo::workload::{key_for, Operation, WorkloadConfig, WorkloadGenerator};
-use dinomo::{CloverConfig, CloverKvs, KeyDistribution, Kvs, KvsConfig, Variant, WorkloadMix};
+use dinomo::{KeyDistribution, Kvs, KvsConfig, Reply, Variant, WorkloadMix};
 use std::collections::HashMap;
 
 fn workload(mix: WorkloadMix, keys: u64) -> WorkloadConfig {
@@ -80,7 +82,12 @@ fn run_against_model<I, U, R, D, S>(
 
 #[test]
 fn dinomo_variants_match_a_model_under_mixed_workloads() {
-    for variant in [Variant::Dinomo, Variant::DinomoS, Variant::DinomoN] {
+    let base = KvsConfig::small_for_tests();
+    let shortcut_only = KvsConfig {
+        cache_kind: Some(CacheKind::ShortcutOnly),
+        ..base
+    };
+    for config in [base, shortcut_only, base.with_variant(Variant::DinomoN)] {
         for mix in [
             WorkloadMix::WRITE_HEAVY_UPDATE,
             WorkloadMix::READ_MOSTLY_INSERT,
@@ -89,7 +96,7 @@ fn dinomo_variants_match_a_model_under_mixed_workloads() {
             // with a sorted view of a plain map, every time.
             WorkloadMix::CRUD_SCAN,
         ] {
-            let kvs = Kvs::new(KvsConfig::small_for_tests().with_variant(variant)).unwrap();
+            let kvs = Kvs::new(config).unwrap();
             let client = kvs.client();
             run_against_model(
                 |k, v| client.insert(k, v).unwrap(),
@@ -102,78 +109,6 @@ fn dinomo_variants_match_a_model_under_mixed_workloads() {
             );
         }
     }
-}
-
-#[test]
-fn clover_matches_a_model_under_mixed_workloads() {
-    let kvs = CloverKvs::new(CloverConfig::small_for_tests()).unwrap();
-    let client = kvs.client();
-    run_against_model(
-        |k, v| client.insert(k, v).unwrap(),
-        |k, v| client.update(k, v).unwrap(),
-        |k| client.lookup(k).unwrap(),
-        |k| client.delete(k).unwrap(),
-        |_, _| unreachable!("the mix has no scans; Clover has no ordered index"),
-        WorkloadMix::WRITE_HEAVY_UPDATE,
-        1_500,
-    );
-}
-
-#[test]
-fn dinomo_uses_fewer_round_trips_than_clover() {
-    // The headline mechanism of the paper: ownership partitioning + DAC keep
-    // the round trips per operation far below a shared-everything,
-    // shortcut-only design.
-    let keys = 1_000u64;
-    let reads = 4_000u64;
-
-    let kvs = Kvs::new(KvsConfig {
-        initial_kns: 4,
-        cache_bytes_per_kn: 1 << 20,
-        ..KvsConfig::small_for_tests()
-    })
-    .unwrap();
-    let dinomo_client = kvs.client();
-    let clover = CloverKvs::new(CloverConfig {
-        initial_kns: 4,
-        cache_bytes_per_kn: 1 << 20,
-        ..CloverConfig::small_for_tests()
-    })
-    .unwrap();
-    let clover_client = clover.client();
-
-    for i in 0..keys {
-        let value = vec![(i % 251) as u8; 64];
-        dinomo_client.insert(&key_for(i, 8), &value).unwrap();
-        clover_client.insert(&key_for(i, 8), &value).unwrap();
-    }
-    kvs.quiesce().unwrap();
-    let dinomo_before = kvs.stats();
-    let clover_before = clover.stats();
-
-    for i in 0..reads {
-        let id = (i * i + 7) % keys;
-        // Interleave a few updates so Clover's chains grow as they would in
-        // a mixed workload.
-        if i % 10 == 0 {
-            dinomo_client.update(&key_for(id, 8), &[1u8; 64]).unwrap();
-            clover_client.update(&key_for(id, 8), &[1u8; 64]).unwrap();
-        } else {
-            dinomo_client.lookup(&key_for(id, 8)).unwrap();
-            clover_client.lookup(&key_for(id, 8)).unwrap();
-        }
-    }
-    let d_ops = kvs.stats().total_ops() - dinomo_before.total_ops();
-    let c_ops = clover.stats().total_ops() - clover_before.total_ops();
-    assert_eq!(d_ops, c_ops);
-    let d_rts = kvs.stats().rts_per_op();
-    let c_rts = clover.stats().rts_per_op();
-    assert!(
-        d_rts < c_rts,
-        "Dinomo should need fewer RTs/op than Clover (got {d_rts:.2} vs {c_rts:.2})"
-    );
-    // And its hit ratio benefits from ownership partitioning + DAC.
-    assert!(kvs.stats().cache_hit_ratio() > 0.5);
 }
 
 #[test]
@@ -194,4 +129,23 @@ fn stats_are_consistent_across_the_stack() {
     assert_eq!(sum_writes, 300);
     assert!(stats.dpm.index_len <= 300);
     assert_eq!(stats.ownership_version, kvs.ownership().read().version());
+}
+
+#[test]
+fn a_multi_put_larger_than_a_log_segment_is_durable() {
+    // 2,000 pairs of 128 B give each of the four shards about 75 KiB to
+    // flush at once, past `small_for_tests`' 32 KiB log segments: the
+    // flush spans several segments.
+    let kvs = Kvs::new(KvsConfig::small_for_tests()).unwrap();
+    let client = kvs.client();
+    let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..2_000u64)
+        .map(|i| (key_for(i, 8), vec![(i % 251) as u8; 128]))
+        .collect();
+    let replies = client.multi_put(pairs.clone());
+    assert!(replies.iter().all(Reply::is_ok), "{replies:?}");
+    kvs.quiesce().unwrap();
+    let replies = client.multi_get(pairs.iter().map(|(k, _)| k.clone()));
+    for ((k, v), reply) in pairs.iter().zip(&replies) {
+        assert_eq!(reply.value(), Some(v.as_slice()), "{k:?}");
+    }
 }

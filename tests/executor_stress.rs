@@ -16,6 +16,7 @@
 //!   actually exercised (visible in the node stats) and yet every batch
 //!   still completes with correct replies through the client's retry loop.
 
+use dinomo::cache::CacheKind;
 use dinomo::check::{run_and_check, CheckConfig};
 use dinomo::{Kvs, KvsConfig, Op, Reply, Variant};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -222,20 +223,26 @@ fn tiny_queues_surface_busy_and_still_complete() {
     }
     let _ = kvs.dpm();
 
-    // All variants behave the same through the executor.
-    for variant in [Variant::DinomoS, Variant::DinomoN] {
-        let kvs = Kvs::builder()
-            .small_for_tests()
-            .executor_queue_depth(1)
-            .variant(variant)
-            .build()
-            .unwrap();
+    // Dinomo-S (shortcut-only cache) and Dinomo-N behave the same through
+    // the executor.
+    let shallow = || Kvs::builder().small_for_tests().executor_queue_depth(1);
+    for builder in [
+        shallow().cache_kind(CacheKind::ShortcutOnly),
+        shallow().variant(Variant::DinomoN),
+    ] {
+        let config = *builder.config();
+        let kvs = builder.build().unwrap();
         let client = kvs.client();
         let replies = client.execute(
             (0..64u64)
                 .map(|i| Op::insert(format!("k{i}"), format!("v{i}")))
                 .collect(),
         );
-        assert!(replies.iter().all(Reply::is_ok), "{}", variant.name());
+        assert!(
+            replies.iter().all(Reply::is_ok),
+            "{:?} {:?}",
+            config.variant,
+            config.cache_kind
+        );
     }
 }
