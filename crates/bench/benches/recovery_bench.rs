@@ -3,8 +3,8 @@
 //! For each scale the store is loaded and overwritten (ack-durable
 //! writes, persistence-tracked pool), then a whole-DPM power failure is
 //! simulated and `Kvs::crash_dpm_and_recover` runs the full sequence —
-//! drop volatile state, `simulate_crash`, `recover()`, rebuild the
-//! ordered index, quiescent invariant walk, reopen. The clock stops when
+//! drop volatile state, `simulate_crash`, `recover()`, quiescent
+//! invariant walk, reopen. The clock stops when
 //! a sample of keys reads back its expected value ("SLO met"), and the
 //! median over several crashes per scale lands in
 //! `target/bench-results/recovery_bench.json` for the perf-trajectory

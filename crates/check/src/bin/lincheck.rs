@@ -11,14 +11,12 @@
 //! Options: `--ops N` (total op budget), `--clients N`, `--no-churn`
 //! (disable membership + replication churn), `--queue-depth N`, `--gc`
 //! (run the DPM log-cleaning compactor — aggressive knobs on tiny
-//! segments — underneath the scenario), `--scan` (mix range scans into
-//! the client streams; the checker decomposes each scan into per-key
-//! snapshot reads), `--crash` (mix seeded crash injection into the
-//! churn: KN fail-stop + re-admission and whole-DPM power failures
-//! aimed at the mid-compaction / mid-hand-off / mid-cell-swing windows,
-//! each followed by full recovery; the crash schedule is a pure
-//! function of the seed, so `DINOMO_CHECK_SEED=<seed>` reproduces the
-//! exact same crash instants).
+//! segments — underneath the scenario), `--crash` (mix seeded crash
+//! injection into the churn: KN fail-stop + re-admission and whole-DPM
+//! power failures aimed at the mid-compaction / mid-hand-off /
+//! mid-cell-swing windows, each followed by full recovery; the crash
+//! schedule is a pure function of the seed, so `DINOMO_CHECK_SEED=<seed>`
+//! reproduces the exact same crash instants).
 //!
 //! On failure the process exits non-zero after writing the failing seed
 //! and the full history to `target/check-results/` (uploaded as a CI
@@ -40,7 +38,6 @@ struct Args {
     replication_churn: bool,
     queue_depth: usize,
     compactor: bool,
-    scans: bool,
     crashes: bool,
 }
 
@@ -55,7 +52,6 @@ fn parse_args() -> Result<Args, String> {
         replication_churn: true,
         queue_depth: 2,
         compactor: false,
-        scans: false,
         crashes: false,
     };
     let mut it = std::env::args().skip(1);
@@ -69,7 +65,6 @@ fn parse_args() -> Result<Args, String> {
             "--clients" => args.clients = parse(&value("--clients")?)?,
             "--queue-depth" => args.queue_depth = parse(&value("--queue-depth")?)?,
             "--gc" => args.compactor = true,
-            "--scan" => args.scans = true,
             "--crash" => args.crashes = true,
             "--no-churn" => {
                 args.membership_churn = false;
@@ -80,7 +75,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "lincheck [--seed N | --sweep N | --replay N] \
-                     [--ops N] [--clients N] [--queue-depth N] [--gc] [--scan] [--crash] \
+                     [--ops N] [--clients N] [--queue-depth N] [--gc] [--crash] \
                      [--no-churn | --no-membership-churn | --no-replication-churn]"
                 );
                 std::process::exit(0);
@@ -103,7 +98,6 @@ fn config_for(args: &Args, seed: u64) -> CheckConfig {
     config.replication_churn = args.replication_churn;
     config.executor_queue_depth = args.queue_depth.max(1);
     config.compactor = args.compactor;
-    config.scans = args.scans;
     config.crashes = args.crashes;
     config
 }
@@ -151,7 +145,7 @@ fn run_once(config: &CheckConfig) -> Option<Box<CheckFailure>> {
             println!(
                 "seed {} ok: {} ops over {} keys checked in {:.2}s \
                  ({} states, {} churn actions, {} busy rejections, {} error \
-                 replies, {} scans, {} segments compacted / {} entries \
+                 replies, {} segments compacted / {} entries \
                  relocated, {} kn crashes, {} dpm crashes \
                  [compaction {}, handoff {}, cell-swing {}])",
                 config.seed,
@@ -162,7 +156,6 @@ fn run_once(config: &CheckConfig) -> Option<Box<CheckFailure>> {
                 report.run.churn_log.len(),
                 report.run.busy_rejections,
                 report.run.error_replies,
-                report.run.scan_ops,
                 report.run.segments_compacted,
                 report.run.entries_relocated,
                 report.run.kn_crashes,

@@ -39,23 +39,9 @@
 //! whose value is never read; a delete when no read of the key returned
 //! `None`) are pruned outright — removing them from any witness leaves the
 //! witness valid.
-//!
-//! ## Scans
-//!
-//! A scan is decomposed into per-key reads by [`expand_scans`] before the
-//! partition: for every key of the history inside the range the scan
-//! covered, the scan claims either the value it returned for that key or
-//! — if the key is missing from its pairs — that the key was *absent*.
-//! Each claim must linearize somewhere inside the scan's window,
-//! independently per key (the KN snapshots are per-node, so a cluster
-//! scan is a union of per-node snapshots taken at possibly different
-//! instants within the window — per-key atomicity is exactly the
-//! guarantee the store makes). This is what catches a scan that skips a
-//! committed key, resurrects a deleted one, or returns a value from
-//! outside its real-time window.
 
 use dinomo_core::trace::{Action, OpRecord};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Tuning knobs for the checker.
@@ -146,23 +132,11 @@ pub fn check_history(history: &[OpRecord]) -> Result<CheckStats, CheckError> {
 /// Check a recorded history against the per-key register model.
 ///
 /// Returns the aggregate [`CheckStats`] if every key's projection is
-/// linearizable, the first [`CheckError::Violation`] otherwise. Scans are
-/// decomposed into per-key reads first (see [`expand_scans`]).
+/// linearizable, the first [`CheckError::Violation`] otherwise.
 pub fn check_history_with(
     history: &[OpRecord],
     config: &CheckerConfig,
 ) -> Result<CheckStats, CheckError> {
-    // Expansion clones the history, so only pay for it when scans exist.
-    let expanded: Vec<OpRecord>;
-    let history: &[OpRecord] = if history
-        .iter()
-        .any(|r| matches!(r.action, Action::Scan { .. }))
-    {
-        expanded = expand_scans(history);
-        &expanded
-    } else {
-        history
-    };
     let mut by_key: HashMap<&[u8], Vec<&OpRecord>> = HashMap::new();
     for record in history {
         by_key.entry(&record.key).or_default().push(record);
@@ -183,71 +157,6 @@ pub fn check_history_with(
         stats.max_key_ops = stats.max_key_ops.max(key_stats.ops);
     }
     Ok(stats)
-}
-
-/// Decompose every successful scan into per-key reads over the range it
-/// covered, leaving all other records untouched.
-///
-/// The covered range is `[start, last returned key]` when the scan filled
-/// its budget (`pairs.len() >= n`) and `[start, ∞)` when it ran out of
-/// keys first — a short scan claims the key space past its last pair was
-/// empty. For each key of the history's key universe inside that range,
-/// the scan becomes a `Read(Some(v))` if the key is among its pairs and a
-/// `Read(None)` otherwise, sharing the scan's client and timestamps. The
-/// universe is every key any record or returned pair mentions: a key
-/// nothing else touches can only yield a trivially-satisfiable
-/// `Read(None)`, so restricting to the universe loses nothing. Failed
-/// scans carry no information (the client may have retried past them) and
-/// are dropped, like failed reads.
-pub fn expand_scans(history: &[OpRecord]) -> Vec<OpRecord> {
-    let mut universe: BTreeSet<&[u8]> = BTreeSet::new();
-    for r in history {
-        universe.insert(&r.key);
-        if let Action::Scan { pairs, .. } = &r.action {
-            for (k, _) in pairs {
-                universe.insert(k);
-            }
-        }
-    }
-    let mut out = Vec::with_capacity(history.len());
-    for r in history {
-        let Action::Scan { n, pairs } = &r.action else {
-            out.push(r.clone());
-            continue;
-        };
-        if !r.ok {
-            continue;
-        }
-        // Inclusive upper bound of the covered range; `None` = unbounded.
-        let end: Option<&[u8]> = if pairs.len() >= *n {
-            match pairs.last() {
-                Some((k, _)) => Some(k),
-                // n == 0: the scan covered (and claims) nothing.
-                None => continue,
-            }
-        } else {
-            None
-        };
-        let observed: HashMap<&[u8], &[u8]> = pairs
-            .iter()
-            .map(|(k, v)| (k.as_slice(), v.as_slice()))
-            .collect();
-        let start: &[u8] = &r.key;
-        for &key in universe.range(start..) {
-            if end.is_some_and(|e| key > e) {
-                break;
-            }
-            out.push(OpRecord {
-                client: r.client,
-                key: key.to_vec(),
-                action: Action::Read(observed.get(key).map(|v| v.to_vec())),
-                ok: true,
-                invoked_at: r.invoked_at,
-                returned_at: r.returned_at,
-            });
-        }
-    }
-    out
 }
 
 /// The register-model operation kinds, with values interned to small ids:
@@ -330,9 +239,6 @@ fn check_key<'a>(
             Action::Delete => Kind::Delete,
             Action::Read(Some(v)) => Kind::Read(intern(v, &mut value_ids)),
             Action::Read(None) => Kind::Read(0),
-            Action::Scan { .. } => {
-                unreachable!("scans are expanded to per-key reads before the partition")
-            }
         };
         if r.ok {
             match kind {
@@ -779,100 +685,6 @@ mod tests {
             Err(CheckError::StateLimit { states, .. }) => assert!(states > 50),
             other => panic!("expected StateLimit, got {other:?}"),
         }
-    }
-
-    fn scan(start: &[u8], n: usize, pairs: &[(&[u8], &[u8])], inv: u64, ret: u64) -> OpRecord {
-        rec(
-            start,
-            Action::Scan {
-                n,
-                pairs: pairs
-                    .iter()
-                    .map(|(k, v)| (k.to_vec(), v.to_vec()))
-                    .collect(),
-            },
-            true,
-            inv,
-            ret,
-        )
-    }
-
-    #[test]
-    fn scan_observing_the_snapshot_passes() {
-        let h = vec![
-            write(b"k1", b"a", 0, 1),
-            write(b"k2", b"b", 2, 3),
-            scan(b"k1", 10, &[(b"k1", b"a"), (b"k2", b"b")], 4, 5),
-        ];
-        let stats = check_history(&h).unwrap();
-        // The scan expands to one read per covered key.
-        assert_eq!(stats.ops, 4);
-    }
-
-    #[test]
-    fn scan_skipping_a_committed_key_is_rejected() {
-        // k1 is written and never deleted, yet a scan starting at k1
-        // returns only k2 — it claims k1 was absent.
-        let h = vec![
-            write(b"k1", b"a", 0, 1),
-            write(b"k2", b"b", 2, 3),
-            scan(b"k1", 10, &[(b"k2", b"b")], 4, 5),
-        ];
-        let err = check_history(&h).unwrap_err();
-        assert!(matches!(err, CheckError::Violation(_)), "{err}");
-    }
-
-    #[test]
-    fn full_budget_scan_claims_nothing_past_its_last_pair() {
-        // The scan's budget (n = 1) fills at k1, so omitting k2 is not a
-        // claim that k2 was absent.
-        let h = vec![
-            write(b"k1", b"a", 0, 1),
-            write(b"k2", b"b", 2, 3),
-            scan(b"k1", 1, &[(b"k1", b"a")], 4, 5),
-        ];
-        assert!(check_history(&h).is_ok());
-    }
-
-    #[test]
-    fn scan_resurrecting_a_deleted_key_is_rejected() {
-        let h = vec![
-            write(b"k1", b"a", 0, 1),
-            rec(b"k1", Action::Delete, true, 2, 3),
-            scan(b"k0", 10, &[(b"k1", b"a")], 4, 5),
-        ];
-        assert!(check_history(&h).is_err());
-    }
-
-    #[test]
-    fn concurrent_scan_may_or_may_not_see_an_overlapping_write() {
-        // The write's window overlaps the scan's: both outcomes linearize.
-        let sees_it = vec![
-            write(b"k1", b"a", 0, 10),
-            scan(b"k0", 10, &[(b"k1", b"a")], 5, 15),
-        ];
-        assert!(check_history(&sees_it).is_ok());
-        let misses_it = vec![write(b"k1", b"a", 5, 15), scan(b"k0", 10, &[], 0, 10)];
-        assert!(check_history(&misses_it).is_ok());
-    }
-
-    #[test]
-    fn failed_scans_carry_no_information() {
-        let h = vec![
-            write(b"k1", b"a", 0, 1),
-            rec(
-                b"k0",
-                Action::Scan {
-                    n: 10,
-                    pairs: vec![],
-                },
-                false,
-                2,
-                3,
-            ),
-        ];
-        let stats = check_history(&h).unwrap();
-        assert_eq!(stats.ops, 1, "failed scan must be dropped");
     }
 
     #[test]

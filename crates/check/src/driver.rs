@@ -25,7 +25,7 @@
 //!   the hottest keys;
 //! * once clients and churn have joined, asserts that the cluster
 //!   quiesces, that no surviving node has a sub-batch left in a worker
-//!   queue, and that the ordered index satisfies its invariants;
+//!   queue, and that the hash index passes its invariant walk;
 //! * drains the merged history and hands it to the checker.
 //!
 //! Shrinking is built into replay: rerun the same seed with a reduced
@@ -76,15 +76,11 @@ pub struct CheckConfig {
     /// knobs) during the scenario, so entry relocation races the clients
     /// *and* the replicate/dereplicate/membership churn.
     pub compactor: bool,
-    /// Mix scans into the client streams (the `CRUD_SCAN` mix instead of
-    /// `CRUD`), so range reads race every write, delete, hand-off and
-    /// relocation. The checker decomposes each scan into per-key reads.
-    pub scans: bool,
     /// Mix crash injection into the churn script: KN fail-stop +
     /// re-admission, and whole-DPM power failures aimed (via failpoints)
     /// at the nastiest windows — mid-compaction, mid-hand-off,
     /// mid-cell-swing — each followed by the full
-    /// `recover()`/ordered-rebuild/invariant-walk sequence
+    /// `recover()`/invariant-walk sequence
     /// ([`Kvs::crash_dpm_and_recover`]). Turns the pool's
     /// persistence tracking on so `simulate_crash` actually drops
     /// unpersisted lines.
@@ -111,7 +107,6 @@ impl CheckConfig {
             executor_queue_depth: 2,
             preload: true,
             compactor: false,
-            scans: false,
             crashes: false,
             checker: CheckerConfig::default(),
         }
@@ -182,7 +177,7 @@ pub enum CrashWindow {
     /// swinging the index onto it (`cell.before-swing`).
     MidCellSwing(u64),
     /// No failpoint: the crash lands between operations (still drops any
-    /// unpersisted pool lines and the ordered index).
+    /// unpersisted pool lines).
     Quiescent,
 }
 
@@ -258,17 +253,9 @@ pub fn client_ops(config: &CheckConfig, client: usize) -> Vec<Op> {
         num_keys: config.keys.max(1),
         key_len: 8,
         value_len: 8,
-        mix: if config.scans {
-            WorkloadMix::CRUD_SCAN
-        } else {
-            WorkloadMix::CRUD
-        },
+        mix: WorkloadMix::CRUD,
         distribution: KeyDistribution::MODERATE_SKEW,
         seed: mix(config.seed, client as u64 + 1),
-        // Short ranges keep the per-scan read expansion (and thus the
-        // checker's per-key projections) small while still spanning
-        // multiple owners on every scan.
-        max_scan_len: 4,
     });
     (0..per_client)
         .map(|i| match generator.next_op() {
@@ -276,7 +263,6 @@ pub fn client_ops(config: &CheckConfig, client: usize) -> Vec<Op> {
             Operation::Update(key, _) => Op::update(key, format!("c{client}-{i}")),
             Operation::Insert(key, _) => Op::insert(key, format!("c{client}-{i}")),
             Operation::Delete(key) => Op::delete(key),
-            Operation::Scan(start, n) => Op::scan(start, n),
         })
         .collect()
 }
@@ -298,8 +284,6 @@ pub struct ScenarioRun {
     pub segments_compacted: u64,
     /// Live entries the compactor relocated during the run.
     pub entries_relocated: u64,
-    /// Successful scans in the history (0 unless `CheckConfig::scans`).
-    pub scan_ops: usize,
     /// Live KVS nodes at the end.
     pub final_kns: usize,
     /// KN fail-stop + re-admit crashes applied (0 unless
@@ -446,13 +430,12 @@ pub fn run_scenario(config: &CheckConfig) -> ScenarioRun {
     let error_replies = clients.into_iter().map(|h| h.join().unwrap()).sum();
     let churn_log = churn_thread.join().unwrap();
 
-    // Whatever the scenario did to it, the ordered index must satisfy its
-    // structural invariants once the cluster quiesces. The walker needs a
+    // Whatever the scenario did to it, the hash index must pass its
+    // invariant walk once the cluster quiesces. The walk needs a
     // quiescent point: clients and churn have joined, `quiesce` waits out
     // the merge workers, and collector passes are excluded across the
-    // walk — merge and relocation both swing the hash index before the
-    // ordered index, and a walk landing between the two steps reports a
-    // phantom mismatch (as `Kvs::crash_dpm_and_recover` documents).
+    // walk — a pass can free the victim of an index word the walk just
+    // read (see `DpmNode::pause_collectors`).
     // The same quiescent point checks the executor: every client's
     // `execute` has returned, so no sub-batch may be left in a surviving
     // node's worker queue, and flush + merge must still complete.
@@ -465,18 +448,14 @@ pub fn run_scenario(config: &CheckConfig) -> ScenarioRun {
     }
     let checked = {
         let _gc_pause = kvs.dpm().pause_collectors();
-        kvs.dpm().check_ordered()
+        kvs.dpm().check_index()
     };
     if let Err(e) = checked {
-        panic!("ordered-index invariants violated after scenario: {e}");
+        panic!("index invariants violated after scenario: {e}");
     }
 
     let stats = kvs.stats();
     let history = recorder.drain();
-    let scan_ops = history
-        .iter()
-        .filter(|r| r.ok && matches!(r.action, Action::Scan { .. }))
-        .count();
     let failpoints = kvs.dpm().failpoints();
     ScenarioRun {
         history,
@@ -484,7 +463,6 @@ pub fn run_scenario(config: &CheckConfig) -> ScenarioRun {
         busy_rejections: stats.kns.iter().map(|k| k.busy_rejections).sum(),
         segments_compacted: stats.dpm.segments_compacted,
         entries_relocated: stats.dpm.entries_relocated,
-        scan_ops,
         final_kns: kvs.num_kns(),
         kn_crashes: churn_log
             .iter()
@@ -650,10 +628,10 @@ fn apply_churn(kvs: &Kvs, action: ChurnAction) -> String {
             // propagates through the churn-thread join and fails the run.
             match kvs.crash_dpm_and_recover() {
                 Ok(r) => format!(
-                    "crash-dpm({note}): recovered={} torn={} rebuilt={} dropped={}",
+                    "crash-dpm({note}): recovered={} torn={} indexed={} dropped={}",
                     r.recovery.entries_recovered,
                     r.recovery.torn_entries,
-                    r.ordered_rebuilt,
+                    r.tree,
                     r.buffered_discarded,
                 ),
                 Err(e) => panic!("crash-dpm({note}): recovery failed: {e}"),
@@ -696,7 +674,6 @@ pub fn render_history(history: &[OpRecord]) -> String {
             Action::Delete => ("delete", None),
             Action::Read(Some(v)) => ("read", Some(v)),
             Action::Read(None) => ("read-none", None),
-            Action::Scan { .. } => ("scan", None),
         };
         out.push_str(&format!(
             "client={} inv={} ret={} ok={} {} key={:?}",
@@ -709,16 +686,6 @@ pub fn render_history(history: &[OpRecord]) -> String {
         ));
         if let Some(v) = value {
             out.push_str(&format!(" value={:?}", String::from_utf8_lossy(v)));
-        }
-        if let Action::Scan { n, pairs } = &r.action {
-            out.push_str(&format!(" n={n} pairs=["));
-            for (i, (k, _)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("{:?}", String::from_utf8_lossy(k)));
-            }
-            out.push(']');
         }
         out.push('\n');
     }
@@ -807,34 +774,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_churn_gc_scenario_passes_the_checker() {
-        // Scans race CRUD writes, membership/replication churn and the
-        // compactor's relocations; every successful scan decomposes into
-        // snapshot-claims the checker verifies per key, and the ordered
-        // index must come out of it structurally intact (run_scenario
-        // walks it at the end).
-        let mut config = CheckConfig::from_seed(CheckConfig::env_seed().unwrap_or(29));
-        config.total_ops = 2_000;
-        config.scans = true;
-        config.compactor = true;
-        let report = run_and_check(&config).unwrap_or_else(|f| panic!("{f}"));
-        assert!(
-            report.run.scan_ops > 0,
-            "scenario must exercise scans: {} in history",
-            report.run.scan_ops
-        );
-    }
-
-    #[test]
-    fn scan_streams_are_deterministic() {
-        let mut config = CheckConfig::from_seed(19);
-        config.scans = true;
-        assert_eq!(client_ops(&config, 0), client_ops(&config, 0));
-        let has_scan = client_ops(&config, 0).iter().any(dinomo_core::Op::is_scan);
-        assert!(has_scan, "CRUD_SCAN streams must contain scans");
-    }
-
-    #[test]
     fn crash_script_is_deterministic_and_flag_gated() {
         let mut config = CheckConfig::from_seed(23);
         assert!(
@@ -877,8 +816,7 @@ mod tests {
         // batches and replication churn. Acked writes must survive every
         // crash — the per-key checker rejects any history where a
         // recovered read misses one — and every recovery ends with the
-        // quiescent ordered-index invariant walk inside
-        // `crash_dpm_and_recover`.
+        // quiescent index invariant walk inside `crash_dpm_and_recover`.
         let mut config = CheckConfig::from_seed(CheckConfig::env_seed().unwrap_or(41));
         config.total_ops = 2_000;
         config.crashes = true;

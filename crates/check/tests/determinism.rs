@@ -19,9 +19,6 @@ fn issued_streams(history: &[OpRecord]) -> BTreeMap<u64, Vec<(Vec<u8>, String)>>
             Action::Write(v) => format!("write:{}", String::from_utf8_lossy(v)),
             Action::Delete => "delete".to_string(),
             Action::Read(_) => "read".to_string(),
-            // A scan's issued part is its start key (the record key) and
-            // budget; the returned pairs legitimately vary with timing.
-            Action::Scan { n, .. } => format!("scan:{n}"),
         };
         streams
             .entry(r.client)

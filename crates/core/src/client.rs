@@ -34,7 +34,7 @@ use crate::trace::{Action, RecorderHandle};
 use crate::Result;
 use dinomo_partition::{key_hash, KnId, OwnershipTable};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -43,10 +43,6 @@ use std::time::Duration;
 /// sub-batch rejection per routing round) can state the exact budget.
 pub(crate) const MAX_RETRIES: usize = 100;
 
-/// One node's partial answer to a fanned-out scan: the sorted pairs it
-/// contributed, or the error that aborted its part.
-type ScanPartial = Result<Vec<(Vec<u8>, Vec<u8>)>>;
-
 /// A client handle. Create one per application thread with
 /// [`crate::Kvs::client`]; handles are independent and each caches its own
 /// routing metadata.
@@ -54,7 +50,8 @@ type ScanPartial = Result<Vec<(Vec<u8>, Vec<u8>)>>;
 pub struct KvsClient {
     kvs: Arc<KvsInner>,
     cached: Mutex<OwnershipTable>,
-    replica_rr: AtomicUsize,
+    /// SplitMix64 step counter behind [`KvsClient::pick_replica`].
+    replica_step: AtomicU64,
     /// History-recording hook for the linearizability checker; `None`
     /// (the default) costs one branch per request and nothing else.
     recorder: Option<RecorderHandle>,
@@ -74,7 +71,7 @@ impl KvsClient {
         KvsClient {
             kvs,
             cached: Mutex::new(cached),
-            replica_rr: AtomicUsize::new(0),
+            replica_step: AtomicU64::new(0),
             recorder: None,
             stage_dispatch,
             stage_reply,
@@ -105,13 +102,6 @@ impl KvsClient {
                 Reply::Value(v) => v.clone(),
                 _ => None,
             }),
-            OpRef::Scan(_, n) => Action::Scan {
-                n,
-                pairs: match reply {
-                    Reply::Scan(pairs) => pairs.clone(),
-                    _ => Vec::new(),
-                },
-            },
         };
         handle.record(op.key(), action, reply.is_ok(), invoked_at);
     }
@@ -126,14 +116,23 @@ impl KvsClient {
         *self.cached.lock() = self.kvs.ownership.read().clone();
     }
 
-    /// Round-robin pick among a replicated key's owner set.
-    fn pick_replica(&self, cached: &OwnershipTable, key: &[u8]) -> Option<KnId> {
+    /// Pseudo-random pick among a replicated key's owner set: one
+    /// SplitMix64 step of a per-client counter, mixed with the key's hash.
+    /// A plain round-robin counter shared by every key aliases with any
+    /// fixed cycle of keys — read k keys in turn over k replicas and each
+    /// key lands on the same replica every time — so the step is hashed
+    /// before it picks.
+    fn pick_replica(&self, cached: &OwnershipTable, key: &[u8], hash: u64) -> Option<KnId> {
         let owners = cached.owners(key);
         if owners.is_empty() {
             return None;
         }
-        let idx = self.replica_rr.fetch_add(1, Ordering::Relaxed) % owners.len();
-        Some(owners[idx])
+        let step = self.replica_step.fetch_add(1, Ordering::Relaxed);
+        let mut z = step.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ hash;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        Some(owners[(z % owners.len() as u64) as usize])
     }
 
     fn node(&self, id: KnId) -> Option<Arc<KnNode>> {
@@ -209,9 +208,8 @@ impl KvsClient {
             [] => Vec::new(),
             // A singleton batch is dispatched like a per-key call: same
             // node-side envelope, but inline on this thread with no groups,
-            // shared state or reply channel. Scans are the exception: even
-            // alone they need the batched dispatch's every-node fan-out.
-            [op] if !op.is_scan() => vec![self.execute_one(op.view())],
+            // shared state or reply channel.
+            [op] => vec![self.execute_one(op.view())],
             _ => self.execute_batch(ops),
         }
     }
@@ -250,11 +248,6 @@ impl KvsClient {
             // lock acquisition. Clusters are small (a handful to dozens of
             // KNs), so a linear-scan group list beats a map.
             let mut groups: Vec<(KnId, Vec<usize>)> = Vec::new();
-            // Scan positions this round: excluded from owner grouping and
-            // fanned out to every ring member below (each member answers
-            // for the keys it owns, so no single owner can serve a range).
-            let mut scans: Vec<usize> = Vec::new();
-            let mut scan_members: Vec<KnId> = Vec::new();
             let routed_version;
             {
                 let cached = self.cached.lock();
@@ -265,20 +258,16 @@ impl KvsClient {
                 // so spreading a key's ops across replicas could land a
                 // later op in an earlier-created group and run it first,
                 // breaking the same-key batch-order guarantee. The
-                // round-robin pick is therefore memoized per key per round
+                // replica pick is therefore memoized per key per round
                 // (load still spreads across batches).
                 let mut replica_picks: Vec<(&[u8], Option<KnId>)> = Vec::new();
                 for &i in &pending {
-                    if batch.ops[i].is_scan() {
-                        scans.push(i);
-                        continue;
-                    }
                     let key = batch.ops[i].key();
                     let owner = if cached.is_replicated(key) {
                         match replica_picks.iter().find(|(k, _)| *k == key) {
                             Some((_, pick)) => *pick,
                             None => {
-                                let pick = self.pick_replica(&cached, key);
+                                let pick = self.pick_replica(&cached, key, batch.hashes[i]);
                                 replica_picks.push((key, pick));
                                 pick
                             }
@@ -294,24 +283,18 @@ impl KvsClient {
                         None => replies[i] = Some(Reply::Error(KvsError::NoNodes)),
                     }
                 }
-                if !scans.is_empty() {
-                    scan_members = global.members().to_vec();
-                }
             }
 
             // Resolve every group's node handle under one registry lock,
             // then dispatch with the lock released — a slow group (pmem
             // flush, injected fabric delay) must not hold up concurrent
             // reconfigurations or other clients' node lookups.
-            let (nodes, scan_nodes) = {
+            let nodes: Vec<Option<Arc<KnNode>>> = {
                 let kns = self.kvs.kns.read();
-                let nodes: Vec<Option<Arc<KnNode>>> = groups
+                groups
                     .iter()
                     .map(|(owner, _)| kns.get(owner).cloned())
-                    .collect();
-                let scan_nodes: Vec<Option<Arc<KnNode>>> =
-                    scan_members.iter().map(|id| kns.get(id).cloned()).collect();
-                (nodes, scan_nodes)
+                    .collect()
             };
             // One batched request per owner node. Each node resolves its
             // group's ownership once (the request carries the metadata
@@ -332,33 +315,6 @@ impl KvsClient {
                     });
                 }
             }
-            // Fan each scan out to every ring member, inline on this
-            // thread while the point-op sub-batches run on the workers.
-            // Every member answers with the pairs for the keys *it* owns
-            // — validated against `routed_version`, so a node whose table
-            // moved on rejects instead of contributing a partial filtered
-            // by a different ring — and the union of the sorted partials
-            // is complete and duplicate-free.
-            let scan_partials: Vec<Vec<ScanPartial>> = scans
-                .iter()
-                .map(|&pos| {
-                    let Op::Scan { start, n } = &batch.ops[pos] else {
-                        unreachable!("`scans` holds only scan positions");
-                    };
-                    if scan_members.is_empty() {
-                        return vec![Err(KvsError::NoNodes)];
-                    }
-                    scan_nodes
-                        .iter()
-                        .map(|node| match node {
-                            Some(node) => node.scan(start, *n, routed_version),
-                            // Present in the routing table but gone from the
-                            // registry: membership moved — refresh and retry.
-                            None => Err(KvsError::NodeFailed),
-                        })
-                        .collect()
-                })
-                .collect();
             dinomo_obs::record_since(&self.stage_dispatch, dispatch_clock);
             // Disconnection is the latch: with this thread's `Sender` gone,
             // the receiver runs dry exactly when every sub-batch of the
@@ -378,46 +334,9 @@ impl KvsClient {
             let mut retry: Vec<usize> = Vec::new();
             let mut saw_routing_error = false;
             let mut saw_busy = false;
-            // Merge each scan's partials. A scan only resolves when every
-            // member contributed: one rejected or missing member means its
-            // share of the key space would be silently absent, so the scan
-            // retries as a whole (after the refresh its rejection asked
-            // for) instead of returning a short result.
-            for (&pos, partials) in scans.iter().zip(scan_partials) {
-                let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-                let mut fatal: Option<KvsError> = None;
-                let mut busy = false;
-                let mut routing = false;
-                for partial in partials {
-                    match partial {
-                        Ok(part) => pairs.extend(part),
-                        Err(KvsError::Busy) => busy = true,
-                        Err(e) if Self::is_routing_error(&e) => routing = true,
-                        Err(e) => fatal = Some(e),
-                    }
-                }
-                if let Some(e) = fatal {
-                    replies[pos] = Some(Reply::Error(e));
-                } else if routing || busy {
-                    saw_routing_error |= routing;
-                    saw_busy |= busy;
-                    last_was_busy[pos] = busy && !routing;
-                    retry.push(pos);
-                } else {
-                    let Op::Scan { n, .. } = &batch.ops[pos] else {
-                        unreachable!("`scans` holds only scan positions");
-                    };
-                    pairs.sort();
-                    pairs.truncate(*n);
-                    replies[pos] = Some(Reply::Scan(pairs));
-                }
-            }
             for i in pending {
                 if replies[i].is_some() {
                     continue; // resolved as NoNodes during grouping
-                }
-                if batch.ops[i].is_scan() {
-                    continue; // harvested (or queued for retry) above
                 }
                 match results[i].take() {
                     Some(Ok(read)) => replies[i] = Some(batch.ops[i].view().reply_from(read)),
@@ -469,7 +388,7 @@ impl KvsClient {
         replies
     }
 
-    /// One non-scan op, start to finish: the per-key methods and singleton
+    /// One op, start to finish: the per-key methods and singleton
     /// batches. A batch of one — routed against the cached table, served by
     /// the owner's envelope with the cached version attached, retried
     /// after a metadata refresh on routing errors, recorded — minus what
@@ -484,7 +403,7 @@ impl KvsClient {
             let (owner, routed_version) = {
                 let cached = self.cached.lock();
                 let owner = if cached.is_replicated(key) {
-                    self.pick_replica(&cached, key)
+                    self.pick_replica(&cached, key, hash)
                 } else {
                     cached.global_ring().owner(hash)
                 };
@@ -564,41 +483,6 @@ impl KvsClient {
     /// `lookup(key)`.
     pub fn lookup(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         self.execute_one(OpRef::Lookup(key)).into_value()
-    }
-
-    /// `scan(start, n)`: up to `n` key/value pairs in key order, starting
-    /// at the smallest key `>= start` (fewer when the key space ends
-    /// first).
-    ///
-    /// Scans are served from the ordered secondary index maintained
-    /// beside the DPM's hash index, overlaid with each node's
-    /// acked-but-unmerged writes — a scan sees your own completed writes
-    /// exactly as lookups do. The client fans the request out to every
-    /// member KVS node (each returns the pairs for the keys *it* owns)
-    /// and merges the sorted partials; a member that rejects because
-    /// ownership moved causes a metadata refresh and a clean retry of the
-    /// whole scan, never a silently short result.
-    ///
-    /// ```
-    /// use dinomo_core::Kvs;
-    ///
-    /// let kvs = Kvs::builder().small_for_tests().build().unwrap();
-    /// let client = kvs.client();
-    /// client.multi_put([("user1", "a"), ("user2", "b"), ("user3", "c")]);
-    /// let pairs = client.scan(b"user2", 2).unwrap();
-    /// assert_eq!(
-    ///     pairs,
-    ///     vec![
-    ///         (b"user2".to_vec(), b"b".to_vec()),
-    ///         (b"user3".to_vec(), b"c".to_vec()),
-    ///     ],
-    /// );
-    /// ```
-    pub fn scan(&self, start: &[u8], n: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.execute(vec![Op::scan(start, n)])
-            .pop()
-            .expect("one reply per op")
-            .into_pairs()
     }
 
     /// `delete(key)`.

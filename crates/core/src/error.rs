@@ -31,9 +31,8 @@ pub enum KvsError {
     Pmem(PmemError),
     /// The client retried routing too many times without converging.
     RoutingRetriesExhausted,
-    /// The post-recovery invariant walk (`check_tree`/`check_ordered`)
-    /// failed after a simulated crash: recovery left the indexes
-    /// inconsistent. The payload describes the first violated invariant.
+    /// The post-recovery invariant walk (`DpmNode::check_index`) failed
+    /// after a simulated crash: recovery left the index inconsistent. The payload describes the first violated invariant.
     RecoveryCheckFailed(String),
 }
 

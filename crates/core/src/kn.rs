@@ -9,11 +9,11 @@ use crate::stats::KnStats;
 use crate::Result;
 use dinomo_cache::{build_cache, CacheLookup, CacheStats, KnCache, ValueLoc};
 use dinomo_dpm::{BloomFilter, DpmNode, Guard, LogOp, LogWriter};
-use dinomo_partition::{key_hash, HashRing, KnId, OwnershipTable};
+use dinomo_partition::{key_hash, KnId, OwnershipTable};
 use dinomo_pmem::PmAddr;
 use dinomo_simnet::Nic;
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
@@ -55,18 +55,6 @@ impl std::fmt::Debug for Shard {
 /// against a known ownership-table version: never equal to a real version,
 /// so the full per-key ownership verification always runs.
 pub(crate) const NO_VERSION: u64 = u64::MAX;
-
-/// Cached scan-routing state (see [`KnNode::scan`]): the global-ring
-/// snapshot the scan's merge phase filters tree keys with, pinned to the
-/// ownership-table version it was cloned at. Caching it per version lets a
-/// scan hold the ownership read-lock only long enough to validate the
-/// client's version and capture the overlay snapshot — not across the
-/// whole ordered-index walk.
-#[derive(Debug)]
-struct ScanRing {
-    version: u64,
-    ring: HashRing,
-}
 
 /// One sub-batch of a client batch, bound to one shard of one node: the
 /// unit of work a shard worker dequeues. Executing it sends the positions'
@@ -172,7 +160,7 @@ struct KnMetrics {
     /// enqueued, the shard-mutex wait when it ran inline.
     queue_wait: dinomo_obs::Histogram,
     /// `stage_shard_execute_ns` — execution against the locked shard (or
-    /// of one op run on the caller: shared keys, in-group scans).
+    /// of one shared-key op run on the caller).
     shard_execute: dinomo_obs::Histogram,
 }
 
@@ -195,17 +183,12 @@ pub struct KnNode {
     dpm: Arc<DpmNode>,
     ownership: Arc<RwLock<OwnershipTable>>,
     shards: Vec<Mutex<Shard>>,
-    /// Per-version global-ring snapshot for the scan path's tree-key
-    /// filtering; dropped by [`KnNode::clear_caches`] on ownership
-    /// hand-off so a stale ring can never filter for ranges the node no
-    /// longer owns.
-    scan_ring: Mutex<Option<Arc<ScanRing>>>,
     write_batch_ops: usize,
     executor: Option<NodeExecutor>,
     /// Sub-batches below this size run inline on the dispatching thread
     /// (`KvsConfig::executor_min_sub_batch`).
     min_sub_batch: usize,
-    /// Requests (per-key calls, batches, scans) and queued sub-batches
+    /// Requests (per-key calls and batches) and queued sub-batches
     /// currently executing on any thread; reconfiguration drains this to
     /// zero after turning the node unavailable, so no straggler can
     /// buffer a write behind the pre-handoff flush.
@@ -273,7 +256,6 @@ impl KnNode {
             dpm,
             ownership,
             shards,
-            scan_ring: Mutex::new(None),
             write_batch_ops: config.write_batch_ops.max(1),
             executor,
             min_sub_batch: config.executor_min_sub_batch,
@@ -316,7 +298,6 @@ impl KnNode {
     pub fn fail(&self) {
         self.failed.store(true, Ordering::SeqCst);
         self.drain_in_flight();
-        *self.scan_ring.lock() = None;
         for shard in &self.shards {
             let mut s = shard.lock();
             s.cache.clear();
@@ -495,182 +476,6 @@ impl KnNode {
         Ok(entry
             .filter(|e| e.key == key)
             .map(|e| e.read_value(self.dpm.pool())))
-    }
-
-    // ------------------------------------------------------------- scans
-
-    /// `scan(start, n)`, this node's share: up to `n` key/value pairs in
-    /// key order, starting at the smallest key `>= start`, restricted to
-    /// the keys **this node owns** on the global ring. The client fans a
-    /// scan out to every member node and merges the sorted partials;
-    /// exactly-one-owner-per-key makes the union complete and
-    /// duplicate-free.
-    ///
-    /// `client_version` is the ownership-table version the client routed
-    /// against. If this node's table disagrees, the scan rejects *as a
-    /// whole* with [`KvsError::NotOwner`] rather than answer filtered by a
-    /// different generation of the ring than its peers' — a half-migrated
-    /// range must surface as a clean retry, never as a silently short
-    /// result. `NO_VERSION` skips the check (the direct single-node call
-    /// path, which filters by the node's current ring).
-    ///
-    /// Snapshot semantics: with every shard locked, the node captures (a)
-    /// its unmerged overlay — acked writes and deletes the DPM index
-    /// cannot serve yet — and (b) one immutable generation of the DPM's
-    /// ordered index. That capture is the scan's single snapshot point;
-    /// the shard locks are released before the tree walk, and the epoch
-    /// pin keeps every location in the pinned generation dereferenceable
-    /// even if the compactor relocates entries and frees their segments
-    /// mid-scan.
-    pub fn scan(
-        &self,
-        start: &[u8],
-        n: usize,
-        client_version: u64,
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let _in_flight = self.admit()?;
-        let begin = Instant::now();
-        let result = self.scan_owned(start, n, client_version);
-        self.record_work(1, 0, begin);
-        result
-    }
-
-    fn scan_owned(
-        &self,
-        start: &[u8],
-        n: usize,
-        client_version: u64,
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        // Pin before snapshotting: every location captured below (overlay
-        // committed locations and the whole ordered generation) stays
-        // readable under this guard — the compactor defers segment frees
-        // past every pinned epoch.
-        let guard = dinomo_dpm::pin();
-        let (ring, overlay, snapshot) = {
-            let table = self.ownership.read();
-            if client_version != NO_VERSION && table.version() != client_version {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(KvsError::NotOwner {
-                    current_version: table.version(),
-                });
-            }
-            let ring = self.scan_ring_at(&table);
-            // Lock every shard, then capture overlay and tree generation
-            // while all are held: no write can slip between one shard's
-            // overlay and the tree, so the capture is one atomic snapshot
-            // point for the whole node.
-            let locked: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
-            let mut overlay: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
-            for shard in &locked {
-                for (key, state) in &shard.unmerged {
-                    if key.as_slice() < start
-                        || ring.ring.owner(key_hash(key)) != Some(self.id)
-                        // Selectively-replicated keys linearize through
-                        // their indirection cell, not this node's unmerged
-                        // tracking (another replica may have superseded the
-                        // state here); the tree pass reads them via the
-                        // cell.
-                        || self.dpm.indirect_cell_of(key).is_some()
-                    {
-                        continue;
-                    }
-                    match state {
-                        Unmerged::Pending(v) => {
-                            overlay.insert(key.clone(), Some(v.clone()));
-                        }
-                        Unmerged::Committed { addr, len } => {
-                            // As in the read path: a committed location in
-                            // a since-freed segment is fully merged and
-                            // relocated — the (fresher) tree location
-                            // serves the key instead.
-                            if self.dpm.value_addr_is_live_in(&guard, *addr) {
-                                let value = self.dpm.read_value_at(&self.nic, *addr, *len);
-                                overlay.insert(key.clone(), Some(value));
-                            }
-                        }
-                        Unmerged::Deleted => {
-                            overlay.insert(key.clone(), None);
-                        }
-                    }
-                }
-            }
-            let snapshot = self.dpm.ordered().snapshot(&guard);
-            (ring, overlay, snapshot)
-        };
-        // Merge the two sorted streams: the pinned tree generation
-        // (filtered to this node's keys) and the overlay. On a shared key
-        // the overlay wins — it is newer than anything merged.
-        let mut out: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        let mut tree = snapshot
-            .range_from(start)
-            .filter(|(key, _)| ring.ring.owner(key_hash(key)) == Some(self.id))
-            .peekable();
-        let mut over = overlay.into_iter().peekable();
-        while out.len() < n {
-            let take_tree = match (tree.peek(), over.peek()) {
-                (None, None) => break,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (Some((tree_key, _)), Some((over_key, _))) => {
-                    if tree_key == over_key {
-                        // Consume the tree's (superseded) entry alongside.
-                        tree.next();
-                        false
-                    } else {
-                        tree_key < over_key
-                    }
-                }
-            };
-            if take_tree {
-                let (key, loc) = tree.next().expect("peeked above");
-                if let Some(value) = self.scan_value(&guard, &key, loc) {
-                    out.push((key, value));
-                }
-            } else {
-                let (key, value) = over.next().expect("peeked above");
-                if let Some(value) = value {
-                    out.push((key, value));
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Resolve the value for a tree-sourced scan hit. A selectively-
-    /// replicated key linearizes through its indirection cell (its ordered-
-    /// index location deliberately goes stale while the cell is installed
-    /// — see the merge engine), so it is read via the cell; everything
-    /// else dereferences the entry location from the pinned generation
-    /// directly. `None` drops the key from the scan (a cell carrying a
-    /// delete tombstone).
-    fn scan_value(&self, guard: &Guard, key: &[u8], loc: dinomo_dpm::PackedLoc) -> Option<Vec<u8>> {
-        if let Some(cell) = self.dpm.indirect_cell_of(key) {
-            let entry_loc = self.dpm.remote_read_indirect(&self.nic, cell)?;
-            self.nic.one_sided_read(entry_loc.len() as usize);
-            let entry =
-                dinomo_dpm::entry::decode_entry(self.dpm.pool(), entry_loc.addr(), entry_loc.len());
-            return entry
-                .filter(|e| e.key == key)
-                .map(|e| e.read_value(self.dpm.pool()));
-        }
-        self.dpm.read_entry_value_in(guard, &self.nic, loc)
-    }
-
-    /// The global-ring snapshot the scan's merge phase filters with,
-    /// cloned from `table` at most once per ownership-table version.
-    fn scan_ring_at(&self, table: &OwnershipTable) -> Arc<ScanRing> {
-        let mut cached = self.scan_ring.lock();
-        match cached.as_ref() {
-            Some(cached) if cached.version == table.version() => Arc::clone(cached),
-            _ => {
-                let fresh = Arc::new(ScanRing {
-                    version: table.version(),
-                    ring: table.global_ring().clone(),
-                });
-                *cached = Some(Arc::clone(&fresh));
-                fresh
-            }
-        }
     }
 
     // ------------------------------------------------------------ writes
@@ -852,7 +657,7 @@ impl KnNode {
     ///    epoch pin and one flush decision ([`KnNode::run_shard`]) — on the
     ///    shard's worker when `workers` is given and the slice is big
     ///    enough to amortize the hand-off, inline otherwise — then the
-    ///    shared-key and scan positions in order on the caller. Replicated
+    ///    shared-key positions in order on the caller. Replicated
     ///    keys linearize through their DPM indirection cell and never share
     ///    a key with the owned slices of the same round, so the two can
     ///    overlap;
@@ -920,7 +725,7 @@ impl KnNode {
                 }
             }
         }
-        let (r, w) = self.run_on_caller(ops, positions, routes, client_version, set);
+        let (r, w) = self.run_on_caller(ops, positions, routes, set);
         self.record_work(reads + r, writes + w, start);
     }
 
@@ -938,9 +743,8 @@ impl KnNode {
     /// Writes one route per position into `routes` (parallel to
     /// `positions`): the shard index for owned keys,
     /// [`Self::ROUTE_SHARED`]`| shard` for keys that take the in-order
-    /// shared pass, [`Self::ROUTE_SCAN`] for scans, or
-    /// [`Self::ROUTE_REJECTED`] for keys this node does not own (answered
-    /// `NotOwner` through `set`).
+    /// shared pass, or [`Self::ROUTE_REJECTED`] for keys this node does
+    /// not own (answered `NotOwner` through `set`).
     ///
     /// `client_version` is the ownership-table version the caller routed
     /// against (§3.1's staleness detection, applied group-wide): when it
@@ -966,15 +770,7 @@ impl KnNode {
         let local = table.local_ring(self.id);
         let verified = table.version() == client_version;
         for (route, &pos) in routes.iter_mut().zip(positions) {
-            let op = ops(pos);
-            if let OpRef::Scan(..) = op {
-                // Scans never route to a shard: they read every shard's
-                // overlay at once and are served on the caller after the
-                // point-op dispatch.
-                *route = Self::ROUTE_SCAN;
-                continue;
-            }
-            let key = op.key();
+            let key = ops(pos).key();
             let hash = hashes[pos];
             let replicated = table.is_replicated(key);
             let owned = verified
@@ -1008,9 +804,6 @@ impl KnNode {
     const ROUTE_REJECTED: u32 = u32::MAX;
     /// Route-tag bit for positions deferred to the in-order shared pass.
     const ROUTE_SHARED: u32 = 1 << 31;
-    /// Route tag for scan positions, served on the caller (all shards at
-    /// once) instead of by any single shard.
-    const ROUTE_SCAN: u32 = 1 << 30;
 
     /// The positions routed to `shard_idx`, in group order, with no
     /// allocation (inline execution iterates this directly; the enqueue
@@ -1118,9 +911,6 @@ impl KnNode {
                     Self::delete_in_shard(&mut shard, key);
                     Ok(None)
                 }
-                OpRef::Scan(..) => {
-                    unreachable!("scans route to ROUTE_SCAN, never to a shard")
-                }
             };
             set(pos, result);
         }
@@ -1182,22 +972,20 @@ impl KnNode {
 
     /// The positions of a group that execute on the caller, one op at a
     /// time in group order: shared (replicated-key) ops, which lock their
-    /// shard internally and linearize through their indirection cell, and
-    /// scans. Each op is one `stage_shard_execute_ns` sample. Returns the
+    /// shard internally and linearize through their indirection cell. Each
+    /// op is one `stage_shard_execute_ns` sample. Returns the
     /// `(reads, writes)` served.
     fn run_on_caller<'a>(
         &self,
         ops: impl Fn(usize) -> OpRef<'a>,
         positions: &[usize],
         routes: &[u32],
-        client_version: u64,
         set: &mut impl FnMut(usize, OpResult),
     ) -> (u64, u64) {
         let mut reads = 0u64;
         let mut writes = 0u64;
         for (&pos, &route) in positions.iter().zip(routes) {
-            if route == Self::ROUTE_REJECTED || route & (Self::ROUTE_SHARED | Self::ROUTE_SCAN) == 0
-            {
+            if route == Self::ROUTE_REJECTED || route & Self::ROUTE_SHARED == 0 {
                 continue;
             }
             let shard = route & !Self::ROUTE_SHARED;
@@ -1213,15 +1001,6 @@ impl KnNode {
                 OpRef::Delete(key) => {
                     writes += 1;
                     self.delete_shared(key, shard).map(|()| None)
-                }
-                // A scan inside a group is served against this node alone
-                // and reduced to its first pair's value to fit the
-                // positional result shape; full fanned-out scans go
-                // through the client and [`KnNode::scan`].
-                OpRef::Scan(start, n) => {
-                    reads += 1;
-                    self.scan_owned(start, n, client_version)
-                        .map(|pairs| pairs.into_iter().next().map(|(_, v)| v))
                 }
             });
             set(pos, result);
@@ -1303,11 +1082,6 @@ impl KnNode {
     /// a failure re-homing keys) would read an outdated location from it
     /// instead of the index.
     pub fn clear_caches(&self) {
-        // The cached scan-routing ring goes too: after a hand-off it
-        // describes ranges this node may no longer own, and a scan
-        // filtering with it could return a silently short result instead
-        // of rejecting for a clean client retry.
-        *self.scan_ring.lock() = None;
         for shard in &self.shards {
             let mut s = shard.lock();
             s.cache.clear();
@@ -1326,7 +1100,6 @@ impl KnNode {
     /// acknowledged, so the discarded entries are exactly the
     /// never-acknowledged ones. Returns how many buffered entries died.
     pub fn discard_volatile_state(&self) -> usize {
-        *self.scan_ring.lock() = None;
         let mut discarded = 0;
         for shard in &self.shards {
             let mut s = shard.lock();
@@ -1753,116 +1526,5 @@ mod tests {
         wedge.recv().unwrap();
         filler.recv().unwrap();
         node.drain_in_flight();
-    }
-
-    /// The scan merge: merged entries come from the ordered index,
-    /// unmerged writes override them, overlay-only keys appear, and an
-    /// unmerged delete suppresses its merged tree entry.
-    #[test]
-    fn scan_merges_tree_overlay_and_suppresses_tombstones() {
-        let kvs = crate::KvsBuilder::new()
-            .small_for_tests()
-            .initial_kns(1)
-            .build()
-            .unwrap();
-        let client = kvs.client();
-        for (k, v) in [(b"a", b"1"), (b"b", b"2"), (b"c", b"3")] {
-            client.insert(k, v).unwrap();
-        }
-        // Everything above reaches the ordered index…
-        kvs.flush_all().unwrap();
-        // …and everything below stays in the unmerged overlay.
-        client.update(b"b", b"2x").unwrap();
-        client.insert(b"d", b"4").unwrap();
-        client.delete(b"a").unwrap();
-        let pairs = client.scan(b"a", 10).unwrap();
-        let expect: Vec<(Vec<u8>, Vec<u8>)> = vec![
-            (b"b".to_vec(), b"2x".to_vec()),
-            (b"c".to_vec(), b"3".to_vec()),
-            (b"d".to_vec(), b"4".to_vec()),
-        ];
-        assert_eq!(pairs, expect);
-        // Results truncate to the budget.
-        assert_eq!(client.scan(b"b", 2).unwrap().len(), 2);
-        // A start past every key scans empty.
-        assert!(client.scan(b"zz", 4).unwrap().is_empty());
-    }
-
-    /// A scan routed at a stale ownership version must reject whole
-    /// (`NotOwner`) rather than filter with a ring that no longer
-    /// describes the keys this node serves.
-    #[test]
-    fn stale_version_scan_rejects_not_owner() {
-        let kvs = Kvs::new(KvsConfig::small_for_tests()).unwrap();
-        let client = kvs.client();
-        client.insert(b"k0", b"v0").unwrap();
-        let node = kvs.kn(kvs.kn_ids()[0]).unwrap();
-        let current = node.ownership.read().version();
-        match node.scan(b"k", 8, current.wrapping_sub(1)) {
-            Err(KvsError::NotOwner { current_version }) => {
-                assert_eq!(current_version, current);
-            }
-            other => panic!("stale-routed scan must reject whole: {other:?}"),
-        }
-        // At the live version the same node answers.
-        assert!(node.scan(b"k", 8, current).is_ok());
-    }
-
-    /// Regression: a scan straddling a just-migrated range must come back
-    /// complete. The version guard turns every stale-routed member into a
-    /// whole-scan `NotOwner` retry — never a silently short result from a
-    /// ring that moved underneath the scan.
-    #[test]
-    fn scan_straddling_a_migration_retries_instead_of_short_results() {
-        let kvs = Kvs::new(KvsConfig::small_for_tests()).unwrap();
-        let client = kvs.client();
-        let total = 64usize;
-        for i in 0..total {
-            client
-                .insert(format!("key{i:03}").as_bytes(), b"v")
-                .unwrap();
-        }
-        let old_version = kvs.ownership().read().version();
-        // Warm the per-node scan rings at the current version.
-        assert_eq!(client.scan(b"key", total).unwrap().len(), total);
-
-        kvs.add_kn().unwrap();
-        let new_version = kvs.ownership().read().version();
-        assert_ne!(old_version, new_version);
-
-        // A member still answering at the pre-migration version rejects.
-        let node = kvs.kn(kvs.kn_ids()[0]).unwrap();
-        match node.scan(b"key", total, old_version) {
-            Err(KvsError::NotOwner { current_version }) => {
-                assert_eq!(current_version, new_version);
-            }
-            other => panic!("stale-routed scan must reject whole: {other:?}"),
-        }
-
-        // The client path refreshes its routing and retries the whole
-        // scan: the complete range, including every migrated key.
-        let after = client.scan(b"key", total).unwrap();
-        assert_eq!(after.len(), total, "scan dropped keys across the migration");
-    }
-
-    /// The cached scan ring is per-version state: populated by the first
-    /// scan, dropped by `clear_caches` on hand-off.
-    #[test]
-    fn clear_caches_drops_the_scan_ring() {
-        let kvs = Kvs::new(KvsConfig::small_for_tests()).unwrap();
-        let client = kvs.client();
-        client.insert(b"a", b"v").unwrap();
-        let node = kvs.kn(kvs.kn_ids()[0]).unwrap();
-        let version = node.ownership.read().version();
-        node.scan(b"", 4, version).unwrap();
-        assert!(
-            node.scan_ring.lock().is_some(),
-            "a scan must populate the ring cache"
-        );
-        node.clear_caches();
-        assert!(
-            node.scan_ring.lock().is_none(),
-            "hand-off must drop the cached ring"
-        );
     }
 }

@@ -6,7 +6,7 @@ use crate::error::KvsError;
 use crate::kn::KnNode;
 use crate::stats::KvsStats;
 use crate::{KvsClient, Result};
-use dinomo_dpm::{entry::decode_entry, DpmNode, LogWriter, PackedLoc, RecoveryReport, TreeStats};
+use dinomo_dpm::{entry::decode_entry, DpmNode, LogWriter, PackedLoc, RecoveryReport};
 use dinomo_partition::{KnId, OwnershipTable};
 use dinomo_pmem::PmemError;
 use dinomo_simnet::Nic;
@@ -531,12 +531,9 @@ impl Kvs {
     ///    buffered-but-unflushed log writes
     ///    ([`KnNode::discard_volatile_state`]),
     /// 3. quiesce the merge workers, then drop the DPM pool's
-    ///    written-but-unpersisted lines and the DRAM ordered index
-    ///    ([`DpmNode::simulate_crash`]),
-    /// 4. replay the logs ([`DpmNode::recover`]) and rebuild the ordered
-    ///    index from the recovered hash index
-    ///    ([`DpmNode::rebuild_ordered`]),
-    /// 5. run the quiescent `check_tree`/`check_ordered` invariant walk —
+    ///    written-but-unpersisted lines ([`DpmNode::simulate_crash`]),
+    /// 4. replay the logs into the hash index ([`DpmNode::recover`]),
+    /// 5. run the quiescent invariant walk ([`DpmNode::check_index`]) —
     ///    a violation surfaces as [`KvsError::RecoveryCheckFailed`] —
     ///    and reopen every node.
     ///
@@ -564,14 +561,12 @@ impl Kvs {
         // waiting just moves that work before the crash instant.
         self.inner.dpm.wait_until_all_merged();
         // Exclude collector passes across the crash, the log replay and
-        // the invariant walk: a compaction pass swings the hash index
-        // before the ordered index, and a check walking that window
-        // reports a phantom mismatch.
+        // the invariant walk: a pass walks pool bytes the crash rewrites,
+        // and can free the victim of an index word the walk just read.
         let gc_pause = self.inner.dpm.pause_collectors();
         self.inner.dpm.simulate_crash();
         let recovery = self.inner.dpm.recover();
-        let ordered_rebuilt = self.inner.dpm.rebuild_ordered();
-        let check = self.inner.dpm.check_ordered();
+        let check = self.inner.dpm.check_index();
         drop(gc_pause);
         for kn in &kns {
             kn.set_reconfiguring(false);
@@ -579,7 +574,7 @@ impl Kvs {
         let tree = check.map_err(KvsError::RecoveryCheckFailed)?;
         Ok(DpmCrashReport {
             recovery,
-            ordered_rebuilt,
+            ordered_rebuilt: 0,
             buffered_discarded,
             tree,
         })
@@ -670,13 +665,15 @@ pub struct DpmCrashReport {
     /// The log-replay outcome: sealed entries re-merged, torn entries
     /// discarded, index size after.
     pub recovery: RecoveryReport,
-    /// Keys re-inserted into the rebuilt ordered index.
+    /// Always 0: recovery rebuilds no ordered index any more. Kept only
+    /// for `e2e`, deleted with its probe (ROADMAP item 1).
     pub ordered_rebuilt: u64,
     /// Buffered-but-unflushed (never-acknowledged) log entries the
     /// crashed nodes' DRAM took with it.
     pub buffered_discarded: usize,
-    /// Statistics of the post-recovery invariant walk.
-    pub tree: TreeStats,
+    /// Keys the post-recovery invariant walk ([`DpmNode::check_index`])
+    /// found in the hash index.
+    pub tree: u64,
 }
 
 #[cfg(test)]
@@ -1106,7 +1103,7 @@ mod tests {
         assert!(closed, "the moving ranges must be left closed");
 
         let report = kvs.crash_dpm_and_recover().unwrap();
-        assert!(report.ordered_rebuilt >= 200, "{report:?}");
+        assert!(report.tree >= 200, "{report:?}");
         for i in 0..200u64 {
             assert_eq!(
                 client.lookup(&key_for(i, 8)).unwrap(),

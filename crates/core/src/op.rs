@@ -55,16 +55,6 @@ pub enum Op {
         /// The key.
         key: Vec<u8>,
     },
-    /// `scan(start, n)`: read up to `n` key/value pairs in key order,
-    /// starting at the smallest key `>= start`. Served from the ordered
-    /// secondary index beside the hash index; the client fans a scan out
-    /// to every live KVS node and merges the sorted partial results.
-    Scan {
-        /// Inclusive lower bound of the range.
-        start: Vec<u8>,
-        /// Maximum number of pairs to return.
-        n: usize,
-    },
 }
 
 impl Op {
@@ -98,33 +88,19 @@ impl Op {
         }
     }
 
-    /// Build a scan.
-    pub fn scan(start: impl AsRef<[u8]>, n: usize) -> Self {
-        Op::Scan {
-            start: start.as_ref().to_vec(),
-            n,
-        }
-    }
-
-    /// The key this operation targets (the start key, for scans).
+    /// The key this operation targets.
     pub fn key(&self) -> &[u8] {
         match self {
             Op::Insert { key, .. }
             | Op::Update { key, .. }
             | Op::Lookup { key }
             | Op::Delete { key } => key,
-            Op::Scan { start, .. } => start,
         }
     }
 
     /// `true` for inserts, updates and deletes.
     pub fn is_write(&self) -> bool {
-        !matches!(self, Op::Lookup { .. } | Op::Scan { .. })
-    }
-
-    /// `true` for scans (which route to every node instead of one owner).
-    pub fn is_scan(&self) -> bool {
-        matches!(self, Op::Scan { .. })
+        !matches!(self, Op::Lookup { .. })
     }
 
     /// The borrowed form the request path executes.
@@ -133,7 +109,6 @@ impl Op {
             Op::Insert { key, value } | Op::Update { key, value } => OpRef::Put(key, value),
             Op::Lookup { key } => OpRef::Lookup(key),
             Op::Delete { key } => OpRef::Delete(key),
-            Op::Scan { start, n } => OpRef::Scan(start, *n),
         }
     }
 }
@@ -147,16 +122,13 @@ pub(crate) enum OpRef<'a> {
     Lookup(&'a [u8]),
     Put(&'a [u8], &'a [u8]),
     Delete(&'a [u8]),
-    Scan(&'a [u8], usize),
 }
 
 impl<'a> OpRef<'a> {
-    /// The key this operation targets (the start key, for scans).
+    /// The key this operation targets.
     pub(crate) fn key(self) -> &'a [u8] {
         match self {
-            OpRef::Lookup(key) | OpRef::Put(key, _) | OpRef::Delete(key) | OpRef::Scan(key, _) => {
-                key
-            }
+            OpRef::Lookup(key) | OpRef::Put(key, _) | OpRef::Delete(key) => key,
         }
     }
 
@@ -166,9 +138,7 @@ impl<'a> OpRef<'a> {
     }
 
     /// The reply for this op when the node returned `read` (lookups carry
-    /// the read value, writes acknowledge). Scans never take this path —
-    /// the client merges fanned-out partial results into [`Reply::Scan`]
-    /// itself.
+    /// the read value, writes acknowledge).
     pub(crate) fn reply_from(self, read: Option<Vec<u8>>) -> Reply {
         match self {
             OpRef::Lookup(_) => Reply::Value(read),
@@ -207,9 +177,6 @@ pub enum Reply {
     Done,
     /// A lookup completed; `None` means the key does not exist.
     Value(Option<Vec<u8>>),
-    /// A scan completed: up to `n` key/value pairs in strictly increasing
-    /// key order (fewer when the key space ends first).
-    Scan(Vec<(Vec<u8>, Vec<u8>)>),
     /// The operation failed after exhausting routing retries (or hit a
     /// non-retryable error such as a persistent-memory failure).
     Error(KvsError),
@@ -237,32 +204,13 @@ impl Reply {
         }
     }
 
-    /// The scanned pairs, if this is a successful scan.
-    pub fn pairs(&self) -> Option<&[(Vec<u8>, Vec<u8>)]> {
-        match self {
-            Reply::Scan(pairs) => Some(pairs),
-            _ => None,
-        }
-    }
-
     /// Convert a lookup reply into the classic `Result<Option<Vec<u8>>>`
-    /// shape (writes convert to `Ok(None)`; scans to their first value).
+    /// shape (writes convert to `Ok(None)`).
     pub fn into_value(self) -> Result<Option<Vec<u8>>> {
         match self {
             Reply::Value(v) => Ok(v),
             Reply::Done => Ok(None),
-            Reply::Scan(pairs) => Ok(pairs.into_iter().next().map(|(_, v)| v)),
             Reply::Error(e) => Err(e),
-        }
-    }
-
-    /// Convert a scan reply into `Result<Vec<(key, value)>>` (non-scan
-    /// successes convert to an empty list).
-    pub fn into_pairs(self) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        match self {
-            Reply::Scan(pairs) => Ok(pairs),
-            Reply::Error(e) => Err(e),
-            _ => Ok(Vec::new()),
         }
     }
 
@@ -309,29 +257,6 @@ mod tests {
         assert_eq!(failed.err(), Some(&KvsError::NoNodes));
         assert!(failed.clone().into_value().is_err());
         assert!(failed.into_ack().is_err());
-    }
-
-    #[test]
-    fn scan_op_and_reply_accessors() {
-        let op = Op::scan("k010", 5);
-        assert_eq!(op.key(), b"k010");
-        assert!(!op.is_write());
-        assert!(op.is_scan());
-        assert!(!Op::lookup("k").is_scan());
-
-        let pairs = vec![
-            (b"a".to_vec(), b"1".to_vec()),
-            (b"b".to_vec(), b"2".to_vec()),
-        ];
-        let reply = Reply::Scan(pairs.clone());
-        assert!(reply.is_ok());
-        assert_eq!(reply.pairs(), Some(&pairs[..]));
-        assert_eq!(reply.clone().into_pairs().unwrap(), pairs);
-        assert_eq!(reply.clone().into_value().unwrap(), Some(b"1".to_vec()));
-        assert!(reply.into_ack().is_ok());
-        assert_eq!(Reply::Done.pairs(), None);
-        assert_eq!(Reply::Done.into_pairs().unwrap(), Vec::new());
-        assert!(Reply::Error(KvsError::NoNodes).into_pairs().is_err());
     }
 
     #[test]

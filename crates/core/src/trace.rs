@@ -56,23 +56,12 @@ pub enum Action {
     Delete,
     /// `lookup`: observed the given value (`None` = key absent).
     Read(Option<Vec<u8>>),
-    /// `scan(start, n)`: observed the given key/value pairs, in key order,
-    /// starting at the record's key (the scan's start key). The checker
-    /// decomposes a scan into per-key reads over the range it covered.
-    Scan {
-        /// The requested maximum number of pairs (a scan returning fewer
-        /// than `n` pairs claims the key space past its last pair was
-        /// empty).
-        n: usize,
-        /// The observed pairs, in strictly increasing key order.
-        pairs: Vec<(Vec<u8>, Vec<u8>)>,
-    },
 }
 
 impl Action {
     /// `true` for writes and deletes.
     pub fn is_mutation(&self) -> bool {
-        !matches!(self, Action::Read(_) | Action::Scan { .. })
+        !matches!(self, Action::Read(_))
     }
 }
 

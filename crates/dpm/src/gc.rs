@@ -332,12 +332,11 @@ fn compact_pass_locked(inner: &Arc<DpmInner>, gc: &GcConfig) -> CompactionReport
                 budget -= entry_len;
                 report.entries_relocated += 1;
                 report.bytes_relocated += entry_len;
-                // Swing the ordered index onto the copy, and make caches
-                // holding shortcuts into the victim drop them, before the
-                // segment is freed below (the observer takes KN shard
-                // locks — deliberately outside the registry critical
+                // Make caches holding shortcuts into the victim drop them
+                // before the segment is freed below (the observer takes KN
+                // shard locks — deliberately outside the registry critical
                 // section).
-                inner.notify_relocated(&entry.key, old_loc, new_loc);
+                inner.notify_relocated(&entry.key, old_loc);
                 // Simulated fail-stop mid-pass: one entry has been copied
                 // and swung, the rest of the victim has not. Stop here and
                 // leave the pass half done — the crash/recover sequence
@@ -573,8 +572,8 @@ mod tests {
         // The relocated copy was persisted before the swing, so after the
         // crash both copies are on media with the same seq; recovery's
         // re-merge must serve every key correctly (same-seq arbitration
-        // keeps the indexed copy), the rebuilt ordered index must pass
-        // the structural walk, and a later pass must finish the job.
+        // keeps the indexed copy), the index must pass the invariant walk,
+        // and a later pass must finish the job.
         let mut config = gc_config();
         config.pool.track_persistence = true;
         let dpm = Arc::new(DpmNode::new(config).unwrap());
@@ -596,8 +595,7 @@ mod tests {
         dpm.simulate_crash();
         let rec = dpm.recover();
         assert_eq!(rec.torn_entries, 0);
-        dpm.rebuild_ordered();
-        dpm.check_ordered().unwrap();
+        dpm.check_index().unwrap();
 
         for key in &pinned_keys {
             assert_eq!(
@@ -628,7 +626,7 @@ mod tests {
         for key in &pinned_keys {
             assert_eq!(dpm.local_read(key), Some(vec![0xA5; 64]));
         }
-        dpm.check_ordered().unwrap();
+        dpm.check_index().unwrap();
     }
 
     #[test]
@@ -1013,14 +1011,15 @@ mod tests {
     }
 
     #[test]
-    fn ordered_invariants_hold_after_every_merge_and_gc_pass() {
-        // The ordered index must stay consistent with the hash index and
-        // the segment registry through merges, deletes, relocations and
-        // frees — checked after every round's merge and after every
-        // foreground compaction pass.
+    fn index_invariants_hold_after_every_merge_and_gc_pass() {
+        // The hash index must stay consistent with the log and the segment
+        // registry through merges, deletes, relocations and frees —
+        // checked after every round's merge and after every foreground
+        // compaction pass.
         let dpm = Arc::new(DpmNode::new(gc_config()).unwrap());
         let mut w = LogWriter::new(Arc::clone(&dpm), 0, nic());
         let mut live_hot: Vec<String> = Vec::new();
+        let mut deleted: Vec<String> = Vec::new();
         for round in 0..12u32 {
             let hot = format!("hot{round:04}");
             w.append_put(hot.as_bytes(), &[0xA5; 64]);
@@ -1029,37 +1028,37 @@ mod tests {
                 w.append_put(format!("cold{i}").as_bytes(), &[round as u8; 512]);
             }
             if round % 3 == 2 {
-                // Delete the previous round's hot key so the checker also
-                // exercises merge-time ordered removals.
+                // Delete the previous round's hot key so the walk also
+                // sees merge-time removals.
                 let victim = live_hot.remove(live_hot.len() - 2);
                 w.append_delete(victim.as_bytes());
+                deleted.push(victim);
             }
             w.flush().unwrap();
             dpm.wait_until_merged(0);
-            dpm.check_ordered()
+            dpm.check_index()
                 .unwrap_or_else(|e| panic!("after merge round {round}: {e}"));
             dpm.compact_once();
-            dpm.check_ordered()
+            dpm.check_index()
                 .unwrap_or_else(|e| panic!("after GC pass {round}: {e}"));
         }
         w.seal_current();
         dpm.wait_until_merged(0);
         while dpm.compact_once().segments_compacted > 0 {}
-        let stats = dpm
-            .check_ordered()
+        let keys = dpm
+            .check_index()
             .unwrap_or_else(|e| panic!("after final compaction: {e}"));
         // 8 cold keys + the surviving hot keys.
-        assert_eq!(stats.keys, 8 + live_hot.len() as u64);
-
-        // An ordered scan sees exactly the surviving hot keys, in order.
-        let guard = dinomo_pclht::pin();
-        let scanned: Vec<Vec<u8>> = dpm
-            .ordered()
-            .snapshot(&guard)
-            .range_from(b"hot")
-            .map(|(k, _)| k)
-            .collect();
-        let expected: Vec<Vec<u8>> = live_hot.iter().map(|k| k.clone().into_bytes()).collect();
-        assert_eq!(scanned, expected);
+        assert_eq!(keys, 8 + live_hot.len() as u64);
+        for key in &live_hot {
+            assert_eq!(
+                dpm.local_read(key.as_bytes()),
+                Some(vec![0xA5; 64]),
+                "{key}"
+            );
+        }
+        for key in &deleted {
+            assert_eq!(dpm.local_read(key.as_bytes()), None, "{key}");
+        }
     }
 }

@@ -47,7 +47,7 @@ pub use failpoint::FailpointSet;
 pub use gc::{CompactionReport, GC_OWNER_KN};
 pub use loc::PackedLoc;
 pub use node::{DpmNode, DpmStats, LookupResult, RecoveryReport, RelocationObserver};
-pub use ordered::{OrderedIndex, TreeStats};
+pub use ordered::OrderedIndex;
 // Re-exported so KVS nodes can pin one epoch guard across a whole batch of
 // index lookups (`DpmNode::{local_lookup_in, remote_read_in}`).
 pub use dinomo_pclht::{pin, Guard};

@@ -196,11 +196,6 @@ fn apply_entry(
                             |raw| inner.loc_matches_key(raw, &key),
                             new_loc.raw(),
                         );
-                        // Ordered maintenance rides the merge worker,
-                        // after the hash-index change and before the old
-                        // entry is invalidated (so the ordered index never
-                        // holds a location GC could free first).
-                        inner.ordered().upsert(guard, &key, new_loc);
                         inner.invalidate_entry(old);
                     }
                 }
@@ -216,7 +211,6 @@ fn apply_entry(
                         // delete).
                         inner.forget_merged_tombstone(&key);
                         let _ = inner.index().insert(tag, new_loc.raw());
-                        inner.ordered().upsert(guard, &key, new_loc);
                     }
                 }
             }
@@ -246,9 +240,6 @@ fn apply_entry(
                     && inner.loc_matches_key(raw, &key)
                     && !inner.indexed_state_newer_than(raw, entry.header.seq)
             }) {
-                // Drop the ordered entry before invalidating the removed
-                // entry, mirroring the Put arm's ordering.
-                inner.ordered().remove(guard, &key);
                 inner.invalidate_entry(PackedLoc::from_raw(raw));
             }
             // Remember the delete so an older put merging later (lagging

@@ -7,7 +7,6 @@ use crate::failpoint::FailpointSet;
 use crate::gc::{compact_pass, CompactionReport, Compactor, GcSignal};
 use crate::loc::PackedLoc;
 use crate::merge::{apply_recovered_entry, MergeEngine, MergeTask};
-use crate::ordered::{OrderedIndex, TreeStats};
 use crate::segment::SegmentState;
 use crossbeam::epoch::{Atomic, Owned};
 use dinomo_obs::{LockId, Registry, Stage};
@@ -177,11 +176,6 @@ pub struct DpmInner {
     /// Observer notified after each successful relocation (see
     /// [`RelocationObserver`]).
     relocation_observer: ObserverSlot,
-    /// Copy-on-write ordered secondary index over the merged key space
-    /// (see [`crate::ordered`]). Maintained by the merge workers after
-    /// each hash-index change and swung by the compactor on relocation;
-    /// never consulted on the point-op path.
-    ordered: OrderedIndex,
     segments_compacted: AtomicU64,
     bytes_relocated: AtomicU64,
     entries_relocated: AtomicU64,
@@ -413,11 +407,6 @@ impl DpmInner {
         Ok(seg)
     }
 
-    /// The copy-on-write ordered secondary index.
-    pub(crate) fn ordered(&self) -> &OrderedIndex {
-        &self.ordered
-    }
-
     /// This node's crash-injection points.
     pub(crate) fn failpoints(&self) -> &FailpointSet {
         &self.failpoints
@@ -499,19 +488,13 @@ impl DpmInner {
         true
     }
 
-    /// Record a successful relocation: swing the ordered index to the new
-    /// location, then notify the observer. The ordered swing happens
-    /// before the victim segment can be freed (the compactor frees only
-    /// at the end of its pass, through [`DpmInner::free_segment_deferred`]),
-    /// so the current tree generation never points into freed memory; a
-    /// mismatch means a concurrent merge already superseded the entry and
-    /// the newer location must stay.
-    pub(crate) fn notify_relocated(&self, key: &[u8], old_loc: PackedLoc, new_loc: PackedLoc) {
+    /// Record a successful relocation and notify the observer, before
+    /// the victim segment can be freed (the compactor frees only at the
+    /// end of its pass, through [`DpmInner::free_segment_deferred`]).
+    pub(crate) fn notify_relocated(&self, key: &[u8], old_loc: PackedLoc) {
         self.entries_relocated.fetch_add(1, Ordering::Relaxed);
         self.bytes_relocated
             .fetch_add(old_loc.len(), Ordering::Relaxed);
-        let guard = pin();
-        self.ordered.relocate(&guard, key, old_loc, new_loc);
         if let Some(observer) = &*self.relocation_observer.0.read() {
             observer(key, old_loc);
         }
@@ -614,8 +597,6 @@ impl DpmNode {
         let pool = Arc::new(PmemPool::new(config.pool));
         let index = Pclht::new(Arc::clone(&pool), config.index)?;
         let metrics = DpmMetrics::new(registry);
-        let ordered =
-            OrderedIndex::with_lock_profile(metrics.registry.lock_wait(LockId::OrderedRoot));
         let inner = Arc::new(DpmInner {
             config,
             pool,
@@ -633,7 +614,6 @@ impl DpmNode {
             gc_destination: Mutex::new(None),
             gc_signal: GcSignal::default(),
             relocation_observer: ObserverSlot::default(),
-            ordered,
             segments_compacted: AtomicU64::new(0),
             bytes_relocated: AtomicU64::new(0),
             entries_relocated: AtomicU64::new(0),
@@ -921,96 +901,54 @@ impl DpmNode {
         buf
     }
 
-    // ------------------------------------------------------- ordered index
+    // ------------------------------------------------------ invariant walk
 
-    /// The copy-on-write ordered secondary index (see [`crate::ordered`]).
-    /// Scans pin an epoch guard, take a [`OrderedIndex::snapshot`], and
-    /// walk it; the guard keeps both the tree generation and every segment
-    /// its locations point into alive.
-    pub fn ordered(&self) -> &OrderedIndex {
-        self.inner.ordered()
-    }
-
-    /// Scan-path value fetch: decode the log entry at a **direct** location
-    /// taken from an ordered-index snapshot and return its value bytes
-    /// (one one-sided read). The caller's guard must be the one the
-    /// snapshot was taken under — it is what keeps the entry's segment
-    /// from being freed and reused.
-    pub fn read_entry_value_in(
-        &self,
-        _guard: &Guard,
-        nic: &Nic,
-        loc: PackedLoc,
-    ) -> Option<Vec<u8>> {
-        nic.one_sided_read(loc.len() as usize);
-        let entry = decode_entry(&self.inner.pool, loc.addr(), loc.len())?;
-        Some(entry.read_value(&self.inner.pool))
-    }
-
-    /// Verify the ordered index against the hash index and the segment
-    /// registry. Meaningful only at a quiescent point (e.g. after
-    /// [`DpmNode::wait_until_all_merged`]): checks the tree's structural
-    /// invariants, that every ordered key resolves in the hash index, that
-    /// direct keys store the same location the hash index does and that
-    /// the location lies in a live segment, and that every hash-indexed
-    /// key appears in the ordered index.
-    pub fn check_ordered(&self) -> Result<TreeStats, String> {
+    /// Verify the hash index against the log and the segment registry.
+    /// Meaningful only at a quiescent point: merges drained
+    /// ([`DpmNode::wait_until_all_merged`]) and collectors paused
+    /// ([`DpmNode::pause_collectors`]). Every direct entry must lie in a
+    /// live segment and decode to a log entry whose key hashes to the tag
+    /// it is indexed under; every indirect entry's cell must resolve to
+    /// such an entry. Returns the number of indexed keys.
+    pub fn check_index(&self) -> Result<u64, String> {
         let guard = pin();
-        let stats = self.inner.ordered.check_tree(&|key, loc| {
-            let Some(raw) = self.inner.index.get_in(&guard, key_hash(key), |raw| {
-                self.inner.loc_matches_key(raw, key)
-            }) else {
-                return Err(format!("ordered key {key:?} missing from the hash index"));
-            };
-            let indexed = PackedLoc::from_raw(raw);
-            if indexed.is_indirect() {
-                // Shared key: the ordered location is deliberately stale
-                // (scans read through the cell) — nothing to validate.
-                return Ok(());
-            }
-            if indexed != loc {
-                return Err(format!(
-                    "ordered key {key:?} stores {loc:?} but the hash index has {indexed:?}"
-                ));
-            }
-            if !self.value_addr_is_live(loc.addr()) {
-                return Err(format!(
-                    "ordered key {key:?} points into a freed segment: {loc:?}"
-                ));
-            }
-            Ok(())
-        })?;
-        // Reverse containment: every hash-indexed key must have an ordered
-        // entry (shared keys included — they keep their pre-sharing entry).
-        let mut missing: Option<String> = None;
-        self.inner.index.for_each_in(&guard, |_tag, raw| {
-            if missing.is_some() {
-                return;
-            }
-            let loc = PackedLoc::from_raw(raw);
-            let entry_loc = if loc.is_indirect() {
-                match self.inner.indirect_cell_target(loc.addr()) {
-                    Some(t) => t,
-                    None => return,
-                }
-            } else {
-                loc
-            };
-            let Some(entry) = decode_entry(&self.inner.pool, entry_loc.addr(), entry_loc.len())
-            else {
-                return;
-            };
-            if self.inner.ordered.get(&guard, &entry.key).is_none() {
-                missing = Some(format!(
-                    "hash-indexed key {:?} missing from the ordered index",
-                    entry.key
-                ));
+        let mut keys = 0u64;
+        let mut violation = None;
+        self.inner.index.for_each_in(&guard, |tag, raw| {
+            if violation.is_none() {
+                keys += 1;
+                violation = self.check_indexed(&guard, tag, raw).err();
             }
         });
-        if let Some(msg) = missing {
-            return Err(msg);
+        violation.map_or(Ok(keys), Err)
+    }
+
+    /// One index word of [`DpmNode::check_index`]'s walk.
+    fn check_indexed(&self, guard: &Guard, tag: u64, raw: u64) -> Result<(), String> {
+        let loc = PackedLoc::from_raw(raw);
+        let entry_loc = if loc.is_indirect() {
+            self.inner
+                .indirect_cell_target(loc.addr())
+                .ok_or_else(|| format!("indirect entry {loc:?} has an empty cell"))?
+        } else {
+            loc
+        };
+        if !self.value_addr_is_live_in(guard, entry_loc.addr()) {
+            return Err(format!(
+                "indexed entry {entry_loc:?} is not in a live segment"
+            ));
         }
-        Ok(stats)
+        let entry = decode_entry(&self.inner.pool, entry_loc.addr(), entry_loc.len())
+            .ok_or_else(|| format!("indexed entry {entry_loc:?} does not decode"))?;
+        // Merges index every entry under `key_hash` of its key (the table
+        // remaps only a hash equal to its empty-slot marker, 0).
+        if key_hash(&entry.key) != tag {
+            return Err(format!(
+                "entry {entry_loc:?} holds key {:?} but is indexed under tag {tag:#x}",
+                entry.key
+            ));
+        }
+        Ok(())
     }
 
     // --------------------------------------------------- indirect pointers
@@ -1112,29 +1050,20 @@ impl DpmNode {
             .inner
             .indirect_cell_target(loc.addr())
             .map(|t| t.addr());
-        // Re-sync the ordered index with the collapsed state: while the
-        // key was shared, writes published through the cell without index
-        // (or ordered-index) updates, so the ordered entry is stale —
-        // scans read shared keys through the cell, never through the
-        // stored location. From here on the key is direct again and the
-        // ordered location is load-bearing.
-        let guard = pin();
         match self.inner.indirect_cell_live_target(loc.addr()) {
             Some(target) => {
                 self.inner.index.update(tag, |r| r == raw, target.raw());
-                self.inner.ordered.upsert(&guard, key, target);
             }
             None => {
                 // Tombstoned (or already-empty) cell: the key is deleted;
                 // the owned path must see a clean miss. The tombstoned-over
                 // entry was invalidated when the delete published.
                 self.inner.index.remove(tag, |r| r == raw);
-                self.inner.ordered.remove(&guard, key);
             }
         }
         self.inner.release_indirect_cell(loc.addr());
         if let Some(addr) = pinned_addr {
-            self.inner.unpin_segment_at(&guard, addr);
+            self.inner.unpin_segment_at(&pin(), addr);
         }
         true
     }
@@ -1384,12 +1313,10 @@ impl DpmNode {
 
     /// Simulate a DPM power failure: drop every written-but-unpersisted
     /// cache line in the pool (see [`PmemPool::simulate_crash`]; a no-op
-    /// unless the pool tracks persistence) and clear the DRAM-resident
-    /// ordered index, which does not survive power loss. Callers must
-    /// quiesce the merge workers first ([`DpmNode::wait_until_all_merged`])
-    /// — a merge mid-flight through the crash would observe half-dropped
-    /// state — and follow with [`DpmNode::recover`] +
-    /// [`DpmNode::rebuild_ordered`].
+    /// unless the pool tracks persistence). Callers must quiesce the merge
+    /// workers first ([`DpmNode::wait_until_all_merged`]) — a merge
+    /// mid-flight through the crash would observe half-dropped state —
+    /// and follow with [`DpmNode::recover`].
     ///
     /// The segment registry and the soft metadata maps live in this
     /// process's DRAM and survive; they stand in for the state a real
@@ -1400,58 +1327,26 @@ impl DpmNode {
         // crash → recover → invariant-check sequence in
         // [`DpmNode::pause_collectors`] — a pass walks pool bytes the
         // crash is about to rewrite, and a pass concurrent with the
-        // post-recovery check can be observed between its hash-index
-        // swing and the ordered-index swing. Cell swings need no explicit
+        // post-recovery check can free the victim of an index word the
+        // check just read. Cell swings need no explicit
         // exclusion — the crash driver (`crash_dpm_and_recover` in the
         // cluster layer) closes and drains every KN before calling this,
         // so no swing is in flight.
         self.inner.pool.simulate_crash();
-        let guard = pin();
-        self.inner.ordered.clear(&guard);
     }
 
     /// Block until any in-flight collector pass completes and exclude all
     /// further passes (background compactor, [`DpmNode::run_gc`],
     /// [`DpmNode::compact_once`]) while the returned guard lives. Crash
     /// drivers hold this across [`DpmNode::simulate_crash`], recovery and
-    /// the invariant walk: a relocation swings the hash index and the
-    /// ordered index in two steps, and a checker between the steps would
-    /// report a phantom mismatch.
+    /// the invariant walk ([`DpmNode::check_index`]): a pass can relocate
+    /// an entry and free its victim between the walk reading the entry's
+    /// index word and checking its segment, and the walk would report
+    /// that stale word as a violation.
     pub fn pause_collectors(&self) -> CollectorPause<'_> {
         CollectorPause {
             _guard: self.inner.lock_gc_pass(),
         }
-    }
-
-    /// Rebuild the DRAM ordered index from the persistent hash index after
-    /// a crash (the recovery path promised by the ordered-index module
-    /// docs). Walks every hash-indexed entry and re-inserts its key:
-    /// direct locations as-is; indirect keys under the entry their cell
-    /// identifies (matching what [`DpmNode::check_ordered`] validates —
-    /// scans read shared keys through the cell, so the stored location
-    /// only pins key membership). Returns the number of keys inserted.
-    pub fn rebuild_ordered(&self) -> u64 {
-        let guard = pin();
-        self.inner.ordered.clear(&guard);
-        let mut inserted = 0u64;
-        self.inner.index.for_each_in(&guard, |_tag, raw| {
-            let loc = PackedLoc::from_raw(raw);
-            let entry_loc = if loc.is_indirect() {
-                match self.inner.indirect_cell_target(loc.addr()) {
-                    Some(t) => t,
-                    None => return,
-                }
-            } else {
-                loc
-            };
-            let Some(entry) = decode_entry(&self.inner.pool, entry_loc.addr(), entry_loc.len())
-            else {
-                return;
-            };
-            self.inner.ordered.upsert(&guard, &entry.key, entry_loc);
-            inserted += 1;
-        });
-        inserted
     }
 
     /// Re-scan every live segment and merge any sealed entry the index does
@@ -1907,8 +1802,7 @@ mod tests {
         dpm.simulate_crash();
         let report = dpm.recover();
         assert_eq!(report.torn_entries, 0);
-        assert!(dpm.rebuild_ordered() >= 1);
-        dpm.check_ordered().unwrap();
+        assert_eq!(dpm.check_index(), Ok(1));
         assert_eq!(dpm.local_read(b"hot"), Some(b"v1".to_vec()));
 
         // And the abandoned attempt must not block a clean install.
@@ -1935,12 +1829,10 @@ mod tests {
 
         dpm.simulate_crash();
         let first = dpm.recover();
-        let rebuilt_first = dpm.rebuild_ordered();
-        dpm.check_ordered().unwrap();
+        assert_eq!(dpm.check_index(), Ok(30));
         let second = dpm.recover();
         assert_eq!(first, second, "second recovery must change nothing");
-        assert_eq!(dpm.rebuild_ordered(), rebuilt_first);
-        dpm.check_ordered().unwrap();
+        assert_eq!(dpm.check_index(), Ok(30));
         assert_eq!(dpm.local_read(b"key07"), Some(vec![5u8; 64]));
 
         // Post-recovery appends to the same (never sealed) segment must
@@ -1990,16 +1882,11 @@ mod tests {
             "a torn entry holds no committed data and must not replay"
         );
         assert_eq!(dpm.local_read(b"durable"), Some(b"v1".to_vec()));
-        dpm.rebuild_ordered();
-        dpm.check_ordered().unwrap();
+        assert_eq!(dpm.check_index(), Ok(1));
     }
 
     #[test]
-    fn ordered_rebuild_matches_pre_crash_scan() {
-        // The DRAM ordered index dies with a crash; the rebuild from the
-        // persistent PCLHT must reproduce exactly the pre-crash key
-        // sequence (including a shared key served through its cell) and
-        // pass the structural walk.
+    fn check_index_walks_direct_and_indirect_keys_across_a_crash() {
         let dpm = crash_dpm();
         let mut w = LogWriter::new(Arc::clone(&dpm), 0, nic());
         for i in 0..40u32 {
@@ -2008,24 +1895,62 @@ mod tests {
         w.flush().unwrap();
         dpm.wait_until_merged(0);
         dpm.make_indirect(b"key05").unwrap().unwrap();
-
-        let scan_keys = |dpm: &DpmNode| -> Vec<Vec<u8>> {
-            let guard = pin();
-            dpm.ordered()
-                .snapshot(&guard)
-                .range_from(b"")
-                .map(|(key, _)| key.to_vec())
-                .collect()
-        };
-        let before = scan_keys(&dpm);
-        assert_eq!(before.len(), 40);
+        assert_eq!(dpm.check_index(), Ok(40));
 
         dpm.simulate_crash();
         dpm.recover();
-        assert_eq!(dpm.rebuild_ordered(), 40);
-        let tree = dpm.check_ordered().unwrap();
-        assert_eq!(tree.keys, 40);
-        assert_eq!(scan_keys(&dpm), before, "rebuilt scan order must match");
+        assert_eq!(dpm.check_index(), Ok(40));
         assert_eq!(dpm.local_read(b"key05"), Some(vec![3u8; 32]));
+    }
+
+    /// Mutant: an index word pointing into a segment the collector freed.
+    #[test]
+    fn check_index_rejects_an_entry_in_a_freed_segment() {
+        let mut config = DpmConfig::small_for_tests();
+        config.segment_bytes = 8 << 10;
+        let dpm = Arc::new(DpmNode::new(config).unwrap());
+        let mut w = LogWriter::new(Arc::clone(&dpm), 0, nic());
+        let mut first = None;
+        for round in 0..40u32 {
+            for i in 0..8u32 {
+                w.append_put(format!("key{i}").as_bytes(), &[round as u8; 256]);
+            }
+            let commits = w.flush().unwrap();
+            first.get_or_insert(commits[0].entry_loc);
+        }
+        w.seal_current();
+        dpm.wait_until_merged(0);
+        let stale = first.unwrap();
+        assert!(dpm.run_gc() > 0);
+        assert!(
+            !dpm.value_addr_is_live(stale.addr()),
+            "key0's first segment is freed"
+        );
+        assert_eq!(dpm.check_index(), Ok(8));
+
+        let tag = key_hash(b"key0");
+        dpm.index().update(tag, |_| true, stale.raw()).unwrap();
+        let err = dpm.check_index().unwrap_err();
+        assert!(err.contains("not in a live segment"), "{err}");
+    }
+
+    /// Mutant: an index word whose entry holds a different key than the
+    /// one it is indexed under.
+    #[test]
+    fn check_index_rejects_an_entry_indexed_under_another_key() {
+        let dpm = dpm();
+        let mut w = LogWriter::new(Arc::clone(&dpm), 0, nic());
+        w.append_put(b"a", b"1");
+        w.append_put(b"b", b"2");
+        let commits = w.flush().unwrap();
+        dpm.wait_until_merged(0);
+        assert_eq!(dpm.check_index(), Ok(2));
+
+        let b_loc = commits[1].entry_loc;
+        dpm.index()
+            .update(key_hash(b"a"), |_| true, b_loc.raw())
+            .unwrap();
+        let err = dpm.check_index().unwrap_err();
+        assert!(err.contains("indexed under tag"), "{err}");
     }
 }

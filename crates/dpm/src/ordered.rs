@@ -1,44 +1,31 @@
-//! The copy-on-write ordered secondary index kept beside the P-CLHT.
+//! A copy-on-write ordered index over [`PackedLoc`]s.
 //!
-//! The hash index answers point lookups; this module adds the ordered view
-//! that `scan(start, n)` needs, without touching the hot log→flush→merge
-//! write path:
+//! Kept only for `e2e`, deleted with its probe (ROADMAP item 1): no store
+//! code references it. The store serves point operations from the P-CLHT
+//! alone; merges, the compactor and recovery maintain nothing else.
 //!
-//! * **Maintained at merge time only.** Merge workers upsert/remove ordered
-//!   entries *after* the hash-index update succeeds (see
-//!   `merge::apply_entry`), so the ordered index is a strictly asynchronous
-//!   replica of the merged state — a write is never acknowledged against it
-//!   and merge arbitration never consults it.
-//! * **Copy-on-write B-tree.** A writer (merge worker, compactor, cell
-//!   dismantling) path-copies the nodes from the root to the touched leaf,
-//!   publishes the new root with one release store, and retires every
-//!   replaced node through the `crossbeam::epoch` shim. Nodes are immutable
-//!   once published, so readers never see a half-edited node.
+//! * **Copy-on-write B-tree.** A writer path-copies the nodes from the
+//!   root to the touched leaf, publishes the new root with one release
+//!   store, and retires every replaced node through the `crossbeam::epoch`
+//!   shim. Nodes are immutable once published, so readers never see a
+//!   half-edited node.
 //! * **Epoch-pinned lock-free readers.** A reader pins an epoch guard,
 //!   loads the root, and walks an immutable generation of the tree; every
-//!   node of that generation (and every DPM segment a leaf location points
-//!   into — segment frees go through the same deferred scheme) stays alive
-//!   until the guard drops, however many writers publish newer generations
-//!   meanwhile.
-//! * **Relocation-aware.** Leaves store the entry's [`PackedLoc`]; when the
-//!   log-cleaning compactor relocates an entry it swings the stored
-//!   location through [`OrderedIndex::relocate`] (conditional on the old
-//!   location, exactly like the hash-index CAS) before the victim segment
-//!   can be freed, so a scan of the *current* generation never dereferences
-//!   a freed segment, and a scan of an older pinned generation is protected
-//!   by its guard.
+//!   node of that generation stays alive until the guard drops, however
+//!   many writers publish newer generations meanwhile.
+//! * **Conditional relocation.** [`OrderedIndex::relocate`] swings a
+//!   stored location only if it still holds the old one, exactly like the
+//!   hash-index CAS.
 //!
-//! Writers serialize on one mutex — merge workers are few and ordered
-//! maintenance is off the ack path, so writer concurrency is not the
-//! bottleneck; reader scalability is, and readers take no lock at all.
+//! Writers serialize on one mutex; readers take no lock at all.
 //!
 //! Deletes do not rebalance: a removal path-copies the leaf (dropping nodes
 //! that become empty) but never borrows from siblings, so interior nodes
 //! can run under-full. Height never grows from deletes and inserts split as
-//! usual, so the tree stays within one split of balanced for the
-//! insert-heavy workloads the store serves; [`OrderedIndex::check_tree`]
-//! verifies the invariants that actually hold (order, bounds, uniform leaf
-//! depth, occupancy ceilings, live locations).
+//! usual, so the tree stays within one split of balanced for insert-heavy
+//! use; [`OrderedIndex::check_tree`] verifies the invariants that actually
+//! hold (order, bounds, uniform leaf depth, occupancy ceilings, live
+//! locations).
 
 use crate::loc::PackedLoc;
 use dinomo_pclht::Guard;
@@ -118,12 +105,8 @@ pub struct OrderedIndex {
     /// release store under [`OrderedIndex::write_lock`]; readers load with
     /// acquire under an epoch pin.
     root: AtomicPtr<Node>,
-    /// Serializes writers (merge workers, the compactor, cell teardown).
+    /// Serializes writers.
     write_lock: Mutex<()>,
-    /// Acquisition wait on `write_lock` (`lock_wait_ordered_root_ns`) —
-    /// registry-backed when the owning DPM node has a metrics registry,
-    /// detached otherwise.
-    write_wait: dinomo_obs::Histogram,
     /// Live key count (maintained by writers; racy reads are fine — it is
     /// a statistic, not a correctness input).
     len: AtomicU64,
@@ -144,27 +127,13 @@ impl Default for OrderedIndex {
 }
 
 impl OrderedIndex {
-    /// An empty index with a detached (unregistered) wait histogram.
+    /// An empty index.
     pub fn new() -> Self {
-        Self::with_lock_profile(dinomo_obs::Histogram::detached())
-    }
-
-    /// An empty index whose writer-lock wait times record into `wait`
-    /// (the DPM node passes its registry's
-    /// [`dinomo_obs::LockId::OrderedRoot`] histogram here).
-    pub fn with_lock_profile(wait: dinomo_obs::Histogram) -> Self {
         OrderedIndex {
             root: AtomicPtr::new(std::ptr::null_mut()),
             write_lock: Mutex::new(()),
-            write_wait: wait,
             len: AtomicU64::new(0),
         }
-    }
-
-    /// Acquire the single-writer lock, billing the wait to the
-    /// `lock_wait_ordered_root_ns` histogram.
-    fn lock_write(&self) -> parking_lot::MutexGuard<'_, ()> {
-        self.write_wait.time(|| self.write_lock.lock())
     }
 
     /// Live keys in the index.
@@ -178,10 +147,10 @@ impl OrderedIndex {
     }
 
     /// Insert `key -> loc`, replacing the stored location if the key is
-    /// already present. The guard is the merge worker's existing pin; the
-    /// replaced path nodes are retired through it.
+    /// already present. The replaced path nodes are retired through the
+    /// caller's guard.
     pub fn upsert(&self, guard: &Guard, key: &[u8], loc: PackedLoc) {
-        let _w = self.lock_write();
+        let _w = self.write_lock.lock();
         let root = self.root.load(Ordering::Acquire);
         let mut retired: Retired = Vec::new();
         let (new_root, inserted) = if root.is_null() {
@@ -213,7 +182,7 @@ impl OrderedIndex {
 
     /// Remove `key`; returns `true` if it was present.
     pub fn remove(&self, guard: &Guard, key: &[u8]) -> bool {
-        let _w = self.lock_write();
+        let _w = self.write_lock.lock();
         let root = self.root.load(Ordering::Acquire);
         if root.is_null() {
             return false;
@@ -246,13 +215,11 @@ impl OrderedIndex {
         }
     }
 
-    /// Conditionally swing `key`'s stored location from `old` to `new` —
-    /// the ordered-index half of a compactor relocation. Returns `false`
-    /// (and changes nothing) if the key is absent or stores a different
-    /// location (a concurrent merge already superseded the entry; the
-    /// newer location must win).
+    /// Conditionally swing `key`'s stored location from `old` to `new`.
+    /// Returns `false` (and changes nothing) if the key is absent or
+    /// stores a different location (a newer location must win).
     pub fn relocate(&self, guard: &Guard, key: &[u8], old: PackedLoc, new: PackedLoc) -> bool {
-        let _w = self.lock_write();
+        let _w = self.write_lock.lock();
         let root = self.root.load(Ordering::Acquire);
         if root.is_null() {
             return false;
@@ -271,7 +238,8 @@ impl OrderedIndex {
     }
 
     /// Current stored location of `key`, if any, read under the caller's
-    /// pin (test and diagnostic helper; scans use [`OrderedIndex::snapshot`]).
+    /// pin (test and diagnostic helper; range reads use
+    /// [`OrderedIndex::snapshot`]).
     pub fn get(&self, _guard: &Guard, key: &[u8]) -> Option<PackedLoc> {
         let root = self.root.load(Ordering::Acquire);
         if root.is_null() {
@@ -283,7 +251,7 @@ impl OrderedIndex {
 
     /// Pin-protected snapshot of the current generation. The returned
     /// handle borrows the guard, so it cannot outlive the pin that keeps
-    /// its nodes (and the segments its locations point into) alive.
+    /// its nodes alive.
     pub fn snapshot<'g>(&self, _guard: &'g Guard) -> Snapshot<'g> {
         Snapshot {
             root: self.root.load(Ordering::Acquire),
@@ -292,12 +260,9 @@ impl OrderedIndex {
     }
 
     /// Drop every key: retire the whole current generation and publish an
-    /// empty tree. This is the crash path — the ordered index is DRAM-only
-    /// and does not survive a power failure, so a simulated crash clears
-    /// it and recovery rebuilds it from the persistent hash index
-    /// ([`crate::DpmNode::rebuild_ordered`]).
+    /// empty tree.
     pub fn clear(&self, guard: &Guard) {
-        let _w = self.lock_write();
+        let _w = self.write_lock.lock();
         let root = self.root.load(Ordering::Acquire);
         self.len.store(0, Ordering::Relaxed);
         if root.is_null() {
@@ -335,7 +300,7 @@ impl OrderedIndex {
     /// Runs under the write lock so the walked generation is the current
     /// one and cannot be retired mid-walk.
     pub fn check_tree(&self, validate: &LocValidator) -> Result<TreeStats, String> {
-        let _w = self.lock_write();
+        let _w = self.write_lock.lock();
         let root = self.root.load(Ordering::Acquire);
         let mut stats = TreeStats::default();
         if root.is_null() {

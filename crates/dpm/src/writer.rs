@@ -256,4 +256,52 @@ mod tests {
             assert_eq!(dpm.local_read(key), Some(value(i)), "key {i}");
         }
     }
+
+    #[test]
+    fn a_flush_that_exhausts_the_pool_keeps_only_the_unwritten_entries() {
+        // Room for the index and three segments, two of them held by
+        // ballast: the first chunk's segment fits, and the second chunk's
+        // allocation runs the pool dry.
+        let mut config = DpmConfig::small_for_tests();
+        let segment = config.segment_bytes;
+        let index_bytes = DpmNode::new(config).unwrap().pool().stats().high_water_mark;
+        config.pool.capacity_bytes = index_bytes + 3 * segment + segment / 2;
+        let dpm = Arc::new(DpmNode::new(config).unwrap());
+        let ballast = [0; 2].map(|_| dpm.pool().alloc(segment).unwrap());
+
+        let mut w = LogWriter::new(Arc::clone(&dpm), 0, Nic::new(FabricConfig::default()));
+        let value = |i: usize| vec![i as u8; 1000];
+        let keys: Vec<Vec<u8>> = (0..80).map(|i| format!("key{i:03}").into_bytes()).collect();
+        for (i, key) in keys.iter().enumerate() {
+            w.append_put(key, &value(i));
+        }
+        let first_chunk = (segment / entry_size(6, 1000)) as usize;
+        assert!(keys.len() > 2 * first_chunk, "the batch spans three chunks");
+
+        let err = w.flush().unwrap_err();
+        assert!(matches!(err, PmemError::OutOfMemory { .. }), "{err:?}");
+        assert_eq!(w.buffered_entries(), keys.len() - first_chunk);
+        dpm.wait_until_all_merged();
+        for (i, key) in keys.iter().enumerate() {
+            let written = (i < first_chunk).then(|| value(i));
+            assert_eq!(dpm.local_read(key), written, "key {i}");
+        }
+
+        for addr in ballast {
+            dpm.pool().free(addr, segment);
+        }
+        let commits = w.flush().unwrap();
+        let retried: Vec<&Vec<u8>> = commits.iter().map(|c| &c.key).collect();
+        assert_eq!(retried, keys[first_chunk..].iter().collect::<Vec<_>>());
+        assert_eq!(w.buffered_entries(), 0);
+        dpm.wait_until_all_merged();
+        assert_eq!(
+            dpm.stats().entries_merged,
+            keys.len() as u64,
+            "every entry is logged exactly once"
+        );
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(dpm.local_read(key), Some(value(i)), "key {i}");
+        }
+    }
 }

@@ -9,7 +9,9 @@
 /// The named locks from the `docs/CONCURRENCY.md` inventory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LockId {
-    /// Ordered index single-writer CoW root lock (`ordered.rs`).
+    /// Ordered index single-writer CoW root lock (`ordered.rs`). Nothing
+    /// records it any more; kept only for `e2e`, deleted with its probe
+    /// (ROADMAP item 1).
     OrderedRoot,
     /// Merge engine hand-off mutex (`DpmNode::merge`).
     MergeEngine,
@@ -79,7 +81,7 @@ mod tests {
         let _serial = crate::enabled_test_lock();
         crate::set_enabled(true);
         let reg = Registry::new_shared();
-        let wait = reg.lock_wait(LockId::OrderedRoot);
+        let wait = reg.lock_wait(LockId::MergeEngine);
         let lock = Arc::new(Mutex::new(()));
         let (about_to_lock, waiter_timing) = std::sync::mpsc::channel();
 
@@ -100,7 +102,7 @@ mod tests {
         waiter.join().unwrap();
 
         let snap = reg.snapshot();
-        let h = snap.histogram(LockId::OrderedRoot.metric_name()).unwrap();
+        let h = snap.histogram(LockId::MergeEngine.metric_name()).unwrap();
         assert_eq!(h.count, 1);
         assert!(
             h.max_ns >= 1_000_000,

@@ -10,7 +10,7 @@
 //!
 //! Naming scheme (see `docs/OBSERVABILITY.md`):
 //! `<subsystem>_<what>[_<unit>]`, e.g. `kn_busy_rejections`,
-//! `stage_queue_wait_ns`, `lock_wait_ordered_root_ns`.
+//! `stage_queue_wait_ns`, `lock_wait_merge_engine_ns`.
 
 use crate::hist::LogHistogram;
 use parking_lot::Mutex;

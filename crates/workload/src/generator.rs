@@ -17,24 +17,20 @@ pub enum Operation {
     Insert(Vec<u8>, Vec<u8>),
     /// `delete(key)`.
     Delete(Vec<u8>),
-    /// `scan(start, n)`: up to `n` consecutive keys starting at the
-    /// smallest key `>= start`, in key order.
-    Scan(Vec<u8>, usize),
 }
 
 impl Operation {
-    /// The key this operation targets (the start key, for scans).
+    /// The key this operation targets.
     pub fn key(&self) -> &[u8] {
         match self {
             Operation::Read(k) | Operation::Delete(k) => k,
             Operation::Update(k, _) | Operation::Insert(k, _) => k,
-            Operation::Scan(k, _) => k,
         }
     }
 
     /// `true` for updates, inserts and deletes.
     pub fn is_write(&self) -> bool {
-        !matches!(self, Operation::Read(_) | Operation::Scan(..))
+        !matches!(self, Operation::Read(_))
     }
 }
 
@@ -54,10 +50,6 @@ pub struct WorkloadConfig {
     pub distribution: KeyDistribution,
     /// RNG seed (workloads are deterministic given the seed).
     pub seed: u64,
-    /// Largest scan length a scan operation requests (each scan draws a
-    /// length uniformly in `1..=max_scan_len`). Only consulted when the
-    /// mix has a non-zero scan fraction.
-    pub max_scan_len: usize,
 }
 
 impl Default for WorkloadConfig {
@@ -69,7 +61,6 @@ impl Default for WorkloadConfig {
             mix: WorkloadMix::READ_ONLY,
             distribution: KeyDistribution::MODERATE_SKEW,
             seed: 42,
-            max_scan_len: 16,
         }
     }
 }
@@ -155,13 +146,10 @@ impl WorkloadGenerator {
 
     /// Generate the next operation.
     ///
-    /// The branch order (read, update, delete, scan, insert) keeps the
-    /// stream of every delete-free mix identical to what earlier versions
-    /// generated for the same seed — a zero delete fraction collapses the
-    /// delete branch to the old update/insert boundary — and likewise a
-    /// zero scan fraction collapses the scan branch (the scan length is
-    /// drawn *inside* the branch, so scan-free mixes consume exactly the
-    /// same RNG stream as before scans existed).
+    /// The branch order (read, update, delete, insert) keeps the stream of
+    /// every delete-free mix identical to what earlier versions generated
+    /// for the same seed — a zero delete fraction collapses the delete
+    /// branch to the old update/insert boundary.
     pub fn next_op(&mut self) -> Operation {
         self.ops_generated += 1;
         let r: f64 = self.rng.gen();
@@ -179,16 +167,6 @@ impl WorkloadGenerator {
             // the linearizability checker wants.
             let id = self.pick_existing_key();
             Operation::Delete(self.key(id))
-        } else if r < mix.read_fraction
-            + mix.update_fraction
-            + mix.delete_fraction
-            + mix.scan_fraction
-        {
-            // Scans start at a distribution-chosen existing key (YCSB-E
-            // picks Zipfian start keys) and request a short range.
-            let id = self.pick_existing_key();
-            let n = self.rng.gen_range(0..self.config.max_scan_len.max(1)) + 1;
-            Operation::Scan(self.key(id), n)
         } else {
             let id = self.key_space;
             self.key_space += 1;
@@ -337,53 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_free_mix_streams_are_unchanged_by_the_scan_branch() {
-        // Mirrors the delete-branch determinism test: a zero scan fraction
-        // must generate exactly the stream the pre-scan generator produced
-        // (same RNG draws, same branches — the scan length is drawn inside
-        // the scan branch), so existing seeds stay reproducible.
-        let mut g = WorkloadGenerator::new(config(WorkloadMix::CRUD));
-        let ops = g.next_batch(5_000);
-        assert!(ops.iter().all(|op| !matches!(op, Operation::Scan(..))));
-        // Byte-identical to a generator whose config differs only in
-        // max_scan_len — the knob must be inert for scan-free mixes.
-        let mut other = WorkloadGenerator::new(WorkloadConfig {
-            max_scan_len: 999,
-            ..config(WorkloadMix::CRUD)
-        });
-        assert_eq!(ops, other.next_batch(5_000));
-    }
-
-    #[test]
-    fn ycsb_e_mix_generates_mostly_scans_over_existing_keys() {
-        let mut g = WorkloadGenerator::new(config(WorkloadMix::YCSB_E));
-        let loaded: std::collections::HashSet<Vec<u8>> = g.load_phase().map(|(k, _)| k).collect();
-        let max_scan_len = g.config().max_scan_len;
-        let ops = g.next_batch(20_000);
-        let scans: Vec<_> = ops
-            .iter()
-            .filter_map(|o| match o {
-                Operation::Scan(start, n) => Some((start, *n)),
-                _ => None,
-            })
-            .collect();
-        let frac = scans.len() as f64 / ops.len() as f64;
-        assert!((frac - 0.95).abs() < 0.01, "scan fraction {frac}");
-        for (start, n) in &scans {
-            assert!((1..=max_scan_len).contains(n));
-            assert!(!(*start).is_empty());
-        }
-        // Start keys come from the loaded space (inserts extend it, but
-        // the Zipf chooser stays on the head).
-        assert!(scans.iter().filter(|(s, _)| loaded.contains(*s)).count() * 10 > scans.len() * 9);
-        // The remaining 5% are inserts, and scans are not writes.
-        assert!(ops.iter().any(|o| matches!(o, Operation::Insert(..))));
-        let scan = Operation::Scan(b"s".to_vec(), 3);
-        assert_eq!(scan.key(), b"s");
-        assert!(!scan.is_write());
-    }
-
-    #[test]
     fn skewed_overwrite_preset_keeps_the_key_space_fixed_and_hot() {
         let mut g = WorkloadGenerator::new(WorkloadConfig {
             num_keys: 64,
@@ -392,7 +323,6 @@ mod tests {
             mix: WorkloadMix::SKEWED_OVERWRITE,
             distribution: KeyDistribution::HIGH_SKEW,
             seed: 7,
-            max_scan_len: 16,
         });
         let before = g.key_space();
         let ops = g.next_batch(10_000);

@@ -20,9 +20,6 @@ pub struct WorkloadMix {
     pub insert_fraction: f64,
     /// Fraction of delete operations (remove an existing key).
     pub delete_fraction: f64,
-    /// Fraction of scan operations (ordered range reads of a handful of
-    /// consecutive keys starting at a chosen key).
-    pub scan_fraction: f64,
 }
 
 impl WorkloadMix {
@@ -33,7 +30,6 @@ impl WorkloadMix {
         update_fraction: 0.0,
         insert_fraction: 0.0,
         delete_fraction: 0.0,
-        scan_fraction: 0.0,
     };
     /// 95 % reads / 5 % updates.
     pub const READ_MOSTLY_UPDATE: WorkloadMix = WorkloadMix {
@@ -42,7 +38,6 @@ impl WorkloadMix {
         update_fraction: 0.05,
         insert_fraction: 0.0,
         delete_fraction: 0.0,
-        scan_fraction: 0.0,
     };
     /// 95 % reads / 5 % inserts.
     pub const READ_MOSTLY_INSERT: WorkloadMix = WorkloadMix {
@@ -51,7 +46,6 @@ impl WorkloadMix {
         update_fraction: 0.0,
         insert_fraction: 0.05,
         delete_fraction: 0.0,
-        scan_fraction: 0.0,
     };
     /// 50 % reads / 50 % updates.
     pub const WRITE_HEAVY_UPDATE: WorkloadMix = WorkloadMix {
@@ -60,7 +54,6 @@ impl WorkloadMix {
         update_fraction: 0.5,
         insert_fraction: 0.0,
         delete_fraction: 0.0,
-        scan_fraction: 0.0,
     };
     /// 50 % reads / 50 % inserts.
     pub const WRITE_HEAVY_INSERT: WorkloadMix = WorkloadMix {
@@ -69,7 +62,6 @@ impl WorkloadMix {
         update_fraction: 0.0,
         insert_fraction: 0.5,
         delete_fraction: 0.0,
-        scan_fraction: 0.0,
     };
     /// 100 % inserts (the Figure 4 merge-capacity stress workload).
     pub const INSERT_ONLY: WorkloadMix = WorkloadMix {
@@ -78,7 +70,6 @@ impl WorkloadMix {
         update_fraction: 0.0,
         insert_fraction: 1.0,
         delete_fraction: 0.0,
-        scan_fraction: 0.0,
     };
 
     /// Full CRUD churn: 50 % reads / 25 % updates / 15 % inserts / 10 %
@@ -91,7 +82,6 @@ impl WorkloadMix {
         update_fraction: 0.25,
         insert_fraction: 0.15,
         delete_fraction: 0.10,
-        scan_fraction: 0.0,
     };
 
     /// Skewed-overwrite: 5 % reads / 95 % updates with **no inserts**, so
@@ -108,33 +98,6 @@ impl WorkloadMix {
         update_fraction: 0.95,
         insert_fraction: 0.0,
         delete_fraction: 0.0,
-        scan_fraction: 0.0,
-    };
-
-    /// YCSB-E: 95 % short range scans / 5 % inserts. Not one of the
-    /// paper's evaluated mixes (the paper's store is point-op-only) —
-    /// this is the canonical scan workload the ordered secondary index
-    /// exists to serve; start keys follow the configured request
-    /// distribution (Zipfian by default for YCSB).
-    pub const YCSB_E: WorkloadMix = WorkloadMix {
-        name: "95s5i",
-        read_fraction: 0.0,
-        update_fraction: 0.0,
-        insert_fraction: 0.05,
-        delete_fraction: 0.0,
-        scan_fraction: 0.95,
-    };
-
-    /// CRUD churn plus scans: the linearizability checker's scan-mode
-    /// workload, racing range reads against the full create/update/delete
-    /// cycle (see [`WorkloadMix::CRUD`] for why the deletes matter).
-    pub const CRUD_SCAN: WorkloadMix = WorkloadMix {
-        name: "40r25u10i10d15s",
-        read_fraction: 0.40,
-        update_fraction: 0.25,
-        insert_fraction: 0.10,
-        delete_fraction: 0.10,
-        scan_fraction: 0.15,
     };
 
     /// Fraction of operations that are writes of any kind.
@@ -144,11 +107,7 @@ impl WorkloadMix {
 
     /// `true` if the fractions sum to 1 (within floating-point tolerance).
     pub fn is_valid(&self) -> bool {
-        (self.read_fraction
-            + self.update_fraction
-            + self.insert_fraction
-            + self.delete_fraction
-            + self.scan_fraction
+        (self.read_fraction + self.update_fraction + self.insert_fraction + self.delete_fraction
             - 1.0)
             .abs()
             < 1e-9
@@ -156,7 +115,6 @@ impl WorkloadMix {
             && self.update_fraction >= 0.0
             && self.insert_fraction >= 0.0
             && self.delete_fraction >= 0.0
-            && self.scan_fraction >= 0.0
     }
 }
 
@@ -175,8 +133,6 @@ mod tests {
             &WorkloadMix::INSERT_ONLY,
             &WorkloadMix::CRUD,
             &WorkloadMix::SKEWED_OVERWRITE,
-            &WorkloadMix::YCSB_E,
-            &WorkloadMix::CRUD_SCAN,
         ] {
             assert!(mix.is_valid(), "{} is invalid", mix.name);
         }
@@ -199,14 +155,7 @@ mod tests {
             update_fraction: 0.9,
             insert_fraction: 0.0,
             delete_fraction: 0.0,
-            scan_fraction: 0.0,
         };
         assert!(!bad.is_valid());
-        // Scans count towards the total too.
-        let bad_scan = WorkloadMix {
-            scan_fraction: 0.5,
-            ..WorkloadMix::READ_ONLY
-        };
-        assert!(!bad_scan.is_valid());
     }
 }

@@ -3,9 +3,10 @@
 //! change (§3.1, §3.5) and the spread of a replicated key's reads (§3.4).
 //!
 //! Every test drives the cluster from one client thread over a fixed key
-//! set (no randomness), and asserts only on `NicStats`, `CacheStats`,
-//! `KnStats` and `Kvs::bytes_reshuffled` — never on time — so each is
-//! deterministic on any machine.
+//! set (replica picks are a fixed per-client sequence, not entropy), and
+//! asserts only on `NicStats`, `CacheStats`, `KnStats` and
+//! `Kvs::bytes_reshuffled` — never on time — so each is deterministic on
+//! any machine.
 //!
 //! Not here:
 //! * the Table 4 policy claim (§3.5: add a KN when every node is busy,
@@ -204,4 +205,35 @@ fn replication_spreads_a_hot_key_over_its_replicas() {
         assert_eq!(rts, 2 * reads, "replica reads {shared:?}");
     }
     assert_eq!(shared.iter().map(|(reads, _)| reads).sum::<u64>(), READS);
+
+    // Several shared keys read in a fixed cycle: each key's reads still
+    // spread over its replicas. (A round-robin counter shared by every key
+    // would land each key of a 3-key cycle on the same replica every time.)
+    const CYCLES: u64 = 100;
+    let cycle: Vec<Vec<u8>> = [11, 12, 13].into_iter().map(key).collect();
+    for k in &cycle {
+        assert_eq!(kvs.replicate_key(k, 3).unwrap().len(), 3);
+    }
+    client.refresh_routing();
+    let mut per_key = vec![vec![0u64; 3]; cycle.len()];
+    for _ in 0..CYCLES {
+        for (k, spread) in cycle.iter().zip(&mut per_key) {
+            let before = kvs.stats().kns;
+            assert!(client.lookup(k).unwrap().is_some());
+            let after = kvs.stats().kns;
+            let served = (0..after.len())
+                .find(|&i| after[i].reads > before[i].reads)
+                .expect("one replica served the read");
+            spread[served] += 1;
+        }
+    }
+    let even = CYCLES / 3;
+    for spread in &per_key {
+        assert!(
+            spread
+                .iter()
+                .all(|&reads| (even / 2..=even * 2).contains(&reads)),
+            "per-key replica reads {per_key:?}"
+        );
+    }
 }
