@@ -31,10 +31,9 @@ const ROUNDS: usize = 5;
 /// Maximum tolerated throughput loss with observability on.
 const MAX_OVERHEAD: f64 = 0.03;
 
-/// Build the measured cluster: `KEYS` keys on 4 KVS nodes × 4 shard workers with the
-/// batched executor on, cache-less reads (every op pays its fabric round
-/// trips), **sleeping** fabric delays so client threads overlap their
-/// waits the way real KN workers overlap RDMA completions, the aggressive
+/// Build the measured cluster: `KEYS` keys on 4 KVS nodes × 4 shards,
+/// cache-less reads (every op pays its fabric round trips), **sleeping**
+/// fabric delays so client threads overlap their waits, the aggressive
 /// background compactor live, and `REPLICATED` hot keys selectively
 /// replicated so the shared-path indirection-cell machinery runs under
 /// the measured load — every instrumented layer records while the gate
@@ -46,7 +45,6 @@ fn saturation_cluster() -> Kvs {
         .cache_kind(CacheKind::None)
         .cache_bytes_per_kn(1 << 20)
         .write_batch_ops(8)
-        .executor_queue_depth(64)
         .fabric(FabricConfig {
             delay: DelayMode::sleeping(),
             ..FabricConfig::default()
@@ -84,8 +82,8 @@ fn saturation_cluster() -> Kvs {
 /// `OPS_PER_THREAD` per-op requests (1 overwrite per 4 lookups, so the
 /// compactor has dead bytes to clean throughout) against strided key
 /// streams that all pass through the replicated hot keys. Returns the
-/// aggregate throughput in ops/second. `Busy` backpressure is retried —
-/// a rejected op must not masquerade as a completed one.
+/// aggregate throughput in ops/second. A failed op is retried — it must
+/// not masquerade as a completed one.
 fn measure_saturation_throughput(kvs: &Kvs) -> f64 {
     let start = Instant::now();
     std::thread::scope(|scope| {

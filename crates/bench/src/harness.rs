@@ -38,7 +38,7 @@ fn write_json<T: Serialize>(name: &str, value: &T) {
 /// One named measurement of a bench run (e.g. a median throughput).
 #[derive(Debug, Clone, Serialize)]
 struct BenchMetric {
-    /// Metric name, e.g. `"speedup_at_4_workers"`.
+    /// Metric name, e.g. `"overhead_fraction"`.
     name: String,
     /// Measured value.
     value: f64,

@@ -327,11 +327,14 @@ impl KnCache for DacCache {
             (1.0 - MISS_EMA_ALPHA) * self.avg_miss_rts + MISS_EMA_ALPHA * f64::from(rts);
     }
 
-    fn clear(&mut self) {
-        self.values.clear();
-        self.shortcuts.clear();
+    fn clear(&mut self) -> Box<dyn Send> {
+        let entries = (
+            std::mem::take(&mut self.values),
+            std::mem::take(&mut self.shortcuts),
+        );
         self.used = 0;
         self.refresh_stats();
+        Box::new(entries)
     }
 
     fn stats(&self) -> CacheStats {

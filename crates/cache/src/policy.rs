@@ -161,8 +161,11 @@ pub trait KnCache: Send {
     /// keeps a moving average of this to evaluate Equation 1.
     fn record_miss_cost(&mut self, rts: u32);
 
-    /// Drop everything (used when a KN hands its partition away).
-    fn clear(&mut self);
+    /// Drop everything (used when a KN hands its partition away), keeping
+    /// the statistics' counters. The dropped entries come back unfreed:
+    /// freeing a full cache takes long, so a caller inside a critical
+    /// section frees them once it has left it.
+    fn clear(&mut self) -> Box<dyn Send>;
 
     /// Current statistics.
     fn stats(&self) -> CacheStats;

@@ -29,7 +29,9 @@ impl KnCache for NoCache {
     fn on_local_write(&mut self, _key: &[u8], _value: &[u8], _loc: ValueLoc) {}
     fn invalidate(&mut self, _key: &[u8]) {}
     fn record_miss_cost(&mut self, _rts: u32) {}
-    fn clear(&mut self) {}
+    fn clear(&mut self) -> Box<dyn Send> {
+        Box::new(())
+    }
 
     fn stats(&self) -> CacheStats {
         self.stats
@@ -225,12 +227,15 @@ impl KnCache for StaticCache {
 
     fn record_miss_cost(&mut self, _rts: u32) {}
 
-    fn clear(&mut self) {
-        self.values.clear();
-        self.shortcuts.clear();
+    fn clear(&mut self) -> Box<dyn Send> {
+        let entries = (
+            std::mem::take(&mut self.values),
+            std::mem::take(&mut self.shortcuts),
+        );
         self.value_used = 0;
         self.shortcut_used = 0;
         self.refresh_stats();
+        Box::new(entries)
     }
 
     fn stats(&self) -> CacheStats {

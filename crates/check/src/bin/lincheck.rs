@@ -9,7 +9,7 @@
 //! ```
 //!
 //! Options: `--ops N` (total op budget), `--clients N`, `--no-churn`
-//! (disable membership + replication churn), `--queue-depth N`, `--gc`
+//! (disable membership + replication churn), `--gc`
 //! (run the DPM log-cleaning compactor — aggressive knobs on tiny
 //! segments — underneath the scenario), `--crash` (mix seeded crash
 //! injection into the churn: KN fail-stop + re-admission and whole-DPM
@@ -36,7 +36,6 @@ struct Args {
     clients: usize,
     membership_churn: bool,
     replication_churn: bool,
-    queue_depth: usize,
     compactor: bool,
     crashes: bool,
 }
@@ -50,7 +49,6 @@ fn parse_args() -> Result<Args, String> {
         clients: 3,
         membership_churn: true,
         replication_churn: true,
-        queue_depth: 2,
         compactor: false,
         crashes: false,
     };
@@ -63,7 +61,6 @@ fn parse_args() -> Result<Args, String> {
             "--replay" => args.replay = Some(parse(&value("--replay")?)?),
             "--ops" => args.ops = parse(&value("--ops")?)?,
             "--clients" => args.clients = parse(&value("--clients")?)?,
-            "--queue-depth" => args.queue_depth = parse(&value("--queue-depth")?)?,
             "--gc" => args.compactor = true,
             "--crash" => args.crashes = true,
             "--no-churn" => {
@@ -75,7 +72,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "lincheck [--seed N | --sweep N | --replay N] \
-                     [--ops N] [--clients N] [--queue-depth N] [--gc] [--crash] \
+                     [--ops N] [--clients N] [--gc] [--crash] \
                      [--no-churn | --no-membership-churn | --no-replication-churn]"
                 );
                 std::process::exit(0);
@@ -96,7 +93,6 @@ fn config_for(args: &Args, seed: u64) -> CheckConfig {
     config.clients = args.clients.max(1);
     config.membership_churn = args.membership_churn;
     config.replication_churn = args.replication_churn;
-    config.executor_queue_depth = args.queue_depth.max(1);
     config.compactor = args.compactor;
     config.crashes = args.crashes;
     config
@@ -144,7 +140,7 @@ fn run_once(config: &CheckConfig) -> Option<Box<CheckFailure>> {
         Ok(report) => {
             println!(
                 "seed {} ok: {} ops over {} keys checked in {:.2}s \
-                 ({} states, {} churn actions, {} busy rejections, {} error \
+                 ({} states, {} churn actions, {} error \
                  replies, {} segments compacted / {} entries \
                  relocated, {} kn crashes, {} dpm crashes \
                  [compaction {}, handoff {}, cell-swing {}])",
@@ -154,7 +150,6 @@ fn run_once(config: &CheckConfig) -> Option<Box<CheckFailure>> {
                 start.elapsed().as_secs_f64(),
                 report.stats.states_explored,
                 report.run.churn_log.len(),
-                report.run.busy_rejections,
                 report.run.error_replies,
                 report.run.segments_compacted,
                 report.run.entries_relocated,

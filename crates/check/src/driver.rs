@@ -12,9 +12,7 @@
 //!
 //! * builds a real cluster with per-op write flushing (`write_batch_ops =
 //!   1`, so an acknowledged write is durable — the guarantee the checker
-//!   verifies across fail-stop churn) and deliberately tiny shard-worker
-//!   queues, so `Busy` backpressure and its client retries are part of
-//!   every history;
+//!   verifies across fail-stop churn);
 //! * optionally preloads the key space through a recording client;
 //! * runs `clients` concurrent threads, each executing its deterministic
 //!   CRUD batches (skewed keys via [`dinomo_workload::WorkloadGenerator`],
@@ -24,8 +22,7 @@
 //!   `add_kn`/`remove_kn`/`fail_kn` plus selective-replication flips on
 //!   the hottest keys;
 //! * once clients and churn have joined, asserts that the cluster
-//!   quiesces, that no surviving node has a sub-batch left in a worker
-//!   queue, and that the hash index passes its invariant walk;
+//!   quiesces and that the hash index passes its invariant walk;
 //! * drains the merged history and hands it to the checker.
 //!
 //! Shrinking is built into replay: rerun the same seed with a reduced
@@ -67,9 +64,6 @@ pub struct CheckConfig {
     pub replication_churn: bool,
     /// Length of the churn script (actions, including pauses).
     pub churn_steps: usize,
-    /// Shard-worker queue depth; tiny values force `Busy` retries into
-    /// every history.
-    pub executor_queue_depth: usize,
     /// Insert the whole key space (recorded) before the clients start.
     pub preload: bool,
     /// Run the DPM log-cleaning compactor (background thread, aggressive
@@ -91,8 +85,8 @@ pub struct CheckConfig {
 
 impl CheckConfig {
     /// The default scenario for a seed: 3 clients, 3 000 ops of CRUD over
-    /// 48 skewed keys in batches of 8, depth-2 worker queues, membership
-    /// and replication churn on.
+    /// 48 skewed keys in batches of 8, membership and replication churn
+    /// on.
     pub fn from_seed(seed: u64) -> Self {
         CheckConfig {
             seed,
@@ -104,7 +98,6 @@ impl CheckConfig {
             membership_churn: true,
             replication_churn: true,
             churn_steps: 80,
-            executor_queue_depth: 2,
             preload: true,
             compactor: false,
             crashes: false,
@@ -277,8 +270,6 @@ pub struct ScenarioRun {
     /// Error replies the clients saw (retries exhausted under churn —
     /// recorded as failed ops, tolerated by the checker).
     pub error_replies: usize,
-    /// `Busy` sub-batch rejections the tiny queues produced cluster-wide.
-    pub busy_rejections: u64,
     /// Victim segments the compactor emptied and freed during the run (0
     /// unless `CheckConfig::compactor` is set).
     pub segments_compacted: u64,
@@ -332,10 +323,6 @@ pub fn run_scenario(config: &CheckConfig) -> ScenarioRun {
         // verifies must hold across fail-stop churn, which loses DRAM.
         write_batch_ops: 1,
         threads_per_kn: 2,
-        executor_queue_depth: config.executor_queue_depth,
-        // Small sub-batches still take the worker queues, so backpressure
-        // and handoff are part of every scenario.
-        executor_min_sub_batch: 2,
         ..KvsConfig::small_for_tests()
     };
     if config.compactor {
@@ -435,16 +422,10 @@ pub fn run_scenario(config: &CheckConfig) -> ScenarioRun {
     // quiescent point: clients and churn have joined, `quiesce` waits out
     // the merge workers, and collector passes are excluded across the
     // walk — a pass can free the victim of an index word the walk just
-    // read (see `DpmNode::pause_collectors`).
-    // The same quiescent point checks the executor: every client's
-    // `execute` has returned, so no sub-batch may be left in a surviving
-    // node's worker queue, and flush + merge must still complete.
+    // read (see `DpmNode::pause_collectors`). Flush + merge must still
+    // complete at that point.
     if let Err(e) = kvs.quiesce() {
         panic!("cluster failed to quiesce after scenario: {e}");
-    }
-    for id in kvs.kn_ids() {
-        let queued = kvs.kn(id).map_or(0, |kn| kn.queued_sub_batches());
-        assert_eq!(queued, 0, "kn {id} still has queued sub-batches");
     }
     let checked = {
         let _gc_pause = kvs.dpm().pause_collectors();
@@ -460,7 +441,6 @@ pub fn run_scenario(config: &CheckConfig) -> ScenarioRun {
     ScenarioRun {
         history,
         error_replies,
-        busy_rejections: stats.kns.iter().map(|k| k.busy_rejections).sum(),
         segments_compacted: stats.dpm.segments_compacted,
         entries_relocated: stats.dpm.entries_relocated,
         final_kns: kvs.num_kns(),

@@ -19,8 +19,7 @@
 //!   concurrent clients run a deterministic CRUD op stream (skewed keys,
 //!   unique write values) against a real cluster while a churn thread
 //!   replays a deterministic script of `add_kn`/`remove_kn`/`fail_kn` and
-//!   replicate/dereplicate actions, with tiny executor queues forcing
-//!   `Busy` retries. Every client records through the
+//!   replicate/dereplicate actions. Every client records through the
 //!   [`dinomo_core::trace`] hook; the merged history is checked at the
 //!   end. Any failure reproduces from `DINOMO_CHECK_SEED=<n>` alone and
 //!   shrinks by replaying with a reduced op budget.

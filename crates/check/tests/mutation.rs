@@ -1,5 +1,5 @@
 //! The checker's mutation acceptance test: record a history from a real
-//! churning cluster run (reconfiguration + backpressure + replicated
+//! churning cluster run (reconfiguration + routing retries + replicated
 //! keys), assert the checker accepts it, then inject violations into that
 //! same history — swapped read values, a dropped acknowledged write — and
 //! assert the checker rejects each mutant. A checker that cannot fail is
@@ -38,7 +38,7 @@ fn checker_accepts_the_real_history_and_rejects_injected_violations() {
     let (history, churn_log) = recorded_history();
 
     // The genuine history — concurrent clients, membership and
-    // replication churn, Busy retries — must linearize.
+    // replication churn, routing retries — must linearize.
     let stats = check_history(&history).unwrap_or_else(|e| {
         panic!("real cluster history failed the checker: {e}\nchurn: {churn_log:?}")
     });

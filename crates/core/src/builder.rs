@@ -59,7 +59,7 @@ impl KvsBuilder {
         self
     }
 
-    /// Worker threads (shards) per KVS node.
+    /// Shards (the paper's KN threads) per KVS node.
     pub fn threads_per_kn(mut self, n: usize) -> Self {
         self.config.threads_per_kn = n;
         self
@@ -110,25 +110,6 @@ impl KvsBuilder {
         self
     }
 
-    /// Capacity of each shard worker's bounded sub-batch queue. Positive
-    /// values run one worker thread per shard and fan batches out across
-    /// them (full queues surface [`crate::KvsError::Busy`] backpressure to
-    /// the client's retry loop); `0` disables the executor so batches run
-    /// inline on the calling thread.
-    pub fn executor_queue_depth(mut self, depth: usize) -> Self {
-        self.config.executor_queue_depth = depth;
-        self
-    }
-
-    /// Minimum operations a shard sub-batch must contain before it is
-    /// worth enqueueing onto a shard worker; smaller sub-batches run
-    /// inline on the dispatching thread (a handoff only pays for itself
-    /// over enough per-shard work).
-    pub fn executor_min_sub_batch(mut self, min: usize) -> Self {
-        self.config.executor_min_sub_batch = min;
-        self
-    }
-
     /// The configuration the builder currently describes.
     pub fn config(&self) -> &KvsConfig {
         &self.config
@@ -172,9 +153,7 @@ mod tests {
             .cache_bytes_per_kn(128 << 10)
             .cache_kind(CacheKind::ValueOnly)
             .write_batch_ops(2)
-            .ring_vnodes(16)
-            .executor_queue_depth(32)
-            .executor_min_sub_batch(4);
+            .ring_vnodes(16);
         let c = b.config();
         assert_eq!(c.variant, Variant::DinomoN);
         assert_eq!(c.initial_kns, 3);
@@ -183,8 +162,6 @@ mod tests {
         assert_eq!(c.cache_kind, Some(CacheKind::ValueOnly));
         assert_eq!(c.write_batch_ops, 2);
         assert_eq!(c.ring_vnodes, 16);
-        assert_eq!(c.executor_queue_depth, 32);
-        assert_eq!(c.executor_min_sub_batch, 4);
     }
 
     #[test]

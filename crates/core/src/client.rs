@@ -9,25 +9,20 @@
 //! The client API is batched at its core: [`KvsClient::execute`] takes a
 //! vector of [`Op`]s, groups them by owner KVS node using the cached
 //! ownership table, and submits **one** request per node, which
-//! resolves ownership once, splits the group by shard, and enqueues one
-//! sub-batch per involved shard onto
-//! that shard's worker thread — the batch fans out across every involved
-//! shard of every involved node concurrently while this thread waits for
-//! the workers to send their results back (see [`crate::executor`]). Each
-//! sub-batch locks its shard once and flushes its buffered log writes
-//! once. Operations
-//! rejected mid-flight (ownership moved, node failed or reconfiguring,
-//! worker queue full) are retried after a metadata refresh (or, for
-//! [`KvsError::Busy`] backpressure, just a pause), so a batch racing a
-//! reconfiguration still produces a correct per-op [`Reply`].  The per-key
-//! methods ([`KvsClient::insert`] & co.) and singleton batches are one
-//! routine (`KvsClient::execute_one`): a batch of one, run inline on this
-//! thread through the same node-side envelope, without allocating an owned
-//! [`Op`] or the batch's shared state and reply channel.
+//! resolves ownership once, splits the group by shard, and runs each
+//! shard's slice under one lock acquisition and one flush decision. The
+//! calling thread is the only executor: it serves every node's group in
+//! turn, as a KN thread owning its shard and polling its own fabric
+//! completions would. Operations rejected mid-flight (ownership moved,
+//! node failed or reconfiguring) are retried after a metadata refresh, so
+//! a batch racing a reconfiguration still produces a correct per-op
+//! [`Reply`]. The per-key methods ([`KvsClient::insert`] & co.) and
+//! singleton batches are one routine (`KvsClient::execute_one`): a batch
+//! of one through the same node-side envelope, without allocating an
+//! owned [`Op`], groups or result vectors.
 
 use crate::error::KvsError;
-use crate::executor::{BatchShared, OpResult};
-use crate::kn::KnNode;
+use crate::kn::{KnNode, OpResult};
 use crate::kvs::KvsInner;
 use crate::op::{Op, OpRef, Reply};
 use crate::trace::{Action, RecorderHandle};
@@ -39,9 +34,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Maximum routing retries before a request is failed back to the caller.
-/// Exposed to the crate's tests so retry-accounting assertions (one `Busy`
-/// sub-batch rejection per routing round) can state the exact budget.
-pub(crate) const MAX_RETRIES: usize = 100;
+const MAX_RETRIES: usize = 100;
 
 /// A client handle. Create one per application thread with
 /// [`crate::Kvs::client`]; handles are independent and each caches its own
@@ -55,11 +48,10 @@ pub struct KvsClient {
     /// History-recording hook for the linearizability checker; `None`
     /// (the default) costs one branch per request and nothing else.
     recorder: Option<RecorderHandle>,
-    /// `stage_client_dispatch_ns` — per round: grouping, routing, and
-    /// sub-batch submission (including inline work) up to the wait for the
-    /// workers' replies.
+    /// `stage_client_dispatch_ns` — per round: grouping, routing and node
+    /// lookup, up to the nodes' `serve` calls.
     stage_dispatch: dinomo_obs::Histogram,
-    /// `stage_reply_ns` — per round: reply harvest after that wait.
+    /// `stage_reply_ns` — per round: reply harvest after those calls.
     stage_reply: dinomo_obs::Histogram,
 }
 
@@ -149,16 +141,10 @@ impl KvsClient {
     }
 
     /// What a request does between a round that left work to retry and
-    /// the next one: refresh the routing metadata if a node rejected the
-    /// routing, give the shard workers a beat to drain if one pushed back
-    /// (`Busy` needs no refresh), and sleep once retries pile up.
-    fn before_retry(&self, attempt: usize, saw_routing_error: bool, saw_busy: bool) {
-        if saw_routing_error {
-            self.refresh_routing();
-        }
-        if saw_busy {
-            std::thread::yield_now();
-        }
+    /// the next one: refresh the routing metadata, and sleep once retries
+    /// pile up.
+    fn before_retry(&self, attempt: usize) {
+        self.refresh_routing();
         if attempt > 10 {
             std::thread::sleep(Duration::from_millis(2));
         }
@@ -172,19 +158,16 @@ impl KvsClient {
     /// The batch is grouped by owner KVS node under a single acquisition of
     /// the cached routing metadata and submitted with one request per
     /// group, which amortizes routing, node lookup, ownership checks,
-    /// shard locking and log-batch flushing over the whole group — and
-    /// fans the group out across the node's shard worker threads, so all
-    /// of a node's shards (and all nodes) serve the batch concurrently
-    /// while this thread waits. There is **no atomicity across the
-    /// batch** — each op fails or succeeds independently, exactly as if
-    /// issued alone; the per-op guarantees (linearizable single-key
-    /// reads/writes) are unchanged. Ops on the same key still apply in
-    /// batch order (same key → same shard, served in order by one
-    /// worker).
+    /// shard locking and log-batch flushing over the whole group. This
+    /// thread serves the groups one after another. There is **no
+    /// atomicity across the batch** — each op fails or succeeds
+    /// independently, exactly as if issued alone; the per-op guarantees
+    /// (linearizable single-key reads/writes) are unchanged. Ops on the
+    /// same key still apply in batch order (same key → same shard slice,
+    /// served in order).
     ///
     /// Operations rejected because the contacted node no longer owns the
-    /// key (or failed, or is reconfiguring, or its worker queues were
-    /// full — [`KvsError::Busy`] backpressure) are transparently retried;
+    /// key (or failed, or is reconfiguring) are transparently retried;
     /// only the rejected subset is retried.
     ///
     /// ```
@@ -207,8 +190,7 @@ impl KvsClient {
         match ops.as_slice() {
             [] => Vec::new(),
             // A singleton batch is dispatched like a per-key call: same
-            // node-side envelope, but inline on this thread with no groups,
-            // shared state or reply channel.
+            // node-side envelope, with no groups or result vectors.
             [op] => vec![self.execute_one(op.view())],
             _ => self.execute_batch(ops),
         }
@@ -220,29 +202,21 @@ impl KvsClient {
         // sound (the checker's windows only widen, never shrink).
         let invoked_at = self.recorder.as_ref().map(|h| h.invoke());
         let n = ops.len();
-        // The ops and their routing hashes (computed once, reused by every
-        // node's ring lookups across every retry round), shared with every
-        // sub-batch the rounds below enqueue.
-        let batch = Arc::new(BatchShared::new(ops));
-        // One result per op, written by this thread alone: directly by what
-        // runs inline, and from the workers' owned reply vectors otherwise.
+        // Routing hashes, computed once and reused by every node's ring
+        // lookups across every retry round.
+        let hashes: Vec<u64> = ops.iter().map(|op| key_hash(op.key())).collect();
         let mut results: Vec<Option<OpResult>> = vec![None; n];
         let mut replies: Vec<Option<Reply>> = vec![None; n];
         let mut pending: Vec<usize> = (0..n).collect();
-        // Whether a position's most recent failure was Busy backpressure,
-        // so exhausted retries report the true cause (persistent overload
-        // vs. a routing/metadata problem).
-        let mut last_was_busy: Vec<bool> = vec![false; n];
 
         for attempt in 0..MAX_RETRIES {
             if pending.is_empty() {
                 break;
             }
-            // Stage accounting for this round: grouping/routing/submission
-            // bills to `stage_client_dispatch_ns`, the harvest after the
-            // workers' replies are in to `stage_reply_ns`; the wait in
-            // between is covered by the worker-side queue-wait and
-            // shard-execute stages.
+            // Stage accounting for this round: grouping and routing bill
+            // to `stage_client_dispatch_ns`, the harvest after the nodes
+            // have served to `stage_reply_ns`; the serving in between is
+            // covered by the node-side queue-wait and shard-execute stages.
             let dispatch_clock = dinomo_obs::stage_clock();
             // Group the pending ops by owner under one routing-metadata
             // lock acquisition. Clusters are small (a handful to dozens of
@@ -254,26 +228,26 @@ impl KvsClient {
                 routed_version = cached.version();
                 let global = cached.global_ring();
                 // All ops on the same replicated key must route to the same
-                // replica within a round: groups dispatch in creation order,
-                // so spreading a key's ops across replicas could land a
-                // later op in an earlier-created group and run it first,
-                // breaking the same-key batch-order guarantee. The
+                // replica within a round: groups are served in creation
+                // order, so spreading a key's ops across replicas could
+                // land a later op in an earlier-created group and run it
+                // first, breaking the same-key batch-order guarantee. The
                 // replica pick is therefore memoized per key per round
                 // (load still spreads across batches).
                 let mut replica_picks: Vec<(&[u8], Option<KnId>)> = Vec::new();
                 for &i in &pending {
-                    let key = batch.ops[i].key();
+                    let key = ops[i].key();
                     let owner = if cached.is_replicated(key) {
                         match replica_picks.iter().find(|(k, _)| *k == key) {
                             Some((_, pick)) => *pick,
                             None => {
-                                let pick = self.pick_replica(&cached, key, batch.hashes[i]);
+                                let pick = self.pick_replica(&cached, key, hashes[i]);
                                 replica_picks.push((key, pick));
                                 pick
                             }
                         }
                     } else {
-                        global.owner(batch.hashes[i])
+                        global.owner(hashes[i])
                     };
                     match owner {
                         Some(owner) => match groups.iter_mut().find(|(id, _)| *id == owner) {
@@ -286,7 +260,7 @@ impl KvsClient {
             }
 
             // Resolve every group's node handle under one registry lock,
-            // then dispatch with the lock released — a slow group (pmem
+            // then serve with the lock released — a slow group (pmem
             // flush, injected fabric delay) must not hold up concurrent
             // reconfigurations or other clients' node lookups.
             let nodes: Vec<Option<Arc<KnNode>>> = {
@@ -296,92 +270,59 @@ impl KvsClient {
                     .map(|(owner, _)| kns.get(owner).cloned())
                     .collect()
             };
+            dinomo_obs::record_since(&self.stage_dispatch, dispatch_clock);
             // One batched request per owner node. Each node resolves its
             // group's ownership once (the request carries the metadata
             // version the routing was computed against, so an up-to-date
             // node skips its per-key re-verification — §3.1 staleness
-            // detection, applied batch-wide), splits it by shard, and
-            // enqueues one sub-batch per involved shard onto its worker
-            // queues — so the batch fans out across every involved shard
-            // of every involved node concurrently, while this thread only
-            // runs the in-order replicated-key passes.
-            // Each enqueued sub-batch carries a clone of `reply_tx` and
-            // sends its results through it once.
-            let (reply_tx, reply_rx) = std::sync::mpsc::channel();
+            // detection, applied batch-wide) and serves it shard slice by
+            // shard slice. A later result for a position overwrites an
+            // earlier one (a failed flush's override).
             for ((_, indexes), node) in groups.iter().zip(&nodes) {
                 if let Some(node) = node {
-                    node.submit_batch(&batch, indexes, routed_version, &reply_tx, &mut |pos, r| {
-                        results[pos] = Some(r)
-                    });
-                }
-            }
-            dinomo_obs::record_since(&self.stage_dispatch, dispatch_clock);
-            // Disconnection is the latch: with this thread's `Sender` gone,
-            // the receiver runs dry exactly when every sub-batch of the
-            // round has been run or dropped. A later pair for a position
-            // overwrites an earlier one (a failed flush's override).
-            drop(reply_tx);
-            for slice in reply_rx {
-                for (pos, r) in slice {
-                    results[pos] = Some(r);
+                    node.serve(
+                        |pos| ops[pos].view(),
+                        indexes,
+                        &hashes,
+                        routed_version,
+                        &mut |pos, r| results[pos] = Some(r),
+                    );
                 }
             }
             let reply_clock = dinomo_obs::stage_clock();
 
-            // Harvest results; routing rejections, backpressure and
-            // unanswered positions (node disappeared mid-route, sub-batch
-            // panicked) are retried.
+            // Harvest results; routing rejections and unanswered positions
+            // (node disappeared mid-route) are retried.
             let mut retry: Vec<usize> = Vec::new();
-            let mut saw_routing_error = false;
-            let mut saw_busy = false;
             for i in pending {
                 if replies[i].is_some() {
                     continue; // resolved as NoNodes during grouping
                 }
                 match results[i].take() {
-                    Some(Ok(read)) => replies[i] = Some(batch.ops[i].view().reply_from(read)),
-                    Some(Err(KvsError::Busy)) => {
-                        saw_busy = true;
-                        last_was_busy[i] = true;
-                        retry.push(i);
+                    Some(Ok(read)) => replies[i] = Some(ops[i].view().reply_from(read)),
+                    Some(Err(e)) if !Self::is_routing_error(&e) => {
+                        replies[i] = Some(Reply::Error(e))
                     }
-                    Some(Err(e)) if Self::is_routing_error(&e) => {
-                        saw_routing_error = true;
-                        last_was_busy[i] = false;
-                        retry.push(i);
-                    }
-                    Some(Err(e)) => replies[i] = Some(Reply::Error(e)),
-                    None => {
-                        saw_routing_error = true;
-                        last_was_busy[i] = false;
-                        retry.push(i);
-                    }
+                    Some(Err(_)) | None => retry.push(i),
                 }
             }
 
             dinomo_obs::record_since(&self.stage_reply, reply_clock);
             pending = retry;
             if !pending.is_empty() {
-                self.before_retry(attempt, saw_routing_error, saw_busy);
+                self.before_retry(attempt);
             }
         }
 
         for i in pending {
-            // An op that was Busy on its final attempt failed from
-            // sustained backpressure, not a routing problem — report the
-            // cause the caller can act on (back off / add capacity).
-            replies[i] = Some(Reply::Error(if last_was_busy[i] {
-                KvsError::Busy
-            } else {
-                KvsError::RoutingRetriesExhausted
-            }));
+            replies[i] = Some(Reply::Error(KvsError::RoutingRetriesExhausted));
         }
         let replies: Vec<Reply> = replies
             .into_iter()
             .map(|r| r.expect("every op got a reply"))
             .collect();
         if let Some(inv) = invoked_at {
-            for (op, reply) in batch.ops.iter().zip(&replies) {
+            for (op, reply) in ops.iter().zip(&replies) {
                 self.record_op(op.view(), reply, inv);
             }
         }
@@ -392,8 +333,8 @@ impl KvsClient {
     /// batches. A batch of one — routed against the cached table, served by
     /// the owner's envelope with the cached version attached, retried
     /// after a metadata refresh on routing errors, recorded — minus what
-    /// only a fan-out needs: it runs inline on this thread (so it can never
-    /// be `Busy`) and builds no groups, owned `Op` or reply channel.
+    /// only a multi-node batch needs: it builds no groups, owned `Op` or
+    /// result vectors.
     fn execute_one(&self, op: OpRef<'_>) -> Reply {
         let invoked_at = self.recorder.as_ref().map(|h| h.invoke());
         let key = op.key();
@@ -417,7 +358,7 @@ impl KvsClient {
                 Some(Some(node)) => node.serve_one(op, hash, routed_version),
             };
             match served {
-                Err(e) if Self::is_routing_error(&e) => self.before_retry(attempt, true, false),
+                Err(e) if Self::is_routing_error(&e) => self.before_retry(attempt),
                 other => {
                     result = other;
                     break;

@@ -35,7 +35,7 @@ pub struct KvsConfig {
     pub variant: Variant,
     /// Number of KVS nodes at start-up.
     pub initial_kns: usize,
-    /// Worker threads (shards) per KVS node.
+    /// Shards (the paper's KN threads) per KVS node.
     pub threads_per_kn: usize,
     /// DRAM cache budget per KVS node, in bytes (the paper uses 1 GB,
     /// ≈1 % of the DPM pool).
@@ -51,26 +51,6 @@ pub struct KvsConfig {
     pub fabric: FabricConfig,
     /// Virtual nodes per KN on the consistent-hashing ring.
     pub ring_vnodes: u32,
-    /// Capacity of each shard worker's bounded sub-batch queue.
-    ///
-    /// When positive, every KVS node runs one worker thread per shard
-    /// (`threads_per_kn`) and `KvsClient::execute` fans a batch's owner
-    /// group out across them; a full queue surfaces
-    /// [`crate::KvsError::Busy`] to the client's retry loop. `0` disables
-    /// the executor: batches run inline on the calling thread, shard by
-    /// shard (the pre-executor behaviour, and the baseline of the
-    /// `kn_scaling` bench).
-    pub executor_queue_depth: usize,
-    /// Minimum operations a shard sub-batch must contain to be enqueued
-    /// onto its shard worker; smaller sub-batches run inline on the
-    /// calling thread. A worker handoff costs a queue push plus a worker
-    /// wakeup, which only amortizes over enough per-shard work — tiny
-    /// groups (e.g. a batch of 32 spread over 4 nodes x 2 shards) are
-    /// faster executed in place, exactly as before the executor existed.
-    /// The default (16) is sized so a sub-batch of pure cache hits still
-    /// outweighs a wakeup; expensive sub-batches (index misses, fabric
-    /// waits) clear it easily. `0` (or `1`) enqueues every sub-batch.
-    pub executor_min_sub_batch: usize,
 }
 
 impl Default for KvsConfig {
@@ -85,8 +65,6 @@ impl Default for KvsConfig {
             dpm: DpmConfig::default(),
             fabric: FabricConfig::default(),
             ring_vnodes: 64,
-            executor_queue_depth: 64,
-            executor_min_sub_batch: 16,
         }
     }
 }
@@ -100,11 +78,6 @@ impl KvsConfig {
             cache_bytes_per_kn: 256 << 10,
             write_batch_ops: 4,
             dpm: DpmConfig::small_for_tests(),
-            executor_queue_depth: 8,
-            // Tests want the concurrent path exercised even by small
-            // batches; production-sized defaults would run most
-            // test-sized sub-batches inline.
-            executor_min_sub_batch: 2,
             ..KvsConfig::default()
         }
     }

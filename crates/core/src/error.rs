@@ -19,12 +19,6 @@ pub enum KvsError {
     /// The target node is temporarily unavailable because it participates in
     /// an ongoing reconfiguration.
     Reconfiguring,
-    /// The contacted KVS node's shard-worker queues are full (backpressure):
-    /// the request was not enqueued and should be retried after a short
-    /// pause. Surfaced by the batched path when a bounded sub-batch queue
-    /// rejects an enqueue; the client's retry loop handles it
-    /// transparently.
-    Busy,
     /// The key does not exist (returned by `update` on a missing key).
     KeyNotFound,
     /// A persistent-memory allocation failed.
@@ -48,7 +42,6 @@ impl fmt::Display for KvsError {
             KvsError::NodeFailed => write!(f, "KVS node has failed"),
             KvsError::NoNodes => write!(f, "cluster has no KVS nodes"),
             KvsError::Reconfiguring => write!(f, "node is reconfiguring"),
-            KvsError::Busy => write!(f, "node worker queues are full"),
             KvsError::KeyNotFound => write!(f, "key not found"),
             KvsError::Pmem(e) => write!(f, "persistent memory error: {e}"),
             KvsError::RoutingRetriesExhausted => write!(f, "routing retries exhausted"),

@@ -3,7 +3,6 @@
 
 use crate::config::{KvsConfig, Variant};
 use crate::error::KvsError;
-use crate::executor::{BatchShared, BoundedQueue, OpResult, PushError, SliceReplies};
 use crate::op::{Op, OpRef};
 use crate::stats::KnStats;
 use crate::Result;
@@ -15,7 +14,6 @@ use dinomo_simnet::Nic;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -32,9 +30,10 @@ enum Unmerged {
     Deleted,
 }
 
-/// One worker-thread shard of a KVS node: its cache partition, log writer and
-/// unmerged-write tracking (§4: "un-merged log segments are cached in the KNs
-/// that wrote them", with Bloom filters for membership checks).
+/// One shard (the paper's KN thread) of a KVS node: its cache partition,
+/// log writer and unmerged-write tracking (§4: "un-merged log segments are
+/// cached in the KNs that wrote them", with Bloom filters for membership
+/// checks).
 struct Shard {
     cache: Box<dyn KnCache>,
     writer: LogWriter,
@@ -56,79 +55,8 @@ impl std::fmt::Debug for Shard {
 /// so the full per-key ownership verification always runs.
 pub(crate) const NO_VERSION: u64 = u64::MAX;
 
-/// One sub-batch of a client batch, bound to one shard of one node: the
-/// unit of work a shard worker dequeues. Executing it sends the positions'
-/// results back through `replies`, once; running *or dropping* it drops
-/// that `Sender`, which is what releases the dispatching client.
-pub(crate) struct SubBatch {
-    node: Arc<KnNode>,
-    shard: u32,
-    batch: Arc<BatchShared>,
-    positions: Vec<usize>,
-    replies: Sender<SliceReplies>,
-    /// Ownership-table version the routes in `positions` were resolved
-    /// against; execution rejects if the table has moved on since (see
-    /// [`KnNode::run_queued_sub_batch`]).
-    resolved_version: u64,
-    /// When the dispatching client pushed this task (None with
-    /// observability disabled); the worker bills the time from here until
-    /// it holds the shard to `stage_queue_wait_ns`.
-    enqueued_at: Option<Instant>,
-}
-
-impl std::fmt::Debug for SubBatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SubBatch")
-            .field("node", &self.node.id)
-            .field("shard", &self.shard)
-            .field("positions", &self.positions.len())
-            .finish()
-    }
-}
-
-impl SubBatch {
-    fn run(self) {
-        let SubBatch {
-            node,
-            shard,
-            batch,
-            positions,
-            replies,
-            resolved_version,
-            enqueued_at,
-        } = self;
-        let mut out = SliceReplies::with_capacity(positions.len());
-        node.run_queued_sub_batch(
-            shard,
-            |pos| batch.ops[pos].view(),
-            &positions,
-            resolved_version,
-            enqueued_at,
-            &mut |pos, r| out.push((pos, r)),
-        );
-        // If execution panicked instead, unwinding dropped `replies` with
-        // nothing sent: the client sees the positions unanswered. A send
-        // only fails when the client itself is gone.
-        let _ = replies.send(out);
-    }
-}
-
-/// The per-node worker pool: one thread per shard, each draining a bounded
-/// queue of [`SubBatch`]es.
-#[derive(Debug)]
-struct NodeExecutor {
-    queues: Vec<Arc<BoundedQueue<SubBatch>>>,
-    handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
-}
-
-/// What [`KnNode::serve`] needs to hand a shard's slice of a client batch to
-/// that shard's worker: the node handle and batch the task keeps alive, and
-/// the round's reply channel.
-type Handoff<'a> = (
-    &'a Arc<KnNode>,
-    &'a Arc<BatchShared>,
-    &'a Sender<SliceReplies>,
-);
+/// Per-operation result of a batch.
+pub(crate) type OpResult = Result<Option<Vec<u8>>>;
 
 /// Decrements an in-flight counter when dropped (panic-safe).
 struct DecrementOnDrop<'a>(&'a AtomicUsize);
@@ -139,25 +67,12 @@ impl Drop for DecrementOnDrop<'_> {
     }
 }
 
-fn worker_loop(queue: Arc<BoundedQueue<SubBatch>>) {
-    while let Some(task) = queue.pop() {
-        // A panicking sub-batch must not take the worker (and every queued
-        // batch behind it) down with it; unwinding has already dropped the
-        // task's reply `Sender`, releasing its client.
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task.run()));
-    }
-}
-
 /// Registry handles the node's hot paths record through (resolved once
 /// at construction; see `docs/OBSERVABILITY.md`).
 #[derive(Debug)]
 struct KnMetrics {
-    /// `kn_busy_rejections` — cluster-wide aggregate of bounded-queue
-    /// rejections (the per-node count stays in [`KnNode::stats`]).
-    busy_rejections: dinomo_obs::Counter,
     /// `stage_queue_wait_ns` — what a shard's slice of a request waited
-    /// before the shard was its own: worker-queue time when it was
-    /// enqueued, the shard-mutex wait when it ran inline.
+    /// on the shard mutex before the shard was its own.
     queue_wait: dinomo_obs::Histogram,
     /// `stage_shard_execute_ns` — execution against the locked shard (or
     /// of one shared-key op run on the caller).
@@ -167,7 +82,6 @@ struct KnMetrics {
 impl KnMetrics {
     fn new(registry: &dinomo_obs::Registry) -> Self {
         KnMetrics {
-            busy_rejections: registry.counter("kn_busy_rejections"),
             queue_wait: registry.stage(dinomo_obs::Stage::QueueWait),
             shard_execute: registry.stage(dinomo_obs::Stage::ShardExecute),
         }
@@ -184,14 +98,10 @@ pub struct KnNode {
     ownership: Arc<RwLock<OwnershipTable>>,
     shards: Vec<Mutex<Shard>>,
     write_batch_ops: usize,
-    executor: Option<NodeExecutor>,
-    /// Sub-batches below this size run inline on the dispatching thread
-    /// (`KvsConfig::executor_min_sub_batch`).
-    min_sub_batch: usize,
-    /// Requests (per-key calls and batches) and queued sub-batches
-    /// currently executing on any thread; reconfiguration drains this to
-    /// zero after turning the node unavailable, so no straggler can
-    /// buffer a write behind the pre-handoff flush.
+    /// Requests (per-key calls and batches) currently executing on any
+    /// thread; reconfiguration drains this to zero after turning the node
+    /// unavailable, so no straggler can buffer a write behind the
+    /// pre-handoff flush.
     in_flight: AtomicUsize,
     failed: AtomicBool,
     reconfiguring: AtomicBool,
@@ -199,8 +109,6 @@ pub struct KnNode {
     reads: AtomicU64,
     writes: AtomicU64,
     rejected: AtomicU64,
-    sub_batches: AtomicU64,
-    busy_rejections: AtomicU64,
     busy_ns: AtomicU64,
     metrics: KnMetrics,
 }
@@ -229,26 +137,6 @@ impl KnNode {
                 })
             })
             .collect::<Vec<_>>();
-        let executor = (config.executor_queue_depth > 0).then(|| {
-            let queues: Vec<Arc<BoundedQueue<SubBatch>>> = (0..shards.len())
-                .map(|_| Arc::new(BoundedQueue::new(config.executor_queue_depth)))
-                .collect();
-            let handles = queues
-                .iter()
-                .enumerate()
-                .map(|(shard, queue)| {
-                    let queue = Arc::clone(queue);
-                    std::thread::Builder::new()
-                        .name(format!("dinomo-kn{id}-w{shard}"))
-                        .spawn(move || worker_loop(queue))
-                        .expect("spawning a shard worker failed")
-                })
-                .collect();
-            NodeExecutor {
-                queues,
-                handles: Mutex::new(handles),
-            }
-        });
         KnNode {
             id,
             variant: config.variant,
@@ -257,8 +145,6 @@ impl KnNode {
             ownership,
             shards,
             write_batch_ops: config.write_batch_ops.max(1),
-            executor,
-            min_sub_batch: config.executor_min_sub_batch,
             in_flight: AtomicUsize::new(0),
             failed: AtomicBool::new(false),
             reconfiguring: AtomicBool::new(false),
@@ -266,8 +152,6 @@ impl KnNode {
             reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            sub_batches: AtomicU64::new(0),
-            busy_rejections: AtomicU64::new(0),
             busy_ns: AtomicU64::new(0),
             metrics: KnMetrics::new(registry),
         }
@@ -289,21 +173,16 @@ impl KnNode {
     }
 
     /// Simulate a fail-stop crash: the node stops serving and its DRAM
-    /// contents (caches, unmerged-write tracking) are lost.
+    /// contents (what [`KnNode::clear_caches`] drops) are lost.
     ///
-    /// In-flight sub-batches are drained first so no straggler repopulates
-    /// the cleared caches; queued-but-unstarted sub-batches observe the
-    /// failed flag when a worker picks them up and fail with
+    /// In-flight requests are drained first so no straggler repopulates
+    /// the cleared caches; later arrivals fail with
     /// [`KvsError::NodeFailed`] (which the client retries elsewhere).
-    pub fn fail(&self) {
+    /// Returns the lost cache entries unfreed, as `clear_caches` does.
+    pub fn fail(&self) -> Vec<Box<dyn Send>> {
         self.failed.store(true, Ordering::SeqCst);
         self.drain_in_flight();
-        for shard in &self.shards {
-            let mut s = shard.lock();
-            s.cache.clear();
-            s.unmerged.clear();
-            s.bloom.clear();
-        }
+        self.clear_caches()
     }
 
     /// Mark the node unavailable while it participates in a reconfiguration
@@ -312,12 +191,11 @@ impl KnNode {
         self.reconfiguring.store(on, Ordering::SeqCst);
     }
 
-    /// Admission, the first step of every request and of every dequeued
-    /// sub-batch: count it in flight, *then* check availability. The
-    /// increment must precede the check (both `SeqCst`) so
-    /// [`KnNode::drain_in_flight`] cannot observe zero while work that
-    /// passed the check is still executing. The returned guard keeps the
-    /// work counted until it drops.
+    /// Admission, the first step of every request: count it in flight,
+    /// *then* check availability. The increment must precede the check
+    /// (both `SeqCst`) so [`KnNode::drain_in_flight`] cannot observe zero
+    /// while work that passed the check is still executing. The returned
+    /// guard keeps the work counted until it drops.
     fn admit(&self) -> Result<DecrementOnDrop<'_>> {
         self.in_flight.fetch_add(1, Ordering::SeqCst);
         let in_flight = DecrementOnDrop(&self.in_flight);
@@ -344,38 +222,13 @@ impl KnNode {
         }
     }
 
-    /// Sub-batches currently sitting in this node's worker queues (racy
-    /// snapshot; 0 when the executor is disabled). Tests use this to
-    /// assert the queues drained after churn.
-    pub fn queued_sub_batches(&self) -> usize {
-        self.executor
-            .as_ref()
-            .map(|e| e.queues.iter().map(|q| q.len()).sum())
-            .unwrap_or(0)
-    }
-
-    /// Close the shard-worker queues, let the workers drain what was
-    /// already accepted, and join them. Later enqueue attempts (from
-    /// clients holding a stale handle to this node) fail over to
-    /// [`KvsError::NodeFailed`] and are retried against the new owners.
-    /// Idempotent; also run by `Drop`.
-    pub fn shutdown_workers(&self) {
-        let Some(executor) = &self.executor else {
-            return;
-        };
-        for queue in &executor.queues {
-            queue.close();
-        }
-        let handles = std::mem::take(&mut *executor.handles.lock());
-        let current = std::thread::current().id();
-        for handle in handles {
-            // If the last Arc to this node is dropped by one of its own
-            // workers (a task held the final reference), that worker must
-            // not join itself; its queue is closed and it exits right
-            // after this drop.
-            if handle.thread().id() != current {
-                let _ = handle.join();
-            }
+    /// Seal every shard writer's open log segment. A node leaving the
+    /// cluster never writes again, and the collectors (`run_gc`, the
+    /// compactor) only reclaim sealed segments: left open, its last
+    /// segments would stay allocated forever once their entries die.
+    pub(crate) fn seal_log_segments(&self) {
+        for shard in &self.shards {
+            shard.lock().writer.seal_current();
         }
     }
 
@@ -578,7 +431,7 @@ impl KnNode {
     /// * ownership is resolved for every key under a **single** read
     ///   acquisition of the ownership table, with one key hash shared by
     ///   the owner and thread ring lookups;
-    /// * operations are applied per worker shard with **one** lock
+    /// * operations are applied per shard with **one** lock
     ///   acquisition per shard, and buffered log writes are flushed at most
     ///   **once** per shard instead of once per op.
     ///
@@ -601,7 +454,6 @@ impl KnNode {
             &positions,
             &hashes,
             NO_VERSION,
-            None,
             &mut |pos, r| out[pos] = Some(r),
         );
         out.into_iter()
@@ -609,44 +461,20 @@ impl KnNode {
             .collect()
     }
 
-    /// A batch of one through [`KnNode::serve`], always inline on the
-    /// caller: the per-key entry points above and the client's one-op
-    /// dispatch. `hash` must be `key_hash(op.key())`.
+    /// A batch of one through [`KnNode::serve`]: the per-key entry points
+    /// above and the client's one-op dispatch. `hash` must be
+    /// `key_hash(op.key())`.
     pub(crate) fn serve_one(&self, op: OpRef<'_>, hash: u64, client_version: u64) -> OpResult {
         let mut out = None;
-        self.serve(|_| op, &[0], &[hash], client_version, None, &mut |_, r| {
+        self.serve(|_| op, &[0], &[hash], client_version, &mut |_, r| {
             out = Some(r)
         });
         out.expect("the envelope answers every position")
     }
 
-    /// The client's batch dispatch: [`KnNode::serve`] with big-enough shard
-    /// slices handed to the shard workers. What runs on the caller (inline
-    /// slices, shared-key ops, rejections) answers through `set`; every
-    /// enqueued sub-batch carries a clone of `replies` and answers through
-    /// it, so the caller has every result once it has dropped its own
-    /// `Sender` and drained the receiver to disconnection.
-    pub(crate) fn submit_batch(
-        self: &Arc<Self>,
-        batch: &Arc<BatchShared>,
-        positions: &[usize],
-        client_version: u64,
-        replies: &Sender<SliceReplies>,
-        set: &mut impl FnMut(usize, OpResult),
-    ) {
-        self.serve(
-            |pos| batch.ops[pos].view(),
-            positions,
-            &batch.hashes,
-            client_version,
-            Some((self, batch, replies)),
-            set,
-        );
-    }
-
     /// The one serving envelope. Everything this node executes for a
     /// client — a per-key call, a direct batch, a client batch — passes
-    /// through here exactly once:
+    /// through here exactly once, on the calling thread:
     ///
     /// 1. **admission** ([`KnNode::admit`]): in-flight guard, then the
     ///    availability check, so §3.5's drain covers every request;
@@ -654,35 +482,38 @@ impl KnNode {
     ///    read for the whole group — §3.1's stale-client rejection happens
     ///    there and nowhere else;
     /// 3. **execution**: each involved shard's slice under one lock, one
-    ///    epoch pin and one flush decision ([`KnNode::run_shard`]) — on the
-    ///    shard's worker when `workers` is given and the slice is big
-    ///    enough to amortize the hand-off, inline otherwise — then the
-    ///    shared-key positions in order on the caller. Replicated
-    ///    keys linearize through their DPM indirection cell and never share
-    ///    a key with the owned slices of the same round, so the two can
-    ///    overlap;
-    /// 4. **accounting**: one [`KnNode::record_work`] call for what ran on
-    ///    the caller (a worker accounts its own sub-batch).
+    ///    epoch pin and one flush decision ([`KnNode::run_shard`]), then
+    ///    the shared-key positions in order. Replicated keys linearize
+    ///    through their DPM indirection cell and never share a key with
+    ///    the owned slices of the same round;
+    /// 4. **accounting**: one [`KnNode::record_work`] call.
+    ///
+    /// Every slice runs inside this call's own admission, so the routes
+    /// resolved in step 2 cannot go stale before they are used: a
+    /// reconfiguration swaps the table only after closing the node and
+    /// draining `in_flight` to zero, which waits for this call to return.
     ///
     /// Serves `ops(pos)` for every `pos` in `positions` and answers through
-    /// `set(pos, _)`; positions handed to a worker are answered through the
-    /// hand-off's reply channel instead. `hashes[pos]` must be
-    /// `key_hash(ops(pos).key())` — the client hashed each key to route it,
-    /// so the node reuses the hash for its own ring lookups.
-    /// `client_version` is the ownership-table version the caller routed
-    /// against ([`NO_VERSION`] if none).
-    fn serve<'a>(
+    /// `set(pos, _)`. `hashes[pos]` must be `key_hash(ops(pos).key())` —
+    /// the client hashed each key to route it, so the node reuses the hash
+    /// for its own ring lookups. `client_version` is the ownership-table
+    /// version the caller routed against ([`NO_VERSION`] if none).
+    pub(crate) fn serve<'a>(
         &self,
         ops: impl Fn(usize) -> OpRef<'a> + Copy,
         positions: &[usize],
         hashes: &[u64],
         client_version: u64,
-        workers: Option<Handoff<'_>>,
         set: &mut impl FnMut(usize, OpResult),
     ) {
         let _in_flight = match self.admit() {
             Ok(guard) => guard,
-            Err(e) => return Self::fail_all(positions, e, set),
+            Err(e) => {
+                for &pos in positions {
+                    set(pos, Err(e.clone()));
+                }
+                return;
+            }
         };
         // A batch of one keeps its route on the stack.
         let (mut one, mut many) = ([0u32; 1], Vec::new());
@@ -692,47 +523,21 @@ impl KnNode {
             many.resize(positions.len(), 0);
             &mut many
         };
-        let resolved_version =
-            self.resolve_routes(ops, positions, hashes, client_version, routes, set);
+        self.resolve_routes(ops, positions, hashes, client_version, routes, set);
         let routes = &*routes;
         let start = Instant::now();
         let (mut reads, mut writes) = (0u64, 0u64);
         for shard_idx in 0..self.shards.len() as u32 {
-            let count = routes.iter().filter(|&&route| route == shard_idx).count();
-            if count == 0 {
+            if !routes.contains(&shard_idx) {
                 continue;
             }
             let slice = Self::shard_positions(positions, routes, shard_idx);
-            match (workers, &self.executor) {
-                // A worker hand-off (queue push + wakeup) only amortizes
-                // over enough per-shard work; smaller slices, and every
-                // slice of a request that brought no `workers`, execute in
-                // place.
-                (Some(handoff), Some(executor)) if count >= self.min_sub_batch.max(1) => self
-                    .enqueue(
-                        &executor.queues[shard_idx as usize],
-                        handoff,
-                        shard_idx,
-                        slice.collect(),
-                        resolved_version,
-                        set,
-                    ),
-                _ => {
-                    let (r, w) =
-                        self.run_shard(shard_idx, ops, slice, dinomo_obs::stage_clock(), set);
-                    reads += r;
-                    writes += w;
-                }
-            }
+            let (r, w) = self.run_shard(shard_idx, ops, slice, set);
+            reads += r;
+            writes += w;
         }
-        let (r, w) = self.run_on_caller(ops, positions, routes, set);
+        let (r, w) = self.run_shared(ops, positions, routes, set);
         self.record_work(reads + r, writes + w, start);
-    }
-
-    fn fail_all(positions: &[usize], e: KvsError, set: &mut impl FnMut(usize, OpResult)) {
-        for &pos in positions {
-            set(pos, Err(e.clone()));
-        }
     }
 
     /// Resolve ownership for a whole group under one read lock. The global
@@ -751,10 +556,6 @@ impl KnNode {
     /// equals the node's current version the tables are identical, the
     /// client's routing is known-correct, and the per-key ownership
     /// re-verification is skipped for the whole group.
-    ///
-    /// Returns the table version the routes were resolved against, so
-    /// queued sub-batches can detect that the table moved on while they
-    /// waited (see [`KnNode::run_queued_sub_batch`]).
     fn resolve_routes<'a>(
         &self,
         ops: impl Fn(usize) -> OpRef<'a>,
@@ -763,7 +564,7 @@ impl KnNode {
         client_version: u64,
         routes: &mut [u32],
         set: &mut impl FnMut(usize, OpResult),
-    ) -> u64 {
+    ) {
         let table = self.ownership.read();
         let replication = self.variant.supports_selective_replication();
         let global = table.global_ring();
@@ -797,7 +598,6 @@ impl KnNode {
                 shard
             };
         }
-        table.version()
     }
 
     /// Route tag for positions rejected with `NotOwner`.
@@ -806,8 +606,7 @@ impl KnNode {
     const ROUTE_SHARED: u32 = 1 << 31;
 
     /// The positions routed to `shard_idx`, in group order, with no
-    /// allocation (inline execution iterates this directly; the enqueue
-    /// path collects it into the task).
+    /// allocation.
     fn shard_positions<'a>(
         positions: &'a [usize],
         routes: &'a [u32],
@@ -820,57 +619,14 @@ impl KnNode {
             .map(|(&pos, _)| pos)
     }
 
-    /// Hand one shard's slice of a client batch to that shard's worker.
-    ///
-    /// Backpressure: a full queue fails the slice's positions with
-    /// [`KvsError::Busy`] — the client retries them after a pause. A closed
-    /// queue means the node shut down (removed/failed) after the client
-    /// resolved its handle: [`KvsError::NodeFailed`], retried elsewhere.
-    fn enqueue(
-        &self,
-        queue: &BoundedQueue<SubBatch>,
-        (node, batch, replies): Handoff<'_>,
-        shard: u32,
-        positions: Vec<usize>,
-        resolved_version: u64,
-        set: &mut impl FnMut(usize, OpResult),
-    ) {
-        let task = SubBatch {
-            node: Arc::clone(node),
-            shard,
-            batch: Arc::clone(batch),
-            positions,
-            replies: replies.clone(),
-            resolved_version,
-            enqueued_at: dinomo_obs::stage_clock(),
-        };
-        let (task, e) = match queue.try_push(task) {
-            Ok(()) => {
-                self.sub_batches.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            Err(PushError::Full(task)) => {
-                self.busy_rejections.fetch_add(1, Ordering::Relaxed);
-                self.metrics.busy_rejections.inc();
-                (task, KvsError::Busy)
-            }
-            Err(PushError::Closed(task)) => (task, KvsError::NodeFailed),
-        };
-        Self::fail_all(&task.positions, e, set);
-    }
-
-    /// Execute one shard's slice of a group, in group order: the work a
-    /// shard worker, or the caller when the slice runs inline, performs.
-    /// Locks the shard **once**, pins **one** epoch guard covering every
-    /// index lookup of the slice, and flushes buffered log writes at most
-    /// once at the end. Results are reported per position through `set`;
+    /// Execute one shard's slice of a group, in group order. Locks the
+    /// shard **once**, pins **one** epoch guard covering every index
+    /// lookup of the slice, and flushes buffered log writes at most once
+    /// at the end. Results are reported per position through `set`;
     /// returns the `(reads, writes)` served.
     ///
-    /// `waiting_since` is when the slice started waiting for the shard —
-    /// its enqueue time, or just now for an inline execution, where the
-    /// shard mutex *is* the queue: clients that route to the same shard
-    /// serialize on it exactly as sub-batches wait in the worker's queue.
-    /// The time from there until the lock is held is the slice's one
+    /// The shard mutex is the slice's queue: clients that route to the
+    /// same shard serialize on it. The wait for it is the slice's one
     /// `stage_queue_wait_ns` sample; from there on it is
     /// `stage_shard_execute_ns`.
     fn run_shard<'a>(
@@ -878,7 +634,6 @@ impl KnNode {
         shard_idx: u32,
         ops: impl Fn(usize) -> OpRef<'a>,
         positions: impl Iterator<Item = usize> + Clone,
-        waiting_since: Option<Instant>,
         set: &mut impl FnMut(usize, OpResult),
     ) -> (u64, u64) {
         let mut reads = 0u64;
@@ -887,6 +642,7 @@ impl KnNode {
         // lock-free read side of the P-CLHT; see dinomo_pclht::pin), taken
         // at the first lookup: a write-only slice needs none.
         let mut guard = None;
+        let waiting_since = dinomo_obs::stage_clock();
         let mut shard = self.shards[shard_idx as usize].lock();
         let locked_at = dinomo_obs::stage_clock();
         if let (Some(since), Some(at)) = (waiting_since, locked_at) {
@@ -931,51 +687,12 @@ impl KnNode {
         (reads, writes)
     }
 
-    /// A queued sub-batch, as executed by a shard worker: re-admit it
-    /// **and** re-check the ownership-table version (the task may have
-    /// sat in the queue across a failure or a *completed* reconfiguration
-    /// — a stale task must reject, not buffer writes for keys the node
-    /// just handed off behind the hand-off flush, nor repopulate caches
-    /// the protocol cleared), then run the shard slice and account its
-    /// work.
-    fn run_queued_sub_batch<'a>(
-        &self,
-        shard_idx: u32,
-        ops: impl Fn(usize) -> OpRef<'a>,
-        positions: &[usize],
-        resolved_version: u64,
-        enqueued_at: Option<Instant>,
-        set: &mut impl FnMut(usize, OpResult),
-    ) {
-        let _in_flight = match self.admit() {
-            Ok(guard) => guard,
-            Err(e) => return Self::fail_all(positions, e, set),
-        };
-        // Routes were resolved against `resolved_version`. The drain in
-        // the reconfiguration path only covers what is *executing*; a
-        // sub-batch still queued when the table was swapped would execute
-        // with stale routes (e.g. write a key whose range just moved away,
-        // acked but buffered behind the pre-handoff flush-and-merge). If
-        // the table moved on, reject the whole sub-batch as NotOwner —
-        // the client refreshes its metadata and re-routes.
-        let current_version = self.ownership.read().version();
-        if current_version != resolved_version {
-            self.rejected
-                .fetch_add(positions.len() as u64, Ordering::Relaxed);
-            return Self::fail_all(positions, KvsError::NotOwner { current_version }, set);
-        }
-        let start = Instant::now();
-        let (reads, writes) =
-            self.run_shard(shard_idx, ops, positions.iter().copied(), enqueued_at, set);
-        self.record_work(reads, writes, start);
-    }
-
-    /// The positions of a group that execute on the caller, one op at a
-    /// time in group order: shared (replicated-key) ops, which lock their
-    /// shard internally and linearize through their indirection cell. Each
-    /// op is one `stage_shard_execute_ns` sample. Returns the
-    /// `(reads, writes)` served.
-    fn run_on_caller<'a>(
+    /// The shared (replicated-key) positions of a group, one op at a time
+    /// in group order: each locks its shard internally and linearizes
+    /// through its indirection cell. Each op is one
+    /// `stage_shard_execute_ns` sample. Returns the `(reads, writes)`
+    /// served.
+    fn run_shared<'a>(
         &self,
         ops: impl Fn(usize) -> OpRef<'a>,
         positions: &[usize],
@@ -1081,13 +798,21 @@ impl KnNode {
     /// range that later *returns* to this node (scale out then back in, or
     /// a failure re-homing keys) would read an outdated location from it
     /// instead of the index.
-    pub fn clear_caches(&self) {
-        for shard in &self.shards {
-            let mut s = shard.lock();
-            s.cache.clear();
-            s.unmerged.clear();
-            s.bloom.clear();
-        }
+    ///
+    /// Returns the caches' old entries unfreed. Freeing a full cache takes
+    /// long (0.1–0.3 s for a 64 MiB DAC cache while clients run beside
+    /// it), so a reconfiguration frees them after it has reopened its
+    /// nodes, not while their ranges are unavailable.
+    pub fn clear_caches(&self) -> Vec<Box<dyn Send>> {
+        self.shards
+            .iter()
+            .map(|shard| {
+                let mut s = shard.lock();
+                s.unmerged.clear();
+                s.bloom.clear();
+                s.cache.clear()
+            })
+            .collect()
     }
 
     /// Fail-stop crash semantics for this node's DRAM: everything
@@ -1173,8 +898,6 @@ impl KnNode {
             reads: self.reads.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
-            sub_batches: self.sub_batches.load(Ordering::Relaxed),
-            busy_rejections: self.busy_rejections.load(Ordering::Relaxed),
             cache,
             nic: self.nic.snapshot(),
             busy_ns: self.busy_ns.load(Ordering::Relaxed),
@@ -1182,119 +905,15 @@ impl KnNode {
     }
 }
 
-impl Drop for KnNode {
-    fn drop(&mut self) {
-        // Backstop for nodes that were never explicitly shut down (e.g. a
-        // whole cluster being dropped): close the worker queues and join
-        // the workers. Queued tasks hold an `Arc` to this node, so by the
-        // time the last reference drops the queues are necessarily empty.
-        self.shutdown_workers();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kvs::Kvs;
     use crate::op::Reply;
-    use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
-
-    /// Put a crafted sub-batch for shard 0 straight onto its worker queue
-    /// (the only deterministic way to get a chosen task under a worker) and
-    /// return the receiving end of its reply channel.
-    fn push_crafted(
-        node: &Arc<KnNode>,
-        ops: Vec<Op>,
-        positions: Vec<usize>,
-        resolved_version: u64,
-    ) -> Receiver<SliceReplies> {
-        let (replies, rx) = channel();
-        let task = SubBatch {
-            node: Arc::clone(node),
-            shard: 0,
-            batch: Arc::new(BatchShared::new(ops)),
-            positions,
-            replies,
-            resolved_version,
-            enqueued_at: None,
-        };
-        node.executor.as_ref().unwrap().queues[0]
-            .try_push(task)
-            .unwrap_or_else(|_| panic!("enqueue failed"));
-        rx
-    }
-
-    /// A sub-batch that waited in a worker queue across a *completed*
-    /// reconfiguration must reject (NotOwner) instead of executing with
-    /// routes resolved against the old ownership table — the drain only
-    /// covers sub-batches already executing, so the version guard is what
-    /// protects queued ones.
-    #[test]
-    fn queued_sub_batch_rejects_after_table_version_moves() {
-        let kvs = Kvs::new(KvsConfig::small_for_tests()).unwrap();
-        let client = kvs.client();
-        client.insert(b"k0", b"v0").unwrap();
-
-        let node = kvs.kn(kvs.kn_ids()[0]).unwrap();
-        let current = node.ownership.read().version();
-        let ops = vec![Op::lookup("k0"), Op::insert("k1", "v1")];
-        // The table moved on (e.g. an add_kn completed) while this task
-        // sat in the queue.
-        let stale = push_crafted(&node, ops, vec![0, 1], current.wrapping_sub(1));
-        let replies = stale.recv().unwrap();
-        assert_eq!(replies.len(), 2);
-        for (pos, result) in replies {
-            match result {
-                Err(KvsError::NotOwner { current_version }) => {
-                    assert_eq!(current_version, current);
-                }
-                other => panic!("stale sub-batch executed position {pos}: {other:?}"),
-            }
-        }
-        // And an up-to-date task on the same queue still executes.
-        let fresh = push_crafted(&node, vec![Op::lookup("k0")], vec![0], current);
-        let replies = fresh.recv().unwrap();
-        assert!(
-            matches!(
-                replies.as_slice(),
-                [(0, Ok(_))] | [(0, Err(KvsError::NotOwner { .. }))]
-            ),
-            "fresh sub-batch must execute (or reject only if shard 0 \
-             does not own k0): {replies:?}"
-        );
-    }
-
-    /// A sub-batch that panics mid-execution (a position past the end of
-    /// its batch) releases its client by unwinding: the reply `Sender`
-    /// drops with nothing sent, so the receiver sees disconnection and no
-    /// message. The worker survives and serves the next task.
-    #[test]
-    fn panicking_sub_batch_disconnects_its_client_and_spares_the_worker() {
-        let kvs = Kvs::new(KvsConfig::small_for_tests()).unwrap();
-        kvs.client().insert(b"k0", b"v0").unwrap();
-        let node = kvs.kn(kvs.kn_ids()[0]).unwrap();
-        let version = node.ownership.read().version();
-        // The timeout only bounds how long a leaked `Sender` takes to fail
-        // the test; disconnection itself is immediate.
-        let timeout = std::time::Duration::from_secs(10);
-
-        let panicking = push_crafted(&node, vec![Op::lookup("k0")], vec![7], version);
-        assert_eq!(
-            panicking.recv_timeout(timeout),
-            Err(RecvTimeoutError::Disconnected),
-            "a panicking sub-batch must drop its Sender without sending"
-        );
-        node.drain_in_flight();
-
-        let valid = push_crafted(&node, vec![Op::lookup("k0")], vec![0], version);
-        let replies = valid.recv_timeout(timeout).expect("the worker died");
-        assert!(matches!(replies.as_slice(), [(0, Ok(_))]), "{replies:?}");
-    }
 
     /// One flush decision covers a whole write slice, so a failed flush is
-    /// reported on every write of the slice: the worker's error pairs come
-    /// after the `Ok` pairs the writes produced when they were buffered,
-    /// and the later pair for a position wins at the client.
+    /// reported on every write of the slice: its error results come after
+    /// the `Ok` results the writes produced when they were buffered, and
+    /// the later result for a position wins at the client.
     #[test]
     fn failed_flush_overrides_the_slices_buffered_write_results() {
         let kvs = crate::KvsBuilder::new()
@@ -1310,11 +929,6 @@ mod tests {
         let mut ops: Vec<Op> = (0..4).map(|i| Op::insert(format!("k{i}"), "v")).collect();
         ops.push(Op::lookup("absent"));
         let replies = kvs.client().execute(ops);
-        assert_eq!(
-            node.stats().sub_batches,
-            1,
-            "the slice must run on the worker"
-        );
         for reply in &replies[..4] {
             assert_eq!(
                 reply,
@@ -1421,110 +1035,5 @@ mod tests {
         node.ownership.write().replicate(&key, 2);
         assert!(node.dpm.indirect_cell_of(&key).is_none());
         assert_eq!(node.get(&key).unwrap(), Some(b"pending".to_vec()));
-    }
-
-    /// Sustained backpressure must surface as `Busy`, not as a routing
-    /// failure, once the client's retries are exhausted.
-    #[test]
-    fn exhausted_busy_retries_report_busy() {
-        // One node, one shard, a depth-1 queue, and a worker wedged by a
-        // task that blocks on the shard lock held by the test: every
-        // enqueue attempt after the queue refills is rejected Busy until
-        // retries run out.
-        let kvs = crate::KvsBuilder::new()
-            .small_for_tests()
-            .initial_kns(1)
-            .threads_per_kn(1)
-            .executor_queue_depth(1)
-            .build()
-            .unwrap();
-        let node = kvs.kn(kvs.kn_ids()[0]).unwrap();
-        // Wedge the worker: hold shard 0's lock, then feed the worker a
-        // task that needs it.
-        let shard_guard = node.shards[0].lock();
-        let version = node.ownership.read().version();
-        let wedge = push_crafted(&node, vec![Op::lookup("w")], vec![0], version);
-        // Once the worker has popped the task (and blocked on the lock),
-        // fill the now-empty depth-1 queue so client pushes see Full.
-        while node.queued_sub_batches() > 0 {
-            std::thread::yield_now();
-        }
-        let filler = push_crafted(&node, vec![Op::lookup("f")], vec![0], version);
-
-        // A real client batch now gets Busy on every attempt (the worker
-        // stays wedged for the whole retry budget).
-        let client = kvs.client();
-        let replies = client.execute(vec![Op::insert("x", "1"), Op::insert("y", "2")]);
-        assert!(
-            replies
-                .iter()
-                .all(|r| matches!(r, Reply::Error(KvsError::Busy))),
-            "exhausted backpressure must report Busy: {replies:?}"
-        );
-        // Unwedge and let everything drain so teardown joins cleanly.
-        drop(shard_guard);
-        wedge.recv().unwrap();
-        filler.recv().unwrap();
-        node.drain_in_flight();
-    }
-
-    /// Retry accounting: a batch whose only sub-batch is rejected `Busy`
-    /// is retried exactly once per routing round, so over an exhausted
-    /// retry budget `KnStats::busy_rejections` advances by exactly the
-    /// client's retry budget — one rejected sub-batch per round — and
-    /// every op of the batch reports the observed `Busy`.
-    #[test]
-    fn busy_rejections_count_one_rejected_sub_batch_per_routing_round() {
-        // Same wedge construction as `exhausted_busy_retries_report_busy`:
-        // one node, one shard, a depth-1 queue, the worker blocked on the
-        // shard lock and the queue refilled, so every enqueue attempt of
-        // the client below is rejected with `Full`.
-        let kvs = crate::KvsBuilder::new()
-            .small_for_tests()
-            .initial_kns(1)
-            .threads_per_kn(1)
-            .executor_queue_depth(1)
-            .build()
-            .unwrap();
-        let node = kvs.kn(kvs.kn_ids()[0]).unwrap();
-        let shard_guard = node.shards[0].lock();
-        let version = node.ownership.read().version();
-        let wedge = push_crafted(&node, vec![Op::lookup("w")], vec![0], version);
-        while node.queued_sub_batches() > 0 {
-            std::thread::yield_now();
-        }
-        let filler = push_crafted(&node, vec![Op::lookup("f")], vec![0], version);
-
-        // Read the counter directly: `stats()` locks every shard, and this
-        // thread is holding shard 0's lock to keep the worker wedged.
-        let busy_before = node.busy_rejections.load(Ordering::Relaxed);
-        assert_eq!(busy_before, 0, "no client traffic has run yet");
-
-        // A 2-op batch on the single node forms one owner group and one
-        // shard sub-batch per routing round (threads_per_kn = 1,
-        // min_sub_batch = 2 under `small_for_tests`).
-        let client = kvs.client();
-        let replies = client.execute(vec![Op::insert("x", "1"), Op::insert("y", "2")]);
-        let busy_replies = replies
-            .iter()
-            .filter(|r| matches!(r, Reply::Error(KvsError::Busy)))
-            .count();
-        assert_eq!(
-            busy_replies, 2,
-            "both ops of the wedged batch must report Busy: {replies:?}"
-        );
-
-        let busy_after = node.busy_rejections.load(Ordering::Relaxed);
-        assert_eq!(
-            busy_after - busy_before,
-            crate::client::MAX_RETRIES as u64,
-            "one rejected sub-batch per routing round — the batch must be \
-             retried exactly once per round until the budget is exhausted"
-        );
-
-        drop(shard_guard);
-        wedge.recv().unwrap();
-        filler.recv().unwrap();
-        node.drain_in_flight();
     }
 }

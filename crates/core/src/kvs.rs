@@ -189,9 +189,8 @@ impl Kvs {
         };
 
         // Step 2: the participating KNs become unavailable. In-flight
-        // sub-batches (on shard workers or inline callers) are drained so
-        // none can buffer a write behind the flush below; queued ones
-        // reject with `Reconfiguring` when a worker picks them up.
+        // requests are drained so none can buffer a write behind the
+        // flush below; later arrivals reject with `Reconfiguring`.
         for kn in &affected {
             kn.set_reconfiguring(true);
         }
@@ -230,11 +229,14 @@ impl Kvs {
         ));
         self.inner.kns.write().insert(new_id, node);
         *self.inner.ownership.write() = new_table;
+        let mut old_entries = Vec::new();
         for kn in &affected {
             // The previous owners empty their caches for the moved ranges.
-            kn.clear_caches();
+            old_entries.extend(kn.clear_caches());
             kn.set_reconfiguring(false);
         }
+        // Freed only now that the ranges are available again.
+        drop(old_entries);
         // Steps 6/7 (asynchronously updating remaining KNs and RNs) are
         // immediate here because all components share the ownership table.
         self.persist_policy_metadata()?;
@@ -316,11 +318,12 @@ impl Kvs {
             kn.drain_in_flight();
         }
         let result = self.collapse_replicated_keys(&collapsed, &survivors);
+        let mut old_entries = Vec::new();
         if result.is_ok() {
             if planned {
                 // The planned hand-off empties the victim's caches once
                 // its state is merged (a failed node already lost them).
-                victim.clear_caches();
+                old_entries = victim.clear_caches();
             }
             *self.inner.ownership.write() = new_table;
             self.inner.kns.write().remove(&victim.id());
@@ -328,6 +331,8 @@ impl Kvs {
         for kn in &survivors {
             kn.set_reconfiguring(false);
         }
+        // Freed only now that the survivors are available again.
+        drop(old_entries);
         result
     }
 
@@ -352,11 +357,9 @@ impl Kvs {
             node.set_reconfiguring(false);
             return Err(e);
         }
-        // Clean executor shutdown: close the removed node's worker queues,
-        // drain what they already accepted (those sub-batches reject with
-        // `Reconfiguring` and are retried against the new owners) and join
-        // the workers.
-        node.shutdown_workers();
+        // The removed node never writes again: seal its open segments so
+        // the collectors can reclaim them once their entries die.
+        node.seal_log_segments();
         self.persist_policy_metadata()?;
         self.inner.reconfigurations.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -368,18 +371,17 @@ impl Kvs {
     pub fn fail_kn(&self, id: KnId) -> Result<()> {
         let _reconfig = self.inner.lock_reconfig();
         let node = self.kn(id).ok_or(KvsError::NoNodes)?;
-        node.fail();
+        // Freed when this returns, after the node's ranges have moved.
+        let _lost_dram = node.fail();
         let old_table = self.inner.ownership.read().clone();
         let mut new_table = old_table.clone();
         new_table.remove_kn(id);
 
-        let result = self.shrink_membership(&node, false, &old_table, new_table);
-        // The node is fail-stopped either way: join its workers so even a
-        // failed recovery leaks no threads — sub-batches still queued
-        // behind the failure reject with `NodeFailed` and their clients
-        // retry against the surviving owners.
-        node.shutdown_workers();
-        result?;
+        // Fail-stopped, the node never writes again: seal its open
+        // segments so the collectors can reclaim them once their entries
+        // die.
+        node.seal_log_segments();
+        self.shrink_membership(&node, false, &old_table, new_table)?;
         self.persist_policy_metadata()?;
         self.inner.reconfigurations.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -761,7 +763,7 @@ mod tests {
                 assert_eq!(reply.value(), Some(v.as_slice()));
             }
             // Both KNs served part of the batch (owner grouping routed
-            // sub-batches to each owner, not everything to one node).
+            // a group to each owner, not everything to one node).
             let stats = kvs.stats();
             for kn in &stats.kns {
                 assert!(kn.ops > 50, "{name} kn {} served {} ops", kn.id, kn.ops);
@@ -928,34 +930,58 @@ mod tests {
         }
     }
 
+    /// Per round, a batch records one `ClientDispatch` and one `Reply`
+    /// sample on the client, and one `QueueWait` and one `ShardExecute`
+    /// sample per shard slice it runs: the client's clocks stop before the
+    /// nodes serve and start again after, so KN execution is billed to
+    /// the node-side stages alone.
     #[test]
-    fn batches_fan_out_through_the_shard_workers() {
+    fn a_batch_round_records_client_stages_once_and_shard_stages_per_slice() {
+        use dinomo_obs::Stage;
         let kvs = cluster(Variant::Dinomo);
+        let keys: Vec<Vec<u8>> = (0..64u64).map(|i| key_for(i, 8)).collect();
+        let slices = {
+            let table = kvs.ownership();
+            let table = table.read();
+            let mut slices: Vec<(KnId, u32)> = keys
+                .iter()
+                .map(|k| {
+                    let kn = table.primary_owner(k).unwrap();
+                    (kn, table.thread_of(kn, k).unwrap())
+                })
+                .collect();
+            slices.sort_unstable();
+            slices.dedup();
+            slices.len() as u64
+        };
+        assert_eq!(slices, 4, "64 keys must reach both shards of both KNs");
+        let registry = kvs.metrics();
+        let counts = || {
+            [
+                Stage::ClientDispatch,
+                Stage::Reply,
+                Stage::QueueWait,
+                Stage::ShardExecute,
+            ]
+            .map(|stage| registry.stage(stage).merged().count())
+        };
         let client = kvs.client();
-        let ops: Vec<Op> = (0..64u64)
-            .map(|i| Op::insert(key_for(i, 8), format!("v{i}")))
-            .collect();
-        assert!(client.execute(ops).iter().all(Reply::is_ok));
-        let replies = client.multi_get((0..64u64).map(|i| key_for(i, 8)));
-        assert!(replies.iter().all(Reply::is_ok));
-        let stats = kvs.stats();
-        let sub_batches: u64 = stats.kns.iter().map(|k| k.sub_batches).sum();
-        // 2 KNs × 2 shards and 64 strided keys: both rounds must have
-        // enqueued several sub-batches, and the queues must be drained
-        // once execute returned.
-        assert!(sub_batches >= 4, "batches did not fan out: {sub_batches}");
-        for id in kvs.kn_ids() {
-            assert_eq!(kvs.kn(id).unwrap().queued_sub_batches(), 0);
+        let mut before = counts();
+        for ops in [
+            keys.iter().map(|k| Op::insert(k.clone(), "v")).collect(),
+            keys.iter().map(Op::lookup).collect::<Vec<Op>>(),
+        ] {
+            assert!(client.execute(ops).iter().all(Reply::is_ok));
+            let after = counts();
+            let delta: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+            assert_eq!(delta, [1, 1, slices, slices]);
+            before = after;
         }
     }
 
     #[test]
     fn executor_disabled_runs_batches_inline() {
-        let kvs = Kvs::builder()
-            .small_for_tests()
-            .executor_queue_depth(0)
-            .build()
-            .unwrap();
+        let kvs = cluster(Variant::Dinomo);
         let client = kvs.client();
         let ops: Vec<Op> = (0..64u64)
             .map(|i| Op::insert(key_for(i, 8), format!("v{i}")))
@@ -965,9 +991,6 @@ mod tests {
         for (i, reply) in replies.iter().enumerate() {
             assert_eq!(reply.value(), Some(format!("v{i}").as_bytes()));
         }
-        let stats = kvs.stats();
-        assert!(stats.kns.iter().all(|k| k.sub_batches == 0));
-        assert!(stats.kns.iter().all(|k| k.busy_rejections == 0));
     }
 
     #[test]
@@ -1154,6 +1177,61 @@ mod tests {
         // Removing the last node is refused.
         let last = kvs.kn_ids()[0];
         assert!(matches!(kvs.remove_kn(last), Err(KvsError::NoNodes)));
+    }
+
+    /// A departing node's open log segments are sealed, so once every
+    /// entry in them is overwritten the collectors free them — left open,
+    /// they would stay allocated forever.
+    #[test]
+    fn a_departed_kns_open_segments_are_reclaimed() {
+        for fail in [false, true] {
+            let kvs = cluster(Variant::Dinomo);
+            let client = kvs.client();
+            let keys: Vec<Vec<u8>> = (0..64u64).map(|i| key_for(i, 8)).collect();
+            assert!(client
+                .multi_put(keys.iter().map(|k| (k.clone(), [1u8; 32])))
+                .iter()
+                .all(Reply::is_ok));
+            kvs.quiesce().unwrap();
+            let victim = kvs.kn_ids()[0];
+            let owners: Vec<KnId> = {
+                let table = kvs.ownership();
+                let table = table.read();
+                keys.iter()
+                    .map(|k| table.primary_owner(k).unwrap())
+                    .collect()
+            };
+            assert!(
+                kvs.kn_ids().iter().all(|id| owners.contains(id)),
+                "both KNs must have written"
+            );
+            let victim_entries: Vec<PackedLoc> = keys
+                .iter()
+                .zip(&owners)
+                .filter(|(_, &owner)| owner == victim)
+                .map(|(k, _)| kvs.dpm().local_lookup(k).unwrap())
+                .collect();
+
+            if fail {
+                kvs.fail_kn(victim).unwrap();
+            } else {
+                kvs.remove_kn(victim).unwrap();
+            }
+            assert!(client
+                .multi_put(keys.iter().map(|k| (k.clone(), [2u8; 32])))
+                .iter()
+                .all(Reply::is_ok));
+            kvs.quiesce().unwrap();
+            kvs.dpm().compact_once();
+            kvs.dpm().run_gc();
+            for loc in victim_entries {
+                assert!(
+                    !kvs.dpm().value_addr_is_live(loc.addr()),
+                    "fail={fail}: kn {victim}'s segment at {:?} was never freed",
+                    loc.addr()
+                );
+            }
+        }
     }
 
     #[test]

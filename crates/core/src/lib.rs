@@ -19,12 +19,10 @@
 //! The client groups the batch by owner KVS node using its cached routing
 //! metadata and issues one request per node, amortizing routing, shard
 //! locking and log flushing — the paper's per-request overheads — across the
-//! group. Each node fans its group out across its per-shard worker
-//! threads (bounded queues with [`KvsError::Busy`] backpressure; see the
-//! [`executor`] module), so a batch executes concurrently on every
-//! involved shard of every involved node while the caller waits for the
-//! workers to send its replies back — owned values over a per-round
-//! channel, which is what lets this crate be `#![forbid(unsafe_code)]`:
+//! group. The calling thread is the only executor: it serves each node's
+//! group shard slice by shard slice, one shard-mutex acquisition, one
+//! epoch pin and one flush decision per slice, as a KN thread that owns
+//! its shard and polls its own fabric completions would:
 //!
 //! ```
 //! use dinomo_core::{Kvs, Op, Reply, Variant};
@@ -62,7 +60,6 @@ pub mod builder;
 pub mod client;
 pub mod config;
 pub mod error;
-pub mod executor;
 pub mod kn;
 pub mod kvs;
 pub mod op;

@@ -19,12 +19,6 @@ pub struct KnStats {
     pub writes: u64,
     /// Operations rejected because the node does not own the key.
     pub rejected: u64,
-    /// Sub-batches accepted onto the node's shard-worker queues (0 when
-    /// the executor is disabled).
-    pub sub_batches: u64,
-    /// Sub-batches rejected with `Busy` because a shard-worker queue was
-    /// full (bounded-queue backpressure; the client retried them).
-    pub busy_rejections: u64,
     /// Aggregated cache statistics across the node's shards.
     pub cache: CacheStats,
     /// Network counters for the node's NIC.
@@ -58,8 +52,6 @@ impl KnStats {
             reads: self.reads.saturating_sub(earlier.reads),
             writes: self.writes.saturating_sub(earlier.writes),
             rejected: self.rejected.saturating_sub(earlier.rejected),
-            sub_batches: self.sub_batches.saturating_sub(earlier.sub_batches),
-            busy_rejections: self.busy_rejections.saturating_sub(earlier.busy_rejections),
             cache: CacheStats {
                 value_hits: self
                     .cache

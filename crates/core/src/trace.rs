@@ -6,7 +6,7 @@
 //! checker (the `dinomo-check` crate) can verify the per-key
 //! linearizability guarantee of §3.2 on real concurrent executions,
 //! including batched `execute` calls (decomposed per op) and operations
-//! that raced reconfigurations or backpressure retries.
+//! that raced reconfigurations and their routing retries.
 //!
 //! ## Design
 //!

@@ -9,7 +9,7 @@
 //! [`Registry::snapshot`] time, never on the record path.
 //!
 //! Naming scheme (see `docs/OBSERVABILITY.md`):
-//! `<subsystem>_<what>[_<unit>]`, e.g. `kn_busy_rejections`,
+//! `<subsystem>_<what>[_<unit>]`, e.g. `dpm_cell_registry_waits`,
 //! `stage_queue_wait_ns`, `lock_wait_merge_engine_ns`.
 
 use crate::hist::LogHistogram;

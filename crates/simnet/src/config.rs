@@ -27,13 +27,12 @@ pub enum DelayMode {
     /// Block the calling thread with `std::thread::sleep` for
     /// `modeled_ns * numerator / denominator` nanoseconds.
     ///
-    /// Sleeping models a worker thread parked on a synchronous verb
+    /// Sleeping models a thread parked on a synchronous verb
     /// completion: the CPU is *free* while the "network" works, so
-    /// concurrent shard workers overlap their fabric waits even on a
-    /// host with fewer cores than workers. Kernel timer granularity
-    /// (tens of µs) makes every delay at least that long, which is
-    /// exactly the regime the executor-scaling experiments want —
-    /// uniformly fabric-bound operations. Use [`DelayMode::BusySpin`]
+    /// concurrent client threads overlap their fabric waits even on a
+    /// host with fewer cores than threads. Kernel timer granularity
+    /// (tens of µs) makes every delay at least that long, so every
+    /// operation is uniformly fabric-bound. Use [`DelayMode::BusySpin`]
     /// when sub-microsecond fidelity matters more than overlap.
     Sleep {
         /// Scale numerator.

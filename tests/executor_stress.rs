@@ -1,24 +1,20 @@
-//! Stress coverage for the sharded worker-thread executor: membership churn
-//! under multi-client batched load, and bounded-queue backpressure.
+//! Stress coverage for batches served inline by their calling threads:
+//! membership churn under multi-client batched load.
 //!
 //! The invariants under test:
 //!
 //! * **No lost acknowledged writes.** With `write_batch_ops = 1` every
 //!   acknowledged write was flushed to the (shared, durable) DPM log before
 //!   its reply, so it must be readable after any sequence of
-//!   `add_node`/`remove_node`/`fail_node` — a sub-batch racing a
+//!   `add_node`/`remove_node`/`fail_node` — a batch's shard slice racing a
 //!   reconfiguration either completes before the drain or rejects and is
 //!   retried against the new owners.
-//! * **Queues drain.** After a churned run, no sub-batch is stranded in a
-//!   worker queue and no worker is deadlocked — `execute` returns for every
-//!   client and `queued_sub_batches` is zero.
-//! * **Backpressure completes.** With absurdly shallow queues, `Busy` is
-//!   actually exercised (visible in the node stats) and yet every batch
-//!   still completes with correct replies through the client's retry loop.
+//! * **Batches complete and linearize.** Under churn, `execute` returns
+//!   for every client, the recorded history linearizes and the cluster
+//!   quiesces afterwards.
 
-use dinomo::cache::CacheKind;
 use dinomo::check::{run_and_check, CheckConfig};
-use dinomo::{Kvs, KvsConfig, Op, Reply, Variant};
+use dinomo::{Kvs, KvsConfig, Op};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -27,8 +23,7 @@ use std::sync::Arc;
 /// history must linearize (every client's `execute` returned, with replies
 /// a serial order explains), and membership must really have churned.
 /// `run_scenario` itself asserts, once clients and churn have joined, that
-/// every surviving node's worker queues drained and that the cluster
-/// quiesces (no wedged merge or flush state).
+/// the cluster quiesces (no wedged merge or flush state).
 #[test]
 fn driver_churn_keeps_queues_draining() {
     let config = CheckConfig {
@@ -61,8 +56,8 @@ fn churn_loses_no_acknowledged_writes() {
 
     let kvs = Kvs::new(KvsConfig {
         initial_kns: 3,
-        // Ack ⇒ flushed: with a write-batch of one, every sub-batch
-        // flushes its buffered log writes before it sends its replies.
+        // Ack ⇒ flushed: with a write-batch of one, every shard slice
+        // flushes its buffered log writes before its ops are answered.
         write_batch_ops: 1,
         ..KvsConfig::small_for_tests()
     })
@@ -148,101 +143,6 @@ fn churn_loses_no_acknowledged_writes() {
             Some(v.as_slice()),
             "acknowledged write {} was lost",
             String::from_utf8_lossy(k)
-        );
-    }
-    for id in kvs.kn_ids() {
-        assert_eq!(kvs.kn(id).unwrap().queued_sub_batches(), 0);
-    }
-}
-
-/// With depth-1 worker queues and several clients hammering one node,
-/// enqueues must collide: `Busy` backpressure reaches the client retry
-/// path (visible as `busy_rejections` in the node stats) and still every
-/// op completes with a correct reply.
-#[test]
-fn tiny_queues_surface_busy_and_still_complete() {
-    const CLIENTS: usize = 4;
-    const ROUNDS: u64 = 120;
-    const BATCH: u64 = 32;
-
-    let kvs = Kvs::builder()
-        .small_for_tests()
-        .initial_kns(1)
-        .threads_per_kn(2)
-        .executor_queue_depth(1)
-        .build()
-        .unwrap();
-
-    let clients: Vec<_> = (0..CLIENTS)
-        .map(|c| {
-            let kvs = kvs.clone();
-            std::thread::spawn(move || {
-                let client = kvs.client();
-                for round in 0..ROUNDS {
-                    let ops: Vec<Op> = (0..BATCH)
-                        .map(|i| {
-                            let key = format!("c{c}-{:04}", (round * BATCH + i) % 512);
-                            if round % 3 == 0 {
-                                Op::insert(key, format!("v{round}"))
-                            } else {
-                                Op::lookup(key)
-                            }
-                        })
-                        .collect();
-                    let replies = client.execute(ops);
-                    assert!(
-                        replies.iter().all(Reply::is_ok),
-                        "client {c} round {round}: {replies:?}"
-                    );
-                }
-            })
-        })
-        .collect();
-    for c in clients {
-        c.join().unwrap();
-    }
-
-    let stats = kvs.stats();
-    let busy: u64 = stats.kns.iter().map(|k| k.busy_rejections).sum();
-    let sub_batches: u64 = stats.kns.iter().map(|k| k.sub_batches).sum();
-    assert!(sub_batches > 0, "executor never ran a sub-batch");
-    assert!(
-        busy > 0,
-        "depth-1 queues under {CLIENTS} concurrent clients never reported Busy \
-         ({sub_batches} sub-batches ran)"
-    );
-    // Everything the clients were acked for is really there.
-    let client = kvs.client();
-    kvs.quiesce().unwrap();
-    for c in 0..CLIENTS {
-        let v = client.lookup(format!("c{c}-0000").as_bytes()).unwrap();
-        assert!(v.is_some(), "client {c}'s writes vanished");
-    }
-    for id in kvs.kn_ids() {
-        assert_eq!(kvs.kn(id).unwrap().queued_sub_batches(), 0);
-    }
-    let _ = kvs.dpm();
-
-    // Dinomo-S (shortcut-only cache) and Dinomo-N behave the same through
-    // the executor.
-    let shallow = || Kvs::builder().small_for_tests().executor_queue_depth(1);
-    for builder in [
-        shallow().cache_kind(CacheKind::ShortcutOnly),
-        shallow().variant(Variant::DinomoN),
-    ] {
-        let config = *builder.config();
-        let kvs = builder.build().unwrap();
-        let client = kvs.client();
-        let replies = client.execute(
-            (0..64u64)
-                .map(|i| Op::insert(format!("k{i}"), format!("v{i}")))
-                .collect(),
-        );
-        assert!(
-            replies.iter().all(Reply::is_ok),
-            "{:?} {:?}",
-            config.variant,
-            config.cache_kind
         );
     }
 }
