@@ -939,6 +939,57 @@ mod tests {
         assert_eq!(replies[4], Reply::Value(None));
     }
 
+    /// A slice that panics mid-execution — here its op source, with the
+    /// shard locked and an epoch pinned — unwinds out of the envelope into
+    /// the client that called it and leaves the node serving: the
+    /// in-flight count is released (so a drain still completes), the shard
+    /// mutex is free, and the next request executes.
+    #[test]
+    fn panicking_sub_batch_disconnects_its_client_and_spares_the_worker() {
+        let kvs = crate::KvsBuilder::new()
+            .small_for_tests()
+            .initial_kns(1)
+            .threads_per_kn(1)
+            .build()
+            .unwrap();
+        kvs.client().insert(b"k0", b"v0").unwrap();
+        let node = kvs.kn(kvs.kn_ids()[0]).unwrap();
+        let ops = [Op::lookup("k0"), Op::lookup("k0")];
+        let hashes: Vec<u64> = ops.iter().map(|op| key_hash(op.key())).collect();
+        // Route resolution reads both ops, then the slice reads each again:
+        // the fourth read is the second lookup's, after the first pinned.
+        let reads = std::cell::Cell::new(0);
+        let locked_at_panic = std::cell::Cell::new(false);
+        let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            node.serve(
+                |pos| {
+                    reads.set(reads.get() + 1);
+                    if reads.get() == 4 {
+                        locked_at_panic.set(node.shards[0].try_lock().is_none());
+                        panic!("op source failed mid-slice");
+                    }
+                    ops[pos].view()
+                },
+                &[0, 1],
+                &hashes,
+                NO_VERSION,
+                &mut |_, _| {},
+            );
+        }));
+        assert!(served.is_err(), "the panic must reach the calling client");
+        assert!(
+            locked_at_panic.get(),
+            "the panic must strike inside the slice"
+        );
+        assert!(
+            node.shards[0].try_lock().is_some(),
+            "the unwind left the shard locked"
+        );
+        assert_eq!(node.in_flight.load(Ordering::SeqCst), 0);
+        node.drain_in_flight();
+        assert_eq!(node.get(b"k0").unwrap(), Some(b"v0".to_vec()));
+    }
+
     /// §3.5's drain covers per-key requests: one that passed admission and
     /// is parked on its shard's mutex holds the drain open until it is
     /// done, and one arriving after the node closed is rejected before it

@@ -930,13 +930,15 @@ mod tests {
         }
     }
 
-    /// Per round, a batch records one `ClientDispatch` and one `Reply`
-    /// sample on the client, and one `QueueWait` and one `ShardExecute`
-    /// sample per shard slice it runs: the client's clocks stop before the
-    /// nodes serve and start again after, so KN execution is billed to
-    /// the node-side stages alone.
+    /// A batch fans out to one slice per (KN, shard) it touches, and the
+    /// calling thread runs each slice once as that shard's worker. Per
+    /// round it records one `ClientDispatch` and one `Reply` sample on the
+    /// client, and one `QueueWait` and one `ShardExecute` sample per shard
+    /// slice: the client's clocks stop before the nodes serve and start
+    /// again after, so KN execution is billed to the node-side stages
+    /// alone.
     #[test]
-    fn a_batch_round_records_client_stages_once_and_shard_stages_per_slice() {
+    fn batches_fan_out_through_the_shard_workers() {
         use dinomo_obs::Stage;
         let kvs = cluster(Variant::Dinomo);
         let keys: Vec<Vec<u8>> = (0..64u64).map(|i| key_for(i, 8)).collect();
