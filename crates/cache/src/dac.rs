@@ -11,7 +11,8 @@
 //! * **HIT** (on a shortcut) — consider promoting it to a value: promote only
 //!   if the round trips saved by the promotion outweigh the round trips that
 //!   would be added by evicting the `N` least-frequently-used shortcuts
-//!   needed to make room (Equation 1).
+//!   needed to make room (Equation 1). An approved promotion evicts exactly
+//!   those `N` shortcuts and nothing else: it never demotes a value.
 //! * **EVICT** — always evict the least-frequently-used shortcut.
 //! * **PROMOTE** — promoted shortcuts inherit their access counts.
 //! * **DEMOTE** — demoted values are kept as shortcuts (inheriting counts).
@@ -194,39 +195,64 @@ impl DacCache {
     }
 
     /// Equation 1: should the shortcut for `key` (with `hits` accesses) be
-    /// promoted to a value of length `value_len`?
-    fn should_promote(&self, key: &[u8], value_len: usize, hits: u64) -> bool {
+    /// promoted to a value of length `value_len`? `Some(n)` approves the
+    /// promotion at the price of evicting the `n` least-frequently-used
+    /// shortcuts other than `key`'s own; `None` rejects it. Values are never
+    /// part of the price: a promotion makes room from shortcuts alone.
+    fn should_promote(&self, key: &[u8], value_len: usize, hits: u64) -> Option<usize> {
         let needed = value_weight(key, value_len);
         let mut available = self.free_space() + shortcut_weight(key);
         if available >= needed {
             // Spare space: promotion costs nothing.
-            return true;
+            return Some(0);
         }
         // Walk the least-frequently-used shortcuts (other than this one)
         // that would have to be evicted, accumulating their hits, and stop
         // at the first N that make room: the cost is O(N), not O(shortcuts).
         let mut penalty_hits: u64 = 0;
-        let mut feasible = false;
+        let mut victims = 0;
         for (candidate, freq) in self.shortcuts.by_frequency() {
             if candidate == key {
                 continue;
             }
             penalty_hits += freq;
+            victims += 1;
             available += shortcut_weight(candidate);
             if available >= needed {
-                feasible = true;
-                break;
+                // Savings: every future hit on the value saves the 1 RT the
+                // shortcut hit would have cost. Penalty: every future hit on
+                // an evicted shortcut now costs a full miss. Past hits are
+                // the predictor.
+                let savings = hits as f64 * 1.0;
+                let penalty = penalty_hits as f64 * self.avg_miss_rts;
+                return (savings >= penalty).then_some(victims);
             }
         }
-        if !feasible {
-            return false;
+        None
+    }
+
+    /// Carry out a promotion [`Self::should_promote`] approved: drop `key`'s
+    /// shortcut, evict exactly the `victims` LFU shortcuts it priced, and
+    /// cache the value in the room they leave.
+    fn promote(&mut self, key: &[u8], value: &[u8], loc: ValueLoc, hits: u64, victims: usize) {
+        if self.shortcuts.remove(key).is_some() {
+            self.used -= shortcut_weight(key);
         }
-        // Savings: every future hit on the value saves the 1 RT the shortcut
-        // hit would have cost.  Penalty: every future hit on an evicted
-        // shortcut now costs a full miss.  Past hits are the predictor.
-        let savings = hits as f64 * 1.0;
-        let penalty = penalty_hits as f64 * self.avg_miss_rts;
-        savings >= penalty
+        for _ in 0..victims {
+            self.evict_one_shortcut();
+        }
+        let w = value_weight(key, value.len());
+        debug_assert!(self.free_space() >= w, "Eq. 1 priced too few evictions");
+        self.values.insert(
+            key,
+            ValueEntry {
+                data: value.to_vec(),
+                loc,
+                hits,
+            },
+        );
+        self.used += w;
+        self.stats.promotions += 1;
     }
 }
 
@@ -267,13 +293,10 @@ impl KnCache for DacCache {
             Some(hits) => {
                 // HIT path: this value arrived by resolving a shortcut hit.
                 // Promote only if Equation 1 says the trade is worth it.
-                if self.should_promote(key, value.len(), hits) {
-                    if self.insert_value(key, value, loc, hits) {
-                        self.stats.promotions += 1;
-                    }
-                } else {
+                match self.should_promote(key, value.len(), hits) {
+                    Some(victims) => self.promote(key, value, loc, hits, victims),
                     // Keep (refresh) the shortcut.
-                    self.insert_shortcut(key, loc, hits);
+                    None => self.insert_shortcut(key, loc, hits),
                 }
             }
             None => {
@@ -462,6 +485,29 @@ mod tests {
     }
 
     #[test]
+    fn promotion_never_demotes_a_value() {
+        let mut c = DacCache::new(1_000);
+        // Two resident values (240 B each), then cold shortcuts (32 B
+        // each) fill all but 8 B of the rest.
+        c.admit_value(&key(1), &[1u8; 200], loc(1));
+        c.admit_value(&key(2), &[2u8; 200], loc(2));
+        for i in 10..25 {
+            c.admit_shortcut(&key(i), loc(u64::from(i)));
+        }
+        c.admit_shortcut(&key(999), loc(999));
+        for _ in 0..50 {
+            c.lookup(&key(999));
+        }
+        c.record_miss_cost(5);
+        c.admit_value(&key(999), &[9u8; 200], loc(999));
+        let s = c.stats();
+        assert_eq!((s.promotions, s.demotions), (1, 0), "{s:?}");
+        for (k, fill) in [(1, 1u8), (2, 2u8), (999, 9u8)] {
+            assert_eq!(c.lookup(&key(k)), CacheLookup::Value(vec![fill; 200]));
+        }
+    }
+
+    #[test]
     fn demoted_values_become_shortcuts() {
         let mut c = DacCache::new(400);
         c.admit_value(&key(1), &[1u8; 200], loc(1));
@@ -540,30 +586,62 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     /// Equation 1 as first written: list *every* shortcut in eviction order,
     /// then walk the list. The reference the lazy walk must agree with.
-    fn should_promote_reference(c: &DacCache, key: &[u8], value_len: usize, hits: u64) -> bool {
+    fn should_promote_reference(
+        c: &DacCache,
+        key: &[u8],
+        value_len: usize,
+        hits: u64,
+    ) -> Option<usize> {
         let needed = value_weight(key, value_len);
         let mut available = c.free_space() + shortcut_weight(key);
         if available >= needed {
-            return true;
+            return Some(0);
         }
-        let all: Vec<(&[u8], u64)> = c.shortcuts.by_frequency().collect();
+        let others: Vec<(&[u8], u64)> = c
+            .shortcuts
+            .by_frequency()
+            .filter(|&(candidate, _)| candidate != key)
+            .collect();
         let mut penalty_hits: u64 = 0;
-        let mut feasible = false;
-        for (candidate, freq) in all {
-            if candidate == key {
-                continue;
-            }
+        for (n, (candidate, freq)) in others.into_iter().enumerate() {
             penalty_hits += freq;
             available += shortcut_weight(candidate);
             if available >= needed {
-                feasible = true;
-                break;
+                return (hits as f64 >= penalty_hits as f64 * c.avg_miss_rts).then_some(n + 1);
             }
         }
-        feasible && hits as f64 >= penalty_hits as f64 * c.avg_miss_rts
+        None
+    }
+
+    /// Apply one generated operation. Keys are squared toward a hot few, so
+    /// shortcut frequencies spread and Eq. 1 has trades worth making; 1-2 RT
+    /// misses keep the learned miss cost low enough that some walks end in
+    /// a promotion. Op 3, the shortcut-hit admit that runs Eq. 1, is the
+    /// caller's.
+    fn skewed_op(c: &mut DacCache, op: u8, k: u32, len: usize) -> (Vec<u8>, ValueLoc) {
+        let k = k * k / 48;
+        let key = format!("k{k:04}").into_bytes();
+        let loc = ValueLoc::new(u64::from(k), len as u32);
+        match op {
+            0..=2 => {
+                if let CacheLookup::Miss = c.lookup(&key) {
+                    c.record_miss_cost(1 + (len % 2) as u32);
+                }
+            }
+            3 => {}
+            4 => c.admit_shortcut(&key, loc),
+            5 => c.on_local_write(&key, &vec![1u8; len], loc),
+            _ => c.invalidate(&key),
+        }
+        (key, loc)
+    }
+
+    fn skewed_ops() -> impl Strategy<Value = Vec<(u8, u32, usize)>> {
+        proptest::collection::vec((0u8..7, 0u32..48, 1usize..300), 1..400)
     }
 
     proptest! {
@@ -574,38 +652,84 @@ mod proptests {
         #[test]
         fn lazy_eq1_decides_as_the_eager_reference(
             capacity in 200usize..5_000,
-            ops in proptest::collection::vec((0u8..7, 0u32..48, 1usize..300), 1..400),
+            ops in skewed_ops(),
         ) {
             let mut c = DacCache::new(capacity);
             for (op, k, len) in ops {
-                // Squaring skews the keys toward a hot few, so shortcut
-                // frequencies spread and Eq. 1 has trades worth making.
-                let k = k * k / 48;
-                let key = format!("k{k:04}").into_bytes();
-                let loc = ValueLoc::new(u64::from(k), len as u32);
-                match op {
-                    0..=2 => {
-                        // 1-2 RT misses keep the learned miss cost low
-                        // enough that some walks end in a promotion.
-                        if let CacheLookup::Miss = c.lookup(&key) {
-                            c.record_miss_cost(1 + (len % 2) as u32);
-                        }
-                    }
-                    3 => {
-                        if !c.values.contains(&key) {
-                            if let Some(hits) = c.shortcuts.frequency(&key) {
-                                prop_assert_eq!(
-                                    c.should_promote(&key, len, hits),
-                                    should_promote_reference(&c, &key, len, hits)
-                                );
-                            }
-                        }
-                        c.admit_value(&key, &vec![0u8; len], loc);
-                    }
-                    4 => c.admit_shortcut(&key, loc),
-                    5 => c.on_local_write(&key, &vec![1u8; len], loc),
-                    _ => c.invalidate(&key),
+                let (key, loc) = skewed_op(&mut c, op, k, len);
+                if op != 3 {
+                    continue;
                 }
+                if !c.values.contains(&key) {
+                    if let Some(hits) = c.shortcuts.frequency(&key) {
+                        prop_assert_eq!(
+                            c.should_promote(&key, len, hits),
+                            should_promote_reference(&c, &key, len, hits)
+                        );
+                    }
+                }
+                c.admit_value(&key, &vec![0u8; len], loc);
+            }
+        }
+
+        /// An approved promotion frees exactly what Eq. 1 priced: it evicts
+        /// the LFU prefix of the other shortcuts that the walk covered, and
+        /// demotes no value.
+        #[test]
+        fn a_promotion_evicts_exactly_the_shortcuts_it_priced(
+            capacity in 200usize..5_000,
+            ops in skewed_ops(),
+        ) {
+            let mut c = DacCache::new(capacity);
+            for (op, k, len) in ops {
+                let (key, loc) = skewed_op(&mut c, op, k, len);
+                if op != 3 {
+                    continue;
+                }
+                let priced = match c.shortcuts.frequency(&key) {
+                    Some(hits) if !c.values.contains(&key) => {
+                        c.should_promote(&key, len, hits)
+                    }
+                    _ => None,
+                };
+                let Some(n) = priced else {
+                    c.admit_value(&key, &vec![0u8; len], loc);
+                    continue;
+                };
+                let victims: Vec<Vec<u8>> = c
+                    .shortcuts
+                    .by_frequency()
+                    .map(|(candidate, _)| candidate)
+                    .filter(|&candidate| candidate != key.as_slice())
+                    .take(n)
+                    .map(<[u8]>::to_vec)
+                    .collect();
+                let shortcuts_before: BTreeSet<Vec<u8>> =
+                    c.shortcuts.iter().map(|(k, _)| k.clone()).collect();
+                let values_before: BTreeSet<Vec<u8>> =
+                    c.values.iter().map(|(k, _)| k.clone()).collect();
+                let before = c.stats();
+
+                c.admit_value(&key, &vec![0u8; len], loc);
+
+                let after = c.stats();
+                prop_assert_eq!(after.promotions, before.promotions + 1);
+                prop_assert_eq!(after.demotions, before.demotions);
+                prop_assert_eq!(after.evictions, before.evictions + n as u64);
+                let mut expected = shortcuts_before;
+                expected.remove(&key);
+                for victim in &victims {
+                    prop_assert!(expected.remove(victim));
+                }
+                let shortcuts_after: BTreeSet<Vec<u8>> =
+                    c.shortcuts.iter().map(|(k, _)| k.clone()).collect();
+                prop_assert_eq!(shortcuts_after, expected);
+                let mut values_expected = values_before;
+                values_expected.insert(key.clone());
+                let values_after: BTreeSet<Vec<u8>> =
+                    c.values.iter().map(|(k, _)| k.clone()).collect();
+                prop_assert_eq!(values_after, values_expected);
+                prop_assert!(after.bytes_used <= capacity as u64);
             }
         }
 

@@ -296,17 +296,15 @@ impl KnNode {
         // Full miss: traverse the metadata index remotely.
         let lookup = self.dpm.remote_read_in(guard, &self.nic, key);
         shard.cache.record_miss_cost(lookup.rts);
-        match (&lookup.value, lookup.value_loc) {
-            (Some(value), Some((addr, len))) => {
-                if !lookup.indirect {
-                    shard
-                        .cache
-                        .admit_value(key, value, ValueLoc { addr: addr.0, len });
-                }
-                Ok(Some(value.clone()))
-            }
-            _ => Ok(None),
+        let (Some(value), Some((addr, len))) = (lookup.value, lookup.value_loc) else {
+            return Ok(None);
+        };
+        if !lookup.indirect {
+            shard
+                .cache
+                .admit_value(key, &value, ValueLoc { addr: addr.0, len });
         }
+        Ok(Some(value))
     }
 
     /// Read of a selectively-replicated key: indirection cell then value, as

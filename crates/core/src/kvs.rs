@@ -1390,6 +1390,23 @@ mod tests {
     }
 
     #[test]
+    fn rewriting_policy_metadata_leaves_the_pool_flat() {
+        let kvs = cluster(Variant::Dinomo);
+        kvs.client().insert(b"hot", b"v").unwrap();
+        let replicate_and_back = || {
+            kvs.replicate_key(b"hot", 2).unwrap();
+            kvs.dereplicate_key(b"hot").unwrap();
+        };
+        let allocated = || kvs.dpm().pool().stats().allocated_bytes;
+        replicate_and_back();
+        let after_first = allocated();
+        for _ in 1..1_000 {
+            replicate_and_back();
+        }
+        assert_eq!(allocated(), after_first);
+    }
+
+    #[test]
     fn stats_reflect_activity() {
         let kvs = cluster(Variant::Dinomo);
         let client = kvs.client();

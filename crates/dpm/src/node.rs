@@ -186,8 +186,9 @@ pub struct DpmInner {
     /// workers' common path (first insert of a new key, no deletes ever
     /// recorded) skips the map lock entirely instead of serializing on it.
     merged_tombstone_count: AtomicU64,
-    metadata: Mutex<HashMap<String, Vec<u8>>>,
-    metadata_region: Mutex<Vec<(PmAddr, u64)>>,
+    /// Each named metadata blob: the pool block holding its latest version,
+    /// and its bytes.
+    metadata: Mutex<HashMap<String, (PmAddr, Vec<u8>)>>,
     /// Crash-injection points (armed only by tests and the check driver;
     /// a relaxed-load no-op otherwise — see [`crate::failpoint`]).
     failpoints: FailpointSet,
@@ -620,7 +621,6 @@ impl DpmNode {
             merged_tombstones: Mutex::new(HashMap::new()),
             merged_tombstone_count: AtomicU64::new(0),
             metadata: Mutex::new(HashMap::new()),
-            metadata_region: Mutex::new(Vec::new()),
             failpoints: FailpointSet::new(),
         });
         let merge = MergeEngine::start(Arc::clone(&inner), config.merge_threads);
@@ -1407,26 +1407,33 @@ impl DpmNode {
 
     // ----------------------------------------------------------- metadata
 
-    /// Persist a named metadata blob (ownership tables, replication state).
+    /// Persist a named metadata blob (ownership tables, replication state),
+    /// replacing the previous version of `name`.
     pub fn put_metadata(&self, name: &str, data: &[u8]) -> Result<(), PmemError> {
-        let addr = self.inner.pool.alloc(data.len().max(1) as u64)?;
-        self.inner.pool.write_bytes(addr, data);
-        self.inner.pool.persist(addr, data.len() as u64);
-        self.inner.pool.drain();
-        self.inner
-            .metadata_region
-            .lock()
-            .push((addr, data.len() as u64));
-        self.inner
+        let pool = &self.inner.pool;
+        let addr = pool.alloc(data.len() as u64)?;
+        pool.write_bytes(addr, data);
+        pool.persist(addr, data.len() as u64);
+        pool.drain();
+        // The new version is durable: only now may the one it supersedes go.
+        let superseded = self
+            .inner
             .metadata
             .lock()
-            .insert(name.to_string(), data.to_vec());
+            .insert(name.to_string(), (addr, data.to_vec()));
+        if let Some((old, old_data)) = superseded {
+            pool.free(old, old_data.len() as u64);
+        }
         Ok(())
     }
 
     /// Fetch a named metadata blob.
     pub fn get_metadata(&self, name: &str) -> Option<Vec<u8>> {
-        self.inner.metadata.lock().get(name).cloned()
+        self.inner
+            .metadata
+            .lock()
+            .get(name)
+            .map(|(_, data)| data.clone())
     }
 
     /// Stop the background compactor and the merge workers (also happens

@@ -8,19 +8,24 @@
 //! `Kvs::bytes_reshuffled` — never on time — so each is deterministic on
 //! any machine.
 //!
-//! Not here:
-//! * the Table 4 policy claim (§3.5: add a KN when every node is busy,
-//!   replicate a key above mean + 3σ) is gated by the unit tests of
-//!   `crates/cluster/src/policy.rs`;
-//! * the Fig. 3 claim (DAC needs no more round trips than any static
-//!   split of the same budget) is not gated: today's DAC fails it on a
-//!   skewed stream, and `CacheKind::{ValueOnly, StaticFraction}` stay as
-//!   its baselines.
+//! The Fig. 3 claim (§3.3: DAC needs fewer round trips than any static
+//! split of the same budget) is two tests, one per key stream, so they run
+//! in parallel: `CacheKind::{ShortcutOnly, ValueOnly, StaticFraction}` are
+//! its baselines.
+//!
+//! Not here: the Table 4 policy claim (§3.5: add a KN when every node is
+//! busy, replicate a key above mean + 3σ) is gated by the unit tests of
+//! `crates/cluster/src/policy.rs`.
 
 use dinomo::cache::{CacheKind, CacheStats};
+use dinomo::dpm::DpmConfig;
 use dinomo::partition::KnId;
-use dinomo::workload::key_for;
-use dinomo::{Kvs, KvsClient, KvsConfig, Variant};
+use dinomo::pclht::PclhtConfig;
+use dinomo::workload::{key_for, Operation};
+use dinomo::{
+    KeyDistribution, Kvs, KvsClient, KvsConfig, Variant, WorkloadConfig, WorkloadGenerator,
+    WorkloadMix,
+};
 
 fn key(i: u64) -> Vec<u8> {
     key_for(i, 8)
@@ -45,15 +50,24 @@ fn loaded(config: KvsConfig, keys: u64) -> Kvs {
 /// the node's DRAM. Merged-but-still-tracked writes would be served from
 /// the node's overlay of committed writes at 1 RT, so a `quiesce` alone
 /// does not make a cold read a miss; an ownership hand-off away and back
-/// clears the overlay and the cache.
+/// clears the overlay and the cache. The index starts at 16 buckets per
+/// key, sparse enough that no bucket overflows.
 fn cold_single_node(cache_kind: CacheKind, cache_bytes: usize, keys: u64) -> (Kvs, KnId) {
+    let base = KvsConfig::small_for_tests();
     let kvs = loaded(
         KvsConfig {
             initial_kns: 1,
             threads_per_kn: 1,
             cache_bytes_per_kn: cache_bytes,
             cache_kind: Some(cache_kind),
-            ..KvsConfig::small_for_tests()
+            dpm: DpmConfig {
+                index: PclhtConfig {
+                    initial_buckets: 16 * keys as usize,
+                    ..base.dpm.index
+                },
+                ..base.dpm
+            },
+            ..base
         },
         keys,
     );
@@ -120,6 +134,95 @@ fn a_value_hit_costs_0_rts_a_shortcut_hit_1_and_a_miss_2() {
     assert!(cache.value_hits >= 10, "{cache:?}");
     let (cache, rts) = read_pass(&kvs, &client, kn, &hot);
     assert_eq!((cache.value_hits, rts), (20, 0), "{cache:?}");
+}
+
+/// The cache budgets Fig. 3 is checked at. The 4,000 keys take 416 KB as
+/// cached values and 128 KB as shortcuts, so neither budget holds every
+/// key either way: 16 KiB fits about 4 % of them as values or 13 % as
+/// shortcuts, 64 KiB about 16 % or 51 %.
+const FIG3_BUDGETS: [usize; 2] = [16 << 10, 64 << 10];
+
+/// The static splits of Fig. 3: all shortcuts, all values, and 20, 40 and
+/// 80 % of the budget for values.
+const STATIC_SPLITS: [CacheKind; 5] = [
+    CacheKind::ShortcutOnly,
+    CacheKind::ValueOnly,
+    CacheKind::StaticFraction(20),
+    CacheKind::StaticFraction(40),
+    CacheKind::StaticFraction(80),
+];
+
+/// Round trips per read of a seeded read-only stream over 4,000 cold keys
+/// on one KN with a `cache_bytes` budget of `cache_kind`: 20 k warm-up
+/// reads, then the mean over 40 k measured ones.
+fn rts_per_read(cache_kind: CacheKind, cache_bytes: usize, distribution: KeyDistribution) -> f64 {
+    const KEYS: u64 = 4_000;
+    const WARM_UP: u64 = 20_000;
+    const MEASURED: u64 = 40_000;
+    let (kvs, kn) = cold_single_node(cache_kind, cache_bytes, KEYS);
+    let client = kvs.client();
+    let mut stream = WorkloadGenerator::new(WorkloadConfig {
+        num_keys: KEYS,
+        key_len: 8,
+        value_len: 64,
+        mix: WorkloadMix::READ_ONLY,
+        distribution,
+        seed: 3,
+    });
+    let mut read = |n: u64| {
+        for _ in 0..n {
+            let Operation::Read(k) = stream.next_op() else {
+                unreachable!("a read-only mix")
+            };
+            assert!(client.lookup(&k).unwrap().is_some());
+        }
+    };
+    read(WARM_UP);
+    let before = kvs.kn(kn).unwrap().stats();
+    read(MEASURED);
+    let rts = kvs.kn(kn).unwrap().stats().since(&before).nic.round_trips();
+    rts as f64 / MEASURED as f64
+}
+
+/// Hands `check` DAC's round trips per read at each Fig. 3 budget, beside
+/// each static split's.
+fn fig3(distribution: KeyDistribution, check: impl Fn(usize, f64, &[(CacheKind, f64)])) {
+    for bytes in FIG3_BUDGETS {
+        let dac = rts_per_read(CacheKind::Dac, bytes, distribution);
+        let splits: Vec<(CacheKind, f64)> = STATIC_SPLITS
+            .into_iter()
+            .map(|kind| (kind, rts_per_read(kind, bytes, distribution)))
+            .collect();
+        check(bytes, dac, &splits);
+    }
+}
+
+#[test]
+fn dac_needs_fewer_rts_than_every_static_split_on_a_skewed_stream() {
+    fig3(KeyDistribution::MODERATE_SKEW, |bytes, dac, splits| {
+        for &(kind, rts) in splits {
+            assert!(
+                dac < rts,
+                "{bytes} B: DAC {dac:.3} RT/read, {kind:?} {rts:.3}; all {splits:?}"
+            );
+        }
+    });
+}
+
+/// On a uniform stream DAC may cost up to 2 % more than the best static
+/// split. When every key is equally popular, a key's past hits predict
+/// nothing about its future ones, so a promotion Eq. 1 approves on them
+/// is a small loss on average: it evicts shortcuts that are exactly as
+/// likely to be read as the promoted value.
+#[test]
+fn dac_stays_within_2_percent_of_the_best_static_split_on_a_uniform_stream() {
+    fig3(KeyDistribution::Uniform, |bytes, dac, splits| {
+        let best = splits.iter().map(|&(_, rts)| rts).fold(f64::MAX, f64::min);
+        assert!(
+            dac <= 1.02 * best,
+            "{bytes} B: DAC {dac:.3} RT/read, best split {best:.3}; all {splits:?}"
+        );
+    });
 }
 
 #[test]
