@@ -2,7 +2,6 @@
 //! `target/bench-results/` record writers, the one gate policy
 //! (`BENCH_SOFT`) and the median the gates compare.
 
-use serde::Serialize;
 use std::path::PathBuf;
 
 /// The shared artifact directory, `<workspace>/target/bench-results`,
@@ -16,61 +15,58 @@ pub fn bench_results_dir() -> PathBuf {
     ))
 }
 
-/// Write a JSON artifact to `target/bench-results/<name>.json`.
-fn write_json<T: Serialize>(name: &str, value: &T) {
-    let dir = bench_results_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join(format!("{name}.json"));
-    match serde_json::to_vec_pretty(value) {
-        Ok(bytes) => {
-            if let Err(e) = std::fs::write(&path, bytes) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            } else {
-                println!("[artifact] {}", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialize {name}: {e}"),
-    }
-}
-
 // ------------------------------------------------------ bench summaries
 
-/// One named measurement of a bench run (e.g. a median throughput).
-#[derive(Debug, Clone, Serialize)]
-struct BenchMetric {
-    /// Metric name, e.g. `"overhead_fraction"`.
-    name: String,
-    /// Measured value.
-    value: f64,
+/// A bench's median measurements as the JSON record `bench_summary`
+/// merges: `{"bench": …, "metrics": [{"name": …, "value": …}, …]}`.
+/// `None` if a value is not finite (JSON has no NaN or infinity).
+fn bench_record_json(bench: &str, metrics: &[(&str, f64)]) -> Option<String> {
+    let mut out = format!("{{\n  \"bench\": {},\n  \"metrics\": [", json_string(bench));
+    for (i, (name, value)) in metrics.iter().enumerate() {
+        if !value.is_finite() {
+            return None;
+        }
+        let sep = if i == 0 { "" } else { "," };
+        out.push_str(&format!(
+            "{sep}\n    {{\"name\": {}, \"value\": {value:?}}}",
+            json_string(name)
+        ));
+    }
+    out.push_str("\n  ]\n}\n");
+    Some(out)
 }
 
-/// The machine-readable summary a bench writes to
-/// `target/bench-results/<bench>.json`; `dinomo-bench`'s `bench_summary`
-/// binary merges all of them into `BENCH_RESULTS.json` so CI can track the
-/// perf trajectory as a build artifact instead of scrolling past log
-/// output.
-#[derive(Debug, Clone, Serialize)]
-struct BenchRecord {
-    /// Bench name (the artifact's file stem).
-    bench: String,
-    /// The bench's median measurements.
-    metrics: Vec<BenchMetric>,
+/// `s` as a quoted JSON string.
+fn json_string(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 /// Write a bench's median measurements to
-/// `target/bench-results/<bench>.json`.
+/// `target/bench-results/<bench>.json`. A non-finite value writes nothing
+/// and warns.
 pub fn write_bench_record(bench: &str, metrics: &[(&str, f64)]) {
-    let record = BenchRecord {
-        bench: bench.to_string(),
-        metrics: metrics
-            .iter()
-            .map(|(name, value)| BenchMetric {
-                name: (*name).to_string(),
-                value: *value,
-            })
-            .collect(),
+    let Some(json) = bench_record_json(bench, metrics) else {
+        eprintln!("warning: could not serialize {bench}: a metric value is not finite");
+        return;
     };
-    write_json(bench, &record);
+    let dir = bench_results_dir();
+    let _ = std::fs::create_dir_all(&dir);
+    let path = dir.join(format!("{bench}.json"));
+    if let Err(e) = std::fs::write(&path, json) {
+        eprintln!("warning: could not write {}: {e}", path.display());
+    } else {
+        println!("[artifact] {}", path.display());
+    }
 }
 
 // ------------------------------------------------------------ gate policy
@@ -150,5 +146,18 @@ mod tests {
         assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
         // Odd length: the middle element.
         assert_eq!(median(&[30.0, 10.0, 20.0]), 20.0);
+    }
+
+    #[test]
+    fn bench_records_escape_names_and_refuse_non_finite_values() {
+        let json = bench_record_json("obs\"bench", &[("a\\b\n", 0.5), ("ops", 3.0)]).unwrap();
+        assert_eq!(
+            json,
+            "{\n  \"bench\": \"obs\\\"bench\",\n  \"metrics\": [\
+             \n    {\"name\": \"a\\\\b\\u000a\", \"value\": 0.5},\
+             \n    {\"name\": \"ops\", \"value\": 3.0}\n  ]\n}\n"
+        );
+        assert_eq!(bench_record_json("b", &[("x", f64::NAN)]), None);
+        assert_eq!(bench_record_json("b", &[("x", f64::INFINITY)]), None);
     }
 }

@@ -1,12 +1,10 @@
 //! The cache-policy trait and shared types.
 
-use serde::{Deserialize, Serialize};
-
 /// Location of a value inside the DPM pool: address and length.
 ///
 /// This mirrors the packed location stored in the DPM index; the cache crate
 /// keeps its own copy of the type so it has no dependency on the DPM layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ValueLoc {
     /// Byte offset of the value in the DPM pool.
     pub addr: u64,
@@ -40,7 +38,7 @@ impl CacheLookup {
 }
 
 /// Which cache policy to instantiate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheKind {
     /// No caching at all (every access traverses the remote index).
     None,
@@ -56,7 +54,7 @@ pub enum CacheKind {
 }
 
 /// Counters exposed by every cache policy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CacheStats {
     /// Lookups that found a full value.
     pub value_hits: u64,

@@ -537,13 +537,15 @@ impl Kvs {
     /// 4. replay the logs into the hash index ([`DpmNode::recover`]),
     /// 5. run the quiescent invariant walk ([`DpmNode::check_index`]) —
     ///    a violation surfaces as [`KvsError::RecoveryCheckFailed`] —
-    ///    and reopen every node.
+    ///    and reopen every node,
+    /// 6. decode the ownership table from the pool's metadata slots
+    ///    ([`Kvs::recover_policy_metadata`]); one that differs from the
+    ///    live table is also a [`KvsError::RecoveryCheckFailed`].
     ///
-    /// The nodes' identities and the ownership table survive (a real
-    /// restart would rebuild them from the persisted policy metadata —
-    /// see [`Kvs::recover_policy_metadata`]); what this exercises is the
-    /// durability story: every acknowledged write must still be served
-    /// afterwards.
+    /// The nodes' identities and the live ownership table survive in DRAM
+    /// (step 6 checks that a real restart could rebuild the table from the
+    /// pool); what this exercises is the durability story: every
+    /// acknowledged write must still be served afterwards.
     pub fn crash_dpm_and_recover(&self) -> Result<DpmCrashReport> {
         let _reconfig = self.inner.lock_reconfig();
         let kns: Vec<Arc<KnNode>> = self.inner.kns.read().values().cloned().collect();
@@ -574,6 +576,16 @@ impl Kvs {
             kn.set_reconfiguring(false);
         }
         let tree = check.map_err(KvsError::RecoveryCheckFailed)?;
+        let live = self.inner.ownership.read();
+        let durable = self.recover_policy_metadata();
+        if durable.as_ref() != Some(&*live) {
+            return Err(KvsError::RecoveryCheckFailed(format!(
+                "the persisted ownership table ({}) differs from the live one ({})",
+                durable.map_or_else(|| "unreadable".to_string(), |t| t.describe()),
+                live.describe()
+            )));
+        }
+        drop(live);
         Ok(DpmCrashReport {
             recovery,
             ordered_rebuilt: 0,
@@ -586,16 +598,14 @@ impl Kvs {
     /// nodes or KNs can rebuild their soft state (§3.5 "Fault tolerance").
     pub fn persist_policy_metadata(&self) -> Result<()> {
         let table = self.inner.ownership.read();
-        let blob = serde_json::to_vec(&*table).unwrap_or_default();
-        self.inner.dpm.put_metadata("ownership-table", &blob)?;
+        self.inner.dpm.put_metadata(&table.encode())?;
         Ok(())
     }
 
     /// Recover the ownership/replication metadata previously persisted with
-    /// [`Kvs::persist_policy_metadata`].
+    /// [`Kvs::persist_policy_metadata`], decoded from the DPM pool.
     pub fn recover_policy_metadata(&self) -> Option<OwnershipTable> {
-        let blob = self.inner.dpm.get_metadata("ownership-table")?;
-        serde_json::from_slice(&blob).ok()
+        OwnershipTable::decode(&self.inner.dpm.get_metadata()?)
     }
 
     /// Cluster-wide statistics.
@@ -1385,8 +1395,26 @@ mod tests {
         let recovered = kvs
             .recover_policy_metadata()
             .expect("metadata must be persisted");
-        assert_eq!(recovered.version(), kvs.ownership().read().version());
+        assert_eq!(recovered, *kvs.ownership().read());
         assert!(recovered.is_replicated(b"hot"));
+    }
+
+    #[test]
+    fn a_default_two_kn_table_persists_in_at_most_64_bytes() {
+        // The table depends only on the ring shape and membership, so the
+        // default configuration's, with a test-sized pool.
+        let kvs = Kvs::new(KvsConfig {
+            initial_kns: 2,
+            dpm: dinomo_dpm::DpmConfig::small_for_tests(),
+            ..KvsConfig::default()
+        })
+        .unwrap();
+        let persisted = kvs.dpm().get_metadata().expect("metadata persisted");
+        assert!(persisted.len() <= 64, "{} B", persisted.len());
+        assert_eq!(
+            OwnershipTable::decode(&persisted).as_ref(),
+            Some(&*kvs.ownership().read())
+        );
     }
 
     #[test]

@@ -4,10 +4,9 @@
 use dinomo_cache::CacheStats;
 use dinomo_dpm::DpmStats;
 use dinomo_simnet::NicStats;
-use serde::{Deserialize, Serialize};
 
 /// Per-KVS-node statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct KnStats {
     /// Node id.
     pub id: u32,

@@ -23,8 +23,10 @@
 //!   are merged synchronously before its partitions are handed to new owners;
 //!   after a DPM power failure, unsealed (torn) entries are discarded and
 //!   sealed ones are re-merged.
-//! * **A metadata blob store** — ownership/replication policy metadata is
-//!   persisted in DPM so routing nodes and KNs can rebuild their soft state.
+//! * **A policy metadata record** — the encoded ownership/replication
+//!   table is persisted in two checksummed pool slots, so routing nodes and
+//!   KNs can rebuild their soft state and a torn write leaves the previous
+//!   version readable.
 
 #![warn(missing_docs)]
 

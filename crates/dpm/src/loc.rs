@@ -11,7 +11,6 @@
 //! ```
 
 use dinomo_pmem::PmAddr;
-use serde::{Deserialize, Serialize};
 
 const ADDR_BITS: u32 = 47;
 const LEN_BITS: u32 = 16;
@@ -23,7 +22,7 @@ const INDIRECT_BIT: u64 = 1 << 63;
 pub const MAX_PACKED_LEN: u64 = LEN_MASK;
 
 /// A packed (address, length, indirect) triple. See the module docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PackedLoc(u64);
 
 impl PackedLoc {

@@ -186,9 +186,11 @@ pub struct DpmInner {
     /// workers' common path (first insert of a new key, no deletes ever
     /// recorded) skips the map lock entirely instead of serializing on it.
     merged_tombstone_count: AtomicU64,
-    /// Each named metadata blob: the pool block holding its latest version,
-    /// and its bytes.
-    metadata: Mutex<HashMap<String, (PmAddr, Vec<u8>)>>,
+    /// The two pool slots the metadata record alternates between (see
+    /// [`DpmNode::put_metadata`]). Their addresses stand in for a fixed
+    /// superblock location; the record itself is only ever read back
+    /// from the pool.
+    metadata: Mutex<[Option<MetadataSlot>; 2]>,
     /// Crash-injection points (armed only by tests and the check driver;
     /// a relaxed-load no-op otherwise — see [`crate::failpoint`]).
     failpoints: FailpointSet,
@@ -620,7 +622,7 @@ impl DpmNode {
             entries_relocated: AtomicU64::new(0),
             merged_tombstones: Mutex::new(HashMap::new()),
             merged_tombstone_count: AtomicU64::new(0),
-            metadata: Mutex::new(HashMap::new()),
+            metadata: Mutex::new([None; 2]),
             failpoints: FailpointSet::new(),
         });
         let merge = MergeEngine::start(Arc::clone(&inner), config.merge_threads);
@@ -1318,9 +1320,10 @@ impl DpmNode {
     /// mid-flight through the crash would observe half-dropped state —
     /// and follow with [`DpmNode::recover`].
     ///
-    /// The segment registry and the soft metadata maps live in this
-    /// process's DRAM and survive; they stand in for the state a real
-    /// restart would rebuild from the persisted metadata region.
+    /// The segment registry and the two metadata slots' addresses live in
+    /// this process's DRAM and survive, standing in for a fixed pool
+    /// layout a real restart would find again. The metadata record itself
+    /// survives only as far as its slot's lines were persisted.
     pub fn simulate_crash(&self) {
         // Collector exclusion is the caller's job: a crash driver running
         // with the background compactor live must bracket the whole
@@ -1407,33 +1410,58 @@ impl DpmNode {
 
     // ----------------------------------------------------------- metadata
 
-    /// Persist a named metadata blob (ownership tables, replication state),
-    /// replacing the previous version of `name`.
-    pub fn put_metadata(&self, name: &str, data: &[u8]) -> Result<(), PmemError> {
-        let pool = &self.inner.pool;
-        let addr = pool.alloc(data.len() as u64)?;
-        pool.write_bytes(addr, data);
-        pool.persist(addr, data.len() as u64);
-        pool.drain();
-        // The new version is durable: only now may the one it supersedes go.
-        let superseded = self
-            .inner
-            .metadata
-            .lock()
-            .insert(name.to_string(), (addr, data.to_vec()));
-        if let Some((old, old_data)) = superseded {
-            pool.free(old, old_data.len() as u64);
-        }
+    /// Persist the policy metadata record (the encoded ownership table),
+    /// replacing the previous version. The record alternates between two
+    /// pool slots: each write goes in place into the slot that does not
+    /// hold the newest valid generation, then persists and drains, so a
+    /// crash mid-write leaves the previous version readable. A slot is
+    /// reallocated only when a record outgrows it.
+    pub fn put_metadata(&self, data: &[u8]) -> Result<(), PmemError> {
+        let mut slots = self.inner.metadata.lock();
+        let (slot, len) = self.stage_metadata(&mut slots, data)?;
+        self.inner.pool.persist(slot.addr, len);
+        self.inner.pool.drain();
         Ok(())
     }
 
-    /// Fetch a named metadata blob.
-    pub fn get_metadata(&self, name: &str) -> Option<Vec<u8>> {
-        self.inner
-            .metadata
-            .lock()
-            .get(name)
-            .map(|(_, data)| data.clone())
+    /// Write `data` as the next generation into the slot not holding the
+    /// newest valid record, without persisting it. Returns the slot and
+    /// the bytes written.
+    fn stage_metadata(
+        &self,
+        slots: &mut [Option<MetadataSlot>; 2],
+        data: &[u8],
+    ) -> Result<(MetadataSlot, u64), PmemError> {
+        let pool = &self.inner.pool;
+        let (target, generation) = newest_metadata(pool, slots)
+            .map_or((0, 1), |(i, generation, _)| (1 - i, generation + 1));
+        let mut record = vec![0u8; SLOT_HEADER];
+        record[8..16].copy_from_slice(&generation.to_le_bytes());
+        record[16..24].copy_from_slice(&(data.len() as u64).to_le_bytes());
+        record.extend_from_slice(data);
+        let checksum = key_hash(&record[8..]);
+        record[..8].copy_from_slice(&checksum.to_le_bytes());
+        let len = record.len() as u64;
+        let slot = match slots[target] {
+            Some(slot) if slot.capacity >= len => slot,
+            outgrown => {
+                let slot = MetadataSlot::alloc(pool, len)?;
+                if let Some(old) = outgrown {
+                    old.free(pool);
+                }
+                slots[target] = Some(slot);
+                slot
+            }
+        };
+        pool.write_bytes(slot.addr, &record);
+        Ok((slot, len))
+    }
+
+    /// The newest valid metadata record, read from the pool slots; `None`
+    /// if neither slot holds one.
+    pub fn get_metadata(&self) -> Option<Vec<u8>> {
+        let slots = self.inner.metadata.lock();
+        newest_metadata(&self.inner.pool, &slots).map(|(_, _, body)| body)
     }
 
     /// Stop the background compactor and the merge workers (also happens
@@ -1444,6 +1472,73 @@ impl DpmNode {
         }
         self.merge.lock().shutdown();
     }
+}
+
+/// Bytes of a metadata slot's header: checksum, generation and body
+/// length, one little-endian `u64` each. The checksum is `key_hash` over
+/// the rest of the header and the body; generation 0 marks an empty slot.
+const SLOT_HEADER: usize = 24;
+
+/// One of the two pool slots holding the metadata record. A slot owns
+/// whole cache lines, so persisting or losing one slot's lines never
+/// touches the other's.
+#[derive(Debug, Clone, Copy)]
+struct MetadataSlot {
+    /// The allocated block (the slot plus its alignment padding).
+    block: PmAddr,
+    /// First byte of the slot, line-aligned inside `block`.
+    addr: PmAddr,
+    /// Usable bytes, a whole number of lines.
+    capacity: u64,
+}
+
+impl MetadataSlot {
+    const LINE: u64 = 64;
+
+    fn alloc(pool: &PmemPool, len: u64) -> Result<Self, PmemError> {
+        let capacity = len.next_multiple_of(Self::LINE);
+        let block = pool.alloc(capacity + Self::LINE - 8)?;
+        Ok(MetadataSlot {
+            block,
+            addr: PmAddr(block.0.next_multiple_of(Self::LINE)),
+            capacity,
+        })
+    }
+
+    fn free(self, pool: &PmemPool) {
+        pool.free(self.block, self.capacity + Self::LINE - 8);
+    }
+
+    /// The slot's `(generation, body)`, or `None` if it is empty, torn or
+    /// corrupt.
+    fn read(self, pool: &PmemPool) -> Option<(u64, Vec<u8>)> {
+        let mut bytes = vec![0u8; self.capacity as usize];
+        pool.read_bytes(self.addr, &mut bytes);
+        let word = |i: usize| u64::from_le_bytes(bytes[i * 8..][..8].try_into().expect("8 bytes"));
+        let (checksum, generation, len) = (word(0), word(1), word(2));
+        let end = usize::try_from(len).ok()?.checked_add(SLOT_HEADER)?;
+        if generation == 0 || end > bytes.len() || key_hash(&bytes[8..end]) != checksum {
+            return None;
+        }
+        bytes.truncate(end);
+        Some((generation, bytes.split_off(SLOT_HEADER)))
+    }
+}
+
+/// The slot index, generation and body of the newest valid record among
+/// `slots`.
+fn newest_metadata(
+    pool: &PmemPool,
+    slots: &[Option<MetadataSlot>; 2],
+) -> Option<(usize, u64, Vec<u8>)> {
+    slots
+        .iter()
+        .enumerate()
+        .filter_map(|(i, slot)| {
+            let (generation, body) = slot.as_ref()?.read(pool)?;
+            Some((i, generation, body))
+        })
+        .max_by_key(|&(_, generation, _)| generation)
 }
 
 /// Outcome of a [`DpmNode::recover`] scan.
@@ -1741,11 +1836,17 @@ mod tests {
     #[test]
     fn metadata_blobs_round_trip() {
         let dpm = dpm();
-        dpm.put_metadata("ownership", b"ring-v1").unwrap();
-        assert_eq!(dpm.get_metadata("ownership"), Some(b"ring-v1".to_vec()));
-        assert_eq!(dpm.get_metadata("missing"), None);
-        dpm.put_metadata("ownership", b"ring-v2").unwrap();
-        assert_eq!(dpm.get_metadata("ownership"), Some(b"ring-v2".to_vec()));
+        assert_eq!(dpm.get_metadata(), None);
+        dpm.put_metadata(b"ring-v1").unwrap();
+        assert_eq!(dpm.get_metadata(), Some(b"ring-v1".to_vec()));
+        dpm.put_metadata(b"ring-v2").unwrap();
+        assert_eq!(dpm.get_metadata(), Some(b"ring-v2".to_vec()));
+        let allocated = dpm.pool().stats().allocated_bytes;
+        for i in 0..10 {
+            dpm.put_metadata(format!("ring-v{i}").as_bytes()).unwrap();
+        }
+        assert_eq!(dpm.get_metadata(), Some(b"ring-v9".to_vec()));
+        assert_eq!(dpm.pool().stats().allocated_bytes, allocated);
     }
 
     #[test]
@@ -1785,6 +1886,54 @@ mod tests {
         // `simulate_crash` is a no-op unless the pool tracks persistence.
         config.pool.track_persistence = true;
         Arc::new(DpmNode::new(config).unwrap())
+    }
+
+    /// Flip one byte of metadata slot `i`'s body in the pool.
+    fn corrupt_metadata_slot(dpm: &DpmNode, i: usize) {
+        let slot = dpm.inner.metadata.lock()[i].expect("slot allocated");
+        let at = slot.addr.offset(SLOT_HEADER as u64);
+        let mut byte = [0u8];
+        dpm.pool().read_bytes(at, &mut byte);
+        dpm.pool().write_bytes(at, &[byte[0] ^ 0x40]);
+        dpm.pool().persist(at, 1);
+    }
+
+    #[test]
+    fn a_corrupted_newest_metadata_slot_falls_back_to_the_older_version() {
+        let dpm = crash_dpm();
+        dpm.put_metadata(b"table-v1").unwrap();
+        dpm.put_metadata(b"table-v2").unwrap();
+        // v1 went into slot 0, v2 into slot 1.
+        corrupt_metadata_slot(&dpm, 1);
+        assert_eq!(dpm.get_metadata(), Some(b"table-v1".to_vec()));
+        // The next write replaces the corrupt slot, not the survivor.
+        dpm.put_metadata(b"table-v3").unwrap();
+        assert_eq!(dpm.get_metadata(), Some(b"table-v3".to_vec()));
+        corrupt_metadata_slot(&dpm, 1);
+        assert_eq!(dpm.get_metadata(), Some(b"table-v1".to_vec()));
+    }
+
+    #[test]
+    fn two_corrupted_metadata_slots_read_none() {
+        let dpm = crash_dpm();
+        dpm.put_metadata(b"table-v1").unwrap();
+        dpm.put_metadata(b"table-v2").unwrap();
+        corrupt_metadata_slot(&dpm, 0);
+        corrupt_metadata_slot(&dpm, 1);
+        assert_eq!(dpm.get_metadata(), None);
+    }
+
+    #[test]
+    fn an_unpersisted_metadata_write_reads_the_previous_version_after_a_crash() {
+        let dpm = crash_dpm();
+        dpm.put_metadata(b"table-v1").unwrap();
+        dpm.put_metadata(b"table-v2").unwrap();
+        // Written in place over v1's slot but never persisted.
+        dpm.stage_metadata(&mut dpm.inner.metadata.lock(), b"table-v3")
+            .unwrap();
+        assert_eq!(dpm.get_metadata(), Some(b"table-v3".to_vec()));
+        dpm.simulate_crash();
+        assert_eq!(dpm.get_metadata(), Some(b"table-v2".to_vec()));
     }
 
     #[test]

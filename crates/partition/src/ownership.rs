@@ -2,7 +2,6 @@
 
 use crate::hash::key_hash;
 use crate::ring::HashRing;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Identifier of a KVS node.
@@ -23,37 +22,13 @@ pub type ThreadId = u32;
 /// Every mutation bumps `version`; components cache the table and use the
 /// version to detect staleness (clients refresh from a routing node when a KN
 /// rejects a request for a key range it no longer owns).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OwnershipTable {
     global: HashRing,
     locals: HashMap<KnId, HashRing>,
     threads_per_kn: u32,
-    #[serde(with = "replica_map_serde")]
     replicas: HashMap<Vec<u8>, Vec<KnId>>,
     version: u64,
-}
-
-/// JSON-friendly encoding for the replica map (JSON object keys must be
-/// strings, but our keys are arbitrary byte strings).
-mod replica_map_serde {
-    use super::KnId;
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-    use std::collections::HashMap;
-
-    pub fn serialize<S: Serializer>(
-        map: &HashMap<Vec<u8>, Vec<KnId>>,
-        ser: S,
-    ) -> Result<S::Ok, S::Error> {
-        let pairs: Vec<(&Vec<u8>, &Vec<KnId>)> = map.iter().collect();
-        pairs.serialize(ser)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(
-        de: D,
-    ) -> Result<HashMap<Vec<u8>, Vec<KnId>>, D::Error> {
-        let pairs: Vec<(Vec<u8>, Vec<KnId>)> = Vec::deserialize(de)?;
-        Ok(pairs.into_iter().collect())
-    }
 }
 
 impl OwnershipTable {
@@ -240,6 +215,92 @@ impl OwnershipTable {
             self.version
         )
     }
+
+    /// The table as the little-endian record persisted in DPM (§3.5):
+    ///
+    /// ```text
+    /// version u64 | vnodes u32 | threads_per_kn u32
+    /// | members u32, then each KN id u32, in ring insertion order
+    /// | replicated keys u32, then per key (sorted): len u32, bytes,
+    ///   owners u32, then each owner u32, in owner-list order
+    /// | checksum u64 (key_hash of everything before it)
+    /// ```
+    ///
+    /// Ring positions are not stored: [`OwnershipTable::decode`] rebuilds
+    /// both rings from the membership, exactly as [`OwnershipTable::add_kn`]
+    /// built them.
+    pub fn encode(&self) -> Vec<u8> {
+        fn put_u32(out: &mut Vec<u8>, v: u32) {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        let mut out = Vec::with_capacity(40);
+        out.extend_from_slice(&self.version.to_le_bytes());
+        put_u32(&mut out, self.global.vnodes());
+        put_u32(&mut out, self.threads_per_kn);
+        put_u32(&mut out, self.global.len() as u32);
+        for &kn in self.global.members() {
+            put_u32(&mut out, kn);
+        }
+        let mut replicas: Vec<_> = self.replicas.iter().collect();
+        replicas.sort_unstable();
+        put_u32(&mut out, replicas.len() as u32);
+        for (key, owners) in replicas {
+            put_u32(&mut out, key.len() as u32);
+            out.extend_from_slice(key);
+            put_u32(&mut out, owners.len() as u32);
+            for &o in owners {
+                put_u32(&mut out, o);
+            }
+        }
+        let checksum = key_hash(&out);
+        out.extend_from_slice(&checksum.to_le_bytes());
+        out
+    }
+
+    /// Rebuild a table from [`OwnershipTable::encode`]'s record. `None` if
+    /// the checksum does not match or the body is malformed; never panics.
+    pub fn decode(bytes: &[u8]) -> Option<OwnershipTable> {
+        let (body, checksum) = bytes.split_at_checked(bytes.len().checked_sub(8)?)?;
+        if key_hash(body) != u64::from_le_bytes(checksum.try_into().ok()?) {
+            return None;
+        }
+        let mut r = Reader(body);
+        let version = r.u64()?;
+        let vnodes = r.u32()?;
+        let mut table = OwnershipTable::new(vnodes, r.u32()?);
+        for _ in 0..r.u32()? {
+            table.add_kn(r.u32()?);
+        }
+        for _ in 0..r.u32()? {
+            let len = r.u32()? as usize;
+            let key = r.take(len)?.to_vec();
+            let owners = (0..r.u32()?)
+                .map(|_| r.u32())
+                .collect::<Option<Vec<KnId>>>()?;
+            table.replicas.insert(key, owners);
+        }
+        table.version = version;
+        r.0.is_empty().then_some(table)
+    }
+}
+
+/// A cursor over [`OwnershipTable::decode`]'s input.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let (head, rest) = self.0.split_at_checked(n)?;
+        self.0 = rest;
+        Some(head)
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
+    }
 }
 
 #[cfg(test)]
@@ -394,5 +455,47 @@ mod tests {
         let d = t.describe();
         assert!(d.contains("2 KNs"));
         assert!(d.contains("1 replicated"));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The persisted record round-trips any reachable table, and a
+        /// truncated or bit-flipped record decodes to `None`.
+        #[test]
+        fn the_record_round_trips_and_rejects_damage(
+            ops in proptest::collection::vec((0u8..4, 0u32..8, 1usize..5), 0..40),
+            cut in any::<u64>(),
+            bit in any::<u64>(),
+        ) {
+            let mut t = OwnershipTable::new(16, 4);
+            t.add_kn(0);
+            t.add_kn(1);
+            for (op, arg, factor) in ops {
+                let key = format!("key{arg}").into_bytes();
+                match op {
+                    0 => t.add_kn(arg),
+                    1 => t.remove_kn(arg),
+                    2 => {
+                        t.replicate(&key, factor);
+                    }
+                    _ => t.dereplicate(&key),
+                }
+            }
+            let bytes = t.encode();
+            prop_assert_eq!(OwnershipTable::decode(&bytes), Some(t));
+            let cut = (cut % bytes.len() as u64) as usize;
+            prop_assert_eq!(OwnershipTable::decode(&bytes[..cut]), None);
+            let mut flipped = bytes;
+            let bit = (bit % (flipped.len() as u64 * 8)) as usize;
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            prop_assert_eq!(OwnershipTable::decode(&flipped), None);
+        }
     }
 }

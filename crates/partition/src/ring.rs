@@ -1,7 +1,6 @@
 //! Consistent-hashing ring with virtual nodes.
 
 use crate::hash::vnode_hash;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A consistent-hashing ring mapping 64-bit positions to node identifiers.
@@ -10,7 +9,7 @@ use std::collections::BTreeMap;
 /// the first virtual node clockwise from the key's hash.  Adding or removing
 /// one node therefore moves only ~`1/n` of the key space — the property that
 /// makes Dinomo's reconfiguration lightweight.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HashRing {
     vnodes: u32,
     ring: BTreeMap<u64, u32>,
@@ -19,7 +18,7 @@ pub struct HashRing {
 
 /// A contiguous range of ring positions whose owner changed between two ring
 /// configurations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OwnershipChange {
     /// First position of the range (inclusive).
     pub start: u64,
@@ -39,6 +38,11 @@ impl HashRing {
             ring: BTreeMap::new(),
             members: Vec::new(),
         }
+    }
+
+    /// Positions each node is placed at.
+    pub(crate) fn vnodes(&self) -> u32 {
+        self.vnodes
     }
 
     /// Number of distinct member nodes.

@@ -1,9 +1,10 @@
 //! A simple segregated free-list allocator over the pool.
 //!
 //! The DPM allocates a small number of object shapes — 8 MB log segments,
-//! hash-table bucket arrays, 16-byte indirect cells and metadata blobs — so a
-//! bump allocator with per-size free lists is sufficient and keeps allocation
-//! off any hot path (KNs pre-allocate log segments ahead of time, §4).
+//! hash-table bucket arrays, 16-byte indirect cells and the two metadata
+//! slots — so a bump allocator with per-size free lists is sufficient and
+//! keeps allocation off any hot path (KNs pre-allocate log segments ahead of
+//! time, §4).
 
 use crate::error::PmemError;
 use std::collections::BTreeMap;

@@ -1,9 +1,7 @@
 //! Pool configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of a [`crate::PmemPool`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PmemConfig {
     /// Total pool capacity in bytes. Rounded up to a multiple of 8.
     pub capacity_bytes: u64,

@@ -4,13 +4,12 @@ use crate::alloc::Allocator;
 use crate::config::PmemConfig;
 use crate::error::PmemError;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A byte offset into the pool. Offset `0` is never returned by the allocator
 /// and doubles as a null pointer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PmAddr(pub u64);
 
 impl PmAddr {
@@ -29,7 +28,7 @@ impl PmAddr {
 }
 
 /// Aggregate pool statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PmemStats {
     /// Bytes currently allocated.
     pub allocated_bytes: u64,

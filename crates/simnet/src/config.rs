@@ -1,7 +1,5 @@
 //! Fabric configuration: latency/bandwidth profile and delay injection.
 
-use serde::{Deserialize, Serialize};
-
 /// How (and whether) the simulated fabric injects real wall-clock delay for
 /// each network operation.
 ///
@@ -10,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// waits.  Wall-clock experiments inject delays so the relative cost of cache
 /// misses, chain walks and reconfiguration shows up in what they measure;
 /// CPU-cost measurements run with [`DelayMode::None`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DelayMode {
     /// Account costs only; never block the caller.
     None,
@@ -94,7 +92,7 @@ impl DelayMode {
 /// (~7 GB/s usable), one-sided verb latency of ~2 µs and two-sided RPC latency
 /// of ~4 µs (the paper cites a 1–20 µs network latency range, at least 10×
 /// higher than PM/DRAM access latency).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FabricConfig {
     /// Base latency of a one-sided READ/WRITE/CAS round trip, in nanoseconds.
     pub one_sided_latency_ns: u64,

@@ -1,6 +1,5 @@
 //! Per-NIC operation counters and snapshots.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Internal atomic counters owned by a [`crate::Nic`].
@@ -43,7 +42,7 @@ impl NicCounters {
 ///
 /// `round_trips()` is the quantity the paper reports as "RTs/op" (Tables 5
 /// and 6) once divided by the number of completed operations.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NicStats {
     /// Number of one-sided RDMA READ operations.
     pub one_sided_reads: u64,

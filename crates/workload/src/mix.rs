@@ -1,14 +1,12 @@
 //! Request mixes.
 
-use serde::{Deserialize, Serialize};
-
 /// A request mix: fractions of reads, updates, inserts and deletes (they
 /// must sum to 1.0). The paper's benchmark mixes use no deletes (its
 /// evaluation does not benchmark them); the delete fraction exists for the
 /// correctness workloads — the linearizability checker's generative driver
 /// needs delete/re-insert churn to catch resurrection and stale-tombstone
 /// bugs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadMix {
     /// Short name used in benchmark output (e.g. "50r50u").
     pub name: &'static str,
