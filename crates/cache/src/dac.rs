@@ -164,12 +164,10 @@ impl DacCache {
     }
 
     fn insert_value(&mut self, key: &[u8], value: &[u8], loc: ValueLoc, hits: u64) -> bool {
-        let w = value_weight(key, value.len());
-        if w > self.capacity {
-            return false;
-        }
-        // Remove any existing entries for this key first.
+        // Remove any existing entries for this key first: a value that does
+        // not fit must not leave the key's older bytes behind.
         self.remove_internal(key);
+        let w = value_weight(key, value.len());
         if !self.make_space(w) {
             return false;
         }
@@ -533,6 +531,20 @@ mod tests {
             CacheLookup::Value(v) => assert_eq!(v, vec![2u8; 32]),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn an_oversized_local_write_leaves_no_older_value() {
+        let mut c = DacCache::new(1_000);
+        c.on_local_write(&key(1), &[1u8; 64], loc(1));
+        assert_eq!(c.lookup(&key(1)), CacheLookup::Value(vec![1u8; 64]));
+        c.on_local_write(&key(1), &[2u8; 2_000], loc(2));
+        assert_ne!(
+            c.lookup(&key(1)),
+            CacheLookup::Value(vec![1u8; 64]),
+            "a write that did not fit left the replaced bytes resident"
+        );
+        assert!(c.stats().bytes_used <= 1_000);
     }
 
     #[test]

@@ -13,7 +13,7 @@ pub struct ValueLoc {
 }
 
 impl ValueLoc {
-    /// A sentinel location used in tests.
+    /// The `len`-byte value at pool offset `addr`.
     pub fn new(addr: u64, len: u32) -> Self {
         ValueLoc { addr, len }
     }
@@ -132,8 +132,11 @@ pub fn value_weight(key: &[u8], value_len: usize) -> usize {
 /// 3. on a miss it resolves the value through the remote index, reports the
 ///    observed cost via [`record_miss_cost`](KnCache::record_miss_cost), and
 ///    offers the value and its location via [`admit_value`](KnCache::admit_value);
-/// 4. on a write it calls [`on_local_write`](KnCache::on_local_write) — the
-///    KN wrote the log entry itself, so it knows the new location for free.
+/// 4. when its flush makes a write durable it calls
+///    [`on_local_write`](KnCache::on_local_write) — the KN wrote the log
+///    entry itself, so it knows the new value and location for free. A put
+///    does not touch the cache before that: until the flush, the KN serves
+///    the key from its buffered write.
 pub trait KnCache: Send {
     /// Short policy name used in benchmark output.
     fn name(&self) -> &'static str;
@@ -148,11 +151,18 @@ pub trait KnCache: Send {
     /// that did not fetch the value bytes).
     fn admit_shortcut(&mut self, key: &[u8], loc: ValueLoc);
 
-    /// The KN itself wrote this key (it knows both value and location).
+    /// The KN itself wrote this key (it knows both value and location). A
+    /// resident entry is updated in place — a value keeps its hits, a
+    /// shortcut its frequency — and whatever the policy keeps, no older
+    /// bytes or location of `key` may stay behind, even when the new value
+    /// does not fit.
     fn on_local_write(&mut self, key: &[u8], value: &[u8], loc: ValueLoc);
 
-    /// Drop any entry for `key` (used when ownership moves away or a shared
-    /// key is de-replicated).
+    /// Drop any entry for `key`. The KN calls it for a delete, for a put
+    /// of a selectively-replicated key (read through its indirection cell),
+    /// when the compactor relocates the key's entry, when a key becomes
+    /// replicated or de-replicated, for a dangling shortcut, and for the
+    /// keys still pending after a failed flush.
     fn invalidate(&mut self, key: &[u8]);
 
     /// Report the measured cost, in round trips, of a full cache miss.  DAC

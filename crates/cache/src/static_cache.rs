@@ -106,12 +106,13 @@ impl StaticCache {
     }
 
     fn insert_value(&mut self, key: &[u8], value: &[u8], loc: ValueLoc) {
+        // Drop the key's older value first, even if the new one cannot fit.
+        if let Some(prev) = self.values.remove(key) {
+            self.value_used -= value_weight(key, prev.data.len());
+        }
         let w = value_weight(key, value.len());
         if w > self.value_capacity {
             return;
-        }
-        if let Some(prev) = self.values.remove(key) {
-            self.value_used -= value_weight(key, prev.data.len());
         }
         while self.value_used + w > self.value_capacity {
             match self.values.pop_lru() {
@@ -352,6 +353,20 @@ mod tests {
             CacheLookup::Shortcut(l) => assert_eq!(l, loc(2), "stale shortcut survived"),
             CacheLookup::Miss => panic!("expected a hit"),
         }
+    }
+
+    #[test]
+    fn an_oversized_local_write_leaves_no_older_value() {
+        // A 500-byte value region: the second write cannot be a value.
+        let mut c = StaticCache::new(1_000, 0.5);
+        c.admit_value(b"a", &[1; 64], loc(1));
+        assert_eq!(c.lookup(b"a"), CacheLookup::Value(vec![1; 64]));
+        c.on_local_write(b"a", &[2; 600], loc(2));
+        assert_eq!(
+            c.lookup(b"a"),
+            CacheLookup::Shortcut(loc(2)),
+            "a write that did not fit left the replaced bytes resident"
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::op::{Op, OpRef};
 use crate::stats::KnStats;
 use crate::Result;
 use dinomo_cache::{build_cache, CacheLookup, CacheStats, KnCache, ValueLoc};
-use dinomo_dpm::{BloomFilter, DpmNode, Guard, LogOp, LogWriter};
+use dinomo_dpm::{BloomFilter, CommittedWrite, DpmNode, Guard, LogOp, LogWriter};
 use dinomo_partition::{key_hash, KnId, OwnershipTable};
 use dinomo_pmem::PmAddr;
 use dinomo_simnet::Nic;
@@ -25,7 +25,7 @@ enum Unmerged {
     /// reads on this KN see the write immediately.
     Pending(Vec<u8>),
     /// Flushed (durable) at this location, waiting for the merge engine.
-    Committed { addr: PmAddr, len: u32 },
+    Committed(ValueLoc),
     /// A buffered or flushed delete.
     Deleted,
 }
@@ -39,6 +39,42 @@ struct Shard {
     writer: LogWriter,
     unmerged: HashMap<Vec<u8>, Unmerged>,
     bloom: BloomFilter,
+}
+
+impl Shard {
+    /// Flush the buffered writes, refreshing each written key's cache entry.
+    fn flush(&mut self, dpm: &DpmNode, kn: KnId) -> Result<Vec<CommittedWrite>> {
+        let commits = self.writer.flush().inspect_err(|_| {
+            // Chunks logged before the failure lost their commits: a pending
+            // entry may outlive its buffered write, so no older value stays.
+            for (key, entry) in &self.unmerged {
+                if let Unmerged::Pending(_) = entry {
+                    self.cache.invalidate(key);
+                }
+            }
+        })?;
+        // Newest first: a key's last put holds its pending value; marking it
+        // committed leaves nothing pending for the key's older puts.
+        for c in commits.iter().rev().filter(|c| c.op == LogOp::Put) {
+            if let Some(entry) = self.unmerged.get_mut(c.key.as_slice()) {
+                if let Unmerged::Pending(v) = entry {
+                    let loc = ValueLoc::new(c.value_addr.0, c.value_len);
+                    self.cache.on_local_write(&c.key, v, loc);
+                    *entry = Unmerged::Committed(loc);
+                }
+            }
+        }
+        // Once everything this shard ever flushed has been merged, the index
+        // is authoritative and the unmerged tracking can be dropped.
+        if !commits.is_empty()
+            && self.writer.buffered_entries() == 0
+            && dpm.unmerged_segments(kn) == 0
+        {
+            self.unmerged.clear();
+            self.bloom.clear();
+        }
+        Ok(commits)
+    }
 }
 
 impl std::fmt::Debug for Shard {
@@ -248,6 +284,15 @@ impl KnNode {
         key: &[u8],
         guard: &Guard,
     ) -> Result<Option<Vec<u8>>> {
+        // A put keeps its key's cache entry until the flush refreshes it, so
+        // a buffered write answers first; read-only slices ask the cache.
+        if shard.writer.buffered_entries() > 0 && shard.bloom.may_contain(key) {
+            match shard.unmerged.get(key) {
+                Some(Unmerged::Pending(v)) => return Ok(Some(v.clone())),
+                Some(Unmerged::Deleted) => return Ok(None),
+                _ => {}
+            }
+        }
         match shard.cache.lookup(key) {
             CacheLookup::Value(v) => return Ok(Some(v)),
             CacheLookup::Shortcut(loc) => {
@@ -273,17 +318,16 @@ impl KnNode {
         }
         // Check the KN's own unmerged writes before going to the index.
         if shard.bloom.may_contain(key) {
-            match shard.unmerged.get(key).cloned() {
-                Some(Unmerged::Pending(v)) => return Ok(Some(v)),
-                Some(Unmerged::Committed { addr, len }) => {
+            match shard.unmerged.get(key) {
+                Some(Unmerged::Pending(v)) => return Ok(Some(v.clone())),
+                Some(&Unmerged::Committed(loc)) => {
                     // Same hazard as the shortcut hit: a committed-but-
                     // untracked-as-merged location may sit in a segment the
                     // compactor has since freed (its entry was merged, or
                     // it would not have been relocated — the index is
                     // authoritative for it).
-                    if self.dpm.value_addr_is_live_in(guard, addr) {
-                        let value = self.dpm.read_value_at(&self.nic, addr, len);
-                        let loc = ValueLoc { addr: addr.0, len };
+                    if self.dpm.value_addr_is_live_in(guard, PmAddr(loc.addr)) {
+                        let value = self.dpm.read_value_at(&self.nic, PmAddr(loc.addr), loc.len);
                         shard.cache.admit_value(key, &value, loc);
                         return Ok(Some(value));
                     }
@@ -349,7 +393,6 @@ impl KnNode {
     /// flush (once per shard slice).
     fn put_in_shard(shard: &mut Shard, key: &[u8], value: &[u8]) {
         shard.writer.append_put(key, value);
-        shard.cache.invalidate(key);
         shard
             .unmerged
             .insert(key.to_vec(), Unmerged::Pending(value.to_vec()));
@@ -369,7 +412,7 @@ impl KnNode {
     /// Flush the shard's buffered log records if the write batch is full.
     fn flush_if_due(&self, shard: &mut Shard) -> Result<()> {
         if shard.writer.buffered_entries() >= self.write_batch_ops {
-            Self::flush_shard(&self.dpm, self.id, shard)?;
+            shard.flush(&self.dpm, self.id)?;
         }
         Ok(())
     }
@@ -378,18 +421,16 @@ impl KnNode {
     /// indirection cell to the new entry.
     fn put_shared(&self, key: &[u8], value: &[u8], shard: u32) -> Result<()> {
         let mut shard = self.shards[shard as usize].lock();
-        shard.cache.invalidate(key);
         let seq = shard.writer.append_put(key, value);
-        let commits = shard.writer.flush()?;
-        let new_loc = commits
-            .iter()
-            .rev()
-            .find(|c| c.key == key)
-            .expect("flushed batch must contain the appended key")
-            .entry_loc;
-        // Earlier entries in the same batch are handled by the merge engine;
-        // this key is made visible by swinging the cell.
+        // The flush refreshes the cache entries of the shard's own puts, and
+        // would cache a pending put of this key from before it was
+        // replicated at the shared put's location: that entry goes.
+        let flushed = shard.flush(&self.dpm, self.id);
+        shard.cache.invalidate(key);
         drop(shard);
+        // Earlier entries in the batch are handled by the merge engine; this
+        // key, flushed last, is made visible by swinging the cell.
+        let new_loc = flushed?.last().expect("the put was flushed").entry_loc;
         let Some(cell) = self.dpm.indirect_cell_of(key) else {
             // Replication raced with de-replication; the merge engine will
             // make the logged entry visible through the index.
@@ -733,54 +774,13 @@ impl KnNode {
             .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 
-    fn flush_shard(dpm: &Arc<DpmNode>, kn: KnId, shard: &mut Shard) -> Result<()> {
-        let commits = shard.writer.flush()?;
-        // A key may appear several times in one batch; only its *last* put
-        // location is current, so index the batch by key first.
-        let mut last_put: HashMap<&[u8], &dinomo_dpm::CommittedWrite> = HashMap::new();
-        for c in &commits {
-            if c.op == LogOp::Put {
-                last_put.insert(c.key.as_slice(), c);
-            }
-        }
-        for (key, c) in last_put {
-            // Only keys whose newest program-order state is still this put
-            // (i.e. not deleted later in the same batch) are refreshed.
-            if let Some(Unmerged::Pending(v)) = shard.unmerged.get(key) {
-                let loc = ValueLoc {
-                    addr: c.value_addr.0,
-                    len: c.value_len,
-                };
-                shard.cache.on_local_write(key, v, loc);
-                shard.unmerged.insert(
-                    c.key.clone(),
-                    Unmerged::Committed {
-                        addr: c.value_addr,
-                        len: c.value_len,
-                    },
-                );
-            }
-        }
-        // Once everything this shard ever flushed has been merged, the index
-        // is authoritative and the unmerged tracking can be dropped.
-        if !commits.is_empty()
-            && shard.writer.buffered_entries() == 0
-            && dpm.unmerged_segments(kn) == 0
-        {
-            shard.unmerged.clear();
-            shard.bloom.clear();
-        }
-        Ok(())
-    }
-
     // ------------------------------------------------- maintenance hooks
 
     /// Flush every shard's buffered writes to DPM (bounding write latency;
     /// also used before reconfiguration so pending logs can be merged).
     pub fn flush_pending_writes(&self) -> Result<()> {
         for shard in &self.shards {
-            let mut s = shard.lock();
-            Self::flush_shard(&self.dpm, self.id, &mut s)?;
+            shard.lock().flush(&self.dpm, self.id)?;
         }
         Ok(())
     }
@@ -862,8 +862,8 @@ impl KnNode {
         for shard in &self.shards {
             let mut s = shard.lock();
             s.cache.invalidate(key);
-            if let Some(Unmerged::Committed { addr, .. }) = s.unmerged.get(key) {
-                if addr.0 >= start && addr.0 < end {
+            if let Some(Unmerged::Committed(loc)) = s.unmerged.get(key) {
+                if loc.addr >= start && loc.addr < end {
                     // The relocated entry *is* this committed write (the
                     // compactor only moves the indexed, fully-merged
                     // entry), so the index now serves its value.
@@ -935,6 +935,134 @@ mod tests {
             );
         }
         assert_eq!(replies[4], Reply::Value(None));
+    }
+
+    /// A one-KN, one-shard cluster at `small_for_tests`' write batching (4):
+    /// a node's single puts stay buffered until `flush_pending_writes`.
+    fn one_shard_node() -> (crate::Kvs, Arc<KnNode>) {
+        let kvs = crate::KvsBuilder::new()
+            .small_for_tests()
+            .initial_kns(1)
+            .threads_per_kn(1)
+            .build()
+            .unwrap();
+        let node = kvs.kn(kvs.kn_ids()[0]).unwrap();
+        (kvs, node)
+    }
+
+    /// The owner's flush refreshes a written key's DAC value in place. In a
+    /// full cache, a put of a value-resident key, with another key's miss
+    /// admitted before the flush, leaves the key value-resident: its next
+    /// read is a value hit, and no value was demoted on the way.
+    #[test]
+    fn a_put_keeps_its_key_value_resident_in_a_full_dac() {
+        let (_kvs, node) = one_shard_node();
+        let (hot, cold) = (b"hot".as_slice(), b"cold".as_slice());
+        node.put(hot, &[1; 100]).unwrap();
+        node.put(cold, &[2; 100]).unwrap();
+        node.flush_pending_writes().unwrap();
+        {
+            // Room for `hot`'s value and one shortcut: not for two values.
+            let mut shard = node.shards[0].lock();
+            shard.cache.clear();
+            let room = dinomo_cache::value_weight(hot, 100) + dinomo_cache::shortcut_weight(cold);
+            shard.cache.set_capacity_bytes(room);
+        }
+        assert_eq!(node.get(hot).unwrap(), Some(vec![1; 100]));
+        let before = node.stats().cache;
+        assert_eq!(before.value_entries, 1);
+
+        node.put(hot, &[3; 100]).unwrap();
+        assert_eq!(node.get(cold).unwrap(), Some(vec![2; 100]));
+        node.flush_pending_writes().unwrap();
+        assert_eq!(node.get(hot).unwrap(), Some(vec![3; 100]));
+        let after = node.stats().cache;
+        assert_eq!(after.value_hits, before.value_hits + 1, "{after:?}");
+        assert_eq!(after.demotions, before.demotions, "{after:?}");
+    }
+
+    /// A put leaves its key's cached value in place until the flush, so the
+    /// shard's buffered writes must answer first: before the flush, a
+    /// buffered put and a buffered delete of value-resident keys read back
+    /// the new value and `None`, and so they do after it.
+    #[test]
+    fn buffered_writes_answer_before_cached_values() {
+        let (_kvs, node) = one_shard_node();
+        node.put(b"put", b"old").unwrap();
+        node.put(b"deleted", b"old").unwrap();
+        node.flush_pending_writes().unwrap();
+        assert_eq!(node.stats().cache.value_entries, 2);
+
+        node.put(b"put", b"new").unwrap();
+        node.delete(b"deleted").unwrap();
+        for flushed in [false, true] {
+            assert_eq!(
+                node.get(b"put").unwrap(),
+                Some(b"new".to_vec()),
+                "{flushed}"
+            );
+            assert_eq!(node.get(b"deleted").unwrap(), None, "{flushed}");
+            node.flush_pending_writes().unwrap();
+        }
+    }
+
+    /// A flush that fails after logging its first chunk leaves that chunk's
+    /// puts pending with nothing left buffered for them. Their keys' older
+    /// cached values must go with the error, or a read after the buffer
+    /// drains would return them.
+    #[test]
+    fn a_failed_flush_drops_the_cached_values_of_its_pending_keys() {
+        let (_kvs, node) = one_shard_node();
+        node.put(b"k", b"old").unwrap();
+        node.flush_pending_writes().unwrap();
+        node.dpm.wait_until_all_merged();
+        assert_eq!(node.stats().cache.value_entries, 1);
+
+        // With `k`'s put, three 12 KiB fillers outgrow a 32 KiB segment: the
+        // flush logs `k` and two fillers in the open segment, then fails to
+        // allocate the next one for the third.
+        let filler = vec![0u8; 12 << 10];
+        node.put(b"k", b"new").unwrap();
+        node.put(b"f0", &filler).unwrap();
+        node.put(b"f1", &filler).unwrap();
+        node.dpm.pool().inject_alloc_failures(1);
+        assert_eq!(
+            node.put(b"f2", &filler),
+            Err(KvsError::Pmem(dinomo_pmem::PmemError::InjectedFailure))
+        );
+        assert_eq!(node.shards[0].lock().writer.buffered_entries(), 1);
+
+        node.flush_pending_writes().unwrap();
+        assert_eq!(node.shards[0].lock().writer.buffered_entries(), 0);
+        assert_eq!(node.get(b"k").unwrap(), Some(b"new".to_vec()));
+    }
+
+    /// A shared-key put flushes its shard's whole buffer, the owned puts
+    /// in it included. They are refreshed as any flushed put is, or a read
+    /// once nothing is buffered would find their keys' older cached values.
+    #[test]
+    fn a_shared_put_refreshes_the_owned_puts_it_flushes() {
+        let kvs = crate::KvsBuilder::new()
+            .small_for_tests()
+            .threads_per_kn(1)
+            .build()
+            .unwrap();
+        let node = kvs.kn(kvs.kn_ids()[0]).unwrap();
+        let key = (0..)
+            .map(|i| format!("k{i}").into_bytes())
+            .find(|k| node.ownership.read().global_ring().owner(key_hash(k)) == Some(node.id))
+            .unwrap();
+        kvs.client().insert(b"shared", b"v0").unwrap();
+        kvs.replicate_key(b"shared", 2).unwrap();
+        node.put(&key, b"old").unwrap();
+        node.flush_pending_writes().unwrap();
+        assert_eq!(node.stats().cache.value_entries, 1);
+
+        node.put(&key, b"new").unwrap();
+        node.put(b"shared", b"v1").unwrap();
+        assert_eq!(node.shards[0].lock().writer.buffered_entries(), 0);
+        assert_eq!(node.get(&key).unwrap(), Some(b"new".to_vec()));
+        assert_eq!(node.get(b"shared").unwrap(), Some(b"v1".to_vec()));
     }
 
     /// A slice that panics mid-execution — here its op source, with the

@@ -115,6 +115,17 @@ fn owned_key_reads_are_linearizable() {
     assert_history_linearizable(&recorder, "owned register");
 }
 
+/// `owned_key_reads_are_linearizable` at `small_for_tests`' write batching
+/// (4 ops per flush): a write stays buffered past its own request, next to
+/// the register's older value in the owner's cache.
+#[test]
+fn owned_key_reads_are_linearizable_with_buffered_writes() {
+    let kvs = Kvs::new(KvsConfig::small_for_tests()).unwrap();
+    let recorder = HistoryRecorder::new();
+    monotonic_register_check(&kvs, &recorder, b"register", 2_000, 3);
+    assert_history_linearizable(&recorder, "owned register, batched writes");
+}
+
 #[test]
 fn replicated_key_reads_are_linearizable() {
     let kvs = Kvs::new(KvsConfig {
