@@ -46,6 +46,7 @@ pub struct DacCache {
     used: usize,
     /// Exponential moving average of the measured miss cost in RTs.
     avg_miss_rts: f64,
+    /// Event counters; [`KnCache::stats`] adds the live occupancy.
     stats: CacheStats,
 }
 
@@ -64,23 +65,13 @@ impl DacCache {
             capacity: capacity_bytes,
             used: 0,
             avg_miss_rts: INITIAL_MISS_RTS,
-            stats: CacheStats {
-                capacity_bytes: capacity_bytes as u64,
-                ..CacheStats::default()
-            },
+            stats: CacheStats::default(),
         }
     }
 
     /// The current moving average of the miss cost, in round trips.
     pub fn avg_miss_rts(&self) -> f64 {
         self.avg_miss_rts
-    }
-
-    fn refresh_stats(&mut self) {
-        self.stats.bytes_used = self.used as u64;
-        self.stats.capacity_bytes = self.capacity as u64;
-        self.stats.value_entries = self.values.len() as u64;
-        self.stats.shortcut_entries = self.shortcuts.len() as u64;
     }
 
     fn free_space(&self) -> usize {
@@ -143,15 +134,11 @@ impl DacCache {
 
     fn insert_shortcut(&mut self, key: &[u8], loc: ValueLoc, freq: u64) {
         let w = shortcut_weight(key);
-        if self.shortcuts.contains(key) {
-            // Already present: just refresh the location.
-            if let Some(e) = self.shortcuts.peek(key) {
-                if e.loc != loc {
-                    // Update in place without perturbing the frequency.
-                    let prev_freq = self.shortcuts.frequency(key).unwrap_or(1);
-                    self.shortcuts
-                        .insert_with_frequency(key, ShortcutEntry { loc }, prev_freq);
-                }
+        if let Some(prev_freq) = self.shortcuts.frequency(key) {
+            // Already present: refresh a moved location, keeping the frequency.
+            if self.shortcuts.peek(key).is_some_and(|e| e.loc != loc) {
+                self.shortcuts
+                    .insert_with_frequency(key, ShortcutEntry { loc }, prev_freq);
             }
             return;
         }
@@ -180,6 +167,16 @@ impl DacCache {
             },
         );
         self.used += w;
+        true
+    }
+
+    /// Replace the bytes of a value-resident `key`, keeping its hits and
+    /// marking it most-recently used; `false` if `key` holds no value.
+    fn refresh_value(&mut self, key: &[u8], value: &[u8], loc: ValueLoc) -> bool {
+        let Some(hits) = self.values.peek(key).map(|e| e.hits) else {
+            return false;
+        };
+        self.insert_value(key, value, loc, hits);
         true
     }
 
@@ -264,26 +261,20 @@ impl KnCache for DacCache {
             entry.hits += 1;
             let data = entry.data.clone();
             self.stats.value_hits += 1;
-            self.refresh_stats();
             return CacheLookup::Value(data);
         }
         if let Some(entry) = self.shortcuts.get(key) {
             let loc = entry.loc;
             self.stats.shortcut_hits += 1;
-            self.refresh_stats();
             return CacheLookup::Shortcut(loc);
         }
         self.stats.misses += 1;
-        self.refresh_stats();
         CacheLookup::Miss
     }
 
     fn admit_value(&mut self, key: &[u8], value: &[u8], loc: ValueLoc) {
-        if self.values.contains(key) {
-            // Refresh the data in place (e.g. after the KN re-read it).
-            let hits = self.values.peek(key).map(|e| e.hits).unwrap_or(0);
-            self.insert_value(key, value, loc, hits);
-            self.refresh_stats();
+        if self.refresh_value(key, value, loc) {
+            // Refreshed (e.g. after the KN re-read it).
             return;
         }
         let shortcut_hits = self.shortcuts.frequency(key);
@@ -308,7 +299,6 @@ impl KnCache for DacCache {
                 }
             }
         }
-        self.refresh_stats();
     }
 
     fn admit_shortcut(&mut self, key: &[u8], loc: ValueLoc) {
@@ -316,7 +306,6 @@ impl KnCache for DacCache {
             return;
         }
         self.insert_shortcut(key, loc, 1);
-        self.refresh_stats();
     }
 
     fn on_local_write(&mut self, key: &[u8], value: &[u8], loc: ValueLoc) {
@@ -324,10 +313,10 @@ impl KnCache for DacCache {
         // location for free.  Prefer caching the value if the key is already
         // value-resident or there is spare space; otherwise keep a shortcut
         // (the location was free to learn).
-        if self.values.contains(key) {
-            let hits = self.values.peek(key).map(|e| e.hits).unwrap_or(0);
-            self.insert_value(key, value, loc, hits);
-        } else if self.free_space() >= value_weight(key, value.len()) {
+        if self.refresh_value(key, value, loc) {
+            return;
+        }
+        if self.free_space() >= value_weight(key, value.len()) {
             self.insert_value(key, value, loc, 1);
         } else {
             let freq = self.shortcuts.frequency(key).unwrap_or(1);
@@ -335,12 +324,10 @@ impl KnCache for DacCache {
             self.remove_internal(key);
             self.insert_shortcut(key, loc, freq);
         }
-        self.refresh_stats();
     }
 
     fn invalidate(&mut self, key: &[u8]) {
         self.remove_internal(key);
-        self.refresh_stats();
     }
 
     fn record_miss_cost(&mut self, rts: u32) {
@@ -354,12 +341,17 @@ impl KnCache for DacCache {
             std::mem::take(&mut self.shortcuts),
         );
         self.used = 0;
-        self.refresh_stats();
         Box::new(entries)
     }
 
     fn stats(&self) -> CacheStats {
-        self.stats
+        CacheStats {
+            bytes_used: self.used as u64,
+            capacity_bytes: self.capacity as u64,
+            value_entries: self.values.len() as u64,
+            shortcut_entries: self.shortcuts.len() as u64,
+            ..self.stats
+        }
     }
 
     fn capacity_bytes(&self) -> usize {
@@ -376,7 +368,6 @@ impl KnCache for DacCache {
                 break;
             }
         }
-        self.refresh_stats();
     }
 }
 
@@ -531,6 +522,22 @@ mod tests {
             CacheLookup::Value(v) => assert_eq!(v, vec![2u8; 32]),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_local_write_to_a_cached_value_keeps_its_hits_and_marks_it_mru() {
+        let mut c = DacCache::new(10_000);
+        c.on_local_write(&key(1), &[1u8; 64], loc(1));
+        c.on_local_write(&key(2), &[2u8; 64], loc(2));
+        c.lookup(&key(1));
+        c.lookup(&key(2));
+        let used = c.stats().bytes_used;
+        c.on_local_write(&key(1), &[3u8; 64], loc(3));
+        assert_eq!(c.stats().bytes_used, used);
+        let entry = c.values.peek(&key(1)).unwrap();
+        assert_eq!((entry.hits, entry.loc), (2, loc(3)));
+        assert_eq!(c.values.lru_key(), Some(key(2).as_slice()));
+        assert_eq!(c.lookup(&key(1)), CacheLookup::Value(vec![3u8; 64]));
     }
 
     #[test]

@@ -1,34 +1,25 @@
 //! A small LFU-ordered map used for shortcut entries.
 //!
 //! Eviction removes the entry with the lowest access frequency (ties broken
-//! by least-recent insertion), matching the paper's choice of
+//! by least-recent touch), matching the paper's choice of
 //! least-frequently-used eviction for shortcuts so that frequently accessed
 //! keys survive skewed workloads.
+//!
+//! Entries are slab nodes (see the `slab` module) ranked by frequency: one
+//! FIFO list per frequency, kept in a `BTreeMap` since a demoted value or a
+//! local write enters at an inherited, arbitrary frequency. A touch moves
+//! the node to the tail of list `freq + 1` in `O(log b)` for `b` distinct
+//! frequencies; it copies no key (the map may split a node for a new list).
 
-use std::collections::{BTreeMap, HashMap};
-
-#[derive(Debug)]
-struct Slot<V> {
-    value: V,
-    freq: u64,
-    tick: u64,
-}
+use crate::slab::Slab;
 
 /// An LFU-ordered map from byte-string keys to `V`.
 #[derive(Debug)]
-pub struct LfuMap<V> {
-    entries: HashMap<Vec<u8>, Slot<V>>,
-    order: BTreeMap<(u64, u64), Vec<u8>>,
-    tick: u64,
-}
+pub struct LfuMap<V>(Slab<V>);
 
 impl<V> Default for LfuMap<V> {
     fn default() -> Self {
-        LfuMap {
-            entries: HashMap::new(),
-            order: BTreeMap::new(),
-            tick: 0,
-        }
+        LfuMap(Slab::default())
     }
 }
 
@@ -40,54 +31,38 @@ impl<V> LfuMap<V> {
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.0.len()
     }
 
     /// `true` if there are no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// `true` if `key` is present.
     pub fn contains(&self, key: &[u8]) -> bool {
-        self.entries.contains_key(key)
+        self.0.peek(key).is_some()
     }
 
     /// Access frequency of `key`, if present.
     pub fn frequency(&self, key: &[u8]) -> Option<u64> {
-        self.entries.get(key).map(|s| s.freq)
+        self.0.peek(key).map(|(_, freq)| freq)
     }
 
     /// Get without counting an access.
     pub fn peek(&self, key: &[u8]) -> Option<&V> {
-        self.entries.get(key).map(|s| &s.value)
+        self.0.peek(key).map(|(v, _)| v)
     }
 
     /// Get, counting one access.
     pub fn get(&mut self, key: &[u8]) -> Option<&mut V> {
-        self.tick += 1;
-        let tick = self.tick;
-        let slot = self.entries.get_mut(key)?;
-        self.order.remove(&(slot.freq, slot.tick));
-        slot.freq += 1;
-        slot.tick = tick;
-        self.order.insert((slot.freq, slot.tick), key.to_vec());
-        Some(&mut slot.value)
+        self.0.touch(key, 1)
     }
 
     /// Insert with an initial frequency (used to inherit access history when
     /// a value is demoted to a shortcut). Returns the previous payload.
     pub fn insert_with_frequency(&mut self, key: &[u8], value: V, freq: u64) -> Option<V> {
-        self.tick += 1;
-        let tick = self.tick;
-        let prev = self
-            .entries
-            .insert(key.to_vec(), Slot { value, freq, tick });
-        if let Some(p) = &prev {
-            self.order.remove(&(p.freq, p.tick));
-        }
-        self.order.insert((freq, tick), key.to_vec());
-        prev.map(|s| s.value)
+        self.0.insert(key, value, freq)
     }
 
     /// Insert with frequency 1.
@@ -97,42 +72,34 @@ impl<V> LfuMap<V> {
 
     /// Remove an entry, returning its payload and frequency.
     pub fn remove(&mut self, key: &[u8]) -> Option<(V, u64)> {
-        let slot = self.entries.remove(key)?;
-        self.order.remove(&(slot.freq, slot.tick));
-        Some((slot.value, slot.freq))
+        self.0.remove(key)
     }
 
     /// The least-frequently-used key.
     pub fn lfu_key(&self) -> Option<&[u8]> {
-        self.order.values().next().map(|k| k.as_slice())
+        self.0.first()
     }
 
     /// Remove and return the least-frequently-used entry with its frequency.
     pub fn pop_lfu(&mut self) -> Option<(Vec<u8>, V, u64)> {
-        let (&rank, _) = self.order.iter().next()?;
-        let key = self.order.remove(&rank)?;
-        let slot = self.entries.remove(&key)?;
-        Some((key, slot.value, slot.freq))
+        self.0.pop_first()
     }
 
     /// Keys with their frequencies in eviction order (ascending frequency,
     /// ties least-recently touched first), lazily and without removing
     /// them: a caller that needs only the first few stops early.
     pub fn by_frequency(&self) -> impl Iterator<Item = (&[u8], u64)> {
-        self.order
-            .iter()
-            .map(|((freq, _), key)| (key.as_slice(), *freq))
+        self.0.ordered()
     }
 
     /// Iterate over all `(key, value)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (&Vec<u8>, &V)> {
-        self.entries.iter().map(|(k, s)| (k, &s.value))
+        self.0.iter()
     }
 
     /// Remove everything.
     pub fn clear(&mut self) {
-        self.entries.clear();
-        self.order.clear();
+        *self = Self::default();
     }
 }
 
@@ -190,5 +157,100 @@ mod tests {
         assert_eq!((v, f), (7, 2));
         assert!(m.is_empty());
         assert!(m.remove(b"a").is_none());
+    }
+}
+
+#[cfg(test)]
+mod model {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, HashMap};
+
+    /// The `(freq, tick)`-ordered map the buckets replaced: the reference
+    /// every eviction order is checked against.
+    #[derive(Default)]
+    struct TickLfu {
+        entries: HashMap<Vec<u8>, (u32, u64, u64)>,
+        order: BTreeMap<(u64, u64), Vec<u8>>,
+        tick: u64,
+    }
+
+    impl TickLfu {
+        fn get(&mut self, key: &[u8]) -> Option<u32> {
+            self.tick += 1;
+            let (v, freq, tick) = self.entries.get_mut(key)?;
+            self.order.remove(&(*freq, *tick));
+            *freq += 1;
+            *tick = self.tick;
+            self.order.insert((*freq, *tick), key.to_vec());
+            Some(*v)
+        }
+
+        fn insert_with_frequency(&mut self, key: &[u8], value: u32, freq: u64) -> Option<u32> {
+            self.tick += 1;
+            let prev = self.entries.insert(key.to_vec(), (value, freq, self.tick));
+            if let Some((_, f, t)) = prev {
+                self.order.remove(&(f, t));
+            }
+            self.order.insert((freq, self.tick), key.to_vec());
+            prev.map(|p| p.0)
+        }
+
+        fn remove(&mut self, key: &[u8]) -> Option<(u32, u64)> {
+            let (v, freq, tick) = self.entries.remove(key)?;
+            self.order.remove(&(freq, tick));
+            Some((v, freq))
+        }
+
+        fn pop_lfu(&mut self) -> Option<(Vec<u8>, u32, u64)> {
+            let (_, key) = self.order.pop_first()?;
+            let (v, freq, _) = self.entries.remove(&key)?;
+            Some((key, v, freq))
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Under any mix of operations the bucket map returns what the
+        /// `(freq, tick)` map returns, and its whole eviction order is the
+        /// same: ascending frequency, ties least-recently touched first.
+        #[test]
+        fn the_bucket_lfu_agrees_with_the_tick_model(
+            ops in proptest::collection::vec((0u8..6, 0u8..12, 0u64..6), 1..300),
+        ) {
+            let mut m = LfuMap::new();
+            let mut r = TickLfu::default();
+            for (n, (op, k, freq)) in ops.into_iter().enumerate() {
+                let key = [k];
+                let v = n as u32;
+                match op {
+                    0 | 1 => prop_assert_eq!(
+                        m.insert_with_frequency(&key, v, freq),
+                        r.insert_with_frequency(&key, v, freq)
+                    ),
+                    2 => prop_assert_eq!(m.get(&key).copied(), r.get(&key)),
+                    3 => prop_assert_eq!(m.remove(&key), r.remove(&key)),
+                    4 => prop_assert_eq!(m.pop_lfu(), r.pop_lfu()),
+                    _ if freq == 0 => {
+                        m.clear();
+                        r = TickLfu::default();
+                    }
+                    _ => prop_assert_eq!(m.peek(&key).copied(), r.entries.get(&key[..]).map(|e| e.0)),
+                }
+                prop_assert_eq!(m.len(), r.entries.len());
+                prop_assert_eq!(m.lfu_key(), r.order.values().next().map(Vec::as_slice));
+                prop_assert_eq!(m.frequency(&key), r.entries.get(&key[..]).map(|e| e.1));
+                let entries: BTreeMap<Vec<u8>, u32> =
+                    m.iter().map(|(k, v)| (k.clone(), *v)).collect();
+                let expected: BTreeMap<Vec<u8>, u32> =
+                    r.entries.iter().map(|(k, e)| (k.clone(), e.0)).collect();
+                prop_assert_eq!(entries, expected);
+                let order: Vec<(&[u8], u64)> = m.by_frequency().collect();
+                let expected: Vec<(&[u8], u64)> =
+                    r.order.iter().map(|(&(f, _), k)| (k.as_slice(), f)).collect();
+                prop_assert_eq!(order, expected);
+            }
+        }
     }
 }

@@ -23,6 +23,7 @@ pub mod dac;
 pub mod lfu;
 pub mod lru;
 pub mod policy;
+mod slab;
 pub mod static_cache;
 
 pub use dac::DacCache;

@@ -1,28 +1,20 @@
 //! A small LRU-ordered map used for value entries.
 //!
 //! Keys are byte strings; each entry carries a caller-defined payload.
-//! Recency is tracked with a monotonically increasing tick and a `BTreeMap`
-//! from tick to key, giving `O(log n)` touch and eviction — plenty for cache
-//! sizes in the tens of thousands of entries while keeping the code simple
-//! and allocation-light.
+//! Entries are nodes of a slab (see the `slab` module), all at rank 0, so
+//! they form one doubly-linked list, least-recently used at the head. A
+//! touch unlinks the node and appends it at the tail, and eviction pops the
+//! head: both `O(1)`, and neither copies a key.
 
-use std::collections::{BTreeMap, HashMap};
+use crate::slab::Slab;
 
 /// An LRU-ordered map from byte-string keys to `V`.
 #[derive(Debug)]
-pub struct LruMap<V> {
-    entries: HashMap<Vec<u8>, (V, u64)>,
-    order: BTreeMap<u64, Vec<u8>>,
-    tick: u64,
-}
+pub struct LruMap<V>(Slab<V>);
 
 impl<V> Default for LruMap<V> {
     fn default() -> Self {
-        LruMap {
-            entries: HashMap::new(),
-            order: BTreeMap::new(),
-            tick: 0,
-        }
+        LruMap(Slab::default())
     }
 }
 
@@ -34,81 +26,58 @@ impl<V> LruMap<V> {
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.0.len()
     }
 
     /// `true` if there are no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// `true` if `key` is present (does not touch recency).
     pub fn contains(&self, key: &[u8]) -> bool {
-        self.entries.contains_key(key)
+        self.0.peek(key).is_some()
     }
 
     /// Get without touching recency.
     pub fn peek(&self, key: &[u8]) -> Option<&V> {
-        self.entries.get(key).map(|(v, _)| v)
+        self.0.peek(key).map(|(v, _)| v)
     }
 
     /// Get, marking the entry most-recently used.
     pub fn get(&mut self, key: &[u8]) -> Option<&mut V> {
-        self.tick += 1;
-        let tick = self.tick;
-        match self.entries.get_mut(key) {
-            Some((v, old_tick)) => {
-                self.order.remove(old_tick);
-                self.order.insert(tick, key.to_vec());
-                *old_tick = tick;
-                Some(v)
-            }
-            None => None,
-        }
+        self.0.touch(key, 0)
     }
 
     /// Insert or replace, marking the entry most-recently used. Returns the
     /// previous payload if any.
     pub fn insert(&mut self, key: &[u8], value: V) -> Option<V> {
-        self.tick += 1;
-        let tick = self.tick;
-        let prev = self.entries.insert(key.to_vec(), (value, tick));
-        if let Some((_, old_tick)) = &prev {
-            self.order.remove(old_tick);
-        }
-        self.order.insert(tick, key.to_vec());
-        prev.map(|(v, _)| v)
+        self.0.insert(key, value, 0)
     }
 
     /// Remove an entry.
     pub fn remove(&mut self, key: &[u8]) -> Option<V> {
-        let (v, tick) = self.entries.remove(key)?;
-        self.order.remove(&tick);
-        Some(v)
+        self.0.remove(key).map(|(v, _)| v)
     }
 
     /// Key of the least-recently-used entry.
     pub fn lru_key(&self) -> Option<&[u8]> {
-        self.order.values().next().map(|k| k.as_slice())
+        self.0.first()
     }
 
     /// Remove and return the least-recently-used entry.
     pub fn pop_lru(&mut self) -> Option<(Vec<u8>, V)> {
-        let (&tick, _) = self.order.iter().next()?;
-        let key = self.order.remove(&tick)?;
-        let (v, _) = self.entries.remove(&key)?;
-        Some((key, v))
+        self.0.pop_first().map(|(k, v, _)| (k, v))
     }
 
     /// Iterate over all `(key, value)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (&Vec<u8>, &V)> {
-        self.entries.iter().map(|(k, (v, _))| (k, v))
+        self.0.iter()
     }
 
     /// Remove everything.
     pub fn clear(&mut self) {
-        self.entries.clear();
-        self.order.clear();
+        *self = Self::default();
     }
 }
 
@@ -161,5 +130,90 @@ mod tests {
         m.clear();
         assert!(m.is_empty());
         assert_eq!(m.pop_lru(), None);
+    }
+}
+
+#[cfg(test)]
+mod model {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, HashMap};
+
+    /// The `BTreeMap`-of-ticks map the slab replaced: the reference every
+    /// eviction order is checked against.
+    #[derive(Default)]
+    struct TickLru {
+        entries: HashMap<Vec<u8>, (u32, u64)>,
+        order: BTreeMap<u64, Vec<u8>>,
+        tick: u64,
+    }
+
+    impl TickLru {
+        fn get(&mut self, key: &[u8]) -> Option<u32> {
+            self.tick += 1;
+            let (v, old_tick) = self.entries.get_mut(key)?;
+            self.order.remove(old_tick);
+            self.order.insert(self.tick, key.to_vec());
+            *old_tick = self.tick;
+            Some(*v)
+        }
+
+        fn insert(&mut self, key: &[u8], value: u32) -> Option<u32> {
+            self.tick += 1;
+            let prev = self.entries.insert(key.to_vec(), (value, self.tick));
+            if let Some((_, old_tick)) = &prev {
+                self.order.remove(old_tick);
+            }
+            self.order.insert(self.tick, key.to_vec());
+            prev.map(|(v, _)| v)
+        }
+
+        fn remove(&mut self, key: &[u8]) -> Option<u32> {
+            let (v, tick) = self.entries.remove(key)?;
+            self.order.remove(&tick);
+            Some(v)
+        }
+
+        fn pop_lru(&mut self) -> Option<(Vec<u8>, u32)> {
+            let (_, key) = self.order.pop_first()?;
+            let (v, _) = self.entries.remove(&key)?;
+            Some((key, v))
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Under any mix of operations the slab map returns what the tick
+        /// map returns and holds the same entries with the same LRU key.
+        #[test]
+        fn the_slab_lru_agrees_with_the_tick_model(
+            ops in proptest::collection::vec((0u8..7, 0u8..12, 0u32..1_000), 1..300),
+        ) {
+            let mut m = LruMap::new();
+            let mut r = TickLru::default();
+            for (op, k, v) in ops {
+                let key = [k];
+                match op {
+                    0 | 1 => prop_assert_eq!(m.insert(&key, v), r.insert(&key, v)),
+                    2 => prop_assert_eq!(m.get(&key).copied(), r.get(&key)),
+                    3 => prop_assert_eq!(m.peek(&key).copied(), r.entries.get(&key[..]).map(|e| e.0)),
+                    4 => prop_assert_eq!(m.remove(&key), r.remove(&key)),
+                    5 => prop_assert_eq!(m.pop_lru(), r.pop_lru()),
+                    _ if v % 16 == 0 => {
+                        m.clear();
+                        r = TickLru::default();
+                    }
+                    _ => prop_assert_eq!(m.contains(&key), r.entries.contains_key(&key[..])),
+                }
+                prop_assert_eq!(m.len(), r.entries.len());
+                prop_assert_eq!(m.lru_key(), r.order.values().next().map(Vec::as_slice));
+                let entries: BTreeMap<Vec<u8>, u32> =
+                    m.iter().map(|(k, v)| (k.clone(), *v)).collect();
+                let expected: BTreeMap<Vec<u8>, u32> =
+                    r.entries.iter().map(|(k, e)| (k.clone(), e.0)).collect();
+                prop_assert_eq!(entries, expected);
+            }
+        }
     }
 }

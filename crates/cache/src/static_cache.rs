@@ -68,6 +68,7 @@ pub struct StaticCache {
     value_used: usize,
     shortcut_used: usize,
     value_fraction: f64,
+    /// Event counters; [`KnCache::stats`] adds the live occupancy.
     stats: CacheStats,
 }
 
@@ -86,10 +87,7 @@ impl StaticCache {
             value_used: 0,
             shortcut_used: 0,
             value_fraction: f,
-            stats: CacheStats {
-                capacity_bytes: capacity_bytes as u64,
-                ..CacheStats::default()
-            },
+            stats: CacheStats::default(),
         }
     }
 
@@ -98,11 +96,26 @@ impl StaticCache {
         self.value_fraction
     }
 
-    fn refresh_stats(&mut self) {
-        self.stats.bytes_used = (self.value_used + self.shortcut_used) as u64;
-        self.stats.capacity_bytes = self.capacity as u64;
-        self.stats.value_entries = self.values.len() as u64;
-        self.stats.shortcut_entries = self.shortcuts.len() as u64;
+    /// Evict LRU values until at most `limit` bytes of them remain.
+    fn evict_values_to(&mut self, limit: usize) {
+        while self.value_used > limit {
+            let Some((k, e)) = self.values.pop_lru() else {
+                return;
+            };
+            self.value_used -= value_weight(&k, e.data.len());
+            self.stats.evictions += 1;
+        }
+    }
+
+    /// Evict LRU shortcuts until at most `limit` bytes of them remain.
+    fn evict_shortcuts_to(&mut self, limit: usize) {
+        while self.shortcut_used > limit {
+            let Some((k, _)) = self.shortcuts.pop_lru() else {
+                return;
+            };
+            self.shortcut_used -= shortcut_weight(&k);
+            self.stats.evictions += 1;
+        }
     }
 
     fn insert_value(&mut self, key: &[u8], value: &[u8], loc: ValueLoc) {
@@ -114,15 +127,7 @@ impl StaticCache {
         if w > self.value_capacity {
             return;
         }
-        while self.value_used + w > self.value_capacity {
-            match self.values.pop_lru() {
-                Some((k, e)) => {
-                    self.value_used -= value_weight(&k, e.data.len());
-                    self.stats.evictions += 1;
-                }
-                None => return,
-            }
-        }
+        self.evict_values_to(self.value_capacity - w);
         self.values.insert(
             key,
             ValueEntry {
@@ -141,15 +146,7 @@ impl StaticCache {
         if self.shortcuts.remove(key).is_some() {
             self.shortcut_used -= w;
         }
-        while self.shortcut_used + w > self.shortcut_capacity {
-            match self.shortcuts.pop_lru() {
-                Some((k, _)) => {
-                    self.shortcut_used -= shortcut_weight(&k);
-                    self.stats.evictions += 1;
-                }
-                None => return,
-            }
-        }
+        self.evict_shortcuts_to(self.shortcut_capacity - w);
         self.shortcuts.insert(key, loc);
         self.shortcut_used += w;
     }
@@ -170,17 +167,14 @@ impl KnCache for StaticCache {
         if let Some(entry) = self.values.get(key) {
             let data = entry.data.clone();
             self.stats.value_hits += 1;
-            self.refresh_stats();
             return CacheLookup::Value(data);
         }
         if let Some(loc) = self.shortcuts.get(key) {
             let loc = *loc;
             self.stats.shortcut_hits += 1;
-            self.refresh_stats();
             return CacheLookup::Shortcut(loc);
         }
         self.stats.misses += 1;
-        self.refresh_stats();
         CacheLookup::Miss
     }
 
@@ -193,14 +187,12 @@ impl KnCache for StaticCache {
         if self.shortcut_capacity > 0 {
             self.insert_shortcut(key, loc);
         }
-        self.refresh_stats();
     }
 
     fn admit_shortcut(&mut self, key: &[u8], loc: ValueLoc) {
         if self.shortcut_capacity > 0 {
             self.insert_shortcut(key, loc);
         }
-        self.refresh_stats();
     }
 
     fn on_local_write(&mut self, key: &[u8], value: &[u8], loc: ValueLoc) {
@@ -213,7 +205,6 @@ impl KnCache for StaticCache {
         } else if self.shortcut_capacity > 0 {
             self.insert_shortcut(key, loc);
         }
-        self.refresh_stats();
     }
 
     fn invalidate(&mut self, key: &[u8]) {
@@ -223,7 +214,6 @@ impl KnCache for StaticCache {
         if self.shortcuts.remove(key).is_some() {
             self.shortcut_used -= shortcut_weight(key);
         }
-        self.refresh_stats();
     }
 
     fn record_miss_cost(&mut self, _rts: u32) {}
@@ -235,12 +225,17 @@ impl KnCache for StaticCache {
         );
         self.value_used = 0;
         self.shortcut_used = 0;
-        self.refresh_stats();
         Box::new(entries)
     }
 
     fn stats(&self) -> CacheStats {
-        self.stats
+        CacheStats {
+            bytes_used: (self.value_used + self.shortcut_used) as u64,
+            capacity_bytes: self.capacity as u64,
+            value_entries: self.values.len() as u64,
+            shortcut_entries: self.shortcuts.len() as u64,
+            ..self.stats
+        }
     }
 
     fn capacity_bytes(&self) -> usize {
@@ -251,25 +246,8 @@ impl KnCache for StaticCache {
         self.capacity = capacity;
         self.value_capacity = (capacity as f64 * self.value_fraction) as usize;
         self.shortcut_capacity = capacity - self.value_capacity;
-        while self.value_used > self.value_capacity {
-            match self.values.pop_lru() {
-                Some((k, e)) => {
-                    self.value_used -= value_weight(&k, e.data.len());
-                    self.stats.evictions += 1;
-                }
-                None => break,
-            }
-        }
-        while self.shortcut_used > self.shortcut_capacity {
-            match self.shortcuts.pop_lru() {
-                Some((k, _)) => {
-                    self.shortcut_used -= shortcut_weight(&k);
-                    self.stats.evictions += 1;
-                }
-                None => break,
-            }
-        }
-        self.refresh_stats();
+        self.evict_values_to(self.value_capacity);
+        self.evict_shortcuts_to(self.shortcut_capacity);
     }
 }
 
