@@ -44,7 +44,6 @@ fn saturation_cluster() -> Kvs {
         .threads_per_kn(4)
         .cache_kind(CacheKind::None)
         .cache_bytes_per_kn(1 << 20)
-        .write_batch_ops(8)
         .fabric(FabricConfig {
             delay: DelayMode::sleeping(),
             ..FabricConfig::default()

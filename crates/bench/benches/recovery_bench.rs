@@ -44,9 +44,6 @@ fn recovery_cluster() -> Kvs {
         .small_for_tests()
         .initial_kns(2)
         .threads_per_kn(2)
-        // Ack ⇒ flushed: the data whose recovery is timed is exactly the
-        // acknowledged writes.
-        .write_batch_ops(1)
         .dpm(DpmConfig {
             pool,
             segment_bytes: 64 << 10,

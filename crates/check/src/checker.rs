@@ -472,7 +472,13 @@ fn search(ops: &[KeyOp], max_states: u64) -> SearchOutcome {
                 mandatory_left += 1;
             }
             state = prev_state;
-            entry = next[call];
+            // A read that matched the register is never the wrong choice (a
+            // witness linearizing it later can linearize it here): trying its
+            // siblings would walk every subset of a run of such reads.
+            entry = match prepared[op].kind {
+                Kind::Read(_) => tail,
+                _ => next[call],
+            };
             continue;
         }
 
@@ -685,6 +691,17 @@ mod tests {
             Err(CheckError::StateLimit { states, .. }) => assert!(states > 50),
             other => panic!("expected StateLimit, got {other:?}"),
         }
+    }
+
+    /// A stale read invoked after a write returns after 40 reads of the new
+    /// value: the search backtracks over them once, not over 2^40 subsets.
+    #[test]
+    fn a_slow_stale_read_costs_linear_states() {
+        let mut h = vec![write(b"k", b"a", 0, 1), write(b"k", b"b", 2, 300)];
+        h.extend((0..40).map(|i| read(b"k", Some(b"b"), 3 + i, 100 + i)));
+        h.push(read(b"k", Some(b"a"), 50, 200));
+        let stats = check_history(&h).unwrap();
+        assert!(stats.states_explored < 200, "{stats:?}");
     }
 
     #[test]

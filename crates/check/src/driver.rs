@@ -10,9 +10,10 @@
 //!
 //! One scenario run:
 //!
-//! * builds a real cluster with per-op write flushing (`write_batch_ops =
-//!   1`, so an acknowledged write is durable — the guarantee the checker
-//!   verifies across fail-stop churn);
+//! * builds a real cluster in the configuration the store ships, where
+//!   every slice flushes its writes before answering them, so an
+//!   acknowledged write is durable — the guarantee the checker verifies
+//!   across fail-stop churn;
 //! * optionally preloads the key space through a recording client;
 //! * runs `clients` concurrent threads, each executing its deterministic
 //!   CRUD batches (skewed keys via [`dinomo_workload::WorkloadGenerator`],
@@ -319,9 +320,6 @@ impl std::fmt::Display for CheckFailure {
 pub fn run_scenario(config: &CheckConfig) -> ScenarioRun {
     let mut kvs_config = KvsConfig {
         initial_kns: config.initial_kns.max(1),
-        // Ack ⇒ flushed: the acknowledged-write guarantee the checker
-        // verifies must hold across fail-stop churn, which loses DRAM.
-        write_batch_ops: 1,
         threads_per_kn: 2,
         ..KvsConfig::small_for_tests()
     };

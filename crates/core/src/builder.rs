@@ -77,12 +77,6 @@ impl KvsBuilder {
         self
     }
 
-    /// Number of writes a KN shard batches into one one-sided log write.
-    pub fn write_batch_ops(mut self, n: usize) -> Self {
-        self.config.write_batch_ops = n;
-        self
-    }
-
     /// DPM configuration (pool size, segments, merge threads, index).
     pub fn dpm(mut self, dpm: DpmConfig) -> Self {
         self.config.dpm = dpm;
@@ -140,7 +134,6 @@ mod tests {
         assert_eq!(built.variant, direct.variant);
         assert_eq!(built.initial_kns, direct.initial_kns);
         assert_eq!(built.threads_per_kn, direct.threads_per_kn);
-        assert_eq!(built.write_batch_ops, direct.write_batch_ops);
     }
 
     #[test]
@@ -152,7 +145,6 @@ mod tests {
             .threads_per_kn(1)
             .cache_bytes_per_kn(128 << 10)
             .cache_kind(CacheKind::ValueOnly)
-            .write_batch_ops(2)
             .ring_vnodes(16);
         let c = b.config();
         assert_eq!(c.variant, Variant::DinomoN);
@@ -160,7 +152,6 @@ mod tests {
         assert_eq!(c.threads_per_kn, 1);
         assert_eq!(c.cache_bytes_per_kn, 128 << 10);
         assert_eq!(c.cache_kind, Some(CacheKind::ValueOnly));
-        assert_eq!(c.write_batch_ops, 2);
         assert_eq!(c.ring_vnodes, 16);
     }
 

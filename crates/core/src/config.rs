@@ -43,7 +43,10 @@ pub struct KvsConfig {
     /// Cache policy; `None` means DAC. The paper's Dinomo-S is
     /// `Some(CacheKind::ShortcutOnly)`.
     pub cache_kind: Option<CacheKind>,
-    /// Number of writes a KN thread batches into one one-sided log write.
+    /// Ignored. A KN shard batches the writes of one slice into one
+    /// one-sided log write and flushes them before it answers any, so an
+    /// acked write is durable. Kept only because `e2e`'s preset still sets
+    /// it.
     pub write_batch_ops: usize,
     /// DPM configuration.
     pub dpm: DpmConfig,
@@ -61,7 +64,7 @@ impl Default for KvsConfig {
             threads_per_kn: 8,
             cache_bytes_per_kn: 64 << 20,
             cache_kind: None,
-            write_batch_ops: 8,
+            write_batch_ops: 1,
             dpm: DpmConfig::default(),
             fabric: FabricConfig::default(),
             ring_vnodes: 64,
@@ -76,7 +79,6 @@ impl KvsConfig {
             initial_kns: 2,
             threads_per_kn: 2,
             cache_bytes_per_kn: 256 << 10,
-            write_batch_ops: 4,
             dpm: DpmConfig::small_for_tests(),
             ..KvsConfig::default()
         }

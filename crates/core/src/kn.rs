@@ -66,10 +66,7 @@ impl Shard {
         }
         // Once everything this shard ever flushed has been merged, the index
         // is authoritative and the unmerged tracking can be dropped.
-        if !commits.is_empty()
-            && self.writer.buffered_entries() == 0
-            && dpm.unmerged_segments(kn) == 0
-        {
+        if !commits.is_empty() && dpm.unmerged_segments(kn) == 0 {
             self.unmerged.clear();
             self.bloom.clear();
         }
@@ -133,7 +130,6 @@ pub struct KnNode {
     dpm: Arc<DpmNode>,
     ownership: Arc<RwLock<OwnershipTable>>,
     shards: Vec<Mutex<Shard>>,
-    write_batch_ops: usize,
     /// Requests (per-key calls and batches) currently executing on any
     /// thread; reconfiguration drains this to zero after turning the node
     /// unavailable, so no straggler can buffer a write behind the
@@ -180,7 +176,6 @@ impl KnNode {
             dpm,
             ownership,
             shards,
-            write_batch_ops: config.write_batch_ops.max(1),
             in_flight: AtomicUsize::new(0),
             failed: AtomicBool::new(false),
             reconfiguring: AtomicBool::new(false),
@@ -284,8 +279,9 @@ impl KnNode {
         key: &[u8],
         guard: &Guard,
     ) -> Result<Option<Vec<u8>>> {
-        // A put keeps its key's cache entry until the flush refreshes it, so
-        // a buffered write answers first; read-only slices ask the cache.
+        // A put keeps its key's cache entry until its slice's flush refreshes
+        // it, so a buffered write answers first; read-only slices ask the
+        // cache (only a failed flush leaves writes buffered past a slice).
         if shard.writer.buffered_entries() > 0 && shard.bloom.may_contain(key) {
             match shard.unmerged.get(key) {
                 Some(Unmerged::Pending(v)) => return Ok(Some(v.clone())),
@@ -389,8 +385,8 @@ impl KnNode {
     }
 
     /// The owned-key write path against an already-locked shard: buffer the
-    /// log record and track the pending write. The caller decides when to
-    /// flush (once per shard slice).
+    /// log record and track the pending write. The slice flushes it before
+    /// answering.
     fn put_in_shard(shard: &mut Shard, key: &[u8], value: &[u8]) {
         shard.writer.append_put(key, value);
         shard
@@ -407,14 +403,6 @@ impl KnNode {
         shard.unmerged.insert(key.to_vec(), Unmerged::Deleted);
         shard.bloom.insert(key);
         seq
-    }
-
-    /// Flush the shard's buffered log records if the write batch is full.
-    fn flush_if_due(&self, shard: &mut Shard) -> Result<()> {
-        if shard.writer.buffered_entries() >= self.write_batch_ops {
-            shard.flush(&self.dpm, self.id)?;
-        }
-        Ok(())
     }
 
     /// Update of a selectively-replicated key: log the value, then CAS the
@@ -452,7 +440,7 @@ impl KnNode {
     fn delete_shared(&self, key: &[u8], shard: u32) -> Result<()> {
         let mut shard = self.shards[shard as usize].lock();
         let seq = Self::delete_in_shard(&mut shard, key);
-        let flushed = self.flush_if_due(&mut shard);
+        let flushed = shard.flush(&self.dpm, self.id);
         drop(shard);
         flushed?;
         if let Some(cell) = self.dpm.indirect_cell_of(key) {
@@ -471,8 +459,8 @@ impl KnNode {
     ///   acquisition of the ownership table, with one key hash shared by
     ///   the owner and thread ring lookups;
     /// * operations are applied per shard with **one** lock
-    ///   acquisition per shard, and buffered log writes are flushed at most
-    ///   **once** per shard instead of once per op.
+    ///   acquisition per shard, and a shard's log writes are flushed
+    ///   **once**, before any is answered, instead of once per op.
     ///
     /// Results are positional (`result[i]` answers `ops[i]`). Operations on
     /// keys this node does not own fail with [`KvsError::NotOwner`]
@@ -521,7 +509,7 @@ impl KnNode {
     ///    read for the whole group — §3.1's stale-client rejection happens
     ///    there and nowhere else;
     /// 3. **execution**: each involved shard's slice under one lock, one
-    ///    epoch pin and one flush decision ([`KnNode::run_shard`]), then
+    ///    epoch pin and, if it wrote, one flush ([`KnNode::run_shard`]), then
     ///    the shared-key positions in order. Replicated keys linearize
     ///    through their DPM indirection cell and never share a key with
     ///    the owned slices of the same round;
@@ -660,9 +648,9 @@ impl KnNode {
 
     /// Execute one shard's slice of a group, in group order. Locks the
     /// shard **once**, pins **one** epoch guard covering every index
-    /// lookup of the slice, and flushes buffered log writes at most once
-    /// at the end. Results are reported per position through `set`;
-    /// returns the `(reads, writes)` served.
+    /// lookup of the slice, and flushes its writes once at the end, before
+    /// any is answered (group commit). Results are reported per position
+    /// through `set`; returns the `(reads, writes)` served.
     ///
     /// The shard mutex is the slice's queue: clients that route to the
     /// same shard serialize on it. The wait for it is the slice's one
@@ -709,11 +697,11 @@ impl KnNode {
             };
             set(pos, result);
         }
-        // One flush decision for the whole slice. A flush failure is a
-        // durability failure of every write the slice buffered, so it is
-        // reported on each of them.
+        // One flush for the whole slice. A flush failure is a durability
+        // failure of every write the slice buffered, so it is reported on
+        // each of them.
         if writes > 0 {
-            if let Err(e) = self.flush_if_due(&mut shard) {
+            if let Err(e) = shard.flush(&self.dpm, self.id) {
                 for pos in positions {
                     if ops(pos).is_write() {
                         set(pos, Err(e.clone()));
@@ -776,8 +764,8 @@ impl KnNode {
 
     // ------------------------------------------------- maintenance hooks
 
-    /// Flush every shard's buffered writes to DPM (bounding write latency;
-    /// also used before reconfiguration so pending logs can be merged).
+    /// Flush every shard's buffered writes to DPM: the retry of a failed
+    /// flush (every slice flushes its own writes), run before a hand-off.
     pub fn flush_pending_writes(&self) -> Result<()> {
         for shard in &self.shards {
             shard.lock().flush(&self.dpm, self.id)?;
@@ -818,10 +806,10 @@ impl KnNode {
     /// buffered-but-unflushed entries — a crash loses the KN's volatile
     /// state wholesale, flushed or not. Unlike `clear_caches` this needs
     /// no prior flush/merge: the surviving truth is whatever already
-    /// reached the DPM log. Under `write_batch_ops = 1` (the check
-    /// driver's configuration) every write flushes before it is
-    /// acknowledged, so the discarded entries are exactly the
-    /// never-acknowledged ones. Returns how many buffered entries died.
+    /// reached the DPM log. Every slice flushes its writes before it
+    /// answers them, and callers drain in-flight slices first, so the
+    /// discarded entries are only those of a failed flush — never an
+    /// acknowledged write. Returns how many buffered entries died.
     pub fn discard_volatile_state(&self) -> usize {
         let mut discarded = 0;
         for shard in &self.shards {
@@ -850,9 +838,11 @@ impl KnNode {
     /// segment is freed.
     ///
     /// Unlike [`KnNode::invalidate_key`], this must **not** drop
-    /// `Unmerged::Pending` state (an acked-but-unflushed write is only
-    /// visible through it — removing it would serve the older, relocated
-    /// value) and removes a `Committed` entry only when its address lies
+    /// `Unmerged::Pending` state. Locking each shard, it never runs inside
+    /// a slice: the only pending entry it meets is one a failed flush left,
+    /// whose write may still be buffered, and removing it would serve the
+    /// older, relocated value. It removes a `Committed` entry only when its
+    /// address lies
     /// inside the relocated entry: a committed location elsewhere belongs
     /// to a *newer* write whose merge may still be in flight, and the
     /// index is not yet authoritative for it.
@@ -921,8 +911,8 @@ mod tests {
             .build()
             .unwrap();
         let node = kvs.kn(kvs.kn_ids()[0]).unwrap();
-        // `write_batch_ops` is 4: the slice's flush is due, and its first
-        // step — allocating the shard's first log segment — fails.
+        // The slice's flush begins by allocating the shard's first log
+        // segment, and that fails.
         node.dpm.pool().inject_alloc_failures(1);
         let mut ops: Vec<Op> = (0..4).map(|i| Op::insert(format!("k{i}"), "v")).collect();
         ops.push(Op::lookup("absent"));
@@ -937,8 +927,8 @@ mod tests {
         assert_eq!(replies[4], Reply::Value(None));
     }
 
-    /// A one-KN, one-shard cluster at `small_for_tests`' write batching (4):
-    /// a node's single puts stay buffered until `flush_pending_writes`.
+    /// A one-KN, one-shard cluster: every op a batch sends the node runs in
+    /// one slice, and the slice's flush comes after all of them.
     fn one_shard_node() -> (crate::Kvs, Arc<KnNode>) {
         let kvs = crate::KvsBuilder::new()
             .small_for_tests()
@@ -951,16 +941,15 @@ mod tests {
     }
 
     /// The owner's flush refreshes a written key's DAC value in place. In a
-    /// full cache, a put of a value-resident key, with another key's miss
-    /// admitted before the flush, leaves the key value-resident: its next
-    /// read is a value hit, and no value was demoted on the way.
+    /// full cache, a slice that puts a value-resident key and then admits
+    /// another key's miss before its flush leaves the key value-resident:
+    /// its next read is a value hit, and no value was demoted on the way.
     #[test]
     fn a_put_keeps_its_key_value_resident_in_a_full_dac() {
         let (_kvs, node) = one_shard_node();
         let (hot, cold) = (b"hot".as_slice(), b"cold".as_slice());
         node.put(hot, &[1; 100]).unwrap();
         node.put(cold, &[2; 100]).unwrap();
-        node.flush_pending_writes().unwrap();
         {
             // Room for `hot`'s value and one shortcut: not for two values.
             let mut shard = node.shards[0].lock();
@@ -972,64 +961,63 @@ mod tests {
         let before = node.stats().cache;
         assert_eq!(before.value_entries, 1);
 
-        node.put(hot, &[3; 100]).unwrap();
-        assert_eq!(node.get(cold).unwrap(), Some(vec![2; 100]));
-        node.flush_pending_writes().unwrap();
+        let replies = node.run_batch(&[Op::update(hot, [3; 100]), Op::lookup(cold)]);
+        assert_eq!(replies, [Ok(None), Ok(Some(vec![2; 100]))]);
         assert_eq!(node.get(hot).unwrap(), Some(vec![3; 100]));
         let after = node.stats().cache;
         assert_eq!(after.value_hits, before.value_hits + 1, "{after:?}");
         assert_eq!(after.demotions, before.demotions, "{after:?}");
     }
 
-    /// A put leaves its key's cached value in place until the flush, so the
-    /// shard's buffered writes must answer first: before the flush, a
-    /// buffered put and a buffered delete of value-resident keys read back
-    /// the new value and `None`, and so they do after it.
+    /// A put leaves its key's cached value in place until its slice's
+    /// flush, so the shard's buffered writes must answer first: inside the
+    /// slice, reads of value-resident keys it put and deleted return the
+    /// new value and `None`, and so do reads after the flush.
     #[test]
     fn buffered_writes_answer_before_cached_values() {
         let (_kvs, node) = one_shard_node();
         node.put(b"put", b"old").unwrap();
         node.put(b"deleted", b"old").unwrap();
-        node.flush_pending_writes().unwrap();
         assert_eq!(node.stats().cache.value_entries, 2);
 
-        node.put(b"put", b"new").unwrap();
-        node.delete(b"deleted").unwrap();
-        for flushed in [false, true] {
-            assert_eq!(
-                node.get(b"put").unwrap(),
-                Some(b"new".to_vec()),
-                "{flushed}"
-            );
-            assert_eq!(node.get(b"deleted").unwrap(), None, "{flushed}");
-            node.flush_pending_writes().unwrap();
-        }
+        let replies = node.run_batch(&[
+            Op::update("put", "new"),
+            Op::delete("deleted"),
+            Op::lookup("put"),
+            Op::lookup("deleted"),
+        ]);
+        assert_eq!(
+            replies,
+            [Ok(None), Ok(None), Ok(Some(b"new".to_vec())), Ok(None)]
+        );
+        assert_eq!(node.get(b"put").unwrap(), Some(b"new".to_vec()));
+        assert_eq!(node.get(b"deleted").unwrap(), None);
     }
 
-    /// A flush that fails after logging its first chunk leaves that chunk's
-    /// puts pending with nothing left buffered for them. Their keys' older
-    /// cached values must go with the error, or a read after the buffer
-    /// drains would return them.
+    /// A slice's flush that fails after logging its first chunk leaves that
+    /// chunk's puts pending with nothing left buffered for them. Their keys'
+    /// older cached values must go with the error, or a read after the
+    /// retry drains the buffer would return them.
     #[test]
     fn a_failed_flush_drops_the_cached_values_of_its_pending_keys() {
         let (_kvs, node) = one_shard_node();
         node.put(b"k", b"old").unwrap();
-        node.flush_pending_writes().unwrap();
         node.dpm.wait_until_all_merged();
         assert_eq!(node.stats().cache.value_entries, 1);
 
         // With `k`'s put, three 12 KiB fillers outgrow a 32 KiB segment: the
         // flush logs `k` and two fillers in the open segment, then fails to
         // allocate the next one for the third.
-        let filler = vec![0u8; 12 << 10];
-        node.put(b"k", b"new").unwrap();
-        node.put(b"f0", &filler).unwrap();
-        node.put(b"f1", &filler).unwrap();
+        let filler = [0u8; 12 << 10];
         node.dpm.pool().inject_alloc_failures(1);
-        assert_eq!(
-            node.put(b"f2", &filler),
-            Err(KvsError::Pmem(dinomo_pmem::PmemError::InjectedFailure))
-        );
+        let replies = node.run_batch(&[
+            Op::update("k", "new"),
+            Op::insert("f0", filler),
+            Op::insert("f1", filler),
+            Op::insert("f2", filler),
+        ]);
+        let failed = Err(KvsError::Pmem(dinomo_pmem::PmemError::InjectedFailure));
+        assert!(replies.iter().all(|r| *r == failed), "{replies:?}");
         assert_eq!(node.shards[0].lock().writer.buffered_entries(), 1);
 
         node.flush_pending_writes().unwrap();
@@ -1037,9 +1025,9 @@ mod tests {
         assert_eq!(node.get(b"k").unwrap(), Some(b"new".to_vec()));
     }
 
-    /// A shared-key put flushes its shard's whole buffer, the owned puts
-    /// in it included. They are refreshed as any flushed put is, or a read
-    /// once nothing is buffered would find their keys' older cached values.
+    /// A shared-key put flushes its shard's whole buffer, and that holds
+    /// owned puts only when a failed flush left them there. They are
+    /// refreshed as any flushed put is: the next read of one is a value hit.
     #[test]
     fn a_shared_put_refreshes_the_owned_puts_it_flushes() {
         let kvs = crate::KvsBuilder::new()
@@ -1055,13 +1043,19 @@ mod tests {
         kvs.client().insert(b"shared", b"v0").unwrap();
         kvs.replicate_key(b"shared", 2).unwrap();
         node.put(&key, b"old").unwrap();
-        node.flush_pending_writes().unwrap();
         assert_eq!(node.stats().cache.value_entries, 1);
 
-        node.put(&key, b"new").unwrap();
+        // With no open segment, the put's flush fails at its allocation.
+        node.seal_log_segments();
+        node.dpm.pool().inject_alloc_failures(1);
+        assert!(node.put(&key, b"new").is_err());
+        assert_eq!(node.shards[0].lock().writer.buffered_entries(), 1);
+
         node.put(b"shared", b"v1").unwrap();
         assert_eq!(node.shards[0].lock().writer.buffered_entries(), 0);
+        let hits = node.stats().cache.value_hits;
         assert_eq!(node.get(&key).unwrap(), Some(b"new".to_vec()));
+        assert_eq!(node.stats().cache.value_hits, hits + 1);
         assert_eq!(node.get(b"shared").unwrap(), Some(b"v1".to_vec()));
     }
 
@@ -1192,7 +1186,7 @@ mod tests {
 
     /// A key the table already calls replicated, but whose indirection cell
     /// is not installed, is read through the ordinary path of the key's
-    /// *own* shard — where its acked-but-unflushed writes live.
+    /// *own* shard — the one whose cache its put's flush refreshed.
     #[test]
     fn shared_read_without_a_cell_reads_the_keys_own_shard() {
         let kvs = crate::KvsBuilder::new()
@@ -1206,11 +1200,11 @@ mod tests {
             .map(|i| format!("k{i}").into_bytes())
             .find(|k| node.ownership.read().thread_of(node.id, k) == Some(1))
             .unwrap();
-        // Buffered, not flushed (`write_batch_ops` is 4): only the shard's
-        // overlay can serve it.
-        node.put(&key, b"pending").unwrap();
+        node.put(&key, b"v").unwrap();
         node.ownership.write().replicate(&key, 2);
         assert!(node.dpm.indirect_cell_of(&key).is_none());
-        assert_eq!(node.get(&key).unwrap(), Some(b"pending".to_vec()));
+        let hits = node.stats().cache.value_hits;
+        assert_eq!(node.get(&key).unwrap(), Some(b"v".to_vec()));
+        assert_eq!(node.stats().cache.value_hits, hits + 1, "shard 1 serves it");
     }
 }

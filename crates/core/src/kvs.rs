@@ -503,8 +503,9 @@ impl Kvs {
         Ok(())
     }
 
-    /// Flush buffered writes on every node (used by drivers at epoch
-    /// boundaries and before shutdown).
+    /// Flush buffered writes on every node. Every slice flushes its own
+    /// writes before answering them, so this retries only what a failed
+    /// flush left buffered.
     pub fn flush_all(&self) -> Result<()> {
         let kns: Vec<Arc<KnNode>> = self.inner.kns.read().values().cloned().collect();
         for kn in kns {
@@ -644,19 +645,19 @@ impl Kvs {
         if moved.is_empty() {
             return Ok(());
         }
-        // Re-log every moved pair through a writer owned by its new owner.
+        // Re-log every moved pair through a writer owned by its new owner,
+        // one flush per writer (it cuts the batch at segment ends).
         let nic = Nic::new(self.inner.config.fabric);
         let mut writers: BTreeMap<KnId, LogWriter> = BTreeMap::new();
         let mut bytes = 0u64;
         for (key, value, new_owner) in moved {
             bytes += (key.len() + value.len()) as u64;
-            let w = writers.entry(new_owner).or_insert_with(|| {
-                LogWriter::new(Arc::clone(&self.inner.dpm), new_owner, nic.clone())
-            });
-            w.append_put(&key, &value);
-            if w.should_flush() {
-                w.flush()?;
-            }
+            writers
+                .entry(new_owner)
+                .or_insert_with(|| {
+                    LogWriter::new(Arc::clone(&self.inner.dpm), new_owner, nic.clone())
+                })
+                .append_put(&key, &value);
         }
         for (_, mut w) in writers {
             w.flush()?;
@@ -918,14 +919,10 @@ mod tests {
 
     #[test]
     fn batched_writes_flush_once_per_group_but_remain_durable() {
-        // With write_batch_ops = 1 every per-op write flushes individually;
-        // a batch flushes once per shard group. Either way, everything the
-        // client was acked for must be readable after a quiesce.
-        let kvs = Kvs::new(KvsConfig {
-            write_batch_ops: 1,
-            ..KvsConfig::small_for_tests()
-        })
-        .unwrap();
+        // A per-key write flushes in its own slice; a batch flushes once
+        // per shard slice. Either way, everything the client was acked for
+        // must be readable after a quiesce.
+        let kvs = Kvs::new(KvsConfig::small_for_tests()).unwrap();
         let client = kvs.client();
         let ops: Vec<Op> = (0..64u64)
             .map(|i| Op::insert(key_for(i, 8), [i as u8; 32]))
@@ -1106,10 +1103,7 @@ mod tests {
         // what a crashed controller leaves. `crash_dpm_and_recover` must
         // then reopen the cluster with every acked write intact, and the
         // next hand-off must run cleanly.
-        let mut config = KvsConfig {
-            write_batch_ops: 1,
-            ..KvsConfig::small_for_tests()
-        };
+        let mut config = KvsConfig::small_for_tests();
         config.dpm.pool.track_persistence = true;
         let kvs = Kvs::new(config).unwrap();
         let client = kvs.client();
@@ -1253,9 +1247,7 @@ mod tests {
         for i in 0..200u64 {
             client.insert(&key_for(i, 8), &[3u8; 32]).unwrap();
         }
-        // Make sure everything is durable in the log before the crash (the
-        // client-visible guarantee covers flushed writes).
-        kvs.flush_all().unwrap();
+        // No flush first: an acked write is already durable in the log.
         let victim = kvs.kn_ids()[0];
         kvs.fail_kn(victim).unwrap();
         assert_eq!(kvs.num_kns(), 1);
@@ -1307,7 +1299,6 @@ mod tests {
         // throughout.
         let kvs = Kvs::new(KvsConfig {
             initial_kns: 3,
-            write_batch_ops: 1,
             ..KvsConfig::small_for_tests()
         })
         .unwrap();
@@ -1337,12 +1328,7 @@ mod tests {
         // Same collapse with the key's final state *deleted*: the
         // tombstoned cell must dismantle to a clean miss, and a
         // re-insert must win over the merged tombstone.
-        let kvs = Kvs::new(KvsConfig {
-            initial_kns: 2,
-            write_batch_ops: 1,
-            ..KvsConfig::small_for_tests()
-        })
-        .unwrap();
+        let kvs = Kvs::new(KvsConfig::small_for_tests()).unwrap();
         let client = kvs.client();
         client.insert(b"doomed", b"v0").unwrap();
         kvs.replicate_key(b"doomed", 2).unwrap();

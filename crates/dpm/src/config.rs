@@ -74,9 +74,6 @@ pub struct DpmConfig {
     /// Size of each log segment. The paper uses 8 MB; tests use much smaller
     /// segments to exercise segment roll-over cheaply.
     pub segment_bytes: u64,
-    /// KN-side batch threshold: a [`crate::LogWriter`] flushes automatically
-    /// once this many bytes are buffered.
-    pub flush_batch_bytes: usize,
     /// Number of DPM processor threads dedicated to merging (the paper finds
     /// 4 sufficient for 16 KNs on DRAM).
     pub merge_threads: usize,
@@ -95,7 +92,6 @@ impl Default for DpmConfig {
         DpmConfig {
             pool: PmemConfig::default(),
             segment_bytes: 8 << 20,
-            flush_batch_bytes: 64 << 10,
             merge_threads: 4,
             unmerged_segment_threshold: 2,
             index: PclhtConfig::default(),
@@ -114,7 +110,6 @@ impl DpmConfig {
                 track_persistence: false,
             },
             segment_bytes: 32 << 10,
-            flush_batch_bytes: 4 << 10,
             merge_threads: 1,
             unmerged_segment_threshold: 2,
             index: PclhtConfig {

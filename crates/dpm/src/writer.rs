@@ -83,11 +83,6 @@ impl LogWriter {
         self.pending.len()
     }
 
-    /// `true` once the buffer has reached the configured batch size.
-    pub fn should_flush(&self) -> bool {
-        self.buffer.len() >= self.dpm.config().flush_batch_bytes
-    }
-
     /// Buffer an insert/update. Returns the entry's global sequence number.
     pub fn append_put(&mut self, key: &[u8], value: &[u8]) -> u64 {
         self.append(key, value, LogOp::Put)
@@ -211,9 +206,11 @@ impl LogWriter {
 
     /// Drop everything buffered but not yet flushed — the crash path. A
     /// buffered write lives only in KN DRAM (nothing has been sent to the
-    /// log), so a fail-stop discards it; since a write is acknowledged
-    /// only after [`LogWriter::flush`] returns, no acknowledged write is
-    /// ever lost this way. Returns how many entries were discarded.
+    /// log), so a fail-stop discards it. A KN answers a write only after
+    /// the [`LogWriter::flush`] of its slice returns `Ok`, so no
+    /// acknowledged write is ever lost this way: what is left is a slice
+    /// still running or the tail of a failed flush. Returns how many
+    /// entries were discarded.
     pub fn discard_buffered(&mut self) -> usize {
         let discarded = self.pending.len();
         self.buffer.clear();

@@ -26,8 +26,7 @@ fn main() {
             .insert(&key_for(i, 8), &vec![(i % 251) as u8; 256])
             .unwrap();
     }
-    // Make every write durable in the DPM log before the failure.
-    kvs.flush_all().unwrap();
+    // No flush first: every acked write is already durable in the DPM log.
 
     let victim = kvs.kn_ids()[0];
     println!("failing KN {victim} ...");

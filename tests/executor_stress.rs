@@ -3,9 +3,9 @@
 //!
 //! The invariants under test:
 //!
-//! * **No lost acknowledged writes.** With `write_batch_ops = 1` every
-//!   acknowledged write was flushed to the (shared, durable) DPM log before
-//!   its reply, so it must be readable after any sequence of
+//! * **No lost acknowledged writes.** A shard slice flushes its writes to
+//!   the (shared, durable) DPM log before it answers them, so every
+//!   acknowledged write must be readable after any sequence of
 //!   `add_node`/`remove_node`/`fail_node` — a batch's shard slice racing a
 //!   reconfiguration either completes before the drain or rejects and is
 //!   retried against the new owners.
@@ -56,9 +56,6 @@ fn churn_loses_no_acknowledged_writes() {
 
     let kvs = Kvs::new(KvsConfig {
         initial_kns: 3,
-        // Ack ⇒ flushed: with a write-batch of one, every shard slice
-        // flushes its buffered log writes before its ops are answered.
-        write_batch_ops: 1,
         ..KvsConfig::small_for_tests()
     })
     .unwrap();

@@ -18,7 +18,6 @@ fn gc_cluster() -> Kvs {
         .small_for_tests()
         .initial_kns(1)
         .threads_per_kn(1)
-        .write_batch_ops(4)
         .dpm(dpm)
         .gc(GcConfig {
             background: false,
@@ -150,7 +149,6 @@ fn replicated_and_deleted_keys_pin_their_segments_end_to_end() {
         KvsBuilder::new()
             .small_for_tests()
             .initial_kns(2)
-            .write_batch_ops(1)
             .dpm(dpm)
             .gc(GcConfig {
                 background: false,
@@ -213,7 +211,6 @@ fn concurrent_controllers_serialize_cleanly() {
     let kvs = KvsBuilder::new()
         .small_for_tests()
         .initial_kns(3)
-        .write_batch_ops(1)
         .build()
         .unwrap();
     let client = kvs.client();

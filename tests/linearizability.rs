@@ -15,8 +15,19 @@
 use dinomo::check::check_history;
 use dinomo::core::trace::HistoryRecorder;
 use dinomo::{Kvs, KvsConfig, Op, Reply, Variant};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
+
+/// Wait until every reader has observed the register (`started` counts
+/// them) or one has died, so the writer cannot finish before they start.
+fn await_readers(started: &AtomicUsize, readers: &[JoinHandle<u64>]) {
+    while started.load(Ordering::Acquire) < readers.len()
+        && !readers.iter().any(|h| h.is_finished())
+    {
+        std::thread::yield_now();
+    }
+}
 
 /// A single writer monotonically increments a counter value stored under one
 /// key while several readers poll it.  Linearizability of a single register
@@ -34,6 +45,7 @@ fn monotonic_register_check(
 ) {
     let stop = Arc::new(AtomicBool::new(false));
     let high_water = Arc::new(AtomicU64::new(0));
+    let started = Arc::new(AtomicUsize::new(0));
     let client = kvs.client().with_recorder(recorder.handle(0));
     client.insert(key, &0u64.to_be_bytes()).unwrap();
 
@@ -42,6 +54,7 @@ fn monotonic_register_check(
             let kvs = kvs.clone();
             let stop = Arc::clone(&stop);
             let high_water = Arc::clone(&high_water);
+            let started = Arc::clone(&started);
             let key = key.to_vec();
             let handle = recorder.handle(1 + r as u64);
             std::thread::spawn(move || {
@@ -67,12 +80,16 @@ fn monotonic_register_check(
                     );
                     last_seen = value;
                     observations += 1;
+                    if observations == 1 {
+                        started.fetch_add(1, Ordering::Release);
+                    }
                 }
                 observations
             })
         })
         .collect();
 
+    await_readers(&started, &reader_handles);
     for v in 1..=writes {
         // Announce the write before issuing it: readers may observe it any
         // time after the KVS node starts applying it.
@@ -101,38 +118,19 @@ fn assert_history_linearizable(recorder: &Arc<HistoryRecorder>, scenario: &str) 
     assert!(stats.ops > 0);
 }
 
+/// Each update flushes in its own slice and refreshes the register's value
+/// in the owner's cache, which readers hit between updates.
 #[test]
 fn owned_key_reads_are_linearizable() {
-    // Immediate visibility matters for this test, so writes are flushed
-    // per operation (batch size 1).
-    let kvs = Kvs::new(KvsConfig {
-        write_batch_ops: 1,
-        ..KvsConfig::small_for_tests()
-    })
-    .unwrap();
+    let kvs = Kvs::new(KvsConfig::small_for_tests()).unwrap();
     let recorder = HistoryRecorder::new();
     monotonic_register_check(&kvs, &recorder, b"register", 2_000, 3);
     assert_history_linearizable(&recorder, "owned register");
 }
 
-/// `owned_key_reads_are_linearizable` at `small_for_tests`' write batching
-/// (4 ops per flush): a write stays buffered past its own request, next to
-/// the register's older value in the owner's cache.
-#[test]
-fn owned_key_reads_are_linearizable_with_buffered_writes() {
-    let kvs = Kvs::new(KvsConfig::small_for_tests()).unwrap();
-    let recorder = HistoryRecorder::new();
-    monotonic_register_check(&kvs, &recorder, b"register", 2_000, 3);
-    assert_history_linearizable(&recorder, "owned register, batched writes");
-}
-
 #[test]
 fn replicated_key_reads_are_linearizable() {
-    let kvs = Kvs::new(KvsConfig {
-        write_batch_ops: 1,
-        ..KvsConfig::small_for_tests()
-    })
-    .unwrap();
+    let kvs = Kvs::new(KvsConfig::small_for_tests()).unwrap();
     let recorder = HistoryRecorder::new();
     let client = kvs.client().with_recorder(recorder.handle(99));
     client.insert(b"hot-register", &0u64.to_be_bytes()).unwrap();
@@ -148,12 +146,7 @@ fn batched_register_reads_are_linearizable_against_batched_writes() {
     // in mixed batches, racing add_kn/fail_kn reconfigurations. Per-op
     // replies must never show a value going backwards or a value that was
     // never acknowledged as written.
-    let kvs = Kvs::new(KvsConfig {
-        write_batch_ops: 1,
-        initial_kns: 2,
-        ..KvsConfig::small_for_tests()
-    })
-    .unwrap();
+    let kvs = Kvs::new(KvsConfig::small_for_tests()).unwrap();
     let key = b"batched-register".to_vec();
     let recorder = HistoryRecorder::new();
     let client = kvs.client().with_recorder(recorder.handle(0));
@@ -161,18 +154,24 @@ fn batched_register_reads_are_linearizable_against_batched_writes() {
 
     let stop = Arc::new(AtomicBool::new(false));
     let high_water = Arc::new(AtomicU64::new(0));
+    let started = Arc::new(AtomicUsize::new(0));
     let readers: Vec<_> = (0..2)
         .map(|r| {
             let kvs = kvs.clone();
             let stop = Arc::clone(&stop);
             let high_water = Arc::clone(&high_water);
+            let started = Arc::clone(&started);
             let key = key.clone();
             let handle = recorder.handle(1 + r as u64);
             std::thread::spawn(move || {
                 let client = kvs.client().with_recorder(handle);
                 let mut last_seen = 0u64;
                 let mut observations = 0u64;
-                while !stop.load(Ordering::Acquire) {
+                // Bounded like `monotonic_register_check`'s readers: an
+                // unbounded history can outgrow the checker's per-key state
+                // budget, which reports "inconclusive" and fails the test
+                // without a violation.
+                while !stop.load(Ordering::Acquire) && observations < 20_000 {
                     // A batch of 8 reads of the same register: replies are
                     // positional, and each must respect the register's
                     // history.
@@ -187,6 +186,9 @@ fn batched_register_reads_are_linearizable_against_batched_writes() {
                         last_seen = value;
                         observations += 1;
                     }
+                    if observations == 8 {
+                        started.fetch_add(1, Ordering::Release);
+                    }
                 }
                 observations
             })
@@ -195,6 +197,7 @@ fn batched_register_reads_are_linearizable_against_batched_writes() {
 
     // The writer increments through the batched path while the cluster
     // reconfigures under it.
+    await_readers(&started, &readers);
     let mut added = None;
     for v in 1..=600u64 {
         high_water.store(v, Ordering::Release);
@@ -226,7 +229,6 @@ fn concurrent_writers_on_a_replicated_key_never_lose_the_last_write() {
     // intermediate read must be a value some writer actually wrote.
     let kvs = Kvs::new(
         KvsConfig {
-            write_batch_ops: 1,
             initial_kns: 3,
             ..KvsConfig::small_for_tests()
         }

@@ -35,14 +35,13 @@ fn value(i: u64) -> Vec<u8> {
     vec![(i % 251) as u8; 64]
 }
 
-/// A cluster built from `config`, with `keys` keys written and flushed.
+/// A cluster built from `config`, with `keys` keys written.
 fn loaded(config: KvsConfig, keys: u64) -> Kvs {
     let kvs = Kvs::new(config).unwrap();
     let client = kvs.client();
     for i in 0..keys {
         client.insert(&key(i), &value(i)).unwrap();
     }
-    kvs.flush_all().unwrap();
     kvs
 }
 

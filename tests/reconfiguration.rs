@@ -22,7 +22,6 @@ fn loaded_cluster(variant: Variant, kns: usize, keys: u64) -> Kvs {
             .insert(&key_for(i, 8), &[(i % 251) as u8; 64])
             .unwrap();
     }
-    kvs.flush_all().unwrap();
     kvs
 }
 

@@ -18,7 +18,6 @@ fn tracked_dpm() -> Arc<DpmNode> {
                 track_persistence: true,
             },
             segment_bytes: 64 << 10,
-            flush_batch_bytes: 8 << 10,
             merge_threads: 1,
             unmerged_segment_threshold: 2,
             index: PclhtConfig {
@@ -37,7 +36,7 @@ fn committed_log_entries_survive_a_dpm_power_failure() {
     let mut writer = LogWriter::new(Arc::clone(&dpm), 0, Nic::default());
     for i in 0..200u64 {
         writer.append_put(&key_for(i, 8), &[(i % 251) as u8; 64]);
-        if writer.should_flush() {
+        if i % 64 == 63 {
             writer.flush().unwrap();
         }
     }
@@ -106,13 +105,12 @@ fn kn_failure_preserves_flushed_writes_and_policy_metadata() {
     for i in 0..400u64 {
         client.insert(&key_for(i, 8), &[3u8; 48]).unwrap();
     }
-    kvs.flush_all().unwrap();
     kvs.replicate_key(&key_for(1, 8), 2).unwrap();
 
     let victim = kvs.kn_ids()[1];
     kvs.fail_kn(victim).unwrap();
 
-    // Every flushed write is still readable through the surviving nodes.
+    // Every acked write is still readable through the surviving nodes.
     for i in 0..400u64 {
         assert_eq!(
             client.lookup(&key_for(i, 8)).unwrap(),
@@ -127,6 +125,35 @@ fn kn_failure_preserves_flushed_writes_and_policy_metadata() {
         .expect("policy metadata must be in DPM");
     assert_eq!(recovered.num_kns(), 2);
     assert!(!recovered.kns().contains(&victim));
+}
+
+/// Acked means durable, whatever `write_batch_ops` says (here `e2e`'s 8):
+/// an acked put survives its owner's fail-stop with no flush in between,
+/// and a DPM crash after acked writes finds nothing buffered to discard.
+#[test]
+fn an_acked_put_survives_its_kns_failure_and_a_dpm_crash() {
+    let e2e_like = KvsConfig {
+        write_batch_ops: 8,
+        ..KvsConfig::small_for_tests()
+    };
+    for (name, mut config) in [
+        ("small_for_tests", KvsConfig::small_for_tests()),
+        ("e2e", e2e_like),
+    ] {
+        config.dpm.pool.track_persistence = true;
+        let kvs = Kvs::new(config).unwrap();
+        let client = kvs.client();
+        let read = |key: &[u8]| client.lookup(key).unwrap();
+        client.insert(b"acked", b"v").unwrap();
+        let owner = kvs.ownership().read().primary_owner(b"acked").unwrap();
+        kvs.fail_kn(owner).unwrap();
+        assert_eq!(read(b"acked"), Some(b"v".to_vec()), "{name}");
+
+        client.insert(b"after", b"w").unwrap();
+        let report = kvs.crash_dpm_and_recover().unwrap();
+        assert_eq!(report.buffered_discarded, 0, "{name}: {report:?}");
+        assert_eq!(read(b"after"), Some(b"w".to_vec()), "{name}");
+    }
 }
 
 #[test]
