@@ -128,6 +128,22 @@ fn owned_key_reads_are_linearizable() {
     assert_history_linearizable(&recorder, "owned register");
 }
 
+/// `owned_key_reads_are_linearizable` under a config that asks for write
+/// batching (8 ops per flush, as the benchmark preset sets it). The knob is
+/// ignored: a write still flushes in its own slice, so no read may see the
+/// register's older cached value once the update is acked.
+#[test]
+fn owned_key_reads_are_linearizable_with_buffered_writes() {
+    let kvs = Kvs::new(KvsConfig {
+        write_batch_ops: 8,
+        ..KvsConfig::small_for_tests()
+    })
+    .unwrap();
+    let recorder = HistoryRecorder::new();
+    monotonic_register_check(&kvs, &recorder, b"register", 2_000, 3);
+    assert_history_linearizable(&recorder, "owned register, batching requested");
+}
+
 #[test]
 fn replicated_key_reads_are_linearizable() {
     let kvs = Kvs::new(KvsConfig::small_for_tests()).unwrap();
