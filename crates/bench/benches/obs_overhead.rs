@@ -15,12 +15,11 @@
 
 use dinomo_bench::harness::{gate, median, retake_until, write_bench_record};
 use dinomo_cache::CacheKind;
-use dinomo_core::Kvs;
+use dinomo_core::{key_for, Kvs};
 use dinomo_dpm::{DpmConfig, GcConfig};
 use dinomo_pclht::PclhtConfig;
 use dinomo_pmem::PmemConfig;
 use dinomo_simnet::{DelayMode, FabricConfig};
-use dinomo_workload::key_for;
 use std::time::Instant;
 
 const KEYS: u64 = 2_000;
@@ -60,7 +59,6 @@ fn saturation_cluster() -> Kvs {
             segment_bytes: 128 << 10,
             merge_threads: 2,
             index: PclhtConfig::for_capacity(KEYS as usize * 2),
-            ..DpmConfig::default()
         })
         .build()
         .expect("building the saturation cluster failed");

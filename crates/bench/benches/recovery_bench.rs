@@ -15,11 +15,10 @@
 //! perf job.
 
 use dinomo_bench::harness::{gate, median, write_bench_record};
-use dinomo_core::{Kvs, Op, Reply};
+use dinomo_core::{key_for, Kvs, Op, Reply};
 use dinomo_dpm::DpmConfig;
 use dinomo_pclht::PclhtConfig;
 use dinomo_pmem::PmemConfig;
-use dinomo_workload::key_for;
 use std::time::Instant;
 
 /// Key counts per scale (values are `VALUE_LEN` bytes each).

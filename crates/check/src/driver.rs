@@ -16,7 +16,7 @@
 //!   across fail-stop churn;
 //! * optionally preloads the key space through a recording client;
 //! * runs `clients` concurrent threads, each executing its deterministic
-//!   CRUD batches (skewed keys via [`dinomo_workload::WorkloadGenerator`],
+//!   CRUD batches (skewed keys via [`WorkloadGenerator`],
 //!   globally-unique write values so the checker can pin every read to its
 //!   write) through the batched `execute` path with history recording on;
 //! * replays a deterministic churn script concurrently:
@@ -32,13 +32,10 @@
 //! smaller budget is a prefix of the same schedule.
 
 use crate::checker::{check_history_with, CheckError, CheckStats, CheckerConfig};
+use crate::workload::{KeyDistribution, Operation, WorkloadConfig, WorkloadGenerator, WorkloadMix};
+use crate::zipf::{splitmix64, Rng, GOLDEN_GAMMA};
 use dinomo_core::trace::{Action, HistoryRecorder, OpRecord};
-use dinomo_core::{GcConfig, Kvs, KvsConfig, KvsError, Op, Reply};
-use dinomo_workload::{
-    key_for, KeyDistribution, Operation, WorkloadConfig, WorkloadGenerator, WorkloadMix,
-};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use dinomo_core::{key_for, GcConfig, Kvs, KvsConfig, KvsError, Op, Reply};
 use std::time::Duration;
 
 /// Configuration of one generative check scenario. Everything except
@@ -178,10 +175,7 @@ pub enum CrashWindow {
 /// SplitMix64 — decorrelates the per-purpose seeds derived from the
 /// master seed.
 fn mix(seed: u64, salt: u64) -> u64 {
-    let mut z = seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    splitmix64(seed ^ salt.wrapping_mul(GOLDEN_GAMMA))
 }
 
 /// The deterministic churn schedule for a scenario — a pure function of
@@ -189,7 +183,7 @@ fn mix(seed: u64, salt: u64) -> u64 {
 /// low key ids, which are the hottest ranks of the scrambled-Zipf key
 /// chooser's head.
 pub fn churn_script(config: &CheckConfig) -> Vec<ChurnAction> {
-    let mut rng = StdRng::seed_from_u64(mix(config.seed, 0xc4a6));
+    let mut rng = Rng::seed_from_u64(mix(config.seed, 0xc4a6));
     let mut script = Vec::with_capacity(config.churn_steps);
     let mut replicated: Vec<u64> = Vec::new();
     // Widening the roll range only when crashes are on keeps every
@@ -197,21 +191,21 @@ pub fn churn_script(config: &CheckConfig) -> Vec<ChurnAction> {
     let roll_range = if config.crashes { 13 } else { 10 };
     let mut crash_counter = 0u64;
     for _ in 0..config.churn_steps {
-        let roll = rng.gen_range(0u32..roll_range);
+        let roll = rng.below(roll_range);
         let action = match roll {
             0 | 1 if config.membership_churn => ChurnAction::AddKn,
             2 if config.membership_churn => ChurnAction::RemoveOldestKn,
             3 if config.membership_churn => ChurnAction::FailNewestKn,
             4 | 5 if config.replication_churn => {
-                let key_id = rng.gen_range(0..config.keys.clamp(1, 8));
-                let factor = rng.gen_range(2usize..4);
+                let key_id = rng.below(config.keys.clamp(1, 8));
+                let factor = 2 + rng.below(2) as usize;
                 if !replicated.contains(&key_id) {
                     replicated.push(key_id);
                 }
                 ChurnAction::ReplicateKey(key_id, factor)
             }
             6 if config.replication_churn && !replicated.is_empty() => {
-                let idx = rng.gen_range(0..replicated.len());
+                let idx = rng.below(replicated.len() as u64) as usize;
                 ChurnAction::DereplicateKey(replicated.swap_remove(idx))
             }
             10 => ChurnAction::CrashKn,
@@ -222,13 +216,13 @@ pub fn churn_script(config: &CheckConfig) -> Vec<ChurnAction> {
                 let window = match crash_counter % 4 {
                     0 => CrashWindow::MidCompaction,
                     1 => CrashWindow::MidHandoff,
-                    2 => CrashWindow::MidCellSwing(rng.gen_range(0..config.keys.clamp(1, 8))),
+                    2 => CrashWindow::MidCellSwing(rng.below(config.keys.clamp(1, 8))),
                     _ => CrashWindow::Quiescent,
                 };
                 crash_counter += 1;
                 ChurnAction::CrashDpm(window)
             }
-            _ => ChurnAction::Pause(rng.gen_range(1u64..4)),
+            _ => ChurnAction::Pause(1 + rng.below(3)),
         };
         script.push(action);
     }
@@ -245,7 +239,6 @@ pub fn client_ops(config: &CheckConfig, client: usize) -> Vec<Op> {
     let per_client = (config.total_ops / config.clients.max(1)).max(1);
     let mut generator = WorkloadGenerator::new(WorkloadConfig {
         num_keys: config.keys.max(1),
-        key_len: 8,
         value_len: 8,
         mix: WorkloadMix::CRUD,
         distribution: KeyDistribution::MODERATE_SKEW,

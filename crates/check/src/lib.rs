@@ -23,6 +23,10 @@
 //!   [`dinomo_core::trace`] hook; the merged history is checked at the
 //!   end. Any failure reproduces from `DINOMO_CHECK_SEED=<n>` alone and
 //!   shrinks by replaying with a reduced op budget.
+//! * [`workload`] — the seeded YCSB-style op stream the driver and the
+//!   paper-claim tests draw from (§5): request mixes, uniform and
+//!   scrambled-Zipf key popularity, and one xoshiro256++ generator under
+//!   both.
 //!
 //! The `lincheck` binary wraps the driver for CI: a short fixed-seed
 //! smoke on merges, a long random-seed sweep nightly (failing seeds and
@@ -49,6 +53,17 @@
 
 pub mod checker;
 pub mod driver;
+mod generator;
+mod mix;
+mod zipf;
+
+/// The seeded YCSB-style op stream (§5), a pure function of its seed; the
+/// umbrella crate re-exports it as `dinomo::workload`.
+pub mod workload {
+    pub use crate::generator::{Operation, WorkloadConfig, WorkloadGenerator};
+    pub use crate::mix::WorkloadMix;
+    pub use crate::zipf::KeyDistribution;
+}
 
 pub use checker::{check_history, CheckError, CheckStats, CheckerConfig, Violation};
 pub use driver::{churn_script, client_ops, run_and_check, run_scenario, CheckConfig, ChurnAction};

@@ -98,11 +98,6 @@ impl KvsClient {
         handle.record(op.key(), action, reply.is_ok(), invoked_at);
     }
 
-    /// Version of the routing metadata this client currently holds.
-    pub fn cached_ownership_version(&self) -> u64 {
-        self.cached.lock().version()
-    }
-
     /// Refresh routing metadata from a routing node.
     pub fn refresh_routing(&self) {
         *self.cached.lock() = self.kvs.ownership.read().clone();

@@ -692,9 +692,9 @@ pub struct DpmCrashReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keys::key_for;
     use crate::op::{Op, Reply};
     use dinomo_cache::CacheKind;
-    use dinomo_workload::key_for;
 
     fn cluster(variant: Variant) -> Kvs {
         Kvs::new(KvsConfig::small_for_tests().with_variant(variant)).unwrap()

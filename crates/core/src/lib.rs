@@ -60,6 +60,7 @@ pub mod builder;
 pub mod client;
 pub mod config;
 pub mod error;
+pub mod keys;
 pub mod kn;
 pub mod kvs;
 pub mod op;
@@ -73,6 +74,7 @@ pub use config::{KvsConfig, Variant};
 // without depending on the dpm crate directly.
 pub use dinomo_dpm::GcConfig;
 pub use error::KvsError;
+pub use keys::key_for;
 pub use kvs::{DpmCrashReport, Kvs};
 pub use op::{Op, Reply};
 pub use stats::{KnStats, KvsStats};

@@ -58,13 +58,6 @@ pub enum Action {
     Read(Option<Vec<u8>>),
 }
 
-impl Action {
-    /// `true` for writes and deletes.
-    pub fn is_mutation(&self) -> bool {
-        !matches!(self, Action::Read(_))
-    }
-}
-
 /// One completed client operation, as recorded for the checker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpRecord {

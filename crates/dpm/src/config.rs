@@ -66,6 +66,9 @@ impl GcConfig {
     }
 }
 
+/// A KN blocks once it has this many sealed-but-unmerged segments (§4).
+pub(crate) const UNMERGED_SEGMENT_THRESHOLD: usize = 2;
+
 /// Configuration of a [`crate::DpmNode`].
 #[derive(Debug, Clone, Copy)]
 pub struct DpmConfig {
@@ -77,9 +80,6 @@ pub struct DpmConfig {
     /// Number of DPM processor threads dedicated to merging (the paper finds
     /// 4 sufficient for 16 KNs on DRAM).
     pub merge_threads: usize,
-    /// A KN blocks once it has this many sealed-but-unmerged segments
-    /// (default 2, per §4).
-    pub unmerged_segment_threshold: usize,
     /// Metadata-index configuration.
     pub index: PclhtConfig,
     /// Log-cleaning segment compactor knobs (dead-share target, per-pass
@@ -93,7 +93,6 @@ impl Default for DpmConfig {
             pool: PmemConfig::default(),
             segment_bytes: 8 << 20,
             merge_threads: 4,
-            unmerged_segment_threshold: 2,
             index: PclhtConfig::default(),
             gc: GcConfig::default(),
         }
@@ -111,7 +110,6 @@ impl DpmConfig {
             },
             segment_bytes: 32 << 10,
             merge_threads: 1,
-            unmerged_segment_threshold: 2,
             index: PclhtConfig {
                 initial_buckets: 256,
                 ..PclhtConfig::default()
@@ -136,6 +134,6 @@ mod tests {
         let c = DpmConfig::default();
         assert_eq!(c.segment_bytes, 8 << 20);
         assert_eq!(c.merge_threads, 4);
-        assert_eq!(c.unmerged_segment_threshold, 2);
+        assert_eq!(UNMERGED_SEGMENT_THRESHOLD, 2);
     }
 }

@@ -10,7 +10,7 @@ use crate::entry::{decode_entry, LogOp};
 use crate::loc::PackedLoc;
 use crate::node::DpmInner;
 use crate::segment::SegmentState;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -37,7 +37,7 @@ impl MergeEngine {
         let mut senders = Vec::with_capacity(threads);
         let mut handles = Vec::with_capacity(threads);
         for worker_id in 0..threads {
-            let (tx, rx): (Sender<MergeTask>, Receiver<MergeTask>) = unbounded();
+            let (tx, rx) = mpsc::channel();
             senders.push(tx);
             let inner = Arc::clone(&inner);
             handles.push(

@@ -1,7 +1,7 @@
 //! The DPM node: shared pool, metadata index, segment registry, merge engine,
 //! garbage collection, indirect pointers, recovery and the metadata store.
 
-use crate::config::DpmConfig;
+use crate::config::{DpmConfig, UNMERGED_SEGMENT_THRESHOLD};
 use crate::entry::decode_entry;
 use crate::failpoint::FailpointSet;
 use crate::gc::{compact_pass, CompactionReport, Compactor, GcSignal};
@@ -732,13 +732,12 @@ impl DpmNode {
         self.inner.next_seq.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Block while `kn` has at least `unmerged_segment_threshold` sealed but
-    /// unmerged segments (the paper's write-path back-pressure).
+    /// Block while `kn` has at least two sealed but unmerged segments (the
+    /// paper's write-path back-pressure, §4).
     pub fn wait_for_merge_slack(&self, kn: u32) {
         self.inner.metrics.stage_flush_wait.time(|| {
-            let threshold = self.inner.config.unmerged_segment_threshold.max(1);
             let mut guard = self.inner.merge_sync.0.lock();
-            while self.inner.unmerged_sealed_segments(kn) >= threshold {
+            while self.inner.unmerged_sealed_segments(kn) >= UNMERGED_SEGMENT_THRESHOLD {
                 self.inner
                     .merge_sync
                     .1

@@ -43,8 +43,7 @@ struct PendingEntry {
 /// segment), persists it, and hands the batch to the DPM merge engine.
 /// The writer automatically allocates a fresh segment (a two-sided
 /// operation, off the hot path) when the current one fills up, blocking only
-/// if the KN already has `unmerged_segment_threshold` sealed-but-unmerged
-/// segments.
+/// if the KN already has two sealed-but-unmerged segments (§4).
 #[derive(Debug)]
 pub struct LogWriter {
     dpm: Arc<DpmNode>,

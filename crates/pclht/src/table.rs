@@ -50,13 +50,14 @@ pub fn pin() -> Guard {
     epoch::pin()
 }
 
+/// Resize when `len > MAX_LOAD_FACTOR * buckets * SLOTS_PER_BUCKET`.
+const MAX_LOAD_FACTOR: f64 = 0.75;
+
 /// Configuration of a [`Pclht`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PclhtConfig {
     /// Number of buckets in the initial table (rounded up to a power of two).
     pub initial_buckets: usize,
-    /// Resize when `len > load_factor * buckets * SLOTS_PER_BUCKET`.
-    pub max_load_factor: f64,
     /// Whether the table resizes itself automatically.
     pub auto_resize: bool,
 }
@@ -65,7 +66,6 @@ impl Default for PclhtConfig {
     fn default() -> Self {
         PclhtConfig {
             initial_buckets: 1024,
-            max_load_factor: 0.75,
             auto_resize: true,
         }
     }
@@ -631,7 +631,7 @@ impl Pclht {
         let guard = epoch::pin();
         let num_buckets = self.current(&guard).num_buckets;
         let capacity = num_buckets * SLOTS_PER_BUCKET as u64;
-        if self.len() as f64 <= self.config.max_load_factor * capacity as f64 {
+        if self.len() as f64 <= MAX_LOAD_FACTOR * capacity as f64 {
             return Ok(());
         }
         let state = self.state.write();
@@ -783,7 +783,6 @@ mod tests {
             PclhtConfig {
                 initial_buckets: 16,
                 auto_resize: false,
-                ..PclhtConfig::default()
             },
         )
         .unwrap();

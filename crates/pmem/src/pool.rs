@@ -264,11 +264,6 @@ impl PmemPool {
         }
     }
 
-    /// Number of currently dirty (unpersisted) cache lines.
-    pub fn dirty_line_count(&self) -> usize {
-        self.dirty_lines.lock().len()
-    }
-
     /// Snapshot pool statistics.
     pub fn stats(&self) -> PmemStats {
         let alloc = self.allocator.lock();

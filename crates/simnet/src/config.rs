@@ -100,11 +100,6 @@ pub struct FabricConfig {
     pub rpc_latency_ns: u64,
     /// Usable link bandwidth in bytes per second (per KN link).
     pub bandwidth_bytes_per_sec: u64,
-    /// Aggregate bandwidth of the DPM-side network port(s) in bytes/second.
-    ///
-    /// The paper's setup has a single DPM pool whose ingress bandwidth
-    /// (~7 GB/s) eventually caps aggregate write throughput.
-    pub dpm_bandwidth_bytes_per_sec: u64,
     /// Whether calls inject real delay.
     pub delay: DelayMode,
 }
@@ -115,7 +110,6 @@ impl Default for FabricConfig {
             one_sided_latency_ns: 2_000,
             rpc_latency_ns: 4_000,
             bandwidth_bytes_per_sec: 7_000_000_000,
-            dpm_bandwidth_bytes_per_sec: 7_000_000_000,
             delay: DelayMode::None,
         }
     }

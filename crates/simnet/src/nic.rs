@@ -1,6 +1,6 @@
 //! The per-node simulated NIC.
 
-use crate::config::{DelayMode, FabricConfig};
+use crate::config::FabricConfig;
 use crate::stats::{NicCounters, NicStats};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 /// metadata server).
 ///
 /// Every method accounts the operation (RT counters, bytes, modeled time) and,
-/// depending on [`DelayMode`], optionally busy-waits for the scaled modeled
+/// depending on [`DelayMode`](crate::DelayMode), optionally busy-waits for the scaled modeled
 /// latency so wall-clock experiments see realistic relative costs.
 ///
 /// `Nic` is cheap to clone (`Arc` internally); clones share counters, which
@@ -143,14 +143,10 @@ fn busy_wait(dur: Duration) {
     }
 }
 
-/// Convenience: `true` if the NIC injects any real delay.
-pub fn injects_delay(config: &FabricConfig) -> bool {
-    config.delay != DelayMode::None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DelayMode;
 
     #[test]
     fn counters_are_shared_across_clones() {

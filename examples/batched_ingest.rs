@@ -2,16 +2,23 @@
 //! against the per-key path.
 //!
 //! Demonstrates the batched request API end to end — fluent cluster
-//! construction with `Kvs::builder()`, `WorkloadGenerator::next_batch`
-//! feeding owner-grouped `execute` batches, and `multi_get` verification —
-//! and prints the measured per-key vs batched ingest throughput.
+//! construction with `Kvs::builder()`, chunks of `key_for` keys feeding
+//! owner-grouped `multi_put` batches, and `multi_get` verification — and
+//! prints the measured per-key vs batched ingest throughput.
 //!
 //! Run with `cargo run --release --example batched_ingest`.
 
-use dinomo::{Kvs, Op, Reply, Variant, WorkloadConfig, WorkloadGenerator, WorkloadMix};
+use dinomo::core::key_for;
+use dinomo::{Kvs, Op, Reply, Variant};
 use std::time::Instant;
 
 const BATCH: usize = 32;
+const KEYS: u64 = 20_000;
+
+/// Key `id` and its 256-byte value, as in the paper's load phase.
+fn pair(id: u64) -> (Vec<u8>, Vec<u8>) {
+    (key_for(id, 8), vec![(id % 251) as u8; 256])
+}
 
 fn main() {
     let kvs = Kvs::builder()
@@ -22,17 +29,8 @@ fn main() {
         .expect("building the cluster failed");
     let client = kvs.client();
 
-    // An insert-heavy stream, as in the paper's load phase.
-    let workload = WorkloadConfig {
-        num_keys: 20_000,
-        value_len: 256,
-        mix: WorkloadMix::INSERT_ONLY,
-        ..WorkloadConfig::default()
-    };
-
     // Phase 1: ingest the load phase in owner-grouped batches.
-    let mut generator = WorkloadGenerator::new(workload);
-    let load: Vec<(Vec<u8>, Vec<u8>)> = generator.load_phase().collect();
+    let load: Vec<(Vec<u8>, Vec<u8>)> = (0..KEYS).map(pair).collect();
     let start = Instant::now();
     let mut failures = 0usize;
     for chunk in load.chunks(BATCH) {
@@ -50,21 +48,15 @@ fn main() {
 
     // Phase 2: the same number of fresh inserts per key, for comparison.
     let start = Instant::now();
-    let mut ops_done = 0u64;
-    for _ in 0..load.len() / BATCH {
-        for op in generator.next_batch(BATCH) {
-            if let dinomo::workload::Operation::Insert(k, v) = op {
-                client.insert(&k, &v).expect("per-key insert failed");
-                ops_done += 1;
-            }
-        }
+    for (k, v) in (KEYS..2 * KEYS).map(pair) {
+        client.insert(&k, &v).expect("per-key insert failed");
     }
     let per_key_secs = start.elapsed().as_secs_f64();
     println!(
         "per-key ingest : {} keys in {:.3}s ({:.0} ops/s)",
-        ops_done,
+        KEYS,
         per_key_secs,
-        ops_done as f64 / per_key_secs
+        KEYS as f64 / per_key_secs
     );
 
     // Verify a sample of the loaded data through the batched read path.

@@ -7,7 +7,7 @@
 //! cargo run --release --example hot_key_replication
 //! ```
 
-use dinomo::workload::key_for;
+use dinomo::core::key_for;
 use dinomo::{Kvs, KvsConfig, Variant};
 
 fn main() {

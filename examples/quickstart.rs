@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use dinomo::workload::key_for;
+use dinomo::core::key_for;
 use dinomo::{Kvs, KvsConfig, Variant};
 
 fn main() {

@@ -394,9 +394,8 @@ impl Guard {
     ///
     /// # Safety
     ///
-    /// `ptr` must have come from [`Owned::into_shared`] / [`Atomic`] and
-    /// must already be unlinked (no new reader can load it), and it must not
-    /// be retired twice.
+    /// `ptr` must have come from an [`Atomic`], must already be unlinked
+    /// (no new reader can load it), and must not be retired twice.
     pub unsafe fn defer_destroy<T: 'static>(&self, ptr: Shared<'_, T>) {
         if ptr.is_null() {
             return;
@@ -491,19 +490,6 @@ impl<T> Owned<T> {
             value: Box::new(value),
         }
     }
-
-    /// Convert into a [`Shared`], giving up ownership to the epoch scheme.
-    pub fn into_shared(self, _guard: &Guard) -> Shared<'_, T> {
-        Shared {
-            raw: Box::into_raw(self.value),
-            _marker: PhantomData,
-        }
-    }
-
-    /// Convert back into a plain box.
-    pub fn into_box(self) -> Box<T> {
-        self.value
-    }
 }
 
 impl<T> Deref for Owned<T> {
@@ -551,11 +537,6 @@ impl<'g, T> Shared<'g, T> {
     /// `true` if this is the null pointer.
     pub fn is_null(&self) -> bool {
         self.raw.is_null()
-    }
-
-    /// The raw pointer.
-    pub fn as_raw(&self) -> *const T {
-        self.raw
     }
 
     /// Dereference for the guard's lifetime.

@@ -1,118 +1,7 @@
 //! Offline shim for the `crossbeam` crate.
 //!
-//! Two subsets are provided:
-//!
-//! * `crossbeam::channel`'s unbounded MPSC subset, backed by
-//!   `std::sync::mpsc` (whose `Sender` is `Sync` since Rust 1.72, so the
-//!   usual crossbeam sharing patterns work unchanged), and
-//! * `crossbeam::epoch`, a from-scratch epoch-based-reclamation scheme
-//!   mirroring the `crossbeam-epoch` API surface the workspace's lock-free
-//!   read paths need (see the module docs).
+//! Provides `crossbeam::epoch`, a from-scratch epoch-based-reclamation
+//! scheme mirroring the `crossbeam-epoch` API surface the workspace's
+//! lock-free read paths need (see the module docs).
 
 pub mod epoch;
-
-pub mod channel {
-    //! Unbounded channels (API subset of `crossbeam-channel`).
-
-    use std::fmt;
-    use std::sync::mpsc;
-
-    /// Sending half of an unbounded channel.
-    pub struct Sender<T>(mpsc::Sender<T>);
-
-    /// Receiving half of an unbounded channel.
-    pub struct Receiver<T>(mpsc::Receiver<T>);
-
-    /// Error returned by [`Sender::send`] when all receivers are gone.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct SendError<T>(pub T);
-
-    /// Error returned by [`Receiver::recv`] when all senders are gone.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct RecvError;
-
-    /// Error returned by [`Receiver::try_recv`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TryRecvError {
-        /// The channel is currently empty.
-        Empty,
-        /// All senders are gone and the channel is drained.
-        Disconnected,
-    }
-
-    /// Create an unbounded channel.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::channel();
-        (Sender(tx), Receiver(rx))
-    }
-
-    impl<T> Sender<T> {
-        /// Send a message; fails only if every receiver was dropped.
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            self.0
-                .send(value)
-                .map_err(|mpsc::SendError(v)| SendError(v))
-        }
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            Sender(self.0.clone())
-        }
-    }
-
-    impl<T> fmt::Debug for Sender<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("Sender { .. }")
-        }
-    }
-
-    impl<T> Receiver<T> {
-        /// Block until a message arrives; fails once the channel is closed
-        /// and drained.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            self.0.recv().map_err(|_| RecvError)
-        }
-
-        /// Non-blocking receive.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            self.0.try_recv().map_err(|e| match e {
-                mpsc::TryRecvError::Empty => TryRecvError::Empty,
-                mpsc::TryRecvError::Disconnected => TryRecvError::Disconnected,
-            })
-        }
-    }
-
-    impl<T> fmt::Debug for Receiver<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("Receiver { .. }")
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::channel::{unbounded, RecvError};
-
-    #[test]
-    fn send_recv_across_threads() {
-        let (tx, rx) = unbounded();
-        let sender = std::thread::spawn(move || {
-            for i in 0..100 {
-                tx.send(i).unwrap();
-            }
-        });
-        let received: Vec<i32> = (0..100).map(|_| rx.recv().unwrap()).collect();
-        assert_eq!(received, (0..100).collect::<Vec<_>>());
-        sender.join().unwrap();
-        // All senders gone → recv errors out instead of blocking forever.
-        assert_eq!(rx.recv(), Err(RecvError));
-    }
-
-    #[test]
-    fn dropping_receiver_fails_sends() {
-        let (tx, rx) = unbounded();
-        drop(rx);
-        assert!(tx.send(1).is_err());
-    }
-}

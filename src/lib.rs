@@ -11,10 +11,10 @@
 //!   in, reconfiguration decisions out,
 //! * [`cache`], [`partition`], [`dpm`], [`pclht`], [`pmem`],
 //!   [`simnet`] — the substrates,
-//! * [`workload`] — YCSB-style workload generation,
 //! * [`check`] — history recording + per-key linearizability checking
 //!   and the seeded generative stress driver, the one library load
-//!   driver (see `docs/TESTING.md`).
+//!   driver (see `docs/TESTING.md`),
+//! * [`workload`] — its seeded YCSB-style op stream.
 //!
 //! ## Quickstart
 //!
@@ -50,6 +50,7 @@
 
 pub use dinomo_cache as cache;
 pub use dinomo_check as check;
+pub use dinomo_check::workload;
 pub use dinomo_cluster as cluster;
 pub use dinomo_core as core;
 pub use dinomo_dpm as dpm;
@@ -57,10 +58,9 @@ pub use dinomo_partition as partition;
 pub use dinomo_pclht as pclht;
 pub use dinomo_pmem as pmem;
 pub use dinomo_simnet as simnet;
-pub use dinomo_workload as workload;
 
+pub use dinomo_check::workload::{KeyDistribution, WorkloadConfig, WorkloadGenerator, WorkloadMix};
 pub use dinomo_cluster::{PolicyEngine, SloConfig};
 pub use dinomo_core::{
     Kvs, KvsBuilder, KvsClient, KvsConfig, KvsError, KvsStats, Op, Reply, Variant,
 };
-pub use dinomo_workload::{KeyDistribution, WorkloadConfig, WorkloadGenerator, WorkloadMix};

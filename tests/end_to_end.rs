@@ -3,14 +3,14 @@
 //! quantitative claims are in `paper_claims.rs`.
 
 use dinomo::cache::CacheKind;
-use dinomo::workload::{key_for, Operation, WorkloadConfig, WorkloadGenerator};
+use dinomo::core::key_for;
+use dinomo::workload::{Operation, WorkloadConfig, WorkloadGenerator};
 use dinomo::{KeyDistribution, Kvs, KvsConfig, Reply, Variant, WorkloadMix};
 use std::collections::HashMap;
 
 fn workload(mix: WorkloadMix, keys: u64) -> WorkloadConfig {
     WorkloadConfig {
         num_keys: keys,
-        key_len: 8,
         value_len: 64,
         mix,
         distribution: KeyDistribution::MODERATE_SKEW,

@@ -18,10 +18,11 @@
 //! `crates/cluster/src/policy.rs`.
 
 use dinomo::cache::{CacheKind, CacheStats};
+use dinomo::core::key_for;
 use dinomo::dpm::DpmConfig;
 use dinomo::partition::KnId;
 use dinomo::pclht::PclhtConfig;
-use dinomo::workload::{key_for, Operation};
+use dinomo::workload::Operation;
 use dinomo::{
     KeyDistribution, Kvs, KvsClient, KvsConfig, Variant, WorkloadConfig, WorkloadGenerator,
     WorkloadMix,
@@ -162,7 +163,6 @@ fn rts_per_read(cache_kind: CacheKind, cache_bytes: usize, distribution: KeyDist
     let client = kvs.client();
     let mut stream = WorkloadGenerator::new(WorkloadConfig {
         num_keys: KEYS,
-        key_len: 8,
         value_len: 64,
         mix: WorkloadMix::READ_ONLY,
         distribution,

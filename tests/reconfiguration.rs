@@ -2,7 +2,7 @@
 //! replication must never lose committed data or wedge the cluster, and
 //! Dinomo must achieve them without physically copying data.
 
-use dinomo::workload::key_for;
+use dinomo::core::key_for;
 use dinomo::{Kvs, KvsConfig, KvsError, Op, Reply, Variant};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

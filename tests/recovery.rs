@@ -2,11 +2,11 @@
 //! the "committed data is never lost" guarantee across simulated DPM power
 //! failures and KVS-node crashes.
 
+use dinomo::core::key_for;
 use dinomo::dpm::{DpmConfig, DpmNode, LogWriter};
 use dinomo::pclht::PclhtConfig;
 use dinomo::pmem::PmemConfig;
 use dinomo::simnet::Nic;
-use dinomo::workload::key_for;
 use dinomo::{Kvs, KvsConfig};
 use std::sync::Arc;
 
@@ -19,7 +19,6 @@ fn tracked_dpm() -> Arc<DpmNode> {
             },
             segment_bytes: 64 << 10,
             merge_threads: 1,
-            unmerged_segment_threshold: 2,
             index: PclhtConfig {
                 initial_buckets: 512,
                 ..PclhtConfig::default()
