@@ -724,9 +724,9 @@ mod proptests {
                     .map(<[u8]>::to_vec)
                     .collect();
                 let shortcuts_before: BTreeSet<Vec<u8>> =
-                    c.shortcuts.iter().map(|(k, _)| k.clone()).collect();
+                    c.shortcuts.iter().map(|(k, _)| k.to_vec()).collect();
                 let values_before: BTreeSet<Vec<u8>> =
-                    c.values.iter().map(|(k, _)| k.clone()).collect();
+                    c.values.iter().map(|(k, _)| k.to_vec()).collect();
                 let before = c.stats();
 
                 c.admit_value(&key, &vec![0u8; len], loc);
@@ -741,12 +741,12 @@ mod proptests {
                     prop_assert!(expected.remove(victim));
                 }
                 let shortcuts_after: BTreeSet<Vec<u8>> =
-                    c.shortcuts.iter().map(|(k, _)| k.clone()).collect();
+                    c.shortcuts.iter().map(|(k, _)| k.to_vec()).collect();
                 prop_assert_eq!(shortcuts_after, expected);
                 let mut values_expected = values_before;
                 values_expected.insert(key.clone());
                 let values_after: BTreeSet<Vec<u8>> =
-                    c.values.iter().map(|(k, _)| k.clone()).collect();
+                    c.values.iter().map(|(k, _)| k.to_vec()).collect();
                 prop_assert_eq!(values_after, values_expected);
                 prop_assert!(after.bytes_used <= capacity as u64);
             }

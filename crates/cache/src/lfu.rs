@@ -6,10 +6,12 @@
 //! keys survive skewed workloads.
 //!
 //! Entries are slab nodes (see the `slab` module) ranked by frequency: one
-//! FIFO list per frequency, kept in a `BTreeMap` since a demoted value or a
-//! local write enters at an inherited, arbitrary frequency. A touch moves
-//! the node to the tail of list `freq + 1` in `O(log b)` for `b` distinct
-//! frequencies; it copies no key (the map may split a node for a new list).
+//! FIFO list per frequency, those of frequencies 1 and up kept in a
+//! `BTreeMap`, since a demoted value or a local write enters at an
+//! inherited, arbitrary frequency. A touch is one index probe, then it
+//! moves the node to the tail of list `freq + 1` in `O(log b)` for `b`
+//! distinct frequencies; it copies no key (the tree may split a node for a
+//! new list).
 
 use crate::slab::Slab;
 
@@ -93,7 +95,7 @@ impl<V> LfuMap<V> {
     }
 
     /// Iterate over all `(key, value)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Vec<u8>, &V)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&[u8], &V)> {
         self.0.iter()
     }
 
@@ -242,7 +244,48 @@ mod model {
                 prop_assert_eq!(m.lfu_key(), r.order.values().next().map(Vec::as_slice));
                 prop_assert_eq!(m.frequency(&key), r.entries.get(&key[..]).map(|e| e.1));
                 let entries: BTreeMap<Vec<u8>, u32> =
-                    m.iter().map(|(k, v)| (k.clone(), *v)).collect();
+                    m.iter().map(|(k, v)| (k.to_vec(), *v)).collect();
+                let expected: BTreeMap<Vec<u8>, u32> =
+                    r.entries.iter().map(|(k, e)| (k.clone(), e.0)).collect();
+                prop_assert_eq!(entries, expected);
+                let order: Vec<(&[u8], u64)> = m.by_frequency().collect();
+                let expected: Vec<(&[u8], u64)> =
+                    r.order.iter().map(|(&(f, _), k)| (k.as_slice(), f)).collect();
+                prop_assert_eq!(order, expected);
+            }
+        }
+
+        /// The same agreement when inline and spilled keys share one map:
+        /// key `k` is `k` repeated to one of the lengths around the slab's
+        /// 16-byte inline limit.
+        #[test]
+        fn the_bucket_lfu_agrees_with_the_tick_model_across_key_lengths(
+            ops in proptest::collection::vec((0u8..6, 0u8..14, 0u64..6), 1..300),
+        ) {
+            let mut m = LfuMap::new();
+            let mut r = TickLfu::default();
+            for (n, (op, k, freq)) in ops.into_iter().enumerate() {
+                let key = vec![k; [0, 1, 8, 15, 16, 17, 40][usize::from(k) % 7]];
+                let v = n as u32;
+                match op {
+                    0 | 1 => prop_assert_eq!(
+                        m.insert_with_frequency(&key, v, freq),
+                        r.insert_with_frequency(&key, v, freq)
+                    ),
+                    2 => prop_assert_eq!(m.get(&key).copied(), r.get(&key)),
+                    3 => prop_assert_eq!(m.remove(&key), r.remove(&key)),
+                    4 => prop_assert_eq!(m.pop_lfu(), r.pop_lfu()),
+                    _ if freq == 0 => {
+                        m.clear();
+                        r = TickLfu::default();
+                    }
+                    _ => prop_assert_eq!(m.peek(&key).copied(), r.entries.get(&key).map(|e| e.0)),
+                }
+                prop_assert_eq!(m.len(), r.entries.len());
+                prop_assert_eq!(m.lfu_key(), r.order.values().next().map(Vec::as_slice));
+                prop_assert_eq!(m.frequency(&key), r.entries.get(&key).map(|e| e.1));
+                let entries: BTreeMap<Vec<u8>, u32> =
+                    m.iter().map(|(k, v)| (k.to_vec(), *v)).collect();
                 let expected: BTreeMap<Vec<u8>, u32> =
                     r.entries.iter().map(|(k, e)| (k.clone(), e.0)).collect();
                 prop_assert_eq!(entries, expected);

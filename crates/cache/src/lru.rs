@@ -2,9 +2,10 @@
 //!
 //! Keys are byte strings; each entry carries a caller-defined payload.
 //! Entries are nodes of a slab (see the `slab` module), all at rank 0, so
-//! they form one doubly-linked list, least-recently used at the head. A
-//! touch unlinks the node and appends it at the tail, and eviction pops the
-//! head: both `O(1)`, and neither copies a key.
+//! they form the slab's one rank-0 list, least-recently used at the head.
+//! A touch is one index probe, then it unlinks the node and appends it at
+//! the tail; eviction pops the head. Both are `O(1)`, copy no key and never
+//! touch the slab's rank tree.
 
 use crate::slab::Slab;
 
@@ -71,7 +72,7 @@ impl<V> LruMap<V> {
     }
 
     /// Iterate over all `(key, value)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Vec<u8>, &V)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&[u8], &V)> {
         self.0.iter()
     }
 
@@ -209,7 +210,40 @@ mod model {
                 prop_assert_eq!(m.len(), r.entries.len());
                 prop_assert_eq!(m.lru_key(), r.order.values().next().map(Vec::as_slice));
                 let entries: BTreeMap<Vec<u8>, u32> =
-                    m.iter().map(|(k, v)| (k.clone(), *v)).collect();
+                    m.iter().map(|(k, v)| (k.to_vec(), *v)).collect();
+                let expected: BTreeMap<Vec<u8>, u32> =
+                    r.entries.iter().map(|(k, e)| (k.clone(), e.0)).collect();
+                prop_assert_eq!(entries, expected);
+            }
+        }
+
+        /// The same agreement when inline and spilled keys share one map:
+        /// key `k` is `k` repeated to one of the lengths around the slab's
+        /// 16-byte inline limit.
+        #[test]
+        fn the_slab_lru_agrees_with_the_tick_model_across_key_lengths(
+            ops in proptest::collection::vec((0u8..7, 0u8..14, 0u32..1_000), 1..300),
+        ) {
+            let mut m = LruMap::new();
+            let mut r = TickLru::default();
+            for (op, k, v) in ops {
+                let key = vec![k; [0, 1, 8, 15, 16, 17, 40][usize::from(k) % 7]];
+                match op {
+                    0 | 1 => prop_assert_eq!(m.insert(&key, v), r.insert(&key, v)),
+                    2 => prop_assert_eq!(m.get(&key).copied(), r.get(&key)),
+                    3 => prop_assert_eq!(m.peek(&key).copied(), r.entries.get(&key).map(|e| e.0)),
+                    4 => prop_assert_eq!(m.remove(&key), r.remove(&key)),
+                    5 => prop_assert_eq!(m.pop_lru(), r.pop_lru()),
+                    _ if v % 16 == 0 => {
+                        m.clear();
+                        r = TickLru::default();
+                    }
+                    _ => prop_assert_eq!(m.contains(&key), r.entries.contains_key(&key)),
+                }
+                prop_assert_eq!(m.len(), r.entries.len());
+                prop_assert_eq!(m.lru_key(), r.order.values().next().map(Vec::as_slice));
+                let entries: BTreeMap<Vec<u8>, u32> =
+                    m.iter().map(|(k, v)| (k.to_vec(), *v)).collect();
                 let expected: BTreeMap<Vec<u8>, u32> =
                     r.entries.iter().map(|(k, e)| (k.clone(), e.0)).collect();
                 prop_assert_eq!(entries, expected);

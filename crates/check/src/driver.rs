@@ -32,7 +32,7 @@
 //! smaller budget is a prefix of the same schedule.
 
 use crate::checker::{check_history_with, CheckError, CheckStats, CheckerConfig};
-use crate::workload::{KeyDistribution, Operation, WorkloadConfig, WorkloadGenerator, WorkloadMix};
+use crate::workload::{KeyDistribution, WorkloadConfig, WorkloadGenerator, WorkloadMix};
 use crate::zipf::{splitmix64, Rng, GOLDEN_GAMMA};
 use dinomo_core::trace::{Action, HistoryRecorder, OpRecord};
 use dinomo_core::{key_for, GcConfig, Kvs, KvsConfig, KvsError, Op, Reply};
@@ -245,11 +245,12 @@ pub fn client_ops(config: &CheckConfig, client: usize) -> Vec<Op> {
         seed: mix(config.seed, client as u64 + 1),
     });
     (0..per_client)
-        .map(|i| match generator.next_op() {
-            Operation::Read(key) => Op::lookup(key),
-            Operation::Update(key, _) => Op::update(key, format!("c{client}-{i}")),
-            Operation::Insert(key, _) => Op::insert(key, format!("c{client}-{i}")),
-            Operation::Delete(key) => Op::delete(key),
+        .map(|i| {
+            let mut op = generator.next_op();
+            if let Op::Insert { value, .. } | Op::Update { value, .. } = &mut op {
+                *value = format!("c{client}-{i}").into_bytes();
+            }
+            op
         })
         .collect()
 }

@@ -2,30 +2,7 @@
 
 use crate::mix::WorkloadMix;
 use crate::zipf::{KeyDistribution, Rng, ZipfianGenerator};
-use dinomo_core::key_for;
-
-/// A single client operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Operation {
-    /// `lookup(key)`.
-    Read(Vec<u8>),
-    /// `update(key, value)` of an existing key.
-    Update(Vec<u8>, Vec<u8>),
-    /// `insert(key, value)` of a new key.
-    Insert(Vec<u8>, Vec<u8>),
-    /// `delete(key)`.
-    Delete(Vec<u8>),
-}
-
-impl Operation {
-    /// The key this operation targets.
-    pub fn key(&self) -> &[u8] {
-        match self {
-            Operation::Read(k) | Operation::Delete(k) => k,
-            Operation::Update(k, _) | Operation::Insert(k, _) => k,
-        }
-    }
-}
+use dinomo_core::{key_for, Op};
 
 /// Configuration of a workload stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,7 +32,8 @@ impl Default for WorkloadConfig {
     }
 }
 
-/// A deterministic stream of [`Operation`]s following a [`WorkloadConfig`].
+/// A deterministic stream of [`Op`]s following a [`WorkloadConfig`]:
+/// lookups, updates and deletes of existing keys, and inserts of new ones.
 ///
 /// Inserts target fresh key ids beyond the loaded key space (and extend the
 /// space readable by later reads), mirroring YCSB's insert behaviour and the
@@ -120,27 +98,37 @@ impl WorkloadGenerator {
     /// every delete-free mix identical to what earlier versions generated
     /// for the same seed — a zero delete fraction collapses the delete
     /// branch to the old update/insert boundary.
-    pub fn next_op(&mut self) -> Operation {
+    pub fn next_op(&mut self) -> Op {
         self.ops_generated += 1;
         let r = self.rng.next_f64();
         let mix = self.config.mix;
         if r < mix.read_fraction {
             let id = self.pick_existing_key();
-            Operation::Read(key_for(id, 8))
+            Op::Lookup {
+                key: key_for(id, 8),
+            }
         } else if r < mix.read_fraction + mix.update_fraction {
             let id = self.pick_existing_key();
-            Operation::Update(key_for(id, 8), self.value_for(id ^ self.ops_generated))
+            Op::Update {
+                key: key_for(id, 8),
+                value: self.value_for(id ^ self.ops_generated),
+            }
         } else if r < mix.read_fraction + mix.update_fraction + mix.delete_fraction {
             // Deletes target existing (possibly already-deleted) keys; a
             // later update of the same key re-inserts it, so skewed CRUD
             // mixes cycle hot keys through delete/re-insert — the churn
             // the linearizability checker wants.
             let id = self.pick_existing_key();
-            Operation::Delete(key_for(id, 8))
+            Op::Delete {
+                key: key_for(id, 8),
+            }
         } else {
             let id = self.key_space;
             self.key_space += 1;
-            Operation::Insert(key_for(id, 8), self.value_for(id))
+            Op::Insert {
+                key: key_for(id, 8),
+                value: self.value_for(id),
+            }
         }
     }
 }
@@ -151,7 +139,7 @@ mod tests {
     use std::collections::HashSet;
 
     /// `n` ops of a 1,000-key, 64-byte-value stream of `mix`.
-    fn stream(mix: WorkloadMix, n: usize) -> (WorkloadGenerator, Vec<Operation>) {
+    fn stream(mix: WorkloadMix, n: usize) -> (WorkloadGenerator, Vec<Op>) {
         let mut g = WorkloadGenerator::new(WorkloadConfig {
             num_keys: 1_000,
             value_len: 64,
@@ -162,7 +150,7 @@ mod tests {
         (g, ops)
     }
 
-    fn share(ops: &[Operation], kind: fn(&Operation) -> bool) -> f64 {
+    fn share(ops: &[Op], kind: fn(&Op) -> bool) -> f64 {
         ops.iter().filter(|&op| kind(op)).count() as f64 / ops.len() as f64
     }
 
@@ -180,8 +168,8 @@ mod tests {
     #[test]
     fn mix_fractions_are_respected() {
         let (_, ops) = stream(WorkloadMix::READ_MOSTLY_UPDATE, 20_000);
-        let reads = share(&ops, |o| matches!(o, Operation::Read(_)));
-        let updates = share(&ops, |o| matches!(o, Operation::Update(..)));
+        let reads = share(&ops, |o| matches!(o, Op::Lookup { .. }));
+        let updates = share(&ops, |o| matches!(o, Op::Update { .. }));
         assert!((reads - 0.95).abs() < 0.01, "reads {reads}");
         assert!((updates - 0.05).abs() < 0.01, "updates {updates}");
     }
@@ -191,8 +179,8 @@ mod tests {
         let (g, ops) = stream(WorkloadMix::READ_MOSTLY_INSERT, 2_000);
         let inserts: Vec<&[u8]> = ops
             .iter()
-            .filter(|o| matches!(o, Operation::Insert(..)))
-            .map(Operation::key)
+            .filter(|o| matches!(o, Op::Insert { .. }))
+            .map(Op::key)
             .collect();
         assert!(!inserts.is_empty());
         assert_eq!(g.key_space, 1_000 + inserts.len() as u64);
@@ -218,7 +206,7 @@ mod tests {
         let (g, ops) = stream(WorkloadMix::READ_ONLY, 2_000);
         let loaded = loaded_keys(&g);
         for op in ops {
-            assert!(matches!(op, Operation::Read(_)));
+            assert!(matches!(op, Op::Lookup { .. }));
             assert!(loaded.contains(op.key()));
         }
     }
@@ -226,7 +214,7 @@ mod tests {
     #[test]
     fn crud_mix_generates_deletes_of_existing_keys() {
         let (g, ops) = stream(WorkloadMix::CRUD, 20_000);
-        let is_delete = |o: &Operation| matches!(o, Operation::Delete(_));
+        let is_delete = |o: &Op| matches!(o, Op::Delete { .. });
         let frac = share(&ops, is_delete);
         assert!((frac - 0.10).abs() < 0.01, "delete fraction {frac}");
         // Deletes only target keys that exist(ed) — loaded or inserted.
@@ -234,9 +222,9 @@ mod tests {
         let mut deletes = ops.iter().filter(|&o| is_delete(o));
         assert!(deletes.all(|op| existed.contains(op.key())));
         // All four op kinds appear.
-        assert!(ops.iter().any(|o| matches!(o, Operation::Read(_))));
-        assert!(ops.iter().any(|o| matches!(o, Operation::Update(..))));
-        assert!(ops.iter().any(|o| matches!(o, Operation::Insert(..))));
+        assert!(ops.iter().any(|o| matches!(o, Op::Lookup { .. })));
+        assert!(ops.iter().any(|o| matches!(o, Op::Update { .. })));
+        assert!(ops.iter().any(|o| matches!(o, Op::Insert { .. })));
     }
 
     #[test]
@@ -245,7 +233,7 @@ mod tests {
         // pre-delete generator produced (same RNG draws, same branches),
         // so existing seeds stay reproducible.
         let (_, ops) = stream(WorkloadMix::WRITE_HEAVY_UPDATE, 5_000);
-        assert!(!ops.iter().any(|o| matches!(o, Operation::Delete(_))));
+        assert!(!ops.iter().any(|o| matches!(o, Op::Delete { .. })));
     }
 
     #[test]
@@ -261,9 +249,9 @@ mod tests {
 
     #[test]
     fn operation_accessors() {
-        assert_eq!(Operation::Update(b"k".to_vec(), b"v".to_vec()).key(), b"k");
-        assert_eq!(Operation::Insert(b"i".to_vec(), b"v".to_vec()).key(), b"i");
-        assert_eq!(Operation::Read(b"r".to_vec()).key(), b"r");
-        assert_eq!(Operation::Delete(b"d".to_vec()).key(), b"d");
+        assert_eq!(Op::update(b"k", b"v").key(), b"k");
+        assert_eq!(Op::insert(b"i", b"v").key(), b"i");
+        assert_eq!(Op::lookup(b"r").key(), b"r");
+        assert_eq!(Op::delete(b"d").key(), b"d");
     }
 }

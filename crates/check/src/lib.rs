@@ -60,7 +60,7 @@ mod zipf;
 /// The seeded YCSB-style op stream (§5), a pure function of its seed; the
 /// umbrella crate re-exports it as `dinomo::workload`.
 pub mod workload {
-    pub use crate::generator::{Operation, WorkloadConfig, WorkloadGenerator};
+    pub use crate::generator::{WorkloadConfig, WorkloadGenerator};
     pub use crate::mix::WorkloadMix;
     pub use crate::zipf::KeyDistribution;
 }

@@ -5,9 +5,7 @@
 //! (whose uniform case holds a narrow margin against its bound).
 
 use dinomo_check::driver::{churn_script, client_ops, CheckConfig};
-use dinomo_check::workload::{
-    KeyDistribution, Operation, WorkloadConfig, WorkloadGenerator, WorkloadMix,
-};
+use dinomo_check::workload::{KeyDistribution, WorkloadConfig, WorkloadGenerator, WorkloadMix};
 
 /// 64-bit FNV-1a over each item's `Debug` form (op kind, key and value
 /// bytes; churn action and its arguments).
@@ -21,8 +19,10 @@ fn digest<T: std::fmt::Debug>(items: impl IntoIterator<Item = T>) -> u64 {
     h
 }
 
-/// The Fig. 3 read stream: 4,000 keys, seed 3, 60,000 reads.
-fn fig3(distribution: KeyDistribution) -> impl Iterator<Item = Operation> {
+/// The keys of the Fig. 3 read stream: 4,000 keys, seed 3, 60,000 reads.
+/// A read-only stream is its keys, so its digest does not depend on how an
+/// op prints.
+fn fig3(distribution: KeyDistribution) -> impl Iterator<Item = Vec<u8>> {
     let mut stream = WorkloadGenerator::new(WorkloadConfig {
         num_keys: 4_000,
         mix: WorkloadMix::READ_ONLY,
@@ -30,7 +30,7 @@ fn fig3(distribution: KeyDistribution) -> impl Iterator<Item = Operation> {
         seed: 3,
         ..WorkloadConfig::default()
     });
-    (0..60_000).map(move |_| stream.next_op())
+    (0..60_000).map(move |_| stream.next_op().key().to_vec())
 }
 
 #[test]
@@ -51,8 +51,8 @@ fn seeded_streams_match_their_pinned_digests() {
         0x0e84_6be7_c630_5563,
         0xfc33_06c2_ceb4_956b,
         0x3761_1bcf_9023_f740,
-        0x2848_2c6b_4212_a70e,
-        0x8269_2dc7_be40_5b31,
+        0x6737_5e19_f1c1_b0ac,
+        0x558d_1f46_44fe_073d,
     ];
     assert_eq!(digests, pinned, "a seeded stream changed: {digests:#x?}");
 }

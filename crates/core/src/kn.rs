@@ -270,14 +270,16 @@ impl KnNode {
         self.serve_one(OpRef::Lookup(key), key_hash(key), NO_VERSION)
     }
 
-    /// The owned-key read path against an already-locked shard. `guard`
-    /// covers the index traversal of the miss path; the caller pins it
-    /// once for its whole slice.
+    /// The owned-key read path against an already-locked shard. `guard` is
+    /// the slice's epoch pin, taken here on the first branch that reads
+    /// DPM (the shortcut, overlay and miss branches) and kept by the caller
+    /// for the rest of its slice; a value hit reads only the cache and
+    /// pins nothing.
     fn get_in_shard(
         &self,
         shard: &mut Shard,
         key: &[u8],
-        guard: &Guard,
+        guard: &mut Option<Guard>,
     ) -> Result<Option<Vec<u8>>> {
         // A put keeps its key's cache entry until its slice's flush refreshes
         // it, so a buffered write answers first; read-only slices ask the
@@ -297,9 +299,10 @@ impl KnNode {
                 // segment since this shortcut was cached (the relocation
                 // observer invalidates, but a racing read can re-admit a
                 // stale location afterwards). The check and the read both
-                // run under the caller's epoch pin, and the compactor
+                // run under the slice's epoch pin, and the compactor
                 // defers the pool free past every pinned guard, so a
                 // location that validates here cannot be reused mid-read.
+                let guard = guard.get_or_insert_with(dinomo_dpm::pin);
                 if self.dpm.value_addr_is_live_in(guard, PmAddr(loc.addr)) {
                     let value = self.dpm.read_value_at(&self.nic, PmAddr(loc.addr), loc.len);
                     shard.cache.admit_value(key, &value, loc);
@@ -322,6 +325,7 @@ impl KnNode {
                     // compactor has since freed (its entry was merged, or
                     // it would not have been relocated — the index is
                     // authoritative for it).
+                    let guard = guard.get_or_insert_with(dinomo_dpm::pin);
                     if self.dpm.value_addr_is_live_in(guard, PmAddr(loc.addr)) {
                         let value = self.dpm.read_value_at(&self.nic, PmAddr(loc.addr), loc.len);
                         shard.cache.admit_value(key, &value, loc);
@@ -334,6 +338,7 @@ impl KnNode {
             }
         }
         // Full miss: traverse the metadata index remotely.
+        let guard = guard.get_or_insert_with(dinomo_dpm::pin);
         let lookup = self.dpm.remote_read_in(guard, &self.nic, key);
         shard.cache.record_miss_cost(lookup.rts);
         let (Some(value), Some((addr, len))) = (lookup.value, lookup.value_loc) else {
@@ -356,7 +361,7 @@ impl KnNode {
             // the key's writes still live in its own shard's overlay and
             // cache, so that is where the ordinary path must read.
             let mut shard = self.shards[shard as usize].lock();
-            return self.get_in_shard(&mut shard, key, &dinomo_dpm::pin());
+            return self.get_in_shard(&mut shard, key, &mut None);
         };
         let Some(entry_loc) = self.dpm.remote_read_indirect(&self.nic, cell) else {
             return Ok(None);
@@ -508,12 +513,19 @@ impl KnNode {
     /// 2. **routes** ([`KnNode::resolve_routes`]): one ownership-table
     ///    read for the whole group — §3.1's stale-client rejection happens
     ///    there and nowhere else;
-    /// 3. **execution**: each involved shard's slice under one lock, one
-    ///    epoch pin and, if it wrote, one flush ([`KnNode::run_shard`]), then
-    ///    the shared-key positions in order. Replicated keys linearize
-    ///    through their DPM indirection cell and never share a key with
-    ///    the owned slices of the same round;
+    /// 3. **execution**: each involved shard's slice under one lock, at
+    ///    most one epoch pin and, if it wrote, one flush
+    ///    ([`KnNode::run_shard`]), then the shared-key positions in order.
+    ///    Replicated keys linearize through their DPM indirection cell and
+    ///    never share a key with the owned slices of the same round;
     /// 4. **accounting**: one [`KnNode::record_work`] call.
+    ///
+    /// The steps of 3 share their clock reads: the call's start is the
+    /// first slice's wait start, and each slice's (or shared op's) end is
+    /// the next one's start and, for the last, the end `record_work`
+    /// accounts to. A per-key op so reads the clock three times: its
+    /// start, its lock acquisition (only while stage timing is on) and
+    /// its end.
     ///
     /// Every slice runs inside this call's own admission, so the routes
     /// resolved in step 2 cannot go stale before they are used: a
@@ -553,18 +565,20 @@ impl KnNode {
         self.resolve_routes(ops, positions, hashes, client_version, routes, set);
         let routes = &*routes;
         let start = Instant::now();
+        let mut now = start;
         let (mut reads, mut writes) = (0u64, 0u64);
         for shard_idx in 0..self.shards.len() as u32 {
             if !routes.contains(&shard_idx) {
                 continue;
             }
             let slice = Self::shard_positions(positions, routes, shard_idx);
-            let (r, w) = self.run_shard(shard_idx, ops, slice, set);
+            let (r, w, end) = self.run_shard(shard_idx, ops, slice, set, now);
             reads += r;
             writes += w;
+            now = end;
         }
-        let (r, w) = self.run_shared(ops, positions, routes, set);
-        self.record_work(reads + r, writes + w, start);
+        let (r, w, end) = self.run_shared(ops, positions, routes, set, now);
+        self.record_work(reads + r, writes + w, end.duration_since(start));
     }
 
     /// Resolve ownership for a whole group under one read lock. The global
@@ -647,42 +661,43 @@ impl KnNode {
     }
 
     /// Execute one shard's slice of a group, in group order. Locks the
-    /// shard **once**, pins **one** epoch guard covering every index
-    /// lookup of the slice, and flushes its writes once at the end, before
-    /// any is answered (group commit). Results are reported per position
-    /// through `set`; returns the `(reads, writes)` served.
+    /// shard **once**, pins at most **one** epoch guard covering every
+    /// index lookup of the slice, and flushes its writes once at the end,
+    /// before any is answered (group commit). Results are reported per
+    /// position through `set`; returns the `(reads, writes)` served and
+    /// the instant the slice ended.
     ///
     /// The shard mutex is the slice's queue: clients that route to the
-    /// same shard serialize on it. The wait for it is the slice's one
-    /// `stage_queue_wait_ns` sample; from there on it is
-    /// `stage_shard_execute_ns`.
+    /// same shard serialize on it. The wait for it, from `waiting_since`,
+    /// is the slice's one `stage_queue_wait_ns` sample; from there on it
+    /// is `stage_shard_execute_ns`.
     fn run_shard<'a>(
         &self,
         shard_idx: u32,
         ops: impl Fn(usize) -> OpRef<'a>,
         positions: impl Iterator<Item = usize> + Clone,
         set: &mut impl FnMut(usize, OpResult),
-    ) -> (u64, u64) {
+        waiting_since: Instant,
+    ) -> (u64, u64, Instant) {
         let mut reads = 0u64;
         let mut writes = 0u64;
         // One epoch pin covers every index lookup this slice performs (the
         // lock-free read side of the P-CLHT; see dinomo_pclht::pin), taken
-        // at the first lookup: a write-only slice needs none.
+        // at the first read that leaves the cache: a slice of value hits
+        // or of writes needs none.
         let mut guard = None;
-        let waiting_since = dinomo_obs::stage_clock();
         let mut shard = self.shards[shard_idx as usize].lock();
         let locked_at = dinomo_obs::stage_clock();
-        if let (Some(since), Some(at)) = (waiting_since, locked_at) {
+        if let Some(at) = locked_at {
             self.metrics
                 .queue_wait
-                .record(at.duration_since(since).as_nanos() as u64);
+                .record(at.duration_since(waiting_since).as_nanos() as u64);
         }
         for pos in positions.clone() {
             let result = match ops(pos) {
                 OpRef::Lookup(key) => {
                     reads += 1;
-                    let guard = guard.get_or_insert_with(dinomo_dpm::pin);
-                    self.get_in_shard(&mut shard, key, guard)
+                    self.get_in_shard(&mut shard, key, &mut guard)
                 }
                 OpRef::Put(key, value) => {
                     writes += 1;
@@ -710,22 +725,29 @@ impl KnNode {
             }
         }
         drop(shard);
-        dinomo_obs::record_since(&self.metrics.shard_execute, locked_at);
-        (reads, writes)
+        let end = Instant::now();
+        if let Some(at) = locked_at {
+            self.metrics
+                .shard_execute
+                .record(end.duration_since(at).as_nanos() as u64);
+        }
+        (reads, writes, end)
     }
 
     /// The shared (replicated-key) positions of a group, one op at a time
     /// in group order: each locks its shard internally and linearizes
-    /// through its indirection cell. Each op is one
-    /// `stage_shard_execute_ns` sample. Returns the `(reads, writes)`
-    /// served.
+    /// through its indirection cell. Each op, from the previous op's (or
+    /// slice's) end, `since`, to its own, is one `stage_shard_execute_ns`
+    /// sample. Returns the `(reads, writes)` served and the instant the
+    /// last op ended (`since` if there was none).
     fn run_shared<'a>(
         &self,
         ops: impl Fn(usize) -> OpRef<'a>,
         positions: &[usize],
         routes: &[u32],
         set: &mut impl FnMut(usize, OpResult),
-    ) -> (u64, u64) {
+        mut since: Instant,
+    ) -> (u64, u64, Instant) {
         let mut reads = 0u64;
         let mut writes = 0u64;
         for (&pos, &route) in positions.iter().zip(routes) {
@@ -733,7 +755,7 @@ impl KnNode {
                 continue;
             }
             let shard = route & !Self::ROUTE_SHARED;
-            let result = self.metrics.shard_execute.time(|| match ops(pos) {
+            let result = match ops(pos) {
                 OpRef::Lookup(key) => {
                     reads += 1;
                     self.get_shared(key, shard)
@@ -746,20 +768,27 @@ impl KnNode {
                     writes += 1;
                     self.delete_shared(key, shard).map(|()| None)
                 }
-            });
+            };
+            let end = Instant::now();
+            if dinomo_obs::enabled() {
+                self.metrics
+                    .shard_execute
+                    .record(end.duration_since(since).as_nanos() as u64);
+            }
+            since = end;
             set(pos, result);
         }
-        (reads, writes)
+        (reads, writes, since)
     }
 
     /// Fold served operations into the node-level counters (ops, reads,
-    /// writes, busy time since `start`).
-    fn record_work(&self, reads: u64, writes: u64, start: Instant) {
+    /// writes, `busy` time).
+    fn record_work(&self, reads: u64, writes: u64, busy: std::time::Duration) {
         self.ops.fetch_add(reads + writes, Ordering::Relaxed);
         self.reads.fetch_add(reads, Ordering::Relaxed);
         self.writes.fetch_add(writes, Ordering::Relaxed);
         self.busy_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            .fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
     }
 
     // ------------------------------------------------- maintenance hooks

@@ -12,8 +12,7 @@
 use dinomo::cluster::PolicyAction::{self, AddNode, DereplicateKey, RemoveNode, ReplicateKey};
 use dinomo::cluster::{EpochObservation, PolicyEngine, SloConfig};
 use dinomo::dpm::GcConfig;
-use dinomo::workload::Operation;
-use dinomo::{Kvs, WorkloadConfig, WorkloadGenerator, WorkloadMix};
+use dinomo::{Kvs, Op, WorkloadConfig, WorkloadGenerator, WorkloadMix};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -65,7 +64,7 @@ fn main() {
                     let start = Instant::now();
                     // The client retries rejections; one that surfaces is a slow op.
                     let _ = match &op {
-                        Operation::Update(key, value) => client.update(key, value),
+                        Op::Update { key, value } => client.update(key, value),
                         other => client.lookup(other.key()).map(drop),
                     };
                     let mut samples = samples.lock().expect("client panicked");

@@ -4,8 +4,8 @@
 
 use dinomo::cache::CacheKind;
 use dinomo::core::key_for;
-use dinomo::workload::{Operation, WorkloadConfig, WorkloadGenerator};
-use dinomo::{KeyDistribution, Kvs, KvsConfig, Reply, Variant, WorkloadMix};
+use dinomo::workload::{WorkloadConfig, WorkloadGenerator};
+use dinomo::{KeyDistribution, Kvs, KvsConfig, Op, Reply, Variant, WorkloadMix};
 use std::collections::HashMap;
 
 fn workload(mix: WorkloadMix, keys: u64) -> WorkloadConfig {
@@ -44,18 +44,18 @@ fn run_against_model<I, U, R, D>(
     let mut generator = WorkloadGenerator::new(config);
     for i in 0..ops {
         match generator.next_op() {
-            Operation::Read(k) => {
+            Op::Lookup { key: k } => {
                 assert_eq!(read(&k), model.get(&k).cloned(), "read mismatch at op {i}");
             }
-            Operation::Update(k, v) => {
+            Op::Update { key: k, value: v } => {
                 update(&k, &v);
                 model.insert(k, v);
             }
-            Operation::Insert(k, v) => {
+            Op::Insert { key: k, value: v } => {
                 insert(&k, &v);
                 model.insert(k, v);
             }
-            Operation::Delete(k) => {
+            Op::Delete { key: k } => {
                 delete(&k);
                 model.remove(&k);
             }

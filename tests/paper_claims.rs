@@ -22,9 +22,8 @@ use dinomo::core::key_for;
 use dinomo::dpm::DpmConfig;
 use dinomo::partition::KnId;
 use dinomo::pclht::PclhtConfig;
-use dinomo::workload::Operation;
 use dinomo::{
-    KeyDistribution, Kvs, KvsClient, KvsConfig, Variant, WorkloadConfig, WorkloadGenerator,
+    KeyDistribution, Kvs, KvsClient, KvsConfig, Op, Variant, WorkloadConfig, WorkloadGenerator,
     WorkloadMix,
 };
 
@@ -170,7 +169,7 @@ fn rts_per_read(cache_kind: CacheKind, cache_bytes: usize, distribution: KeyDist
     });
     let mut read = |n: u64| {
         for _ in 0..n {
-            let Operation::Read(k) = stream.next_op() else {
+            let Op::Lookup { key: k } = stream.next_op() else {
                 unreachable!("a read-only mix")
             };
             assert!(client.lookup(&k).unwrap().is_some());
