@@ -20,8 +20,8 @@
 //! metadata and issues one request per node, amortizing routing, shard
 //! locking and log flushing — the paper's per-request overheads — across the
 //! group. The calling thread is the only executor: it serves each node's
-//! group shard slice by shard slice, one shard-mutex acquisition, one
-//! epoch pin and one flush decision per slice, as a KN thread that owns
+//! group shard slice by shard slice, one shard-mutex acquisition, at most
+//! one epoch pin and one flush decision per slice, as a KN thread that owns
 //! its shard and polls its own fabric completions would:
 //!
 //! ```
