@@ -516,10 +516,13 @@ impl Kvs {
         Ok(())
     }
 
-    /// Wait until the DPM has merged every outstanding log segment.
+    /// Wait until the DPM has merged every outstanding log segment and its
+    /// background compactor, if enabled, has cleaned what those writes left
+    /// dead ([`DpmNode::wait_until_compacted`]).
     pub fn quiesce(&self) -> Result<()> {
         self.flush_all()?;
         self.inner.dpm.wait_until_all_merged();
+        self.inner.dpm.wait_until_compacted();
         Ok(())
     }
 

@@ -51,8 +51,9 @@
 //! Each pass relocates at most `GcConfig::max_pass_bytes`, the one
 //! throttle, so the collector lock is released between passes. A pass
 //! that finds the debt paid, or nothing it can move, makes no progress and
-//! the thread parks again. Tests drive the same pass synchronously via
-//! `DpmNode::compact_once`.
+//! the thread parks again. `DpmNode::wait_until_compacted` wakes it and
+//! waits for such a burst to end (`Kvs::quiesce` does, after the merges).
+//! Tests drive the same pass synchronously via `DpmNode::compact_once`.
 //!
 //! # Reader guard contract
 //!
@@ -374,16 +375,22 @@ fn compact_pass_locked(inner: &Arc<DpmInner>, gc: &GcConfig) -> CompactionReport
 
 /// Where the background compactor parks between bursts of passes.
 /// Eligibility events ([`GcSignal::wake`]) set `pending`, so a wake-up that
-/// arrives while a pass runs is not lost; shutdown sets `stopped`.
+/// arrives while a pass runs is not lost; `running` is set from a consumed
+/// wake-up until the burst parks again; shutdown sets `stopped`.
 #[derive(Debug, Default)]
 pub(crate) struct GcSignal {
     state: Mutex<GcWake>,
+    /// The compactor parks on this one.
     cv: Condvar,
+    /// [`GcSignal::drain`] callers wait on this one for the compactor to
+    /// park with no wake-up pending.
+    idle: Condvar,
 }
 
 #[derive(Debug, Default)]
 struct GcWake {
     pending: bool,
+    running: bool,
     stopped: bool,
 }
 
@@ -394,9 +401,25 @@ impl GcSignal {
         self.cv.notify_one();
     }
 
+    /// Wake the compactor and block until a burst that started after this
+    /// call has parked again with no wake-up pending (or the compactor
+    /// stopped). Every segment already sealed and merged is then a victim
+    /// of that burst, so the dead-byte debt it could pay is paid. Only
+    /// call it while a compactor thread runs: nothing else consumes the
+    /// wake-up.
+    pub(crate) fn drain(&self) {
+        let mut state = self.state.lock();
+        state.pending = true;
+        self.cv.notify_one();
+        while (state.pending || state.running) && !state.stopped {
+            self.idle.wait(&mut state);
+        }
+    }
+
     fn stop(&self) {
         self.state.lock().stopped = true;
         self.cv.notify_all();
+        self.idle.notify_all();
     }
 
     fn is_stopped(&self) -> bool {
@@ -406,10 +429,15 @@ impl GcSignal {
     /// Park until woken (consuming the wake-up); `false` once stopped.
     fn park(&self) -> bool {
         let mut state = self.state.lock();
+        state.running = false;
+        if !state.pending {
+            self.idle.notify_all();
+        }
         while !state.pending && !state.stopped {
             self.cv.wait(&mut state);
         }
         state.pending = false;
+        state.running = !state.stopped;
         !state.stopped
     }
 }
@@ -783,6 +811,30 @@ mod tests {
             assert_eq!(dpm.local_read(key), Some(vec![0xA5; 64]));
         }
         dpm.shutdown();
+    }
+
+    #[test]
+    fn wait_until_compacted_returns_with_nothing_left_to_clean() {
+        let mut config = gc_config();
+        config.gc.background = true;
+        let dpm = Arc::new(DpmNode::new(config).unwrap());
+        write_skew_pinned(&dpm, 20);
+        dpm.wait_until_compacted();
+        assert!(dpm.stats().segments_compacted > 0, "{:?}", dpm.stats());
+        let report = dpm.compact_once();
+        assert_eq!(
+            (report.segments_compacted, report.entries_relocated),
+            (0, 0),
+            "the background burst left work behind: {report:?}"
+        );
+        dpm.shutdown();
+        dpm.wait_until_compacted();
+
+        // Without a background compactor there is nothing to wait for.
+        let dpm = Arc::new(DpmNode::new(gc_config()).unwrap());
+        write_skew_pinned(&dpm, 4);
+        dpm.wait_until_compacted();
+        assert_eq!(dpm.stats().segments_compacted, 0);
     }
 
     #[test]

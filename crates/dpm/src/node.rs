@@ -774,6 +774,19 @@ impl DpmNode {
         }
     }
 
+    /// Block until the background compactor, if there is one, has run a
+    /// burst of passes that started after this call and parked again: the
+    /// dead-byte debt of every segment already sealed and merged is then
+    /// paid, or what is left cannot move. Call it after
+    /// [`DpmNode::wait_until_all_merged`] so that no later phase shares
+    /// the machine with the compactor catching up on earlier writes.
+    pub fn wait_until_compacted(&self) {
+        let running = self.gc.lock().is_some();
+        if running {
+            self.inner.gc_signal.drain();
+        }
+    }
+
     /// Queue a committed byte range for asynchronous merging.
     pub(crate) fn submit_merge_batch(&self, segment: &Arc<SegmentState>, start: u64, len: u64) {
         let engine = self
