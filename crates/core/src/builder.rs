@@ -98,12 +98,6 @@ impl KvsBuilder {
         self
     }
 
-    /// Virtual nodes per KN on the consistent-hashing ring.
-    pub fn ring_vnodes(mut self, vnodes: u32) -> Self {
-        self.config.ring_vnodes = vnodes;
-        self
-    }
-
     /// The configuration the builder currently describes.
     pub fn config(&self) -> &KvsConfig {
         &self.config
@@ -144,15 +138,13 @@ mod tests {
             .initial_kns(3)
             .threads_per_kn(1)
             .cache_bytes_per_kn(128 << 10)
-            .cache_kind(CacheKind::ValueOnly)
-            .ring_vnodes(16);
+            .cache_kind(CacheKind::ValueOnly);
         let c = b.config();
         assert_eq!(c.variant, Variant::DinomoN);
         assert_eq!(c.initial_kns, 3);
         assert_eq!(c.threads_per_kn, 1);
         assert_eq!(c.cache_bytes_per_kn, 128 << 10);
         assert_eq!(c.cache_kind, Some(CacheKind::ValueOnly));
-        assert_eq!(c.ring_vnodes, 16);
     }
 
     #[test]

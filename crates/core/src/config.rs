@@ -52,8 +52,6 @@ pub struct KvsConfig {
     pub dpm: DpmConfig,
     /// Simulated fabric configuration.
     pub fabric: FabricConfig,
-    /// Virtual nodes per KN on the consistent-hashing ring.
-    pub ring_vnodes: u32,
 }
 
 impl Default for KvsConfig {
@@ -67,7 +65,6 @@ impl Default for KvsConfig {
             write_batch_ops: 1,
             dpm: DpmConfig::default(),
             fabric: FabricConfig::default(),
-            ring_vnodes: 64,
         }
     }
 }

@@ -15,6 +15,9 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
+/// Virtual nodes per KN on the consistent-hashing ring.
+const RING_VNODES: u32 = 64;
+
 /// The Dinomo cluster (data plane + the mechanisms the control plane drives).
 ///
 /// `Kvs` is cheap to clone; clones share the same cluster.
@@ -70,7 +73,7 @@ impl Kvs {
         });
         let dpm = Arc::new(DpmNode::with_metrics(config.dpm, Arc::clone(&metrics))?);
         let ownership = Arc::new(RwLock::new(OwnershipTable::new(
-            config.ring_vnodes,
+            RING_VNODES,
             config.threads_per_kn as u32,
         )));
         let inner = Arc::new(KvsInner {
@@ -292,12 +295,10 @@ impl Kvs {
     ) -> Result<()> {
         if planned {
             victim.flush_pending_writes()?;
-            self.inner.dpm.wait_until_merged(victim.id());
-        } else {
-            // Fail-stop recovery: the M-node merges whatever the failed
-            // node had already flushed.
-            self.inner.dpm.merge_pending_for_kn(victim.id());
         }
+        // On a fail-stop too, the M-node merges whatever the victim had
+        // already flushed before its partitions move.
+        self.inner.dpm.wait_until_merged(victim.id());
         if self.inner.config.variant.requires_data_reshuffle() {
             self.reshuffle_data(old_table, &new_table)?;
         }

@@ -6,38 +6,35 @@ use dinomo_pmem::PmemConfig;
 /// Configuration of the log-cleaning segment compactor (see
 /// [`crate::gc`]).
 ///
-/// `run_gc` alone only frees segments whose entries are *all* dead, so a
-/// single long-lived key pins its segment's bytes forever under skewed
-/// overwrite workloads. The compactor relocates the still-live entries of
-/// partly-dead sealed segments into fresh segments and frees the victims,
-/// making the store's footprint proportional to live data instead of
-/// write history. It is paced by the store's dead-byte debt, not by a
-/// timer: it works while allocated bytes exceed the target `dead_fraction`
-/// sets, and the background thread sleeps until a segment becomes
-/// eligible.
+/// Freeing only segments whose entries are *all* dead
+/// ([`crate::DpmNode::run_gc`]) lets a single long-lived key pin its
+/// segment's bytes forever under skewed overwrite workloads. The compactor
+/// relocates the still-live entries of partly-dead sealed segments into
+/// fresh segments and frees the victims, making the store's footprint
+/// proportional to live data instead of write history. It is paced by the
+/// store's dead-byte debt, not by a timer: it works while allocated bytes
+/// exceed the target `dead_fraction` sets, and the background thread
+/// sleeps until a segment becomes eligible.
+///
+/// Only the background thread collects on its own. With `background:
+/// false`, a store frees a segment only when a caller runs
+/// [`crate::DpmNode::compact_once`] or `run_gc`; `lincheck`'s crash arm
+/// and `e2e`'s trace probe do, nothing else outside tests.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GcConfig {
-    /// Run the per-DPM background compactor thread. When `false` the
-    /// compactor only runs through the synchronous
-    /// [`crate::DpmNode::compact_once`] hook.
+    /// Run the per-DPM background compactor thread. When `false`, nothing
+    /// is compacted or freed unless a caller runs
+    /// [`crate::DpmNode::compact_once`] or [`crate::DpmNode::run_gc`].
     pub background: bool,
     /// Store-wide dead-share target. The compactor keeps the bytes of
     /// allocated segments at or under `live / (1 − dead_fraction)`; the
     /// excess is the dead-byte debt a pass pays down. Lower values trade
-    /// relocation write amplification for space; 1.0 turns compaction off
-    /// (`run_gc`'s all-dead policy only).
+    /// relocation write amplification for space; 1.0 turns compaction off.
     pub dead_fraction: f64,
     /// Relocation byte budget of one pass: the one throttle, bounding how
     /// long a pass holds the collector lock before the background thread
     /// re-checks the debt and runs again. `u64::MAX` disables it.
     pub max_pass_bytes: u64,
-    /// Seal the pass's destination segment at the end of a pass once it is
-    /// at least this full. The destination is reused across passes so
-    /// small passes don't each strand a near-empty segment — but an
-    /// unsealed destination is invisible to victim selection, so without
-    /// this cut-off one mostly-full, never-sealed segment per DPM would
-    /// pin its dead bytes forever.
-    pub destination_seal_fraction: f64,
 }
 
 impl Default for GcConfig {
@@ -48,7 +45,6 @@ impl Default for GcConfig {
             // 8 MB per pass: a pass yields the collector lock (to
             // `run_gc`, `pause_collectors`) at least this often.
             max_pass_bytes: 8 << 20,
-            destination_seal_fraction: 0.5,
         }
     }
 }
@@ -61,7 +57,6 @@ impl GcConfig {
             background: true,
             dead_fraction: 0.05,
             max_pass_bytes: u64::MAX,
-            destination_seal_fraction: 0.5,
         }
     }
 }

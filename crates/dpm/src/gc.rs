@@ -45,15 +45,18 @@
 //! fully merged and themselves become ordinary GC victims once their
 //! entries die.
 //!
-//! The background thread parks until a segment becomes eligible — its last
-//! merge task completes after it was sealed, or it is sealed already fully
-//! merged — and then runs passes back to back while they make progress.
-//! Each pass relocates at most `GcConfig::max_pass_bytes`, the one
-//! throttle, so the collector lock is released between passes. A pass
-//! that finds the debt paid, or nothing it can move, makes no progress and
-//! the thread parks again. `DpmNode::wait_until_compacted` wakes it and
-//! waits for such a burst to end (`Kvs::quiesce` does, after the merges).
-//! Tests drive the same pass synchronously via `DpmNode::compact_once`.
+//! With `GcConfig::background` set, the compactor is a DPM processor
+//! thread: a `Worker` (`worker.rs`) whose step is one pass. It parks until
+//! a segment becomes eligible — its last merge task completes after it
+//! was sealed, or it is sealed already fully merged — and then runs
+//! passes back to back while they make progress. Each pass relocates at
+//! most `GcConfig::max_pass_bytes`, the one throttle, so the collector
+//! lock is released between passes. A pass that finds the debt paid, or
+//! nothing it can move, makes no progress and the thread parks again.
+//! `DpmNode::wait_until_compacted` wakes it and waits for such a burst to
+//! end (`Kvs::quiesce` does, after the merges); a stopped compactor exits
+//! at the next pass boundary. Without the thread, nothing compacts unless
+//! a caller runs `DpmNode::compact_once`.
 //!
 //! # Reader guard contract
 //!
@@ -120,10 +123,9 @@ use crate::entry::decode_entry;
 use crate::loc::PackedLoc;
 use crate::node::DpmInner;
 use crate::segment::SegmentState;
+use crate::worker::Worker;
 use dinomo_partition::key_hash;
-use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// Owner id under which the compactor's destination segments are
 /// registered. Never a real KVS node id, so destination segments are
@@ -187,16 +189,20 @@ fn reserve_destination(
     Ok((seg, offset))
 }
 
+/// How full the destination segment must be for a pass to seal it (see
+/// [`seal_filled_destination`]).
+const DESTINATION_SEAL_FRACTION: f64 = 0.5;
+
 /// End-of-pass destination cut-off: once the reused destination segment
-/// is at least `GcConfig::destination_seal_fraction` full, seal it and
-/// clear the slot. Sealed (and already fully merged — relocations account
+/// is at least [`DESTINATION_SEAL_FRACTION`] full, seal it and clear the
+/// slot. Sealed (and already fully merged — relocations account
 /// themselves merged) it becomes an ordinary segment that victim
 /// selection can reclaim once its entries die; left unsealed it would pin
 /// one unreclaimable segment per DPM forever.
-fn seal_filled_destination(inner: &Arc<DpmInner>, gc: &GcConfig) {
+fn seal_filled_destination(inner: &Arc<DpmInner>) {
     let mut slot = inner.gc_destination();
     if let Some(seg) = slot.as_ref() {
-        let threshold = (seg.capacity as f64 * gc.destination_seal_fraction) as u64;
+        let threshold = (seg.capacity as f64 * DESTINATION_SEAL_FRACTION) as u64;
         if seg.entries_written() > 0 && seg.written() >= threshold {
             seg.seal();
             *slot = None;
@@ -218,7 +224,7 @@ fn dead_byte_debt(inner: &DpmInner, gc: &GcConfig) -> f64 {
 pub(crate) fn compact_pass(inner: &Arc<DpmInner>, gc: &GcConfig) -> CompactionReport {
     let _pass = inner.lock_gc_pass();
     let report = compact_pass_locked(inner, gc);
-    seal_filled_destination(inner, gc);
+    seal_filled_destination(inner);
     report
 }
 
@@ -373,124 +379,14 @@ fn compact_pass_locked(inner: &Arc<DpmInner>, gc: &GcConfig) -> CompactionReport
     report
 }
 
-/// Where the background compactor parks between bursts of passes.
-/// Eligibility events ([`GcSignal::wake`]) set `pending`, so a wake-up that
-/// arrives while a pass runs is not lost; `running` is set from a consumed
-/// wake-up until the burst parks again; shutdown sets `stopped`.
-#[derive(Debug, Default)]
-pub(crate) struct GcSignal {
-    state: Mutex<GcWake>,
-    /// The compactor parks on this one.
-    cv: Condvar,
-    /// [`GcSignal::drain`] callers wait on this one for the compactor to
-    /// park with no wake-up pending.
-    idle: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct GcWake {
-    pending: bool,
-    running: bool,
-    stopped: bool,
-}
-
-impl GcSignal {
-    /// A segment became eligible: run passes until they stop progressing.
-    pub(crate) fn wake(&self) {
-        self.state.lock().pending = true;
-        self.cv.notify_one();
-    }
-
-    /// Wake the compactor and block until a burst that started after this
-    /// call has parked again with no wake-up pending (or the compactor
-    /// stopped). Every segment already sealed and merged is then a victim
-    /// of that burst, so the dead-byte debt it could pay is paid. Only
-    /// call it while a compactor thread runs: nothing else consumes the
-    /// wake-up.
-    pub(crate) fn drain(&self) {
-        let mut state = self.state.lock();
-        state.pending = true;
-        self.cv.notify_one();
-        while (state.pending || state.running) && !state.stopped {
-            self.idle.wait(&mut state);
-        }
-    }
-
-    fn stop(&self) {
-        self.state.lock().stopped = true;
-        self.cv.notify_all();
-        self.idle.notify_all();
-    }
-
-    fn is_stopped(&self) -> bool {
-        self.state.lock().stopped
-    }
-
-    /// Park until woken (consuming the wake-up); `false` once stopped.
-    fn park(&self) -> bool {
-        let mut state = self.state.lock();
-        state.running = false;
-        if !state.pending {
-            self.idle.notify_all();
-        }
-        while !state.pending && !state.stopped {
-            self.cv.wait(&mut state);
-        }
-        state.pending = false;
-        state.running = !state.stopped;
-        !state.stopped
-    }
-}
-
-/// Handle to the per-DPM background compactor thread.
-#[derive(Debug)]
-pub(crate) struct Compactor {
-    inner: Arc<DpmInner>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl Compactor {
-    /// Spawn the background thread. It parks on `DpmInner`'s [`GcSignal`]
-    /// until a segment becomes eligible, then runs passes back to back for
-    /// as long as each one relocates or frees something; a pass that finds
-    /// the debt paid (or nothing it can move) ends the burst.
-    pub(crate) fn start(inner: Arc<DpmInner>) -> Self {
-        let thread_inner = Arc::clone(&inner);
-        let handle = std::thread::Builder::new()
-            .name("dpm-gc".to_string())
-            .spawn(move || {
-                let inner = &thread_inner;
-                let gc = inner.config().gc;
-                let signal = inner.gc_signal();
-                while signal.park() {
-                    while !signal.is_stopped() {
-                        let report = compact_pass(inner, &gc);
-                        if report.segments_compacted == 0 && report.entries_relocated == 0 {
-                            break;
-                        }
-                    }
-                }
-            })
-            .expect("failed to spawn the DPM compactor thread");
-        Compactor {
-            inner,
-            handle: Some(handle),
-        }
-    }
-
-    /// Stop the thread and wait for it to exit (idempotent).
-    pub(crate) fn shutdown(&mut self) {
-        self.inner.gc_signal().stop();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for Compactor {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
+/// Thread body of the background compactor: one pass per step, a step
+/// making progress while its pass relocates or frees anything.
+pub(crate) fn run_compactor(inner: &Arc<DpmInner>, worker: &Worker) {
+    let gc = inner.config().gc;
+    worker.run(|| {
+        let report = compact_pass(inner, &gc);
+        report.segments_compacted > 0 || report.entries_relocated > 0
+    });
 }
 
 #[cfg(test)]
@@ -1019,11 +915,9 @@ mod tests {
         // to stay unsealed forever, so once every entry relocated into it
         // died it still could not be selected as a victim — one
         // unreclaimable segment per DPM. With the end-of-pass cut-off the
-        // destination seals once ≥ `destination_seal_fraction` full and is
+        // destination seals once ≥ `DESTINATION_SEAL_FRACTION` full and is
         // reclaimed like any other segment when its entries die.
-        let mut config = gc_config();
-        config.gc.destination_seal_fraction = 0.25;
-        let dpm = Arc::new(DpmNode::new(config).unwrap());
+        let dpm = Arc::new(DpmNode::new(gc_config()).unwrap());
         let pinned_keys = write_skew_pinned(&dpm, 20);
         while dpm.compact_once().segments_compacted > 0 {}
 

@@ -40,6 +40,7 @@ pub mod merge;
 pub mod node;
 pub mod ordered;
 pub mod segment;
+mod worker;
 pub mod writer;
 
 pub use bloom::BloomFilter;

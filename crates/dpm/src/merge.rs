@@ -2,83 +2,47 @@
 //!
 //! KVS nodes append batches of log entries with one-sided writes; the DPM's
 //! limited compute capacity is spent off the critical path merging those
-//! entries into the shared P-CLHT index.  Entries from one KN are merged in
-//! write order (tasks are routed to a worker by KN id), while different KNs'
-//! logs merge concurrently — exactly the concurrency contract §3.2 describes.
+//! entries into the shared P-CLHT index. Each of the `merge_threads`
+//! workers is a `Worker` (`worker.rs`) with its own task queue. A flush
+//! hands its task to worker `owner_kn % merge_threads` under that worker's
+//! one lock, so entries from one KN are merged in write order, while
+//! different KNs' logs merge concurrently — exactly the concurrency
+//! contract §3.2 describes. A writer waiting for merge slack, or a caller
+//! waiting for a KN's merges, waits on the owning worker's progress
+//! signal.
 
 use crate::entry::{decode_entry, LogOp};
 use crate::loc::PackedLoc;
 use crate::node::DpmInner;
 use crate::segment::SegmentState;
-use std::sync::mpsc::{self, Receiver, Sender};
+use crate::worker::Worker;
+use std::collections::VecDeque;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// One unit of merge work: a contiguous byte range of a segment containing
 /// `entries` committed entries.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct MergeTask {
     pub segment: Arc<SegmentState>,
     pub start: u64,
     pub len: u64,
 }
 
-/// Handle to the DPM processor threads.
-#[derive(Debug)]
-pub(crate) struct MergeEngine {
-    senders: Vec<Sender<MergeTask>>,
-    handles: Vec<JoinHandle<()>>,
-}
+/// A DPM processor thread and its queue of submitted tasks.
+pub(crate) type MergeWorker = Worker<VecDeque<MergeTask>>;
 
-impl MergeEngine {
-    /// Spawn `threads` merge workers over the shared DPM state.
-    pub(crate) fn start(inner: Arc<DpmInner>, threads: usize) -> Self {
-        let threads = threads.max(1);
-        let mut senders = Vec::with_capacity(threads);
-        let mut handles = Vec::with_capacity(threads);
-        for worker_id in 0..threads {
-            let (tx, rx) = mpsc::channel();
-            senders.push(tx);
-            let inner = Arc::clone(&inner);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("dpm-merge-{worker_id}"))
-                    .spawn(move || worker_loop(&inner, &rx))
-                    .expect("failed to spawn merge worker"),
-            );
+/// Thread body of a merge worker: one task per step, in submission order.
+pub(crate) fn run_merge_worker(inner: &DpmInner, worker: &MergeWorker) {
+    let step = || match worker.take(VecDeque::pop_front) {
+        Some(task) => {
+            merge_task(inner, &task);
+            true
         }
-        MergeEngine { senders, handles }
-    }
-
-    /// Route a task to the worker responsible for its owner KN (preserving
-    /// per-KN merge order).
-    pub(crate) fn submit(&self, task: MergeTask) {
-        let idx = task.segment.owner_kn as usize % self.senders.len();
-        // A send error means shutdown already started; dropping the task is
-        // then fine (the recovery scan re-merges sealed entries).
-        let _ = self.senders[idx].send(task);
-    }
-
-    /// Stop all workers and wait for them to exit.
-    pub(crate) fn shutdown(&mut self) {
-        self.senders.clear();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for MergeEngine {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn worker_loop(inner: &DpmInner, rx: &Receiver<MergeTask>) {
-    while let Ok(task) = rx.recv() {
-        merge_task(inner, &task);
-        inner.notify_merge_progress();
-    }
+        None => false,
+    };
+    worker.run(step);
+    // Stopped: what was submitted before the stop still merges.
+    while step() {}
 }
 
 /// Merge every entry in the task's byte range into the index.
@@ -99,7 +63,7 @@ pub(crate) fn merge_task(inner: &DpmInner, task: &MergeTask) {
             // Torn entry: everything after it in this batch is unusable.
             break;
         }
-        apply_entry(inner, task, &guard, addr, &entry);
+        apply_entry(inner, &guard, addr, &entry);
         offset += entry.total_len;
         merged_entries += 1;
     }
@@ -108,32 +72,15 @@ pub(crate) fn merge_task(inner: &DpmInner, task: &MergeTask) {
     inner.note_segment_settled(&task.segment);
 }
 
-/// Re-apply one sealed entry during a recovery scan: the merge worker's
-/// application logic without the merged-counter bump — the caller floors
-/// the segment's counters once per segment with
-/// [`SegmentState::record_merged_at_least`], because a recovered entry
-/// was usually merged before the crash and re-adding its bytes would let
+/// Apply one sealed entry at `entry_addr` to the index. It bumps no
+/// merged counter: a merge task counts its entries once per task, and a
+/// recovery scan floors the segment's counters once per segment with
+/// [`SegmentState::record_merged_at_least`], because a recovered entry was
+/// usually merged before the crash and re-adding its bytes would let
 /// `merged` outrun `written` (masking post-recovery appends as already
 /// merged).
-pub(crate) fn apply_recovered_entry(
+pub(crate) fn apply_entry(
     inner: &DpmInner,
-    segment: &Arc<SegmentState>,
-    guard: &dinomo_pclht::Guard,
-    offset: u64,
-    entry: &crate::entry::DecodedEntry,
-) {
-    let task = MergeTask {
-        segment: Arc::clone(segment),
-        start: offset,
-        len: entry.total_len,
-    };
-    let addr = segment.base.offset(offset);
-    apply_entry(inner, &task, guard, addr, entry);
-}
-
-fn apply_entry(
-    inner: &DpmInner,
-    task: &MergeTask,
     guard: &dinomo_pclht::Guard,
     entry_addr: dinomo_pmem::PmAddr,
     entry: &crate::entry::DecodedEntry,
@@ -249,5 +196,4 @@ fn apply_entry(
             inner.invalidate_entry(PackedLoc::direct(entry_addr, entry.total_len));
         }
     }
-    let _ = task;
 }

@@ -4,21 +4,21 @@
 use crate::config::{DpmConfig, UNMERGED_SEGMENT_THRESHOLD};
 use crate::entry::decode_entry;
 use crate::failpoint::FailpointSet;
-use crate::gc::{compact_pass, CompactionReport, Compactor, GcSignal};
+use crate::gc::{compact_pass, run_compactor, CompactionReport};
 use crate::loc::PackedLoc;
-use crate::merge::{apply_recovered_entry, MergeEngine, MergeTask};
+use crate::merge::{apply_entry, run_merge_worker, MergeTask, MergeWorker};
 use crate::segment::SegmentState;
+use crate::worker::Worker;
 use crossbeam::epoch::{Atomic, Owned};
 use dinomo_obs::{LockId, Registry, Stage};
 use dinomo_partition::key_hash;
 use dinomo_pclht::{pin, Guard, Pclht};
 use dinomo_pmem::{PmAddr, PmemError, PmemPool};
 use dinomo_simnet::Nic;
-use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Lock-free lookup table from pool address to live segment: `(base, end,
 /// segment)` triples sorted by base. Readers binary-search it under their
@@ -57,8 +57,6 @@ pub(crate) struct DpmMetrics {
     pub(crate) cell_swing_waits: dinomo_obs::Counter,
     /// `lock_wait_segment_table_ns` — segment-registry write lock.
     pub(crate) seg_table_wait: dinomo_obs::Histogram,
-    /// `lock_wait_merge_engine_ns` — merge hand-off mutex.
-    pub(crate) merge_engine_wait: dinomo_obs::Histogram,
     /// `stage_flush_wait_ns` — writer stalled for merge slack.
     pub(crate) stage_flush_wait: dinomo_obs::Histogram,
     /// `stage_merge_wait_ns` — caller drained the merge engine.
@@ -72,7 +70,6 @@ impl DpmMetrics {
         DpmMetrics {
             cell_swing_waits: registry.counter("dpm_cell_registry_waits"),
             seg_table_wait: registry.lock_wait(LockId::SegmentTable),
-            merge_engine_wait: registry.lock_wait(LockId::MergeEngine),
             stage_flush_wait: registry.stage(Stage::FlushWait),
             stage_merge_wait: registry.stage(Stage::MergeWait),
             stage_dpm_lookup: registry.stage(Stage::DpmLookup),
@@ -135,7 +132,8 @@ pub struct CollectorPause<'a> {
     _guard: MutexGuard<'a, ()>,
 }
 
-/// State shared between the [`DpmNode`] facade and the merge workers.
+/// State shared between the [`DpmNode`] facade and the DPM processor
+/// threads (merge workers and compactor).
 #[derive(Debug)]
 pub struct DpmInner {
     config: DpmConfig,
@@ -143,7 +141,9 @@ pub struct DpmInner {
     index: Pclht,
     segments: RwLock<Vec<Arc<SegmentState>>>,
     next_segment_id: AtomicU64,
-    merge_sync: (Mutex<()>, Condvar),
+    /// The merge workers (at least one); a KN's tasks go to worker
+    /// `kn % merge_workers.len()`.
+    merge_workers: Vec<MergeWorker>,
     /// Cluster-global log sequence number. Sequence numbers order entries
     /// for the merge engine's stale-entry detection; they must be
     /// comparable across KVS nodes because a key's ownership (and therefore
@@ -170,9 +170,10 @@ pub struct DpmInner {
     /// until full (so small passes don't each strand a near-empty
     /// segment).
     gc_destination: Mutex<Option<Arc<SegmentState>>>,
-    /// Wakes the background compactor when a segment becomes eligible
-    /// (see [`DpmInner::note_segment_settled`]).
-    gc_signal: GcSignal,
+    /// The background compactor, present only when `config.gc.background`
+    /// is set; woken when a segment becomes eligible (see
+    /// [`DpmInner::note_segment_settled`]).
+    compactor: Option<Worker>,
     /// Observer notified after each successful relocation (see
     /// [`RelocationObserver`]).
     relocation_observer: ObserverSlot,
@@ -209,9 +210,9 @@ impl DpmInner {
         &self.config
     }
 
-    pub(crate) fn notify_merge_progress(&self) {
-        let _guard = self.merge_sync.0.lock();
-        self.merge_sync.1.notify_all();
+    /// The merge worker that merges `kn`'s segments.
+    fn merge_worker_of(&self, kn: u32) -> &MergeWorker {
+        &self.merge_workers[kn as usize % self.merge_workers.len()]
     }
 
     pub(crate) fn stats_entries_merged(&self, n: u64) {
@@ -425,19 +426,16 @@ impl DpmInner {
         self.gc_destination.lock()
     }
 
-    /// The background compactor's wake-up signal.
-    pub(crate) fn gc_signal(&self) -> &GcSignal {
-        &self.gc_signal
-    }
-
     /// Wake the background compactor if `seg` is now a possible victim:
     /// sealed and fully merged. Called after a merge task completes and
     /// after a seal, so whichever of the two happens last fires (the
     /// sealed flag and the merged counter are `SeqCst`, so the two
     /// checks cannot both miss).
     pub(crate) fn note_segment_settled(&self, seg: &SegmentState) {
-        if self.config.gc.background && seg.is_sealed() && seg.is_fully_merged() {
-            self.gc_signal.wake();
+        if let Some(compactor) = &self.compactor {
+            if seg.is_sealed() && seg.is_fully_merged() {
+                compactor.wake();
+            }
         }
     }
 
@@ -581,10 +579,6 @@ impl DpmInner {
 #[derive(Debug)]
 pub struct DpmNode {
     inner: Arc<DpmInner>,
-    merge: Mutex<MergeEngine>,
-    /// Background log-cleaning compactor (present only when
-    /// `config.gc.background` is set).
-    gc: Mutex<Option<Compactor>>,
 }
 
 impl DpmNode {
@@ -606,7 +600,9 @@ impl DpmNode {
             index,
             segments: RwLock::new(Vec::new()),
             next_segment_id: AtomicU64::new(1),
-            merge_sync: (Mutex::new(()), Condvar::new()),
+            merge_workers: (0..config.merge_threads.max(1))
+                .map(|_| MergeWorker::default())
+                .collect(),
             next_seq: AtomicU64::new(0),
             entries_merged: AtomicU64::new(0),
             segments_freed: AtomicU64::new(0),
@@ -615,7 +611,7 @@ impl DpmNode {
             metrics,
             gc_pass_lock: Mutex::new(()),
             gc_destination: Mutex::new(None),
-            gc_signal: GcSignal::default(),
+            compactor: config.gc.background.then(Worker::default),
             relocation_observer: ObserverSlot::default(),
             segments_compacted: AtomicU64::new(0),
             bytes_relocated: AtomicU64::new(0),
@@ -625,16 +621,21 @@ impl DpmNode {
             metadata: Mutex::new([None; 2]),
             failpoints: FailpointSet::new(),
         });
-        let merge = MergeEngine::start(Arc::clone(&inner), config.merge_threads);
-        let gc = config
-            .gc
-            .background
-            .then(|| Compactor::start(Arc::clone(&inner)));
-        Ok(DpmNode {
-            inner,
-            merge: Mutex::new(merge),
-            gc: Mutex::new(gc),
-        })
+        for (i, worker) in inner.merge_workers.iter().enumerate() {
+            let inner = Arc::clone(&inner);
+            worker.spawn(format!("dpm-merge-{i}"), move || {
+                run_merge_worker(&inner, &inner.merge_workers[i]);
+            });
+        }
+        if let Some(compactor) = &inner.compactor {
+            let inner = Arc::clone(&inner);
+            compactor.spawn("dpm-gc".to_string(), move || {
+                if let Some(compactor) = &inner.compactor {
+                    run_compactor(&inner, compactor);
+                }
+            });
+        }
+        Ok(DpmNode { inner })
     }
 
     /// Register the callback invoked after every successful entry
@@ -736,13 +737,9 @@ impl DpmNode {
     /// paper's write-path back-pressure, §4).
     pub fn wait_for_merge_slack(&self, kn: u32) {
         self.inner.metrics.stage_flush_wait.time(|| {
-            let mut guard = self.inner.merge_sync.0.lock();
-            while self.inner.unmerged_sealed_segments(kn) >= UNMERGED_SEGMENT_THRESHOLD {
-                self.inner
-                    .merge_sync
-                    .1
-                    .wait_for(&mut guard, Duration::from_millis(50));
-            }
+            self.inner.merge_worker_of(kn).wait_while(|| {
+                self.inner.unmerged_sealed_segments(kn) >= UNMERGED_SEGMENT_THRESHOLD
+            });
         })
     }
 
@@ -750,13 +747,9 @@ impl DpmNode {
     /// reconfiguration and during failure handling, §3.5).
     pub fn wait_until_merged(&self, kn: u32) {
         self.inner.metrics.stage_merge_wait.time(|| {
-            let mut guard = self.inner.merge_sync.0.lock();
-            while self.inner.unmerged_segments(kn) > 0 {
-                self.inner
-                    .merge_sync
-                    .1
-                    .wait_for(&mut guard, Duration::from_millis(50));
-            }
+            self.inner
+                .merge_worker_of(kn)
+                .wait_while(|| self.inner.unmerged_segments(kn) > 0);
         })
     }
 
@@ -781,24 +774,23 @@ impl DpmNode {
     /// [`DpmNode::wait_until_all_merged`] so that no later phase shares
     /// the machine with the compactor catching up on earlier writes.
     pub fn wait_until_compacted(&self) {
-        let running = self.gc.lock().is_some();
-        if running {
-            self.inner.gc_signal.drain();
+        if let Some(compactor) = &self.inner.compactor {
+            compactor.drain();
         }
     }
 
-    /// Queue a committed byte range for asynchronous merging.
+    /// Queue a committed byte range for asynchronous merging, on the
+    /// worker that merges the segment's owner (preserving per-KN merge
+    /// order).
     pub(crate) fn submit_merge_batch(&self, segment: &Arc<SegmentState>, start: u64, len: u64) {
-        let engine = self
-            .inner
-            .metrics
-            .merge_engine_wait
-            .time(|| self.merge.lock());
-        engine.submit(MergeTask {
+        let task = MergeTask {
             segment: Arc::clone(segment),
             start,
             len,
-        });
+        };
+        self.inner
+            .merge_worker_of(segment.owner_kn)
+            .wake_with(|queue| queue.push_back(task));
     }
 
     // ------------------------------------------------------------- lookups
@@ -1385,7 +1377,7 @@ impl DpmNode {
                 let addr = seg.base.offset(offset);
                 match decode_entry(&self.inner.pool, addr, written - offset) {
                     Some(e) if e.sealed => {
-                        apply_recovered_entry(&self.inner, &seg, &guard, offset, &e);
+                        apply_entry(&self.inner, &guard, addr, &e);
                         // New appends after recovery must order after every
                         // recovered entry.
                         self.inner
@@ -1412,12 +1404,6 @@ impl DpmNode {
         }
         report.index_len_after = self.inner.index.len();
         report
-    }
-
-    /// Synchronously merge everything a failed KN left behind (step 3 of the
-    /// reconfiguration protocol for the failure case).
-    pub fn merge_pending_for_kn(&self, kn: u32) {
-        self.wait_until_merged(kn);
     }
 
     // ----------------------------------------------------------- metadata
@@ -1476,13 +1462,22 @@ impl DpmNode {
         newest_metadata(&self.inner.pool, &slots).map(|(_, _, body)| body)
     }
 
-    /// Stop the background compactor and the merge workers (also happens
-    /// on drop).
+    /// Stop the background compactor at its next pass boundary, then the
+    /// merge workers once they have merged what was already submitted
+    /// (also happens on drop).
     pub fn shutdown(&self) {
-        if let Some(mut gc) = self.gc.lock().take() {
-            gc.shutdown();
+        if let Some(compactor) = &self.inner.compactor {
+            compactor.stop();
         }
-        self.merge.lock().shutdown();
+        for worker in &self.inner.merge_workers {
+            worker.stop();
+        }
+    }
+}
+
+impl Drop for DpmNode {
+    fn drop(&mut self) {
+        self.shutdown();
     }
 }
 
@@ -1638,6 +1633,39 @@ mod tests {
         wa.flush().unwrap();
         dpm.wait_until_merged(0);
         assert_eq!(dpm.local_read(b"k"), Some(b"v3".to_vec()));
+    }
+
+    #[test]
+    fn tasks_queued_before_shutdown_merge_before_the_workers_exit() {
+        let dpm = dpm();
+        let mut w = LogWriter::new(Arc::clone(&dpm), 0, nic());
+        // Once a delete has merged, merging a put of a new key takes the
+        // merged-tombstone lock: holding it holds the worker in its task.
+        w.append_delete(b"gone");
+        w.flush().unwrap();
+        dpm.wait_until_merged(0);
+        let tombstones = dpm.inner.merged_tombstones.lock();
+        for i in 0..8u32 {
+            w.append_put(format!("key{i}").as_bytes(), b"v");
+            w.flush().unwrap();
+        }
+        let stopper = {
+            let dpm = Arc::clone(&dpm);
+            std::thread::spawn(move || dpm.shutdown())
+        };
+        while !dpm.inner.merge_workers[0].is_stopped() {
+            std::thread::yield_now();
+        }
+        // Stopped with at most one task merged: the rest are still queued.
+        drop(tombstones);
+        stopper.join().unwrap();
+        assert_eq!(dpm.unmerged_segments(0), 0);
+        for i in 0..8u32 {
+            assert_eq!(
+                dpm.local_read(format!("key{i}").as_bytes()),
+                Some(b"v".to_vec())
+            );
+        }
     }
 
     #[test]

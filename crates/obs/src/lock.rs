@@ -13,8 +13,6 @@ pub enum LockId {
     /// records it any more; kept only for `e2e`, deleted with its probe
     /// (ROADMAP item 1).
     OrderedRoot,
-    /// Merge engine hand-off mutex (`DpmNode::merge`).
-    MergeEngine,
     /// Cluster reconfiguration lock (`KvsInner::reconfig_lock`).
     Reconfig,
     /// DPM segment-table write lock (`DpmInner::segments`).
@@ -22,18 +20,12 @@ pub enum LockId {
 }
 
 impl LockId {
-    pub const ALL: [LockId; 4] = [
-        LockId::OrderedRoot,
-        LockId::MergeEngine,
-        LockId::Reconfig,
-        LockId::SegmentTable,
-    ];
+    pub const ALL: [LockId; 3] = [LockId::OrderedRoot, LockId::Reconfig, LockId::SegmentTable];
 
     /// Registry metric name (`lock_wait_<name>_ns`).
     pub fn metric_name(self) -> &'static str {
         match self {
             LockId::OrderedRoot => "lock_wait_ordered_root_ns",
-            LockId::MergeEngine => "lock_wait_merge_engine_ns",
             LockId::Reconfig => "lock_wait_reconfig_ns",
             LockId::SegmentTable => "lock_wait_segment_table_ns",
         }
@@ -43,7 +35,6 @@ impl LockId {
     pub fn label(self) -> &'static str {
         match self {
             LockId::OrderedRoot => "ordered-index CoW root",
-            LockId::MergeEngine => "merge engine hand-off",
             LockId::Reconfig => "reconfig lock",
             LockId::SegmentTable => "segment-table write lock",
         }
@@ -81,7 +72,7 @@ mod tests {
         let _serial = crate::enabled_test_lock();
         crate::set_enabled(true);
         let reg = Registry::new_shared();
-        let wait = reg.lock_wait(LockId::MergeEngine);
+        let wait = reg.lock_wait(LockId::SegmentTable);
         let lock = Arc::new(Mutex::new(()));
         let (about_to_lock, waiter_timing) = std::sync::mpsc::channel();
 
@@ -102,7 +93,7 @@ mod tests {
         waiter.join().unwrap();
 
         let snap = reg.snapshot();
-        let h = snap.histogram(LockId::MergeEngine.metric_name()).unwrap();
+        let h = snap.histogram(LockId::SegmentTable.metric_name()).unwrap();
         assert_eq!(h.count, 1);
         assert!(
             h.max_ns >= 1_000_000,

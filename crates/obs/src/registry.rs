@@ -10,7 +10,7 @@
 //!
 //! Naming scheme (see `docs/OBSERVABILITY.md`):
 //! `<subsystem>_<what>[_<unit>]`, e.g. `dpm_cell_registry_waits`,
-//! `stage_queue_wait_ns`, `lock_wait_merge_engine_ns`.
+//! `stage_queue_wait_ns`, `lock_wait_segment_table_ns`.
 
 use crate::hist::LogHistogram;
 use parking_lot::Mutex;

@@ -160,3 +160,41 @@ fn steady_state_map_cycles_allocate_no_key() {
     });
     assert_eq!(cost, (0, 0), "{KEYS} LRU touches: (allocations, bytes)");
 }
+
+/// A steady-state window of per-key updates allocates five times per
+/// update on the calling thread, plus a handful where the window rolls its
+/// log segment over: 1,290 for these `KEYS` updates. The merge hand-off
+/// reuses its worker's task queue and adds nothing (a channel per worker
+/// allocated a block every 31 sends). A few more can come from the KN's
+/// unmerged-write map, which a flush clears (keeping its capacity) only
+/// when it finds every segment merged, so whether the map still grows in
+/// the window depends on the merge worker's timing: 1,290–1,292 were
+/// seen. Hence a bound, not an exact count.
+#[test]
+fn a_kn_put_update_allocates_a_bounded_count() {
+    let kvs = Kvs::builder()
+        .small_for_tests()
+        .initial_kns(1)
+        .threads_per_kn(1)
+        .cache_bytes_per_kn(1 << 20)
+        .build()
+        .unwrap();
+    let kn = kvs.kn(kvs.kn_ids()[0]).unwrap();
+    let keys: Vec<Vec<u8>> = (0..KEYS).map(|i| key_for(i, 8)).collect();
+    let values: Vec<Vec<u8>> = (0..4).map(value).collect();
+    for value in &values[..3] {
+        for key in &keys {
+            kn.put(key, value).unwrap();
+        }
+    }
+    let ((count, _bytes), ()) = allocations(|| {
+        for key in &keys {
+            kn.put(key, &values[3]).unwrap();
+        }
+    });
+    assert!(count <= 1_297, "{KEYS} updates made {count} allocations");
+    kvs.quiesce().unwrap();
+    for key in &keys {
+        assert_eq!(kn.get(key).unwrap(), Some(values[3].clone()));
+    }
+}
