@@ -370,7 +370,7 @@ impl KnNode {
         let entry =
             dinomo_dpm::entry::decode_entry(self.dpm.pool(), entry_loc.addr(), entry_loc.len());
         Ok(entry
-            .filter(|e| e.key == key)
+            .filter(|e| e.key_is(self.dpm.pool(), key))
             .map(|e| e.read_value(self.dpm.pool())))
     }
 

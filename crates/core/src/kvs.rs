@@ -637,11 +637,12 @@ impl Kvs {
                 return;
             }
             if let Some(entry) = decode_entry(pool, loc.addr(), loc.len()) {
-                let old_owner = old.primary_owner(&entry.key);
-                let new_owner = new.primary_owner(&entry.key);
+                let key = entry.read_key(pool);
+                let old_owner = old.primary_owner(&key);
+                let new_owner = new.primary_owner(&key);
                 if let (Some(o), Some(n)) = (old_owner, new_owner) {
                     if o != n {
-                        moved.push((entry.key.clone(), entry.read_value(pool), n));
+                        moved.push((key, entry.read_value(pool), n));
                     }
                 }
             }

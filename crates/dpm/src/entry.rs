@@ -19,6 +19,13 @@
 //! The seal word is written last; recovery treats an entry whose seal does
 //! not match as torn and discards it together with the rest of that batch
 //! (log writes within a batch are sequential).
+//!
+//! Decoding copies nothing out of the pool: a [`DecodedEntry`] is the
+//! header, the seal check and the entry's extent. The DPM processors
+//! compare a key against the pool in place ([`key_matches`]), read only
+//! the header where a sequence number is all they need ([`read_header`]),
+//! and read a key they must hash into a buffer they reuse from entry to
+//! entry ([`DecodedEntry::read_key_into`]).
 
 use crate::loc::PackedLoc;
 use dinomo_pmem::{PmAddr, PmemPool};
@@ -57,7 +64,7 @@ impl LogOp {
 }
 
 /// Decoded header of a log entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EntryHeader {
     /// Key length in bytes.
     pub key_len: u32,
@@ -95,13 +102,12 @@ pub fn encode_entry(buf: &mut Vec<u8>, key: &[u8], value: &[u8], op: LogOp, seq:
     value_offset
 }
 
-/// A decoded view of an entry stored in the pool.
+/// A decoded view of an entry stored in the pool. It owns no bytes of the
+/// entry: the key and value stay in the pool.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodedEntry {
     /// Header fields.
     pub header: EntryHeader,
-    /// The key bytes.
-    pub key: Vec<u8>,
     /// Address of the value bytes inside the pool.
     pub value_addr: PmAddr,
     /// Total size of the entry on the log.
@@ -116,6 +122,32 @@ impl DecodedEntry {
         PackedLoc::direct(entry_addr, self.total_len)
     }
 
+    /// Address of the key bytes inside the pool.
+    pub fn key_addr(&self) -> PmAddr {
+        PmAddr(self.value_addr.0 - u64::from(self.header.key_len))
+    }
+
+    /// Read the key bytes into `buf`, replacing its contents. A caller
+    /// decoding many entries passes the same buffer each time, so reading
+    /// a key allocates only when it is longer than every key before it.
+    pub fn read_key_into(&self, pool: &PmemPool, buf: &mut Vec<u8>) {
+        buf.clear();
+        buf.resize(self.header.key_len as usize, 0);
+        pool.read_bytes(self.key_addr(), buf);
+    }
+
+    /// Read the key bytes from the pool into a fresh vector.
+    pub fn read_key(&self, pool: &PmemPool) -> Vec<u8> {
+        let mut key = Vec::new();
+        self.read_key_into(pool, &mut key);
+        key
+    }
+
+    /// `true` if the entry's key equals `key`, compared in place.
+    pub fn key_is(&self, pool: &PmemPool, key: &[u8]) -> bool {
+        self.header.key_len as usize == key.len() && pool_bytes_eq(pool, self.key_addr(), key)
+    }
+
     /// Read the value bytes from the pool.
     pub fn read_value(&self, pool: &PmemPool) -> Vec<u8> {
         let mut v = vec![0u8; self.header.val_len as usize];
@@ -124,10 +156,10 @@ impl DecodedEntry {
     }
 }
 
-/// Decode the entry at `addr`. Returns `None` if the header is obviously
-/// invalid (zero/oversized lengths or an unknown op code), which recovery
-/// treats as the end of the written region.
-pub fn decode_entry(pool: &PmemPool, addr: PmAddr, max_len: u64) -> Option<DecodedEntry> {
+/// Read and check the header of the entry at `addr`. Returns `None` if it
+/// is obviously invalid (zero/oversized lengths or an unknown op code),
+/// which recovery treats as the end of the written region.
+pub fn read_header(pool: &PmemPool, addr: PmAddr, max_len: u64) -> Option<EntryHeader> {
     if max_len < HEADER_BYTES + SEAL_BYTES {
         return None;
     }
@@ -137,26 +169,48 @@ pub fn decode_entry(pool: &PmemPool, addr: PmAddr, max_len: u64) -> Option<Decod
     let val_len = u32::from_le_bytes(header[4..8].try_into().unwrap());
     let seq = u64::from_le_bytes(header[8..16].try_into().unwrap());
     let op = LogOp::from_byte(header[16])?;
-    let total = entry_size(key_len as usize, val_len as usize);
-    if key_len == 0 || total > max_len {
+    if key_len == 0 || entry_size(key_len as usize, val_len as usize) > max_len {
         return None;
     }
-    let mut key = vec![0u8; key_len as usize];
-    pool.read_bytes(addr.offset(HEADER_BYTES), &mut key);
-    let value_addr = addr.offset(HEADER_BYTES + u64::from(key_len));
-    let seal_addr = addr.offset(total - SEAL_BYTES);
-    let seal = pool.read_u64(seal_addr);
+    Some(EntryHeader {
+        key_len,
+        val_len,
+        seq,
+        op,
+    })
+}
+
+/// Decode the entry at `addr`: its header and whether its seal matches.
+/// `None` under the same conditions as [`read_header`].
+pub fn decode_entry(pool: &PmemPool, addr: PmAddr, max_len: u64) -> Option<DecodedEntry> {
+    let header = read_header(pool, addr, max_len)?;
+    let total = entry_size(header.key_len as usize, header.val_len as usize);
+    let seal = pool.read_u64(addr.offset(total - SEAL_BYTES));
     Some(DecodedEntry {
-        header: EntryHeader {
-            key_len,
-            val_len,
-            seq,
-            op,
-        },
-        key,
-        value_addr,
+        value_addr: addr.offset(HEADER_BYTES + u64::from(header.key_len)),
         total_len: total,
-        sealed: seal == SEAL_MAGIC ^ seq,
+        sealed: seal == SEAL_MAGIC ^ header.seq,
+        header,
+    })
+}
+
+/// `true` if the entry at `addr` decodes and its key equals `key`: the
+/// header and the key bytes are compared in the pool, nothing is copied.
+pub fn key_matches(pool: &PmemPool, addr: PmAddr, max_len: u64, key: &[u8]) -> bool {
+    read_header(pool, addr, max_len).is_some_and(|h| {
+        h.key_len as usize == key.len() && pool_bytes_eq(pool, addr.offset(HEADER_BYTES), key)
+    })
+}
+
+/// `true` if the pool bytes at `addr` equal `bytes`, read a stack chunk at
+/// a time.
+fn pool_bytes_eq(pool: &PmemPool, addr: PmAddr, bytes: &[u8]) -> bool {
+    const CHUNK: usize = 64;
+    let mut chunk = [0u8; CHUNK];
+    bytes.chunks(CHUNK).enumerate().all(|(i, want)| {
+        let got = &mut chunk[..want.len()];
+        pool.read_bytes(addr.offset((i * CHUNK) as u64), got);
+        got == want
     })
 }
 
@@ -178,10 +232,36 @@ mod tests {
         assert_eq!(d.header.val_len, 100);
         assert_eq!(d.header.seq, 55);
         assert_eq!(d.header.op, LogOp::Put);
-        assert_eq!(d.key, b"user0001");
+        assert_eq!(d.read_key(&pool), b"user0001");
+        assert!(d.key_is(&pool, b"user0001"));
+        assert!(!d.key_is(&pool, b"user0002"));
+        assert!(!d.key_is(&pool, b"user000"));
+        assert!(key_matches(&pool, addr, buf.len() as u64, b"user0001"));
+        assert!(!key_matches(&pool, addr, buf.len() as u64, b"user0002"));
+        assert_eq!(read_header(&pool, addr, buf.len() as u64), Some(d.header));
         assert!(d.sealed);
         assert_eq!(d.read_value(&pool), vec![7u8; 100]);
         assert_eq!(d.total_len, entry_size(8, 100));
+    }
+
+    #[test]
+    fn keys_compare_in_place_across_chunk_boundaries() {
+        let pool = PmemPool::new(PmemConfig::small_for_tests());
+        let key: Vec<u8> = (0..150u8).collect();
+        let mut buf = Vec::new();
+        encode_entry(&mut buf, &key, b"v", LogOp::Put, 1);
+        let addr = pool.alloc(buf.len() as u64).unwrap();
+        pool.write_bytes(addr, &buf);
+        assert!(key_matches(&pool, addr, buf.len() as u64, &key));
+        for i in [0, 63, 64, 149] {
+            let mut other = key.clone();
+            other[i] ^= 1;
+            assert!(
+                !key_matches(&pool, addr, buf.len() as u64, &other),
+                "byte {i}"
+            );
+        }
+        assert!(!key_matches(&pool, addr, buf.len() as u64, &key[..149]));
     }
 
     #[test]
@@ -240,14 +320,18 @@ mod tests {
         let addr = pool.alloc(buf.len() as u64).unwrap();
         pool.write_bytes(addr, &buf);
         let first = decode_entry(&pool, addr, buf.len() as u64).unwrap();
-        assert_eq!(first.key, b"aaa");
+        assert_eq!(first.read_key(&pool), b"aaa");
         let second = decode_entry(
             &pool,
             addr.offset(second_start),
             buf.len() as u64 - second_start,
         )
         .unwrap();
-        assert_eq!(second.key, b"bbbb");
+        let mut key = Vec::new();
+        second.read_key_into(&pool, &mut key);
+        assert_eq!(key, b"bbbb");
+        first.read_key_into(&pool, &mut key);
+        assert_eq!(key, b"aaa");
         assert_eq!(second.header.seq, 2);
     }
 }

@@ -29,11 +29,15 @@
 //!    (same key, value, op and — critically — the same global sequence
 //!    number, so merge-engine staleness arbitration is unaffected) into
 //!    the compactor's destination segment through the ordinary
-//!    append-path plumbing (`allocate_segment` / `record_append`), then
-//!    the index is swung with a conditional single-word CAS
-//!    ([`dinomo_pclht::Pclht::cas_value`]). A concurrent put/merge/delete
-//!    that supersedes the entry makes the CAS fail; the fresh copy is then
+//!    append-path plumbing (`allocate_segment` / `record_append`), pool
+//!    to pool through the pass's one buffer (no allocation per entry, one
+//!    fence), then the index is swung with a conditional single-word CAS
+//!    ([`dinomo_pclht::Pclht::cas_value`]), decided under the chain lock
+//!    a merge decides under. A concurrent put/merge/delete that supersedes
+//!    the entry first makes the CAS fail; the fresh copy is then
 //!    invalidated in place and the victim entry is left to whoever won.
+//!    A merge that comes after the swing finds the copy, supersedes it and
+//!    invalidates it.
 //! 5. **Reclaim** — once every entry of the victim is invalid the segment
 //!    is freed, with the pool free deferred through the epoch scheme so a
 //!    reader that resolved a location just before the swing can still
@@ -119,7 +123,7 @@
 //! ```
 
 use crate::config::GcConfig;
-use crate::entry::decode_entry;
+use crate::entry::{decode_entry, DecodedEntry, HEADER_BYTES};
 use crate::loc::PackedLoc;
 use crate::node::DpmInner;
 use crate::segment::SegmentState;
@@ -231,6 +235,9 @@ pub(crate) fn compact_pass(inner: &Arc<DpmInner>, gc: &GcConfig) -> CompactionRe
 fn compact_pass_locked(inner: &Arc<DpmInner>, gc: &GcConfig) -> CompactionReport {
     let mut report = CompactionReport::default();
     let mut budget = gc.max_pass_bytes;
+    // The pass's one copy buffer: every relocation reads its entry into it
+    // and writes it out from it.
+    let mut buf = Vec::new();
 
     // Victim selection: cost-benefit score over the eligible segments.
     // `next_segment_id_hint` is the logical "now" the age term measures
@@ -270,12 +277,11 @@ fn compact_pass_locked(inner: &Arc<DpmInner>, gc: &GcConfig) -> CompactionReport
         }
 
         let pool = inner.pool();
-        let index = inner.index();
         let written = victim.written();
         let mut offset = 0u64;
         while offset < written {
-            let addr = victim.base.offset(offset);
-            let Some(entry) = decode_entry(pool, addr, written - offset) else {
+            let Some(entry) = decode_entry(pool, victim.base.offset(offset), written - offset)
+            else {
                 break;
             };
             let entry_len = entry.total_len;
@@ -288,77 +294,29 @@ fn compact_pass_locked(inner: &Arc<DpmInner>, gc: &GcConfig) -> CompactionReport
                 report.budget_exhausted = true;
                 return report;
             }
-            let old_loc = PackedLoc::direct(addr, entry_len);
-            let tag = key_hash(&entry.key);
-            // Cheap pre-check before paying for the copy: is this entry
-            // still what the index serves? (A concurrent merge that
-            // superseded it also invalidated it, possibly after our
-            // `is_offset_invalid` read.)
-            if index.get(tag, |raw| raw == old_loc.raw()).is_none() {
-                report.entries_skipped_raced += 1;
-                offset += entry_len;
-                continue;
-            }
-            // Verbatim copy through the append-path plumbing. Preserving
-            // the entry bytes preserves its sequence number: a relocation
-            // must not look "newer" than a racing put that drew a later
-            // seq, or merge arbitration would discard the acked write
-            // (and the merge engine treats same-seq-different-address as
-            // "the index already serves this record"). Copying needs no
-            // lock: only collectors free segment bytes, and the pass lock
-            // excludes them; if a concurrent write supersedes the entry
-            // mid-copy, the CAS below fails and the copy is discarded.
-            let Ok((dst, dst_offset)) = reserve_destination(inner, entry_len) else {
-                // Pool exhausted: stop cleaning rather than fail loudly —
-                // foreground writers will surface the allocation error.
-                report.budget_exhausted = true;
-                return report;
-            };
-            let mut bytes = vec![0u8; entry_len as usize];
-            pool.read_bytes(addr, &mut bytes);
-            let new_addr = dst.base.offset(dst_offset);
-            pool.write_bytes(new_addr, &bytes);
-            pool.persist(new_addr, entry_len);
-            pool.drain();
-            // The copy is installed by the CAS below, never merged:
-            // account it merged now so destination segments stay fully
-            // merged (and can later be selected as victims themselves).
-            dst.record_merged(entry_len, 1);
-            let new_loc = PackedLoc::direct(new_addr, entry_len);
-            // The conditional index swing is the whole synchronization:
-            // `make_indirect` pins the victim's segment and then swings the
-            // index conditioned on the exact location it read, so a cell
-            // install either lands *before* this CAS (this CAS fails — the
-            // index now holds the indirect location) or loses its own
-            // update (the index holds `new_loc`) and retries against the
-            // relocated copy. No half-relocated state is observable, and
-            // shared-key writes never stall behind the copy loop.
-            let swung = index.cas_value(tag, old_loc.raw(), new_loc.raw());
-            if swung {
-                victim.record_invalidated(offset, entry_len);
-                budget -= entry_len;
-                report.entries_relocated += 1;
-                report.bytes_relocated += entry_len;
-                // Make caches holding shortcuts into the victim drop them
-                // before the segment is freed below (the observer takes KN
-                // shard locks — deliberately outside the registry critical
-                // section).
-                inner.notify_relocated(&entry.key, old_loc);
-                // Simulated fail-stop mid-pass: one entry has been copied
-                // and swung, the rest of the victim has not. Stop here and
-                // leave the pass half done — the crash/recover sequence
-                // must cope with exactly this state.
-                if inner.failpoints().hit("gc.after-relocate") {
-                    report.crash_injected = true;
+            match relocate_entry(inner, &victim, offset, &entry, &mut buf) {
+                Relocation::Moved => {
+                    budget -= entry_len;
+                    report.entries_relocated += 1;
+                    report.bytes_relocated += entry_len;
+                    // Simulated fail-stop mid-pass: one entry has been
+                    // copied and swung, the rest of the victim has not.
+                    // Stop here and leave the pass half done — the
+                    // crash/recover sequence must cope with exactly this
+                    // state.
+                    if inner.failpoints().hit("gc.after-relocate") {
+                        report.crash_injected = true;
+                        return report;
+                    }
+                }
+                Relocation::Raced => report.entries_skipped_raced += 1,
+                Relocation::NoSpace => {
+                    // Pool exhausted: stop cleaning rather than fail
+                    // loudly — foreground writers will surface the
+                    // allocation error.
+                    report.budget_exhausted = true;
                     return report;
                 }
-            } else {
-                // Lost to a concurrent put/merge/delete (or a cell was
-                // installed over the entry): the fresh copy is
-                // unreachable garbage; the victim entry now belongs to
-                // whoever won.
-                dst.record_invalidated(dst_offset, entry_len);
-                report.entries_skipped_raced += 1;
             }
             offset += entry_len;
         }
@@ -379,6 +337,90 @@ fn compact_pass_locked(inner: &Arc<DpmInner>, gc: &GcConfig) -> CompactionReport
     report
 }
 
+/// What became of one live entry a pass tried to relocate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Relocation {
+    /// Copied, swung and accounted; the observer has been told.
+    Moved,
+    /// No longer what the index serves (a concurrent put, merge, delete or
+    /// cell install won); left to the winner.
+    Raced,
+    /// The pool has no room for a destination segment.
+    NoSpace,
+}
+
+/// Relocate the live `entry` at `offset` of `victim` into the compactor's
+/// destination segment, copying pool to pool through `buf` (the pass's one
+/// buffer, which it reuses from entry to entry, so a relocation allocates
+/// nothing once it has held the longest entry).
+pub(crate) fn relocate_entry(
+    inner: &Arc<DpmInner>,
+    victim: &SegmentState,
+    offset: u64,
+    entry: &DecodedEntry,
+    buf: &mut Vec<u8>,
+) -> Relocation {
+    let pool = inner.pool();
+    let addr = victim.base.offset(offset);
+    let entry_len = entry.total_len;
+    let old_loc = PackedLoc::direct(addr, entry_len);
+    buf.clear();
+    buf.resize(entry_len as usize, 0);
+    pool.read_bytes(addr, buf);
+    let key = &buf[HEADER_BYTES as usize..][..entry.header.key_len as usize];
+    let tag = key_hash(key);
+    // Cheap pre-check before paying for the copy: is this entry still what
+    // the index serves? (A concurrent merge that superseded it also
+    // invalidated it, possibly after the caller's `is_offset_invalid`
+    // read; a shared put whose cell publish is pending is valid but not
+    // indexed.)
+    if inner.index().get(tag, |raw| raw == old_loc.raw()).is_none() {
+        return Relocation::Raced;
+    }
+    // Verbatim copy through the append-path plumbing. Preserving the entry
+    // bytes preserves its sequence number: a relocation must not look
+    // "newer" than a racing put that drew a later seq, or merge arbitration
+    // would discard the acked write (and the merge engine treats
+    // same-seq-different-address as "the index already serves this
+    // record"). Copying needs no lock: only collectors free segment bytes,
+    // and the pass lock excludes them; if a concurrent write supersedes the
+    // entry mid-copy, the CAS below fails and the copy is discarded.
+    let Ok((dst, dst_offset)) = reserve_destination(inner, entry_len) else {
+        return Relocation::NoSpace;
+    };
+    let new_addr = dst.base.offset(dst_offset);
+    pool.write_bytes(new_addr, buf);
+    pool.persist(new_addr, entry_len);
+    pool.drain();
+    // The copy is installed by the CAS below, never merged: account it
+    // merged now so destination segments stay fully merged (and can later
+    // be selected as victims themselves).
+    dst.record_merged(entry_len, 1);
+    let new_loc = PackedLoc::direct(new_addr, entry_len);
+    // The conditional index swing is the whole synchronization: it decides
+    // under the chain's lock against the value the slot holds. A merge of
+    // a newer put decides under the same lock, so it either supersedes the
+    // entry first (this swing fails) or finds the copy and supersedes that.
+    // `make_indirect` pins the victim's segment and then swings the index
+    // conditioned on the exact location it read, so a cell install either
+    // lands *before* this swing (it fails — the index holds the indirect
+    // location) or loses its own update (the index holds `new_loc`) and
+    // retries against the relocated copy. No half-relocated state is
+    // observable, and shared-key writes never stall behind the copy.
+    if !inner.index().cas_value(tag, old_loc.raw(), new_loc.raw()) {
+        // The fresh copy is unreachable garbage; the victim entry now
+        // belongs to whoever won.
+        dst.record_invalidated(dst_offset, entry_len);
+        return Relocation::Raced;
+    }
+    victim.record_invalidated(offset, entry_len);
+    // Make caches holding shortcuts into the victim drop them before the
+    // segment is freed (the observer takes KN shard locks — deliberately
+    // outside the registry critical section).
+    inner.notify_relocated(key, old_loc);
+    Relocation::Moved
+}
+
 /// Thread body of the background compactor: one pass per step, a step
 /// making progress while its pass relocates or frees anything.
 pub(crate) fn run_compactor(inner: &Arc<DpmInner>, worker: &Worker) {
@@ -391,6 +433,7 @@ pub(crate) fn run_compactor(inner: &Arc<DpmInner>, worker: &Worker) {
 
 #[cfg(test)]
 mod tests {
+    use super::GC_OWNER_KN;
     use crate::config::{DpmConfig, GcConfig};
     use crate::node::DpmNode;
     use crate::writer::LogWriter;
@@ -918,8 +961,27 @@ mod tests {
         // destination seals once ≥ `DESTINATION_SEAL_FRACTION` full and is
         // reclaimed like any other segment when its entries die.
         let dpm = Arc::new(DpmNode::new(gc_config()).unwrap());
-        let pinned_keys = write_skew_pinned(&dpm, 20);
+        // 45 hot keys: their 104-byte entries fill a destination past half
+        // of its 8 KiB.
+        let pinned_keys = write_skew_pinned(&dpm, 45);
         while dpm.compact_once().segments_compacted > 0 {}
+        // The last pass's cut-off sealed its destination (more than half
+        // full by then) and emptied the slot: every segment the compactor
+        // wrote into is sealed.
+        let destinations: Vec<_> = (dpm.inner().segments_snapshot().into_iter())
+            .filter(|s| s.owner_kn == GC_OWNER_KN)
+            .collect();
+        assert!(!destinations.is_empty(), "nothing was relocated");
+        let last = destinations.iter().max_by_key(|s| s.id).unwrap();
+        assert!(
+            last.written() >= last.capacity / 2,
+            "the last destination must be past the cut-off: {last:?}"
+        );
+        assert!(
+            destinations.iter().all(|s| s.is_sealed()),
+            "a destination past the cut-off stayed open: {destinations:?}"
+        );
+        assert!(dpm.inner().gc_destination().is_none());
 
         // Kill every relocated entry: overwrite the hot keys the compactor
         // moved into its destination segments.
@@ -943,7 +1005,7 @@ mod tests {
             "sealed ex-destination segments must be reclaimable: {:?}",
             dpm.stats()
         );
-        // All live data (20 hot keys × 64 B + 8 cold keys × 512 B ≈ 6 KiB)
+        // All live data (45 hot keys × 64 B + 8 cold keys × 512 B ≈ 9 KiB)
         // now fits in a handful of 8 KiB segments — nothing stays pinned by
         // an eternally-unsealed destination.
         let after = dpm.stats();

@@ -32,6 +32,8 @@
 
 pub mod bloom;
 pub mod config;
+#[cfg(test)]
+mod costs;
 pub mod entry;
 pub mod failpoint;
 pub mod gc;

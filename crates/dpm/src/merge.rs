@@ -10,12 +10,22 @@
 //! contract §3.2 describes. A writer waiting for merge slack, or a caller
 //! waiting for a KN's merges, waits on the owning worker's progress
 //! signal.
+//!
+//! The merge of one entry is the cost the DPM's weak processors pay per
+//! write, so it is one locked walk of the key's P-CLHT chain and no heap
+//! allocation: the key is read into the worker's one buffer and compared
+//! against indexed entries in the pool, the indexed entry's sequence
+//! number comes from its header alone, and invalidation sets a bit under
+//! the task's epoch pin. Recovery replays entries through the same
+//! `apply_entry`.
 
-use crate::entry::{decode_entry, LogOp};
+use crate::entry::{decode_entry, DecodedEntry, LogOp};
 use crate::loc::PackedLoc;
 use crate::node::DpmInner;
 use crate::segment::SegmentState;
 use crate::worker::Worker;
+use dinomo_pclht::{Guard, Upsert};
+use dinomo_pmem::PmAddr;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -33,23 +43,27 @@ pub(crate) type MergeWorker = Worker<VecDeque<MergeTask>>;
 
 /// Thread body of a merge worker: one task per step, in submission order.
 pub(crate) fn run_merge_worker(inner: &DpmInner, worker: &MergeWorker) {
-    let step = || match worker.take(VecDeque::pop_front) {
+    // The thread's one key buffer, reused by every entry it merges.
+    let mut key = Vec::new();
+    let mut step = || match worker.take(VecDeque::pop_front) {
         Some(task) => {
-            merge_task(inner, &task);
+            merge_task(inner, &task, &mut key);
             true
         }
         None => false,
     };
-    worker.run(step);
+    worker.run(&mut step);
     // Stopped: what was submitted before the stop still merges.
     while step() {}
 }
 
-/// Merge every entry in the task's byte range into the index.
-pub(crate) fn merge_task(inner: &DpmInner, task: &MergeTask) {
+/// Merge every entry in the task's byte range into the index, reading
+/// each entry's key into `key`.
+pub(crate) fn merge_task(inner: &DpmInner, task: &MergeTask, key: &mut Vec<u8>) {
     let pool = inner.pool();
-    // One epoch pin for the whole task: every per-entry index lookup below
-    // traverses under this guard instead of pinning per entry.
+    // One epoch pin for the whole task: every per-entry index lookup and
+    // invalidation below runs under this guard instead of pinning per
+    // entry.
     let guard = dinomo_pclht::pin();
     let mut offset = task.start;
     let end = task.start + task.len;
@@ -63,7 +77,7 @@ pub(crate) fn merge_task(inner: &DpmInner, task: &MergeTask) {
             // Torn entry: everything after it in this batch is unusable.
             break;
         }
-        apply_entry(inner, &guard, addr, &entry);
+        apply_entry(inner, &guard, addr, &entry, key);
         offset += entry.total_len;
         merged_entries += 1;
     }
@@ -72,31 +86,43 @@ pub(crate) fn merge_task(inner: &DpmInner, task: &MergeTask) {
     inner.note_segment_settled(&task.segment);
 }
 
-/// Apply one sealed entry at `entry_addr` to the index. It bumps no
-/// merged counter: a merge task counts its entries once per task, and a
-/// recovery scan floors the segment's counters once per segment with
-/// [`SegmentState::record_merged_at_least`], because a recovered entry was
-/// usually merged before the crash and re-adding its bytes would let
-/// `merged` outrun `written` (masking post-recovery appends as already
-/// merged).
+/// Apply one sealed entry at `entry_addr` to the index, reading its key
+/// into `key` (a buffer the caller reuses across entries, so a merge
+/// allocates nothing once it has held the longest key). The index write
+/// is one locked walk of the key's chain ([`dinomo_pclht::Pclht::upsert_with`]
+/// for a put, [`dinomo_pclht::Pclht::remove`] for a delete), which decides
+/// against the entry the chain holds at that moment: a compactor
+/// relocation that swings the indexed entry to its copy is either seen
+/// and superseded, copy included, or has not happened yet and then fails.
+///
+/// It bumps no merged counter: a merge task counts its entries once per
+/// task, and a recovery scan floors the segment's counters once per
+/// segment with [`SegmentState::record_merged_at_least`], because a
+/// recovered entry was usually merged before the crash and re-adding its
+/// bytes would let `merged` outrun `written` (masking post-recovery
+/// appends as already merged).
 pub(crate) fn apply_entry(
     inner: &DpmInner,
-    guard: &dinomo_pclht::Guard,
-    entry_addr: dinomo_pmem::PmAddr,
-    entry: &crate::entry::DecodedEntry,
+    guard: &Guard,
+    entry_addr: PmAddr,
+    entry: &DecodedEntry,
+    key: &mut Vec<u8>,
 ) {
-    let tag = dinomo_partition::key_hash(&entry.key);
-    let key = entry.key.clone();
+    entry.read_key_into(inner.pool(), key);
+    let key = key.as_slice();
+    let tag = dinomo_partition::key_hash(key);
+    let seq = entry.header.seq;
+    let new_loc = entry.entry_loc(entry_addr);
     match entry.header.op {
         LogOp::Put => {
-            let new_loc = PackedLoc::direct(entry_addr, entry.total_len);
-            let existing = inner
-                .index()
-                .get_in(guard, tag, |raw| inner.loc_matches_key(raw, &key));
-            match existing {
-                Some(raw) => {
-                    let old = PackedLoc::from_raw(raw);
-                    if old.is_indirect() {
+            // Set under the chain lock when the decision finds this entry
+            // stale; invalidated once the lock is released.
+            let mut stale = false;
+            let outcome = inner.index().upsert_with(
+                tag,
+                |raw| inner.loc_matches_key(raw, key),
+                |found| match found.map(PackedLoc::from_raw) {
+                    Some(old) if old.is_indirect() => {
                         // Shared key: the KN makes the entry reachable by
                         // CAS-ing the indirection cell, and that publish
                         // can lag this merge (the KN flushes, drops its
@@ -112,17 +138,16 @@ pub(crate) fn apply_entry(
                         // as stale, so nothing leaks.)
                         let cell_points_here =
                             inner.indirect_cell_target(old.addr()) == Some(new_loc);
-                        if !cell_points_here {
-                            match inner.cell_published_seq(old.addr()) {
-                                Some(published) if published < entry.header.seq => {
-                                    // Publish in flight: leave it valid.
-                                }
-                                _ => inner.invalidate_entry(new_loc),
-                            }
-                        }
-                    } else if old == new_loc {
-                        // Already merged (recovery re-merge): nothing to do.
-                    } else if inner.entry_seq(old) >= Some(entry.header.seq) {
+                        stale = !cell_points_here
+                            && !matches!(
+                                inner.cell_published_seq(old.addr()),
+                                Some(published) if published < seq
+                            );
+                        None
+                    }
+                    // Already merged (recovery re-merge): nothing to do.
+                    Some(old) if old == new_loc => None,
+                    Some(old) if inner.entry_seq(old) >= Some(seq) => {
                         // The indexed entry is newer (recovery re-scans, or
                         // a key written through several KNs — replication,
                         // reconfiguration — whose segments merge on workers
@@ -136,30 +161,30 @@ pub(crate) fn apply_entry(
                         // partially-compacted victim and mark the served
                         // copy invalid — a later GC would then free the
                         // segment the index pointed into.)
-                        inner.invalidate_entry(new_loc);
-                    } else {
-                        inner.index().update(
-                            tag,
-                            |raw| inner.loc_matches_key(raw, &key),
-                            new_loc.raw(),
-                        );
-                        inner.invalidate_entry(old);
+                        stale = true;
+                        None
                     }
-                }
-                None => {
-                    if inner.tombstone_newer_than(&key, entry.header.seq) {
+                    Some(_) => Some(new_loc.raw()),
+                    None if inner.tombstone_newer_than(key, seq) => {
                         // A newer acknowledged delete already merged and
                         // removed the key (this put's segment lagged, e.g.
                         // written via another KN); inserting would
                         // resurrect the deleted key.
-                        inner.invalidate_entry(new_loc);
-                    } else {
-                        // New key (or re-insert newer than any merged
-                        // delete).
-                        inner.forget_merged_tombstone(&key);
-                        let _ = inner.index().insert(tag, new_loc.raw());
+                        stale = true;
+                        None
                     }
+                    // New key (or re-insert newer than any merged delete).
+                    None => Some(new_loc.raw()),
+                },
+            );
+            match outcome {
+                // The superseded entry — the very one the chain held, a
+                // compactor's relocated copy included.
+                Ok(Upsert::Replaced(old)) => {
+                    inner.invalidate_entry(guard, PackedLoc::from_raw(old))
                 }
+                _ if stale => inner.invalidate_entry(guard, new_loc),
+                _ => {}
             }
         }
         LogOp::Delete => {
@@ -184,16 +209,16 @@ pub(crate) fn apply_entry(
             // history checker under replication churn.)
             if let Some(raw) = inner.index().remove(tag, |raw| {
                 !PackedLoc::from_raw(raw).is_indirect()
-                    && inner.loc_matches_key(raw, &key)
-                    && !inner.indexed_state_newer_than(raw, entry.header.seq)
+                    && inner.loc_matches_key(raw, key)
+                    && !inner.indexed_state_newer_than(raw, seq)
             }) {
-                inner.invalidate_entry(PackedLoc::from_raw(raw));
+                inner.invalidate_entry(guard, PackedLoc::from_raw(raw));
             }
             // Remember the delete so an older put merging later (lagging
             // segment, possibly another KN's) cannot re-insert the key.
-            inner.record_merged_tombstone(&key, entry.header.seq);
+            inner.record_merged_tombstone(key, seq);
             // The tombstone itself never needs to stay around.
-            inner.invalidate_entry(PackedLoc::direct(entry_addr, entry.total_len));
+            inner.invalidate_entry(guard, new_loc);
         }
     }
 }

@@ -2,7 +2,7 @@
 //! garbage collection, indirect pointers, recovery and the metadata store.
 
 use crate::config::{DpmConfig, UNMERGED_SEGMENT_THRESHOLD};
-use crate::entry::decode_entry;
+use crate::entry::{decode_entry, key_matches, read_header};
 use crate::failpoint::FailpointSet;
 use crate::gc::{compact_pass, run_compactor, CompactionReport};
 use crate::loc::PackedLoc;
@@ -231,15 +231,13 @@ impl DpmInner {
         } else {
             loc
         };
-        match decode_entry(&self.pool, entry_loc.addr(), entry_loc.len()) {
-            Some(e) => e.key == key,
-            None => false,
-        }
+        key_matches(&self.pool, entry_loc.addr(), entry_loc.len(), key)
     }
 
-    /// Sequence number of the entry a direct location points at.
+    /// Sequence number of the entry a direct location points at (read
+    /// from its header alone).
     pub(crate) fn entry_seq(&self, loc: PackedLoc) -> Option<u64> {
-        decode_entry(&self.pool, loc.addr(), loc.len()).map(|e| e.header.seq)
+        read_header(&self.pool, loc.addr(), loc.len()).map(|h| h.seq)
     }
 
     /// `true` when the indexed state for a key — the direct entry, or the
@@ -304,10 +302,10 @@ impl DpmInner {
     /// Mark the entry at `loc` invalid in its segment's accounting
     /// (idempotent per entry — see `SegmentState::record_invalidated`).
     /// Lock-free: resolves the segment through the epoch-protected lookup
-    /// table (this runs on every overwrite the merge engine applies).
-    pub(crate) fn invalidate_entry(&self, loc: PackedLoc) {
-        let guard = pin();
-        if let Some(seg) = self.segment_at(&guard, loc.addr()) {
+    /// table under the caller's pin (this runs on every overwrite the
+    /// merge engine applies).
+    pub(crate) fn invalidate_entry(&self, guard: &Guard, loc: PackedLoc) {
+        if let Some(seg) = self.segment_at(guard, loc.addr()) {
             seg.record_invalidated(loc.addr().0 - seg.base.0, loc.len());
         }
     }
@@ -508,21 +506,18 @@ impl DpmInner {
 
     /// Record a merged delete, so a stale put (older sequence number, e.g.
     /// from another KN's lagging segment) that merges later cannot re-insert
-    /// the deleted key. An entry is dropped when a newer put re-inserts the
-    /// key; keys deleted and never rewritten keep one entry each — bounded
-    /// by the set of dead keys, acceptable at this simulation's scale.
+    /// the deleted key. The record is consulted only while the key is
+    /// absent from the index, so a put that re-inserts the key leaves it
+    /// in place: every key ever deleted keeps one entry — bounded by the
+    /// key space, acceptable at this simulation's scale — and only a key's
+    /// first delete allocates.
     pub(crate) fn record_merged_tombstone(&self, key: &[u8], seq: u64) {
         let mut map = self.merged_tombstones.lock();
-        match map.entry(key.to_vec()) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                if *e.get() < seq {
-                    e.insert(seq);
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(seq);
-                self.merged_tombstone_count.fetch_add(1, Ordering::Release);
-            }
+        if let Some(newest) = map.get_mut(key) {
+            *newest = (*newest).max(seq);
+        } else {
+            map.insert(key.to_vec(), seq);
+            self.merged_tombstone_count.fetch_add(1, Ordering::Release);
         }
     }
 
@@ -535,17 +530,6 @@ impl DpmInner {
             .lock()
             .get(key)
             .is_some_and(|&d| d > seq)
-    }
-
-    /// Drop `key`'s merged-tombstone record (a newer put re-inserted it;
-    /// staleness is decided against the indexed entry from here on).
-    pub(crate) fn forget_merged_tombstone(&self, key: &[u8]) {
-        if self.merged_tombstone_count.load(Ordering::Acquire) == 0 {
-            return;
-        }
-        if self.merged_tombstones.lock().remove(key).is_some() {
-            self.merged_tombstone_count.fetch_sub(1, Ordering::Release);
-        }
     }
 
     /// Drop an indirection cell (its 16 bytes are returned to the allocator).
@@ -636,6 +620,13 @@ impl DpmNode {
             });
         }
         Ok(DpmNode { inner })
+    }
+
+    /// The state this node shares with its processor threads (tests drive
+    /// merges, scans and relocations on it directly).
+    #[cfg(test)]
+    pub(crate) fn inner(&self) -> &Arc<DpmInner> {
+        &self.inner
     }
 
     /// Register the callback invoked after every successful entry
@@ -880,7 +871,7 @@ impl DpmNode {
         nic.one_sided_read(entry_loc.len() as usize);
         rts += 1;
         match decode_entry(&self.inner.pool, entry_loc.addr(), entry_loc.len()) {
-            Some(entry) if entry.key == key => {
+            Some(entry) if entry.key_is(&self.inner.pool, key) => {
                 let value = entry.read_value(&self.inner.pool);
                 LookupResult {
                     value_loc: Some((entry.value_addr, entry.header.val_len)),
@@ -948,10 +939,10 @@ impl DpmNode {
             .ok_or_else(|| format!("indexed entry {entry_loc:?} does not decode"))?;
         // Merges index every entry under `key_hash` of its key (the table
         // remaps only a hash equal to its empty-slot marker, 0).
-        if key_hash(&entry.key) != tag {
+        let key = entry.read_key(&self.inner.pool);
+        if key_hash(&key) != tag {
             return Err(format!(
-                "entry {entry_loc:?} holds key {:?} but is indexed under tag {tag:#x}",
-                entry.key
+                "entry {entry_loc:?} holds key {key:?} but is indexed under tag {tag:#x}"
             ));
         }
         Ok(())
@@ -1121,7 +1112,7 @@ impl DpmNode {
         match self.inner.pool.cas_u64(cell, old.raw(), new.raw()) {
             Ok(_) => {
                 self.inner.pool.persist(cell, 8);
-                self.inner.invalidate_entry(old);
+                self.inner.invalidate_entry(&guard, old);
                 self.inner.unpin_segment_at(&guard, old.addr());
                 Ok(())
             }
@@ -1163,7 +1154,7 @@ impl DpmNode {
         let guard = pin();
         let Some(new_seg) = self.inner.pin_live_segment_at(&guard, new.addr()) else {
             self.inner.record_cell_wait();
-            self.inner.invalidate_entry(new);
+            self.inner.invalidate_entry(&guard, new);
             return false;
         };
         loop {
@@ -1175,7 +1166,7 @@ impl DpmNode {
                 // engine's shared-put arm); mark it dead so its segment
                 // can reclaim.
                 new_seg.unpin_cell();
-                self.inner.invalidate_entry(new);
+                self.inner.invalidate_entry(&guard, new);
                 return false;
             }
             let old = PackedLoc::from_raw(raw);
@@ -1189,7 +1180,7 @@ impl DpmNode {
                 // Lost the publish race to newer state: abandoned, never
                 // referenced — invalidate it (see above).
                 new_seg.unpin_cell();
-                self.inner.invalidate_entry(new);
+                self.inner.invalidate_entry(&guard, new);
                 return false;
             }
             nic.one_sided_cas();
@@ -1202,7 +1193,7 @@ impl DpmNode {
                 // A tombstoned predecessor was already invalidated by the
                 // delete that marked it.
                 if !old.is_indirect() {
-                    self.inner.invalidate_entry(old);
+                    self.inner.invalidate_entry(&guard, old);
                 }
                 return true;
             }
@@ -1226,6 +1217,7 @@ impl DpmNode {
         // target address (only the tombstone bit changes), so the pin the
         // cell holds on that segment carries over untouched and no
         // compactor coordination is needed beyond it.
+        let guard = pin();
         loop {
             nic.one_sided_read(8);
             let raw = self.inner.pool.read_u64(cell);
@@ -1255,7 +1247,7 @@ impl DpmNode {
             let tombstoned = PackedLoc::indirect(loc.addr(), loc.len());
             if self.inner.pool.cas_u64(cell, raw, tombstoned.raw()).is_ok() {
                 self.inner.pool.persist(cell, 8);
-                self.inner.invalidate_entry(loc);
+                self.inner.invalidate_entry(&guard, loc);
                 return;
             }
             self.inner.record_cell_wait();
@@ -1363,6 +1355,8 @@ impl DpmNode {
     pub fn recover(&self) -> RecoveryReport {
         let segments: Vec<Arc<SegmentState>> = self.inner.segments.read().clone();
         let mut report = RecoveryReport::default();
+        // One key buffer for the whole scan (see `merge::apply_entry`).
+        let mut key = Vec::new();
         for seg in segments {
             if seg.is_freed() {
                 continue;
@@ -1377,7 +1371,7 @@ impl DpmNode {
                 let addr = seg.base.offset(offset);
                 match decode_entry(&self.inner.pool, addr, written - offset) {
                     Some(e) if e.sealed => {
-                        apply_entry(&self.inner, &guard, addr, &e);
+                        apply_entry(&self.inner, &guard, addr, &e, &mut key);
                         // New appends after recovery must order after every
                         // recovered entry.
                         self.inner

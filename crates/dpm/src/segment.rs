@@ -1,8 +1,11 @@
 //! Log-segment bookkeeping.
+//!
+//! Every counter here is an atomic, and so is the per-entry record of
+//! which entries are dead: a bitmap with one bit per 8-byte offset (an
+//! entry starts at a multiple of 8), set with `fetch_or`. Merge workers,
+//! the compactor and cell swings invalidate entries without a lock.
 
 use dinomo_pmem::PmAddr;
-use parking_lot::Mutex;
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Shared state describing one log segment in DPM.
@@ -38,14 +41,16 @@ pub struct SegmentState {
     /// segments with the same number of dead entries can hold wildly
     /// different amounts of reclaimable space when value sizes are mixed.
     bytes_invalid: AtomicU64,
-    /// Segment offsets already recorded invalid. An entry can be discovered
-    /// dead more than once — at indirection-cell swing time and again when
-    /// its own log record merges and is found stale — and `is_reclaimable`
+    /// Segment offsets already recorded invalid, one bit per 8-byte
+    /// offset (`capacity / 64` bytes). An entry can be discovered dead more
+    /// than once — at indirection-cell swing time and again when its own
+    /// log record merges and is found stale — and `is_reclaimable`
     /// compares `entries_invalid` against `entries_written`, so a
     /// double-count would stand in for a live entry and let GC free a
-    /// segment that is still referenced. The set makes invalidation
-    /// idempotent per entry.
-    invalid_offsets: Mutex<HashSet<u64>>,
+    /// segment that is still referenced. Only the caller whose `fetch_or`
+    /// sets the bit counts the entry, which makes invalidation idempotent
+    /// per entry.
+    invalid_offsets: Box<[AtomicU64]>,
     /// Sealed: the owner will not append to this segment again.
     sealed: AtomicBool,
     /// Freed by the garbage collector.
@@ -74,7 +79,9 @@ impl SegmentState {
             entries_merged: AtomicU64::new(0),
             entries_invalid: AtomicU64::new(0),
             bytes_invalid: AtomicU64::new(0),
-            invalid_offsets: Mutex::new(HashSet::new()),
+            invalid_offsets: (0..capacity.div_ceil(8 * 64))
+                .map(|_| AtomicU64::new(0))
+                .collect(),
             sealed: AtomicBool::new(false),
             freed: AtomicBool::new(false),
             cell_pins: AtomicU64::new(0),
@@ -136,9 +143,19 @@ impl SegmentState {
         self.written().saturating_sub(self.dead_bytes())
     }
 
+    /// The bitmap word and bit of the entry starting at `offset`.
+    fn invalid_bit(&self, offset: u64) -> (&AtomicU64, u64) {
+        let slot = offset / 8;
+        (
+            &self.invalid_offsets[(slot / 64) as usize],
+            1 << (slot % 64),
+        )
+    }
+
     /// `true` if the entry at `offset` has been recorded invalid.
     pub fn is_offset_invalid(&self, offset: u64) -> bool {
-        self.invalid_offsets.lock().contains(&offset)
+        let (word, bit) = self.invalid_bit(offset);
+        word.load(Ordering::Acquire) & bit != 0
     }
 
     /// Remaining space in bytes.
@@ -181,7 +198,8 @@ impl SegmentState {
     /// (superseded, deleted, or a tombstone). Idempotent: re-reporting the
     /// same entry advances neither the entry nor the byte counter.
     pub fn record_invalidated(&self, offset: u64, len: u64) {
-        if self.invalid_offsets.lock().insert(offset) {
+        let (word, bit) = self.invalid_bit(offset);
+        if word.fetch_or(bit, Ordering::AcqRel) & bit == 0 {
             self.entries_invalid.fetch_add(1, Ordering::AcqRel);
             self.bytes_invalid.fetch_add(len, Ordering::AcqRel);
         }
@@ -308,6 +326,26 @@ mod tests {
         assert_eq!(s.dead_bytes(), 900);
         assert!(s.is_offset_invalid(0));
         assert!(!s.is_offset_invalid(900));
+    }
+
+    #[test]
+    fn invalid_bits_are_per_eight_byte_offset() {
+        // Neighbouring entries, entries across a bitmap-word boundary and
+        // the last 8-byte offset each keep their own bit.
+        let s = SegmentState::new(1, 0, PmAddr(0), 1024);
+        s.record_append(1024, 128);
+        for offset in [8, 504, 512, 1016] {
+            s.record_invalidated(offset, 8);
+        }
+        for offset in (0..1024).step_by(8) {
+            assert_eq!(
+                s.is_offset_invalid(offset),
+                [8, 504, 512, 1016].contains(&offset),
+                "offset {offset}"
+            );
+        }
+        assert_eq!(s.entries_invalid(), 4);
+        assert_eq!(s.dead_bytes(), 32);
     }
 
     #[test]

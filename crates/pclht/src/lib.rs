@@ -4,14 +4,17 @@
 //! Hash Table): a chaining hash table whose buckets are exactly one cache
 //! line, giving
 //!
-//! * **lock-free reads** — readers take an atomic snapshot of a bucket chain
-//!   validated with a per-bucket version word, so KVS nodes never hold locks
-//!   across the network and a crashed reader cannot block anyone. Reads stay
+//! * **lock-free reads** — readers walk a bucket chain in place and
+//!   validate the walk with the head bucket's version word, so KVS nodes
+//!   never hold locks across the network, a crashed reader cannot block
+//!   anyone, and a lookup allocates nothing. Reads stay
 //!   lock-free *across resizes* through epoch-based reclamation: see
 //!   [Epoch guards](#epoch-guards) below,
 //! * **log-free in-place writes** — writers lock only the head bucket of a
 //!   chain, update slots in place, and flush a single cache line in the
-//!   common case, and
+//!   common case. [`Pclht::upsert_with`] decides keep, replace or insert
+//!   against the value a slot actually holds, in the same locked walk that
+//!   writes it, and
 //! * **a one-sided lookup path** — [`Pclht::remote_get`] performs the lookup
 //!   the way a KVS node would over RDMA (one one-sided READ per bucket in the
 //!   chain) and reports how many round trips it used.  This is the `M` in the
@@ -80,7 +83,7 @@ pub mod bucket;
 pub mod table;
 
 pub use crossbeam::epoch::Guard;
-pub use table::{pin, Pclht, PclhtConfig, PclhtStats};
+pub use table::{pin, Pclht, PclhtConfig, PclhtStats, Upsert};
 
 /// Result alias for table operations (errors come from the pmem allocator).
 pub type Result<T> = std::result::Result<T, dinomo_pmem::PmemError>;

@@ -17,7 +17,7 @@
 //! `resize` takes the **write** lock, so an in-flight write can never land
 //! in an array that is about to be retired and silently disappear.
 
-use crate::bucket::{BucketRef, BucketSnapshot, BUCKET_BYTES, EMPTY_TAG, SLOTS_PER_BUCKET};
+use crate::bucket::{BucketRef, BUCKET_BYTES, EMPTY_TAG, SLOTS_PER_BUCKET};
 use crate::Result;
 use crossbeam::epoch::{self, Atomic, Guard, Owned};
 use dinomo_pmem::{PmAddr, PmemPool};
@@ -52,6 +52,17 @@ pub fn pin() -> Guard {
 
 /// Resize when `len > MAX_LOAD_FACTOR * buckets * SLOTS_PER_BUCKET`.
 const MAX_LOAD_FACTOR: f64 = 0.75;
+
+/// What [`Pclht::upsert_with`] did to the chain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Upsert {
+    /// Nothing was written.
+    Kept,
+    /// The matching entry's value was replaced; holds the value it had.
+    Replaced(u64),
+    /// Nothing matched, and a new entry was inserted.
+    Inserted,
+}
 
 /// Configuration of a [`Pclht`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -276,8 +287,17 @@ impl Pclht {
         }
     }
 
-    /// Take a consistent snapshot of the whole chain for `tag`.
-    fn chain_snapshot(&self, array: &BucketArray, tag: u64) -> Vec<BucketSnapshot> {
+    /// Run `walk` from the head bucket of `tag`'s chain until it completes
+    /// with no writer racing it: the walk starts only while the head is
+    /// unlocked, and is retried if the head's version moved meanwhile.
+    /// `walk` reads the chain in place; whatever it returns is consistent
+    /// with one version of the chain.
+    fn read_chain<R>(
+        &self,
+        array: &BucketArray,
+        tag: u64,
+        mut walk: impl FnMut(BucketRef) -> R,
+    ) -> R {
         let head = self.head_bucket(array, tag);
         loop {
             let meta_before = head.meta(&self.pool);
@@ -286,23 +306,50 @@ impl Pclht {
                 std::hint::spin_loop();
                 continue;
             }
-            let mut out = Vec::with_capacity(2);
-            let mut cur = head;
-            loop {
-                let snap = cur.snapshot(&self.pool);
-                let next = snap.next;
-                out.push(snap);
-                if next.is_null() {
-                    break;
-                }
-                cur = BucketRef::new(next);
-            }
-            let meta_after = head.meta(&self.pool);
-            if meta_after == meta_before {
+            let out = walk(head);
+            if head.meta(&self.pool) == meta_before {
                 return out;
             }
             self.read_retries.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// Visit each `(tag, value)` slot of the chain starting at `head`, in
+    /// chain order, until `visit` breaks. Takes no lock and checks no
+    /// version: callers hold the head lock or run inside
+    /// [`Pclht::read_chain`].
+    fn scan_chain<T>(
+        &self,
+        head: BucketRef,
+        mut visit: impl FnMut(BucketRef, usize, u64, u64) -> Option<T>,
+    ) -> Option<T> {
+        let mut cur = head;
+        loop {
+            for i in 0..SLOTS_PER_BUCKET {
+                let (t, v) = cur.slot(&self.pool, i);
+                if let Some(out) = visit(cur, i, t, v) {
+                    return Some(out);
+                }
+            }
+            let next = cur.next(&self.pool);
+            if next.is_null() {
+                return None;
+            }
+            cur = BucketRef::new(next);
+        }
+    }
+
+    /// The bucket, slot and value of the first entry matching `(tag,
+    /// matches)` in the chain at `head`, whose lock the caller holds.
+    fn find_locked(
+        &self,
+        head: BucketRef,
+        tag: u64,
+        matches: impl Fn(u64) -> bool,
+    ) -> Option<(BucketRef, usize, u64)> {
+        self.scan_chain(head, |bucket, i, t, v| {
+            (t == tag && matches(v)).then_some((bucket, i, v))
+        })
     }
 
     /// Look up the first entry whose tag matches and whose value satisfies
@@ -310,24 +357,19 @@ impl Pclht {
     ///
     /// **Lock-free**: no lock is taken or held — the traversal runs under an
     /// epoch pin (see the module docs) and per-chain consistency comes from
-    /// the bucket snapshot protocol.
+    /// the bucket version protocol.
     pub fn get<F: Fn(u64) -> bool>(&self, tag: u64, matches: F) -> Option<u64> {
         self.get_in(&epoch::pin(), tag, matches)
     }
 
     /// [`Pclht::get`] under a caller-supplied guard, amortizing the pin over
-    /// a batch of lookups.
+    /// a batch of lookups. Walks the chain in place and allocates nothing;
+    /// `matches` may run again on a retried walk.
     pub fn get_in<F: Fn(u64) -> bool>(&self, guard: &Guard, tag: u64, matches: F) -> Option<u64> {
         let tag = Self::normalize_tag(tag);
-        let array = self.current(guard);
-        for snap in self.chain_snapshot(array, tag) {
-            for (t, v) in snap.slots {
-                if t == tag && matches(v) {
-                    return Some(v);
-                }
-            }
-        }
-        None
+        self.read_chain(self.current(guard), tag, |head| {
+            self.scan_chain(head, |_, _, t, v| (t == tag && matches(v)).then_some(v))
+        })
     }
 
     /// Look up ignoring collisions (first entry with this tag).
@@ -343,16 +385,16 @@ impl Pclht {
     /// [`Pclht::get_all`] under a caller-supplied guard.
     pub fn get_all_in(&self, guard: &Guard, tag: u64) -> Vec<u64> {
         let tag = Self::normalize_tag(tag);
-        let array = self.current(guard);
-        let mut out = Vec::new();
-        for snap in self.chain_snapshot(array, tag) {
-            for (t, v) in snap.slots {
+        self.read_chain(self.current(guard), tag, |head| {
+            let mut out = Vec::new();
+            self.scan_chain(head, |_, _, t, v| {
                 if t == tag {
                     out.push(v);
                 }
-            }
-        }
-        out
+                None::<()>
+            });
+            out
+        })
     }
 
     /// Number of buckets a lookup of `tag` has to traverse (the `M` in the
@@ -365,8 +407,15 @@ impl Pclht {
     /// [`Pclht::chain_length`] under a caller-supplied guard.
     pub fn chain_length_in(&self, guard: &Guard, tag: u64) -> u32 {
         let tag = Self::normalize_tag(tag);
-        let array = self.current(guard);
-        self.chain_snapshot(array, tag).len() as u32
+        self.read_chain(self.current(guard), tag, |head| {
+            let mut buckets = 1;
+            let mut next = head.next(&self.pool);
+            while !next.is_null() {
+                buckets += 1;
+                next = BucketRef::new(next).next(&self.pool);
+            }
+            buckets
+        })
     }
 
     /// Insert a new entry. Does not check for duplicates (the caller decides
@@ -430,28 +479,12 @@ impl Pclht {
         let guard = epoch::pin();
         let head = self.head_bucket(self.current(&guard), tag);
         head.lock(&self.pool);
-        let mut cur = head;
-        let result = loop {
-            let mut found = None;
-            for i in 0..SLOTS_PER_BUCKET {
-                let (t, v) = cur.slot(&self.pool, i);
-                if t == tag && matches(v) {
-                    found = Some((i, v));
-                    break;
-                }
-            }
-            if let Some((i, old)) = found {
-                cur.set_slot_value(&self.pool, i, new_value);
-                break Some(old);
-            }
-            let next = cur.next(&self.pool);
-            if next.is_null() {
-                break None;
-            }
-            cur = BucketRef::new(next);
-        };
+        let found = self.find_locked(head, tag, matches);
+        if let Some((bucket, i, _)) = found {
+            bucket.set_slot_value(&self.pool, i, new_value);
+        }
         head.unlock(&self.pool);
-        result
+        found.map(|(_, _, old)| old)
     }
 
     /// Conditional location CAS: replace the value stored under `tag` with
@@ -459,13 +492,15 @@ impl Pclht {
     /// `true` when the swap happened.
     ///
     /// This is the primitive the log-cleaning compactor swings relocated
-    /// entries with: the equality predicate runs under the chain's
-    /// head-bucket lock, so the check and the single-word write are atomic
-    /// with respect to every other writer — a concurrent put/merge/delete
-    /// that supersedes `old` makes the CAS fail instead of being silently
-    /// overwritten by a stale relocation.
+    /// entries with: it is [`Pclht::upsert_with`] deciding against the
+    /// value the slot holds under the chain's head-bucket lock, so the
+    /// check and the single-word write are atomic with respect to every
+    /// other writer — a concurrent put/merge/delete that supersedes `old`
+    /// makes the CAS fail instead of being silently overwritten by a stale
+    /// relocation.
     pub fn cas_value(&self, tag: u64, old: u64, new: u64) -> bool {
-        self.update(tag, |v| v == old, new).is_some()
+        let swung = self.upsert_with(tag, |v| v == old, |found| found.map(|_| new));
+        matches!(swung, Ok(Upsert::Replaced(_)))
     }
 
     /// Update the first matching entry or insert a new one. Returns the
@@ -476,39 +511,48 @@ impl Pclht {
         matches: F,
         value: u64,
     ) -> Result<Option<u64>> {
-        let norm = Self::normalize_tag(tag);
+        Ok(match self.upsert_with(tag, matches, |_| Some(value))? {
+            Upsert::Replaced(old) => Some(old),
+            Upsert::Kept | Upsert::Inserted => None,
+        })
+    }
+
+    /// Find the first entry matching `(tag, matches)` and let `decide`
+    /// choose what to do, all under the chain's head-bucket lock in one
+    /// walk. `decide` sees the value the matching slot actually holds
+    /// (`None` when nothing matches) and returns the value to write — in
+    /// place over that slot, or as a new entry when nothing matched — or
+    /// `None` to leave the chain as it is. No other writer can change the
+    /// chain between the decision and the write.
+    ///
+    /// `matches` and `decide` run with the lock held: they must not touch
+    /// this table.
+    pub fn upsert_with<M, D>(&self, tag: u64, matches: M, decide: D) -> Result<Upsert>
+    where
+        M: Fn(u64) -> bool,
+        D: FnOnce(Option<u64>) -> Option<u64>,
+    {
+        let tag = Self::normalize_tag(tag);
         self.maybe_resize()?;
         // Held across the write so a concurrent resize cannot retire the
         // bucket array mid-upsert (see `insert`).
         let state_guard = self.state.read();
         let guard = epoch::pin();
-        let head = self.head_bucket(self.current(&guard), norm);
+        let head = self.head_bucket(self.current(&guard), tag);
         head.lock(&self.pool);
-        // Try update first.
-        let mut cur = head;
-        let mut updated = None;
-        'outer: loop {
-            for i in 0..SLOTS_PER_BUCKET {
-                let (t, v) = cur.slot(&self.pool, i);
-                if t == norm && matches(v) {
-                    cur.set_slot_value(&self.pool, i, value);
-                    updated = Some(v);
-                    break 'outer;
-                }
+        let found = self.find_locked(head, tag, matches);
+        let res = match (found, decide(found.map(|(_, _, v)| v))) {
+            (_, None) => Ok(Upsert::Kept),
+            (Some((bucket, i, old)), Some(value)) => {
+                bucket.set_slot_value(&self.pool, i, value);
+                Ok(Upsert::Replaced(old))
             }
-            let next = cur.next(&self.pool);
-            if next.is_null() {
-                break;
-            }
-            cur = BucketRef::new(next);
-        }
-        let res = if updated.is_none() {
-            self.insert_locked(&head, norm, value).map(|()| None)
-        } else {
-            Ok(updated)
+            (None, Some(value)) => self
+                .insert_locked(&head, tag, value)
+                .map(|()| Upsert::Inserted),
         };
         head.unlock(&self.pool);
-        if let Ok(None) = res {
+        if let Ok(Upsert::Inserted) = res {
             // Count while still excluding resize (see `insert`).
             self.len.fetch_add(1, Ordering::Relaxed);
         }
@@ -525,33 +569,15 @@ impl Pclht {
         let guard = epoch::pin();
         let head = self.head_bucket(self.current(&guard), tag);
         head.lock(&self.pool);
-        let mut cur = head;
-        let result = loop {
-            let mut found = None;
-            for i in 0..SLOTS_PER_BUCKET {
-                let (t, v) = cur.slot(&self.pool, i);
-                if t == tag && matches(v) {
-                    found = Some((i, v));
-                    break;
-                }
-            }
-            if let Some((i, old)) = found {
-                cur.clear_slot(&self.pool, i);
-                break Some(old);
-            }
-            let next = cur.next(&self.pool);
-            if next.is_null() {
-                break None;
-            }
-            cur = BucketRef::new(next);
-        };
-        head.unlock(&self.pool);
-        if result.is_some() {
+        let found = self.find_locked(head, tag, matches);
+        if let Some((bucket, i, _)) = found {
+            bucket.clear_slot(&self.pool, i);
             // Count while still excluding resize (see `insert`).
             self.len.fetch_sub(1, Ordering::Relaxed);
         }
+        head.unlock(&self.pool);
         drop(state_guard);
-        result
+        found.map(|(_, _, old)| old)
     }
 
     /// Visit every `(tag, value)` entry. Takes a consistent per-chain
@@ -751,6 +777,56 @@ mod tests {
         assert_eq!(t.get_first(4), Some(999));
         assert!(!t.cas_value(4, 400, 1000), "second swap of old value fails");
         assert!(!t.cas_value(7, 0, 1), "missing tag fails");
+    }
+
+    #[test]
+    fn upsert_with_decides_against_the_slot_value() {
+        let t = table(16);
+        // Nothing matches: the decision sees `None`; keeping writes nothing.
+        assert_eq!(
+            t.upsert_with(
+                5,
+                |_| true,
+                |found| {
+                    assert_eq!(found, None);
+                    None
+                }
+            ),
+            Ok(Upsert::Kept)
+        );
+        assert_eq!(t.len(), 0);
+        assert_eq!(
+            t.upsert_with(5, |_| true, |_| Some(50)),
+            Ok(Upsert::Inserted)
+        );
+        // A match: the decision sees the value the slot holds and may keep
+        // it or replace it.
+        assert_eq!(
+            t.upsert_with(
+                5,
+                |_| true,
+                |found| {
+                    assert_eq!(found, Some(50));
+                    None
+                }
+            ),
+            Ok(Upsert::Kept)
+        );
+        assert_eq!(
+            t.upsert_with(5, |_| true, |found| found.map(|v| v + 1)),
+            Ok(Upsert::Replaced(50))
+        );
+        assert_eq!(t.get_first(5), Some(51));
+        // Collisions: only the slot `matches` picks is decided on.
+        t.insert(5, 500).unwrap();
+        assert_eq!(
+            t.upsert_with(5, |v| v >= 500, |found| found.map(|v| v + 1)),
+            Ok(Upsert::Replaced(500))
+        );
+        let mut all = t.get_all(5);
+        all.sort_unstable();
+        assert_eq!(all, vec![51, 501]);
+        assert_eq!(t.len(), 2);
     }
 
     #[test]
