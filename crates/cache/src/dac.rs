@@ -313,16 +313,29 @@ impl KnCache for DacCache {
         // location for free.  Prefer caching the value if the key is already
         // value-resident or there is spare space; otherwise keep a shortcut
         // (the location was free to learn).
-        if self.refresh_value(key, value, loc) {
+        if let Some(entry) = self.values.get(key) {
+            // Value-resident, now most-recently used with its hits kept. A
+            // value of the same length is overwritten where it lies; another
+            // length changes the entry's weight and takes the full refresh.
+            if entry.data.len() == value.len() {
+                entry.data.copy_from_slice(value);
+                entry.loc = loc;
+            } else {
+                let hits = entry.hits;
+                self.insert_value(key, value, loc, hits);
+            }
             return;
         }
         if self.free_space() >= value_weight(key, value.len()) {
             self.insert_value(key, value, loc, 1);
+        } else if let Some(freq) = self.shortcuts.frequency(key) {
+            // Location changed: move the shortcut, keeping its frequency, to
+            // the tail of its frequency's list, where a removal and
+            // re-insertion would put it.
+            self.shortcuts
+                .insert_with_frequency(key, ShortcutEntry { loc }, freq);
         } else {
-            let freq = self.shortcuts.frequency(key).unwrap_or(1);
-            // Location changed: refresh the shortcut.
-            self.remove_internal(key);
-            self.insert_shortcut(key, loc, freq);
+            self.insert_shortcut(key, loc, 1);
         }
     }
 

@@ -10,7 +10,7 @@ use dinomo_cache::{build_cache, CacheLookup, CacheStats, KnCache, ValueLoc};
 use dinomo_dpm::{BloomFilter, CommittedWrite, DpmNode, Guard, LogOp, LogWriter};
 use dinomo_partition::{key_hash, KnId, OwnershipTable};
 use dinomo_pmem::PmAddr;
-use dinomo_simnet::Nic;
+use dinomo_simnet::{Nic, PostedReads, ReadChain};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -39,6 +39,10 @@ struct Shard {
     writer: LogWriter,
     unmerged: HashMap<Vec<u8>, Unmerged>,
     bloom: BloomFilter,
+    /// A value buffer the next put fills instead of allocating: the last
+    /// pending value a flush committed left it, or the pending value a put
+    /// replaced.
+    spare: Vec<u8>,
 }
 
 impl Shard {
@@ -60,6 +64,7 @@ impl Shard {
                 if let Unmerged::Pending(v) = entry {
                     let loc = ValueLoc::new(c.value_addr.0, c.value_len);
                     self.cache.on_local_write(&c.key, v, loc);
+                    self.spare = std::mem::take(v);
                     *entry = Unmerged::Committed(loc);
                 }
             }
@@ -166,6 +171,7 @@ impl KnNode {
                     writer: LogWriter::new(Arc::clone(&dpm), id, nic.clone()),
                     unmerged: HashMap::new(),
                     bloom: BloomFilter::new(4096),
+                    spare: Vec::new(),
                 })
             })
             .collect::<Vec<_>>();
@@ -274,12 +280,15 @@ impl KnNode {
     /// the slice's epoch pin, taken here on the first branch that reads
     /// DPM (the shortcut, overlay and miss branches) and kept by the caller
     /// for the rest of its slice; a value hit reads only the cache and
-    /// pins nothing.
+    /// pins nothing. The op's fabric reads are posted to `reads`, its chain
+    /// on the slice's list: each is made here, and the caller waits for
+    /// them.
     fn get_in_shard(
         &self,
         shard: &mut Shard,
         key: &[u8],
         guard: &mut Option<Guard>,
+        reads: &mut ReadChain<'_, '_>,
     ) -> Result<Option<Vec<u8>>> {
         // A put keeps its key's cache entry until its slice's flush refreshes
         // it, so a buffered write answers first; read-only slices ask the
@@ -304,7 +313,7 @@ impl KnNode {
                 // location that validates here cannot be reused mid-read.
                 let guard = guard.get_or_insert_with(dinomo_dpm::pin);
                 if self.dpm.value_addr_is_live_in(guard, PmAddr(loc.addr)) {
-                    let value = self.dpm.read_value_at(&self.nic, PmAddr(loc.addr), loc.len);
+                    let value = self.dpm.read_value_posted(reads, PmAddr(loc.addr), loc.len);
                     shard.cache.admit_value(key, &value, loc);
                     return Ok(Some(value));
                 }
@@ -327,7 +336,7 @@ impl KnNode {
                     // authoritative for it).
                     let guard = guard.get_or_insert_with(dinomo_dpm::pin);
                     if self.dpm.value_addr_is_live_in(guard, PmAddr(loc.addr)) {
-                        let value = self.dpm.read_value_at(&self.nic, PmAddr(loc.addr), loc.len);
+                        let value = self.dpm.read_value_posted(reads, PmAddr(loc.addr), loc.len);
                         shard.cache.admit_value(key, &value, loc);
                         return Ok(Some(value));
                     }
@@ -339,7 +348,7 @@ impl KnNode {
         }
         // Full miss: traverse the metadata index remotely.
         let guard = guard.get_or_insert_with(dinomo_dpm::pin);
-        let lookup = self.dpm.remote_read_in(guard, &self.nic, key);
+        let lookup = self.dpm.remote_read_posted(guard, reads, key);
         shard.cache.record_miss_cost(lookup.rts);
         let (Some(value), Some((addr, len))) = (lookup.value, lookup.value_loc) else {
             return Ok(None);
@@ -361,7 +370,10 @@ impl KnNode {
             // the key's writes still live in its own shard's overlay and
             // cache, so that is where the ordinary path must read.
             let mut shard = self.shards[shard as usize].lock();
-            return self.get_in_shard(&mut shard, key, &mut None);
+            let mut reads = PostedReads::new(&self.nic);
+            let value = self.get_in_shard(&mut shard, key, &mut None, &mut reads.chain());
+            reads.wait();
+            return value;
         };
         let Some(entry_loc) = self.dpm.remote_read_indirect(&self.nic, cell) else {
             return Ok(None);
@@ -394,9 +406,25 @@ impl KnNode {
     /// answering.
     fn put_in_shard(shard: &mut Shard, key: &[u8], value: &[u8]) {
         shard.writer.append_put(key, value);
-        shard
-            .unmerged
-            .insert(key.to_vec(), Unmerged::Pending(value.to_vec()));
+        // The spare buffer takes the value. A key the overlay tracks keeps
+        // its entry, so no key is copied, and a pending value it replaces
+        // leaves its buffer as the next spare.
+        let mut buffer = std::mem::take(&mut shard.spare);
+        buffer.clear();
+        buffer.extend_from_slice(value);
+        match shard.unmerged.get_mut(key) {
+            Some(entry) => {
+                if let Unmerged::Pending(old) = std::mem::replace(entry, Unmerged::Pending(buffer))
+                {
+                    shard.spare = old;
+                }
+            }
+            None => {
+                shard
+                    .unmerged
+                    .insert(key.to_vec(), Unmerged::Pending(buffer));
+            }
+        }
         shard.bloom.insert(key);
     }
 
@@ -667,6 +695,13 @@ impl KnNode {
     /// position through `set`; returns the `(reads, writes)` served and
     /// the instant the slice ended.
     ///
+    /// The slice's one-sided reads go to one [`PostedReads`] list on this
+    /// stack frame, one chain per lookup. Every read is made where the op
+    /// makes it, under the pin and the shard mutex; only the waits move. A
+    /// slice with no write waits once, for all of its reads, before it
+    /// releases the shard. A slice that writes waits after each op, so its
+    /// timing (and the rate of the writes behind it) is the per-key one.
+    ///
     /// The shard mutex is the slice's queue: clients that route to the
     /// same shard serialize on it. The wait for it, from `waiting_since`,
     /// is the slice's one `stage_queue_wait_ns` sample; from there on it
@@ -681,11 +716,13 @@ impl KnNode {
     ) -> (u64, u64, Instant) {
         let mut reads = 0u64;
         let mut writes = 0u64;
+        let read_only = !positions.clone().any(|pos| ops(pos).is_write());
         // One epoch pin covers every index lookup this slice performs (the
         // lock-free read side of the P-CLHT; see dinomo_pclht::pin), taken
         // at the first read that leaves the cache: a slice of value hits
         // or of writes needs none.
         let mut guard = None;
+        let mut posted = PostedReads::new(&self.nic);
         let mut shard = self.shards[shard_idx as usize].lock();
         let locked_at = dinomo_obs::stage_clock();
         if let Some(at) = locked_at {
@@ -697,7 +734,7 @@ impl KnNode {
             let result = match ops(pos) {
                 OpRef::Lookup(key) => {
                     reads += 1;
-                    self.get_in_shard(&mut shard, key, &mut guard)
+                    self.get_in_shard(&mut shard, key, &mut guard, &mut posted.chain())
                 }
                 OpRef::Put(key, value) => {
                     writes += 1;
@@ -710,6 +747,9 @@ impl KnNode {
                     Ok(None)
                 }
             };
+            if !read_only {
+                posted.wait();
+            }
             set(pos, result);
         }
         // One flush for the whole slice. A flush failure is a durability
@@ -724,6 +764,7 @@ impl KnNode {
                 }
             }
         }
+        posted.wait();
         drop(shard);
         let end = Instant::now();
         if let Some(at) = locked_at {
@@ -1105,15 +1146,16 @@ mod tests {
         let node = kvs.kn(kvs.kn_ids()[0]).unwrap();
         let ops = [Op::lookup("k0"), Op::lookup("k0")];
         let hashes: Vec<u64> = ops.iter().map(|op| key_hash(op.key())).collect();
-        // Route resolution reads both ops, then the slice reads each again:
-        // the fourth read is the second lookup's, after the first pinned.
+        // Route resolution reads both ops, the slice reads both to see
+        // whether it writes, then reads each again to run it: the sixth
+        // read is the second lookup's, after the first pinned.
         let reads = std::cell::Cell::new(0);
         let locked_at_panic = std::cell::Cell::new(false);
         let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             node.serve(
                 |pos| {
                     reads.set(reads.get() + 1);
-                    if reads.get() == 4 {
+                    if reads.get() == 6 {
                         locked_at_panic.set(node.shards[0].try_lock().is_none());
                         panic!("op source failed mid-slice");
                     }

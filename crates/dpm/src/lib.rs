@@ -54,7 +54,7 @@ pub use loc::PackedLoc;
 pub use node::{DpmNode, DpmStats, LookupResult, RecoveryReport, RelocationObserver};
 pub use ordered::OrderedIndex;
 // Re-exported so KVS nodes can pin one epoch guard across a whole batch of
-// index lookups (`DpmNode::{local_lookup_in, remote_read_in}`).
+// index lookups (`DpmNode::{local_lookup_in, remote_read_posted}`).
 pub use dinomo_pclht::{pin, Guard};
 // The epoch shim's process-global reclamation stats, re-exported so the
 // core layer can bridge them into its metrics registry without its own

@@ -14,7 +14,7 @@ use dinomo_obs::{LockId, Registry, Stage};
 use dinomo_partition::key_hash;
 use dinomo_pclht::{pin, Guard, Pclht};
 use dinomo_pmem::{PmAddr, PmemError, PmemPool};
-use dinomo_simnet::Nic;
+use dinomo_simnet::{Nic, PostedReads, ReadChain};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -826,20 +826,45 @@ impl DpmNode {
         self.remote_read_in(&pin(), nic, key)
     }
 
-    /// [`DpmNode::remote_read`] under a caller-supplied epoch guard — the
-    /// KN batch path pins once per batch instead of once per miss.
+    /// [`DpmNode::remote_read`] under a caller-supplied epoch guard: one
+    /// miss that waits for its own reads. `stage_dpm_lookup_ns` times the
+    /// walk and the wait.
     pub fn remote_read_in(&self, guard: &Guard, nic: &Nic, key: &[u8]) -> LookupResult {
+        self.inner.metrics.stage_dpm_lookup.time(|| {
+            let mut reads = PostedReads::new(nic);
+            let found = self.remote_read_untimed(guard, &mut reads.chain(), key);
+            reads.wait();
+            found
+        })
+    }
+
+    /// The miss path of a KN slice: [`DpmNode::remote_read_in`] posting its
+    /// reads to the slice's list as one chain (bucket hops, indirection
+    /// cell, entry), read when posted and waited for with the list. The
+    /// slice pins once for all its misses. `stage_dpm_lookup_ns` times the
+    /// walk; the wait is the slice's.
+    pub fn remote_read_posted(
+        &self,
+        guard: &Guard,
+        reads: &mut ReadChain<'_, '_>,
+        key: &[u8],
+    ) -> LookupResult {
         self.inner
             .metrics
             .stage_dpm_lookup
-            .time(|| self.remote_read_in_untimed(guard, nic, key))
+            .time(|| self.remote_read_untimed(guard, reads, key))
     }
 
-    fn remote_read_in_untimed(&self, guard: &Guard, nic: &Nic, key: &[u8]) -> LookupResult {
+    fn remote_read_untimed(
+        &self,
+        guard: &Guard,
+        reads: &mut ReadChain<'_, '_>,
+        key: &[u8],
+    ) -> LookupResult {
         let (raw, mut rts) = self
             .inner
             .index
-            .remote_get_in(guard, nic, key_hash(key), |raw| {
+            .remote_get_in(guard, reads, key_hash(key), |raw| {
                 self.inner.loc_matches_key(raw, key)
             });
         let Some(raw) = raw else {
@@ -852,7 +877,7 @@ impl DpmNode {
         };
         let loc = PackedLoc::from_raw(raw);
         let (entry_loc, indirect) = if loc.is_indirect() {
-            nic.one_sided_read(8);
+            reads.read(8);
             rts += 1;
             match self.inner.indirect_cell_live_target(loc.addr()) {
                 Some(t) => (t, true),
@@ -868,7 +893,7 @@ impl DpmNode {
         } else {
             (loc, false)
         };
-        nic.one_sided_read(entry_loc.len() as usize);
+        reads.read(entry_loc.len() as usize);
         rts += 1;
         match decode_entry(&self.inner.pool, entry_loc.addr(), entry_loc.len()) {
             Some(entry) if entry.key_is(&self.inner.pool, key) => {
@@ -890,9 +915,23 @@ impl DpmNode {
     }
 
     /// Shortcut-hit path: fetch `len` value bytes at `addr` with a single
-    /// one-sided read.
+    /// one-sided read, and wait for it.
     pub fn read_value_at(&self, nic: &Nic, addr: PmAddr, len: u32) -> Vec<u8> {
-        nic.one_sided_read(len as usize);
+        let mut reads = PostedReads::new(nic);
+        let value = self.read_value_posted(&mut reads.chain(), addr, len);
+        reads.wait();
+        value
+    }
+
+    /// [`DpmNode::read_value_at`] posting its read to `reads` (a KN
+    /// slice's list): the bytes are read now, the wait is the list's.
+    pub fn read_value_posted(
+        &self,
+        reads: &mut ReadChain<'_, '_>,
+        addr: PmAddr,
+        len: u32,
+    ) -> Vec<u8> {
+        reads.read(len as usize);
         let mut buf = vec![0u8; len as usize];
         self.inner.pool.read_bytes(addr, &mut buf);
         buf

@@ -21,7 +21,7 @@ use crate::bucket::{BucketRef, BUCKET_BYTES, EMPTY_TAG, SLOTS_PER_BUCKET};
 use crate::Result;
 use crossbeam::epoch::{self, Atomic, Guard, Owned};
 use dinomo_pmem::{PmAddr, PmemPool};
-use dinomo_simnet::Nic;
+use dinomo_simnet::{Nic, PostedReads, ReadChain};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -617,16 +617,21 @@ impl Pclht {
         tag: u64,
         matches: F,
     ) -> (Option<u64>, u32) {
-        self.remote_get_in(&epoch::pin(), nic, tag, matches)
+        let mut reads = PostedReads::new(nic);
+        let found = self.remote_get_in(&epoch::pin(), &mut reads.chain(), tag, matches);
+        reads.wait();
+        found
     }
 
     /// [`Pclht::remote_get`] under a caller-supplied guard (a KVS node
     /// serving a batch pins once and issues every one-sided lookup of the
-    /// batch under the same guard).
+    /// batch under the same guard), posting its bucket reads to `reads`,
+    /// one level per chain hop, instead of waiting for each. The buckets
+    /// are read when posted; only the wait is the list's.
     pub fn remote_get_in<F: Fn(u64) -> bool>(
         &self,
         guard: &Guard,
-        nic: &Nic,
+        reads: &mut ReadChain<'_, '_>,
         tag: u64,
         matches: F,
     ) -> (Option<u64>, u32) {
@@ -635,7 +640,7 @@ impl Pclht {
         let mut rts = 0u32;
         let mut cur = head;
         loop {
-            nic.one_sided_read(BUCKET_BYTES as usize);
+            reads.read(BUCKET_BYTES as usize);
             rts += 1;
             let snap = cur.snapshot(&self.pool);
             for (t, v) in snap.slots {

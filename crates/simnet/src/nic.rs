@@ -1,6 +1,7 @@
 //! The per-node simulated NIC.
 
 use crate::config::FabricConfig;
+use crate::posted::PostedReads;
 use crate::stats::{NicCounters, NicStats};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -42,19 +43,13 @@ impl Nic {
         &self.inner.config
     }
 
-    /// Issue a one-sided RDMA READ of `bytes` bytes. Returns the modeled
-    /// round-trip latency.
+    /// Issue a one-sided RDMA READ of `bytes` bytes and wait for it: a
+    /// [`PostedReads`] list of one read. Returns the modeled round-trip
+    /// latency.
     pub fn one_sided_read(&self, bytes: usize) -> Duration {
-        let ns = self.inner.config.one_sided_ns(bytes);
-        self.inner
-            .counters
-            .one_sided_reads
-            .fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .counters
-            .bytes_read
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-        self.account_and_delay(ns)
+        let mut list = PostedReads::new(self);
+        list.chain().read(bytes);
+        list.wait()
     }
 
     /// Issue a one-sided RDMA WRITE of `bytes` bytes. Returns the modeled
@@ -111,7 +106,12 @@ impl Nic {
         self.inner.counters.reset();
     }
 
-    fn account_and_delay(&self, modeled_ns: u64) -> Duration {
+    pub(crate) fn counters(&self) -> &NicCounters {
+        &self.inner.counters
+    }
+
+    /// Charge `modeled_ns` of fabric time and inject its delay.
+    pub(crate) fn account_and_delay(&self, modeled_ns: u64) -> Duration {
         self.inner
             .counters
             .modeled_ns

@@ -21,7 +21,9 @@ use dinomo::cache::{CacheKind, CacheStats};
 use dinomo::core::key_for;
 use dinomo::dpm::DpmConfig;
 use dinomo::partition::KnId;
+use dinomo::pclht::bucket::BUCKET_BYTES;
 use dinomo::pclht::PclhtConfig;
+use dinomo::simnet::{NicStats, OUTSTANDING_READS};
 use dinomo::{
     KeyDistribution, Kvs, KvsClient, KvsConfig, Op, Variant, WorkloadConfig, WorkloadGenerator,
     WorkloadMix,
@@ -132,6 +134,80 @@ fn a_value_hit_costs_0_rts_a_shortcut_hit_1_and_a_miss_2() {
     assert_eq!(rts, cache.shortcut_hits, "{cache:?}");
     assert!(cache.value_hits >= 10, "{cache:?}");
     let (cache, rts) = read_pass(&kvs, &client, kn, &hot);
+    assert_eq!((cache.value_hits, rts), (20, 0), "{cache:?}");
+}
+
+/// What reading `keys` in one `multi_get` cost on node `kn`, which must
+/// own them all on one shard: one read-only slice, so one posted list of
+/// fabric reads. Returns the cache's verdicts, the round trips and the
+/// node's NIC counters.
+fn batched_read_pass(
+    kvs: &Kvs,
+    client: &KvsClient,
+    kn: KnId,
+    keys: &[Vec<u8>],
+) -> (CacheStats, u64, NicStats) {
+    let before = kvs.kn(kn).unwrap().stats();
+    for reply in client.multi_get(keys) {
+        assert!(reply.value().is_some(), "{reply:?}");
+    }
+    let delta = kvs.kn(kn).unwrap().stats().since(&before);
+    (delta.cache, delta.nic.round_trips(), delta.nic)
+}
+
+/// The modeled wait of one posted list whose reads form `levels`
+/// dependency levels of `per_level` reads each, `level0_bytes` of them at
+/// the first level and the rest of `nic.bytes_read` at the second.
+fn posted_wait_ns(nic: &NicStats, levels: u64, per_level: u64, level0_bytes: u64) -> u64 {
+    let fabric = KvsConfig::small_for_tests().fabric;
+    let latency = levels * per_level.div_ceil(OUTSTANDING_READS) * fabric.one_sided_latency_ns;
+    let rest = nic.bytes_read - level0_bytes;
+    latency + fabric.transfer_ns(level0_bytes as usize) + fabric.transfer_ns(rest as usize)
+}
+
+/// The batched twin of
+/// `a_value_hit_costs_0_rts_a_shortcut_hit_1_and_a_miss_2`: the same reads
+/// through `multi_get`, so each pass is one read-only slice whose reads are
+/// posted together. Every class costs the same round trips, and each
+/// slice waits once per dependency level: a pass of misses two levels (the
+/// bucket reads, then the entry reads), a pass of shortcut hits one.
+#[test]
+fn batched_reads_cost_the_same_rts_per_class_and_wait_once_per_level() {
+    const KEYS: u64 = 100;
+    let keys: Vec<Vec<u8>> = (0..KEYS).map(key).collect();
+    let buckets = KEYS * BUCKET_BYTES;
+
+    let (kvs, kn) = cold_single_node(CacheKind::ShortcutOnly, 1 << 20, KEYS);
+    let client = kvs.client();
+    let (cache, rts, nic) = batched_read_pass(&kvs, &client, kn, &keys);
+    assert_eq!((cache.misses, rts), (KEYS, 2 * KEYS), "{cache:?}");
+    assert_eq!(nic.modeled_ns, posted_wait_ns(&nic, 2, KEYS, buckets));
+    let (cache, rts, nic) = batched_read_pass(&kvs, &client, kn, &keys);
+    assert_eq!((cache.shortcut_hits, rts), (KEYS, KEYS), "{cache:?}");
+    assert_eq!(nic.modeled_ns, posted_wait_ns(&nic, 1, KEYS, 0));
+
+    let (kvs, kn) = cold_single_node(CacheKind::Dac, 1 << 20, KEYS);
+    let client = kvs.client();
+    let (cache, rts, _) = batched_read_pass(&kvs, &client, kn, &keys);
+    assert_eq!((cache.misses, rts), (KEYS, 2 * KEYS), "{cache:?}");
+    let (cache, rts, nic) = batched_read_pass(&kvs, &client, kn, &keys);
+    assert_eq!((cache.value_hits, rts), (KEYS, 0), "{cache:?}");
+    assert_eq!(nic.modeled_ns, 0, "a slice of value hits posts nothing");
+
+    // The hot key's reads run in one slice in order, each seeing the cache
+    // its predecessors left: the shortcut hits until Eq. 1 promotes it,
+    // value hits after.
+    let (kvs, kn) = cold_single_node(CacheKind::Dac, 2 << 10, KEYS);
+    let client = kvs.client();
+    let (cache, rts, _) = batched_read_pass(&kvs, &client, kn, &keys);
+    assert_eq!((cache.misses, rts), (KEYS, 2 * KEYS), "{cache:?}");
+    let hot = vec![key(KEYS - 1); 20];
+    let (cache, rts, _) = batched_read_pass(&kvs, &client, kn, &hot);
+    assert_eq!(cache.misses, 0, "{cache:?}");
+    assert_eq!(cache.promotions, 1, "{cache:?}");
+    assert_eq!(rts, cache.shortcut_hits, "{cache:?}");
+    assert!(cache.value_hits >= 10, "{cache:?}");
+    let (cache, rts, _) = batched_read_pass(&kvs, &client, kn, &hot);
     assert_eq!((cache.value_hits, rts), (20, 0), "{cache:?}");
 }
 
